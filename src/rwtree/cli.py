@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 validation or unknown symbol,
-4 assertion failure, 5 rewrite budget exhausted.
+4 assertion failure, 5 rewrite budget exhausted, 6 input too deep (nesting
+beyond the Python recursion limit).
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .syntax import (
     print_term,
 )
 
-OK, USAGE, PARSE, VALIDATION, ASSERTION, DIVERGENCE = 0, 1, 2, 3, 4, 5
+OK, USAGE, PARSE, VALIDATION, ASSERTION, DIVERGENCE, TOO_DEEP = 0, 1, 2, 3, 4, 5, 6
 
 
 class UsageError(Exception):
@@ -98,6 +99,9 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return DIVERGENCE
+    except RecursionError:
+        print("input too deep: nesting exceeds the recursion limit", file=sys.stderr)
+        return TOO_DEEP
     raise AssertionError("unreachable")
 
 
@@ -170,7 +174,10 @@ def cmd_bench(
 ) -> int:
     if repeat < 1:
         raise UsageError("--repeat must be at least 1")
-    bench = builtin_benchmark(target)
+    try:
+        bench = builtin_benchmark(target)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     if bench is None:
         bench = file_benchmark(target, _read(target))
     engines = ["tree", "naive"] if engine == "both" else [engine]

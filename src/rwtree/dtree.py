@@ -1,10 +1,16 @@
 """Decision trees and the matrix-to-tree compiler.
 
 A tree is a small program over a stack of subject terms and a store of saved
-subterms: Switch inspects the stack top, Swap reorders the stack, Store saves
-the top for later constraint checks or right-hand-side instantiation, BinNl
+subterms: Switch head-normalises the stack top and dispatches on its head,
+Swap reorders the stack, Store saves the top without inspecting it, BinNl
 and BinCl decide the repeated-variable and variable-occurrence constraints,
 and Leaf yields an instantiable right-hand side.
+
+A position that a constraint or a right-hand side needs is saved exactly
+once.  If some Switch inspects it, that Switch saves it after head
+normalisation (its ``store`` flag), so right-hand sides are built from
+normalised subterms; otherwise a Store saves it unevaluated, and a column
+is never forced only to be stored.
 
 Compilation reduces a clause matrix step by step.  The step to take next is
 chosen by a pluggable heuristic; every heuristic must produce a tree that the
@@ -60,6 +66,8 @@ class Swap(DTree):
 
 @dataclass(slots=True)
 class Store(DTree):
+    # saves the stack top, unevaluated, without popping it; only for
+    # positions that no Switch inspects
     child: DTree
 
 
@@ -70,6 +78,8 @@ class Switch(DTree):
     sym_cases: dict[tuple[str, int], DTree]
     lam_case: Optional[DTree] = None
     default_case: Optional[DTree] = None
+    # save the head-normalised top in the next store slot before dispatch
+    store: bool = False
 
 
 @dataclass(slots=True)
@@ -95,19 +105,11 @@ class CompileState:
 
 
 Action = Union[
-    tuple[str, int],  # ("yield", row) | ("specialize", column)
+    tuple[str, int],  # ("yield", row) | ("specialize", column) | ("store", column)
     tuple[str, ConstraintKey],  # ("solve_nl", key) | ("solve_cl", key)
 ]
 
 Chooser = Callable[[ClauseMatrix, CompileState], Action]
-
-
-def _row_yieldable(row: ClauseRow, st: CompileState) -> bool:
-    if row.nl or row.cl:
-        return False
-    if any(type(p) is not PatVar for p in row.patterns):
-        return False
-    return all(pos in st.slot_of for pos, _ in row.env.values())
 
 
 def _pending_positions(m: ClauseMatrix) -> set[Position]:
@@ -159,21 +161,29 @@ def _constraints_touching(m: ClauseMatrix, pos: Position) -> int:
     return count
 
 
+def _unstored_column(st: CompileState, wanted: set[Position]) -> Optional[Action]:
+    for i, pos in enumerate(st.positions):
+        if pos in wanted and pos not in st.slot_of:
+            return ("store", i + 1)
+    return None
+
+
 def _choose(m: ClauseMatrix, st: CompileState, structural: Callable) -> Action:
     for k, row in enumerate(m.rows):
-        if _row_yieldable(row, st):
-            return ("yield", k)
+        if row.nl or row.cl or any(type(p) is not PatVar for p in row.patterns):
+            continue
+        needed = {pos for pos, _ in row.env.values()}
+        return _unstored_column(st, needed) or ("yield", k)
     col = structural(m, st)
     if col is not None:
         return ("specialize", col)
     solvable = _solvable_keys(m, st)
     if solvable:
         return solvable[0]
-    pending = _pending_positions(m)
-    for i, pos in enumerate(st.positions):
-        if pos in pending and pos not in st.slot_of:
-            return ("specialize", i + 1)
-    raise AssertionError("no action applies to a nonempty matrix")
+    action = _unstored_column(st, _pending_positions(m))
+    if action is None:
+        raise AssertionError("no action applies to a nonempty matrix")
+    return action
 
 
 def _best_structural_column(m: ClauseMatrix, st: CompileState) -> Optional[int]:
@@ -216,11 +226,13 @@ def choose_action(
 ) -> Action:
     """Next compilation step for a nonempty matrix.
 
-    Yield the first row that is all wildcards, unconstrained and has all
-    its right-hand-side positions stored; otherwise work on the column with
-    the most symbol or abstraction heads (ties: fewer constraints touching
-    its position, then lower index); otherwise solve a decided constraint;
-    otherwise pick a column whose position still has to be stored.
+    The first row that is all wildcards and unconstrained wins: store the
+    leftmost of its right-hand-side positions that is not stored yet, or
+    yield it once all are, without inspecting any column.  Otherwise work
+    on the column with the most symbol or abstraction heads (ties: fewer
+    constraints touching its position, then lower index); otherwise solve a
+    decided constraint; otherwise store a column whose position a
+    constraint still needs.
     """
     return HEURISTICS[heuristic](m, st)
 
@@ -240,9 +252,10 @@ def compile_matrix(
 ) -> DTree:
     """Compile a clause matrix to a decision tree.
 
-    Total: an empty matrix compiles to Fail.  A position is stored before
-    it is consumed whenever a constraint or a right-hand-side binding still
-    refers to it.
+    Total: an empty matrix compiles to Fail.  A position that a constraint
+    or a right-hand-side binding refers to is stored once: by the Switch
+    that consumes it, after head normalisation, or by a Store when no
+    Switch inspects it.
     """
     if st is None:
         st = CompileState(tuple((i,) for i in range(1, m.width + 1)))
@@ -274,24 +287,32 @@ def _compile(m: ClauseMatrix, st: CompileState, choose: Chooser) -> DTree:
             tuple(sorted(key.slots)),
             _compile(cond_fail(key, m), st, choose),
         )
-    # specialize column arg
+    # "specialize" or "store": bring column arg to the front first
     i = arg
     if i != 1:
         m = swap_columns(m, i)
         ps = list(st.positions)
         ps[0], ps[i - 1] = ps[i - 1], ps[0]
         st = CompileState(tuple(ps), st.store_size, st.slot_of)
-        return Swap(i, _compile_front(m, st, choose))
-    return _compile_front(m, st, choose)
+    if kind == "store":
+        node = Store(_compile(m, _store_front(st), choose))
+    else:
+        node = _compile_front(m, st, choose)
+    return node if i == 1 else Swap(i, node)
+
+
+def _store_front(st: CompileState) -> CompileState:
+    """State after saving the front position in the next store slot."""
+    return CompileState(
+        st.positions, st.store_size + 1, {**st.slot_of, st.positions[0]: st.store_size}
+    )
 
 
 def _compile_front(m: ClauseMatrix, st: CompileState, choose: Chooser) -> DTree:
     pos = st.positions[0]
-    if pos not in st.slot_of and pos in _pending_positions(m):
-        st2 = CompileState(
-            st.positions, st.store_size + 1, {**st.slot_of, pos: st.store_size}
-        )
-        return Store(_compile(m, st2, choose))
+    store = pos not in st.slot_of and pos in _pending_positions(m)
+    if store:
+        st = _store_front(st)
 
     sym_keys = sorted(
         {
@@ -317,7 +338,7 @@ def _compile_front(m: ClauseMatrix, st: CompileState, choose: Chooser) -> DTree:
     if has_wild:
         sub_st = CompileState(rest, st.store_size, st.slot_of)
         default_case = _compile(spec_default(m), sub_st, choose)
-    return Switch(sym_cases, lam_case, default_case)
+    return Switch(sym_cases, lam_case, default_case, store)
 
 
 def trees_of_ruleset(
@@ -370,11 +391,10 @@ def tree_stats(tree: DTree) -> dict:
         counts[name] = counts.get(name, 0) + 1
         max_depth = max(max_depth, depth)
         t = type(node)
-        if t is Store:
+        if t is Store or (t is Switch and node.store):
             stores += 1
             max_store = max(max_store, stores)
-            todo.append((node.child, depth + 1, stores))
-        elif t is Swap:
+        if t in (Store, Swap):
             todo.append((node.child, depth + 1, stores))
         elif t is Switch:
             for child in node.sym_cases.values():
@@ -390,7 +410,8 @@ def tree_stats(tree: DTree) -> dict:
 
 
 def erase_stores(tree: DTree) -> DTree:
-    """Tree with every Store node spliced out; shape comparison helper."""
+    """Tree with every Store node spliced out and every Switch store flag
+    cleared; shape comparison helper."""
     t = type(tree)
     if t is Store:
         return erase_stores(tree.child)
@@ -427,7 +448,7 @@ def tree_equal(a: DTree, b: DTree) -> bool:
     if ta is Store:
         return tree_equal(a.child, b.child)
     if ta is Switch:
-        if list(a.sym_cases) != list(b.sym_cases):
+        if a.store != b.store or list(a.sym_cases) != list(b.sym_cases):
             return False
         if not all(tree_equal(a.sym_cases[k], b.sym_cases[k]) for k in a.sym_cases):
             return False
@@ -478,7 +499,7 @@ def tree_text(tree: DTree, print_rhs=repr) -> str:
             lines.append(f"{pad}store")
             go(node.child, indent + 1)
         elif t is Switch:
-            lines.append(f"{pad}switch")
+            lines.append(f"{pad}switch store" if node.store else f"{pad}switch")
             for (name, argc), child in node.sym_cases.items():
                 go(child, indent + 1, f"{name}/{argc}: ")
             if node.lam_case is not None:
@@ -525,7 +546,8 @@ def to_dot(tree: DTree, print_rhs=repr) -> str:
             c = emit(node.child)
             lines.append(f"  n{nid} -> n{c};")
         elif t is Switch:
-            lines.append(f'  n{nid} [label="switch", shape=circle];')
+            label = "switch store" if node.store else "switch"
+            lines.append(f'  n{nid} [label="{label}", shape=circle];')
             for (name, argc), child in node.sym_cases.items():
                 c = emit(child)
                 lines.append(f'  n{nid} -> n{c} [label="{esc(name)}/{argc}"];')

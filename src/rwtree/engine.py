@@ -2,9 +2,10 @@
 
 The same normalization driver serves two interchangeable matching back ends:
 the compiled decision trees and the rule-by-rule declarative matcher.  Terms
-are matched modulo reduction: the stack top is head-normalized just before a
-Switch inspects it, and in convertibility mode the constraint checks compare
-or inspect fully normalized terms.
+are matched modulo reduction: a Switch head-normalizes the stack top before
+it inspects it, and stores that normal form when the tree asks for it; in
+convertibility mode the constraint checks compare or inspect fully
+normalized terms.
 """
 from __future__ import annotations
 
@@ -81,7 +82,6 @@ class EvalContext:
     max_steps: int = 10**8
     equality: str = CONVERTIBLE
     engine: str = TREE
-    heuristic: str = "max-constructors"
 
     @classmethod
     def from_rules(
@@ -118,7 +118,6 @@ class EvalContext:
             max_steps=max_steps,
             equality=equality,
             engine=engine,
-            heuristic=heuristic,
         )
 
 
@@ -246,8 +245,10 @@ def eval_tree(
     """Run a decision tree on an argument vector.
 
     Returns the instantiated right-hand side, or None when matching fails.
-    The stack top is weak-head normalized before every Switch; Store saves
-    the top without popping, together with the binders opened so far.
+    A Switch pops the stack top and weak-head normalizes it; if its store
+    flag is set it saves that normal form before dispatching on the head.
+    Store saves the top unevaluated without popping.  Every saved term
+    comes with the binders opened so far.
     """
     stack: list[Term] = list(args)
     stack.reverse()  # stack[-1] is the first column
@@ -257,15 +258,17 @@ def eval_tree(
     while True:
         tn = type(node)
         if tn is dt.Switch:
-            top = whnf(ctx, stack[-1], steps)
-            stack[-1] = top
+            top = whnf(ctx, stack.pop(), steps)
+            if node.store:
+                if trace is not None:
+                    trace.append(("store", len(store)))
+                store.append((top, tuple(binders)))
             head, hargs = spine(top)
             if type(head) is Symb:
                 child = node.sym_cases.get((head.name, len(hargs)))
                 if child is not None:
                     if trace is not None:
                         trace.append(("switch", (head.name, len(hargs))))
-                    stack.pop()
                     stack.extend(reversed(hargs))
                     node = child
                     continue
@@ -274,7 +277,6 @@ def eval_tree(
                 body = subst(top.body, {top.var.vid: v2})
                 if trace is not None:
                     trace.append(("switch", "lambda"))
-                stack.pop()
                 stack.append(body)
                 binders.append(v2)
                 node = node.lam_case
@@ -282,7 +284,6 @@ def eval_tree(
             if node.default_case is not None:
                 if trace is not None:
                     trace.append(("switch", "*"))
-                stack.pop()
                 node = node.default_case
                 continue
             if trace is not None:

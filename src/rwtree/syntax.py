@@ -513,36 +513,3 @@ def _pick_name(v: Var, names: dict[int, str], reserved: set[str]) -> str:
     while name in taken or name in _KEYWORDS or name == "_":
         name += "'"
     return name
-
-
-def pattern_to_term(p: Pattern) -> Term:
-    """Pattern rendered back as a term with MetaApp placeholders."""
-    tp = type(p)
-    if tp is PatVar:
-        return MetaApp(p.name, p.args)
-    if tp is PatSymb:
-        t: Term = symb(p.symbol)
-        for a in p.args:
-            t = App(t, pattern_to_term(a))
-        return t
-    return Abst(p.var, None, pattern_to_term(p.body))
-
-
-def print_pattern(p: Pattern, unicode: bool = False) -> str:
-    return print_term(pattern_to_term(p), unicode)
-
-
-def print_rule(rule: Rule, unicode: bool = False) -> str:
-    arrow = "↪" if unicode else "-->"
-    lhs = " ".join(
-        [rule.head]
-        + [_arg_str(pattern_to_term(p), unicode) for p in rule.lhs_args]
-    )
-    return f"{lhs} {arrow} {print_term(rule.rhs, unicode)}"
-
-
-def _arg_str(t: Term, unicode: bool) -> str:
-    s = print_term(t, unicode)
-    if type(t) in (App, Abst, Prod):
-        return f"({s})"
-    return s

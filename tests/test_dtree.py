@@ -150,7 +150,7 @@ def test_choose_action_forces_store_for_env():
     rule = Rule("id", (pvar("x"),), MetaApp("x", ()), "id")
     m = from_rules("id", [rule])
     st = CompileState(((1,),))
-    assert choose_action(m, st) == ("specialize", 1)
+    assert choose_action(m, st) == ("store", 1)
     tree = compile_matrix(m)
     assert type(tree) is Store and type(tree.child) is Leaf
 
@@ -207,7 +207,8 @@ def test_store_indices_bounded_on_random_rulesets(rng):
                 elif t is Swap:
                     todo.append((node.child, stores))
                 elif t is Switch:
-                    todo.extend((c, stores) for c in _switch_children(node))
+                    below = stores + node.store
+                    todo.extend((c, below) for c in _switch_children(node))
                 elif t is BinNl:
                     assert max(node.slots) < stores
                     todo.append((node.succ, stores))

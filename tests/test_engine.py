@@ -1,6 +1,7 @@
 import pytest
 
-from rwtree.dtree import Fail, Leaf, Store, Switch
+from rwtree.corpus import FIB_RULES
+from rwtree.dtree import Fail, Leaf, Store, Switch, iter_tree, trees_of_ruleset
 from rwtree.engine import (
     DivergenceError,
     EvalContext,
@@ -27,7 +28,7 @@ from rwtree.terms import (
     symb,
 )
 
-from genlib import RuleSampler
+from genlib import RuleSampler, linear_wildcard_arities, loop_rule
 
 
 def lam(v, body):
@@ -466,3 +467,52 @@ def test_left_right_heuristic_oracle_equivalent(rng):
             assert not cands
         else:
             assert any(alpha_eq(rb, cand) for _, cand in cands)
+
+
+# ---------------------------------------------------------------------------
+# matching work and laziness of the compiled trees
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_fib_tree_steps_at_most_naive(n):
+    t = App(symb("fib"), numeral(n))
+    used = {}
+    for engine in ("tree", "naive"):
+        steps = Steps(10**7)
+        snf(ctx_for(FIB_RULES, engine=engine), t, steps)
+        used[engine] = steps.used
+    assert used["tree"] <= used["naive"]
+
+
+def test_wildcard_row_does_not_force_other_column():
+    # + (s $n) $m fires without inspecting $m, as rule-by-rule matching does
+    src = FIB_RULES + "symbol loop;\nrule loop --> loop;\n"
+    t = term("+ (s 0) loop", src)
+    for engine in ("tree", "naive"):
+        ctx = ctx_for(src, engine=engine, strategy="whnf", max_steps=10_000)
+        out = normalize(ctx, t, Steps(10_000))
+        assert print_term(out) == "s (+ 0 loop)"
+
+
+def test_linear_wildcard_rule_never_forces_arguments(rng):
+    sampler = RuleSampler(rng)
+    loop = symb("loop")
+    checked = 0
+    for _ in range(300):
+        rules = sampler.ruleset()
+        for arity in linear_wildcard_arities(rules, "f"):
+            ctx = EvalContext.from_rules(rules + [loop_rule()], max_steps=1000)
+            steps = Steps(1000)
+            assert rewrite_head(ctx, "f", [loop] * arity, steps) is not None
+            assert steps.used == 0
+            checked += 1
+    assert checked > 20
+
+
+def test_every_switch_inspects_a_head(rng):
+    sampler = RuleSampler(rng)
+    for _ in range(150):
+        for tree in trees_of_ruleset(sampler.ruleset()).values():
+            for node in iter_tree(tree):
+                if type(node) is Switch:
+                    assert node.sym_cases or node.lam_case is not None
