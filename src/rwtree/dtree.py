@@ -2,7 +2,7 @@
 
 A tree is a small program over a stack of subject terms and a store of saved
 subterms: Switch head-normalises the stack top and dispatches on its head,
-Swap reorders the stack, Store saves the top without inspecting it, BinNl
+Swap reorders the stack, Store saves a stack entry without inspecting it, BinNl
 and BinCl decide the repeated-variable and variable-occurrence constraints,
 and Leaf yields an instantiable right-hand side.
 
@@ -34,12 +34,18 @@ from .matrix import (
     specialise,
     swap_columns,
 )
-from .patterns import PatAbst, PatSymb, PatVar, Rule
-from .terms import Position, Term
+from .patterns import PatAbst, PatSymb, PatVar, Rule, SubstitutionError
+from .terms import Abst, App, MetaApp, Position, Prod, Term, Var, subst
 
 
 class DTree:
     __slots__ = ()
+
+
+# The evaluator's store: saved subterms, each with the binders opened when
+# it was saved.
+StoreEntries = Sequence[tuple[Term, tuple[Var, ...]]]
+Builder = Callable[[StoreEntries], Term]
 
 
 @dataclass(slots=True)
@@ -48,6 +54,12 @@ class Leaf(DTree):
     # pattern-variable name -> (store slot, indices into that slot's
     # binder snapshot selecting the closure formals)
     env: dict[str, tuple[int, tuple[int, ...]]]
+    # build(store) -> the instantiated rhs; compiled from rhs and env when
+    # the leaf is made
+    build: Builder = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.build = rhs_builder(self.rhs, self.env)
 
 
 @dataclass(slots=True)
@@ -66,9 +78,10 @@ class Swap(DTree):
 
 @dataclass(slots=True)
 class Store(DTree):
-    # saves the stack top, unevaluated, without popping it; only for
-    # positions that no Switch inspects
+    # saves stack entry ``index`` (1 is the top), unevaluated, without
+    # popping it; only for positions that no Switch inspects
     child: DTree
+    index: int = 1
 
 
 @dataclass(slots=True)
@@ -95,6 +108,69 @@ class BinCl(DTree):
     slot: int
     allowed: tuple[int, ...]  # snapshot indices
     fail: DTree
+
+
+# ---------------------------------------------------------------------------
+# Right-hand-side builders
+
+
+def rhs_builder(rhs: Term, env: dict[str, tuple[int, tuple[int, ...]]]) -> Builder:
+    """Compile a right-hand side into a function of the store.
+
+    The built term equals ``patterns.apply_subst`` node for node: subterms
+    without pattern variables are the shared rhs objects, a bare ``$x`` is
+    its stored term, ``$u[a...]`` substitutes the built arguments for the
+    selected snapshot binders, and the nodes above a pattern variable are
+    rebuilt around the rhs binders.  Raises SubstitutionError on an unbound
+    name or an arity mismatch.
+    """
+    build = _builder(rhs, env)
+    return build if build is not None else lambda store: rhs
+
+
+def _builder(t: Term, env) -> Optional[Builder]:
+    """Builder for ``t``, or None when ``t`` has no pattern variable."""
+    tt = type(t)
+    if tt is MetaApp:
+        entry = env.get(t.name)
+        if entry is None:
+            raise SubstitutionError(f"unbound pattern variable ${t.name}")
+        slot, selector = entry
+        if len(selector) != len(t.args):
+            raise SubstitutionError(
+                f"arity mismatch for ${t.name}: "
+                f"{len(selector)} formals, {len(t.args)} arguments"
+            )
+        if not t.args:
+            return lambda store: store[slot][0]
+        pairs = tuple((k, rhs_builder(a, env)) for k, a in zip(selector, t.args))
+
+        def build_meta(store):
+            term, snapshot = store[slot]
+            return subst(term, {snapshot[k].vid: arg(store) for k, arg in pairs})
+
+        return build_meta
+    if tt is App:
+        fn, arg = _builder(t.fn, env), _builder(t.arg, env)
+        if fn is None and arg is None:
+            return None
+        if fn is None:
+            head = t.fn
+            return lambda store: App(head, arg(store))
+        if arg is None:
+            last = t.arg
+            return lambda store: App(fn(store), last)
+        return lambda store: App(fn(store), arg(store))
+    if tt is Abst or tt is Prod:
+        body = t.body if tt is Abst else t.codomain
+        dom, inner = _builder(t.domain, env), _builder(body, env)
+        if dom is None and inner is None:
+            return None
+        var, domain = t.var, t.domain
+        dom = dom or (lambda store: domain)
+        inner = inner or (lambda store: body)
+        return lambda store: tt(var, dom(store), inner(store))
+    return None  # Var, Symb, Sort, or an absent Abst domain
 
 
 @dataclass(slots=True)
@@ -287,24 +363,24 @@ def _compile(m: ClauseMatrix, st: CompileState, choose: Chooser) -> DTree:
             tuple(sorted(key.slots)),
             _compile(cond_fail(key, m), st, choose),
         )
-    # "specialize" or "store": bring column arg to the front first
     i = arg
-    if i != 1:
-        m = swap_columns(m, i)
-        ps = list(st.positions)
-        ps[0], ps[i - 1] = ps[i - 1], ps[0]
-        st = CompileState(tuple(ps), st.store_size, st.slot_of)
     if kind == "store":
-        node = Store(_compile(m, _store_front(st), choose))
-    else:
-        node = _compile_front(m, st, choose)
-    return node if i == 1 else Swap(i, node)
+        return Store(_compile(m, _stored(st, i), choose), i)
+    # "specialize": bring column i to the front first
+    if i == 1:
+        return _compile_front(m, st, choose)
+    m = swap_columns(m, i)
+    ps = list(st.positions)
+    ps[0], ps[i - 1] = ps[i - 1], ps[0]
+    st = CompileState(tuple(ps), st.store_size, st.slot_of)
+    return Swap(i, _compile_front(m, st, choose))
 
 
-def _store_front(st: CompileState) -> CompileState:
-    """State after saving the front position in the next store slot."""
+def _stored(st: CompileState, i: int) -> CompileState:
+    """State after saving column ``i`` (1-based) in the next store slot."""
+    pos = st.positions[i - 1]
     return CompileState(
-        st.positions, st.store_size + 1, {**st.slot_of, st.positions[0]: st.store_size}
+        st.positions, st.store_size + 1, {**st.slot_of, pos: st.store_size}
     )
 
 
@@ -312,7 +388,7 @@ def _compile_front(m: ClauseMatrix, st: CompileState, choose: Chooser) -> DTree:
     pos = st.positions[0]
     store = pos not in st.slot_of and pos in _pending_positions(m)
     if store:
-        st = _store_front(st)
+        st = _stored(st, 1)
 
     sym_keys = sorted(
         {
@@ -446,7 +522,7 @@ def tree_equal(a: DTree, b: DTree) -> bool:
     if ta is Swap:
         return a.index == b.index and tree_equal(a.child, b.child)
     if ta is Store:
-        return tree_equal(a.child, b.child)
+        return a.index == b.index and tree_equal(a.child, b.child)
     if ta is Switch:
         if a.store != b.store or list(a.sym_cases) != list(b.sym_cases):
             return False
@@ -474,6 +550,10 @@ def tree_equal(a: DTree, b: DTree) -> bool:
     return False
 
 
+def _store_label(node: Store) -> str:
+    return "store" if node.index == 1 else f"store {node.index}"
+
+
 def tree_text(tree: DTree, print_rhs=repr) -> str:
     """Indented text rendering, deterministic."""
     lines: list[str] = []
@@ -496,7 +576,7 @@ def tree_text(tree: DTree, print_rhs=repr) -> str:
             lines.append(f"{pad}swap {node.index}")
             go(node.child, indent + 1)
         elif t is Store:
-            lines.append(f"{pad}store")
+            lines.append(f"{pad}{_store_label(node)}")
             go(node.child, indent + 1)
         elif t is Switch:
             lines.append(f"{pad}switch store" if node.store else f"{pad}switch")
@@ -542,7 +622,7 @@ def to_dot(tree: DTree, print_rhs=repr) -> str:
             c = emit(node.child)
             lines.append(f"  n{nid} -> n{c};")
         elif t is Store:
-            lines.append(f'  n{nid} [label="store"];')
+            lines.append(f'  n{nid} [label="{_store_label(node)}"];')
             c = emit(node.child)
             lines.append(f"  n{nid} -> n{c};")
         elif t is Switch:

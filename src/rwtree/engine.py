@@ -2,23 +2,25 @@
 
 The same normalization driver serves two interchangeable matching back ends:
 the compiled decision trees and the rule-by-rule declarative matcher.  Terms
-are matched modulo reduction: a Switch head-normalizes the stack top before
-it inspects it, and stores that normal form when the tree asks for it; in
-convertibility mode the constraint checks compare or inspect fully
-normalized terms.
+are matched modulo reduction.  Head normalisation runs on a head and an
+argument stack (``whnf_stk``), so a Switch and ``snf`` read the arguments
+off the stack instead of unwinding the term again, and a symbol that heads
+no rule is never offered to a matcher.  A Switch head-normalizes the stack
+top before it inspects it, and stores that normal form when the tree asks
+for it; a Leaf builds its right-hand side with the builder compiled when
+the tree was.  In convertibility mode the constraint checks compare or
+inspect fully normalized terms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from . import dtree as dt
 from .dtree import DTree, trees_of_ruleset
 from .patterns import (
-    Closure,
     Rule,
     RuleSetError,
-    apply_subst,
     naive_rewrite_head,
     validate_rule,
 )
@@ -27,7 +29,6 @@ from .terms import (
     App,
     MetaApp,
     Prod,
-    Sort,
     Symb,
     Term,
     TermError,
@@ -36,7 +37,6 @@ from .terms import (
     build_app,
     free_vars,
     fresh_var,
-    spine,
     subst,
 )
 
@@ -78,6 +78,7 @@ class EvalContext:
     trees: dict[tuple[str, int], DTree]
     rules_by_head: dict[str, list[Rule]]
     tree_arities: dict[str, tuple[int, ...]]  # descending
+    defined: frozenset[str]  # heads of rules, the same for both engines
     strategy: str = SNF
     max_steps: int = 10**8
     equality: str = CONVERTIBLE
@@ -111,6 +112,7 @@ class EvalContext:
         return cls(
             trees=trees,
             rules_by_head=by_head,
+            defined=frozenset(by_head),
             tree_arities={
                 h: tuple(sorted(a, reverse=True)) for h, a in arities.items()
             },
@@ -125,32 +127,58 @@ class EvalContext:
 # Normalization
 
 
-def whnf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
-    """Weak-head normal form: beta-reduce and rewrite at the head until
-    neither applies."""
-    if steps is None:
-        steps = Steps(ctx.max_steps)
+def whnf_stk(
+    ctx: EvalContext, t: Term, steps: Steps
+) -> tuple[Term, list[Term], Optional[Term]]:
+    """Weak-head normalise ``t`` on an argument stack.
+
+    Returns the head, its arguments as a stack (first argument last) and
+    the term that head and stack spell if that term already exists, else
+    None.  The head is never an application, and it is an abstraction only
+    when the stack is empty.  Only symbols in ``ctx.defined`` reach
+    ``rewrite_head``.
+    """
+    defined = ctx.defined
+    stk: list[Term] = []
+    whole: Optional[Term] = t  # what head and stk spell, when it exists
     while True:
-        head, args = spine(t)
-        th = type(head)
-        if th is Abst and args:
+        while type(t) is App:
+            stk.append(t.arg)
+            t = t.fn
+        tt = type(t)
+        if tt is Abst and stk:
             steps.tick()
-            body = subst(head.body, {head.var.vid: args[0]})
-            t = build_app(body, args[1:])
+            t = subst(t.body, {t.var.vid: stk.pop()})
+            whole = None if stk else t
             continue
-        if th is Symb:
-            reduced = rewrite_head(ctx, head.name, args, steps)
+        if tt is Symb and t.name in defined:
+            reduced = rewrite_head(ctx, t.name, stk[::-1], steps)
             if reduced is not None:
                 steps.tick()
-                t = reduced
+                t = whole = reduced
+                stk = []
                 continue
-        return t
+        return t, stk, whole
+
+
+def whnf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
+    """Weak-head normal form: beta-reduce and rewrite at the head until
+    neither applies.  A term that is already in weak-head normal form is
+    returned as it is."""
+    if steps is None:
+        steps = Steps(ctx.max_steps)
+    head, stk, whole = whnf_stk(ctx, t, steps)
+    if whole is not None:
+        return whole
+    stk.reverse()
+    return build_app(head, stk)
 
 
 def snf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
-    """Strong normal form: weak-head normalize, then recurse into spine
-    arguments, abstraction bodies and domains.  Iterative, so arbitrarily
-    deep results (unary numerals, long lists) are fine."""
+    """Strong normal form: weak-head normalize, then recurse into the
+    arguments left on the stack, abstraction bodies and domains.
+    Iterative, so arbitrarily deep results (unary numerals, long lists)
+    are fine."""
     if steps is None:
         steps = Steps(ctx.max_steps)
     EXPAND, BUILD_APP, BUILD_ABST, BUILD_PROD = 0, 1, 2, 3
@@ -159,15 +187,14 @@ def snf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
     while work:
         tag, x = work.pop()
         if tag == EXPAND:
-            x = whnf(ctx, x, steps)
+            x, stk, _ = whnf_stk(ctx, x, steps)
+            if stk:
+                work.append((BUILD_APP, len(stk) + 1))
+                work.extend([(EXPAND, a) for a in stk])
+            # the head is normal: the stack held every argument it could
+            # have been rewritten with
             tx = type(x)
-            if tx is App:
-                head, args = spine(x)
-                work.append((BUILD_APP, len(args) + 1))
-                for a in reversed(args):
-                    work.append((EXPAND, a))
-                work.append((EXPAND, head))
-            elif tx is Abst:
+            if tx is Abst:
                 work.append((BUILD_ABST, (x.var, x.domain is not None)))
                 work.append((EXPAND, x.body))
                 if x.domain is not None:
@@ -220,19 +247,14 @@ def equal_terms(ctx: EvalContext, t: Term, u: Term, steps: Steps) -> bool:
 # Tree evaluation
 
 
-def instantiate(
-    leaf: dt.Leaf, store: Sequence[tuple[Term, tuple[Var, ...]]]
-) -> Term:
-    """Build the right-hand side of a matched rule from the stored subterms.
+def instantiate(leaf: dt.Leaf, store: dt.StoreEntries) -> Term:
+    """Build the right-hand side of a matched rule from the stored subterms
+    with the leaf's compiled builder.
 
-    Each pattern variable becomes a closure whose formals are the selected
-    snapshot binders of its store entry.
+    Each pattern variable stands for its stored term, abstracted over the
+    selected binders of that entry's snapshot (see ``dtree.rhs_builder``).
     """
-    sub: dict[str, Closure] = {}
-    for name, (slot, selector) in leaf.env.items():
-        term, snapshot = store[slot]
-        sub[name] = Closure(tuple(snapshot[k] for k in selector), term)
-    return apply_subst(sub, leaf.rhs)
+    return leaf.build(store)
 
 
 def eval_tree(
@@ -245,40 +267,44 @@ def eval_tree(
     """Run a decision tree on an argument vector.
 
     Returns the instantiated right-hand side, or None when matching fails.
-    A Switch pops the stack top and weak-head normalizes it; if its store
-    flag is set it saves that normal form before dispatching on the head.
-    Store saves the top unevaluated without popping.  Every saved term
+    A Switch pops the stack top and weak-head normalizes it on an argument
+    stack; if its store flag is set it saves that normal form (built only
+    if it does not exist yet) before dispatching on the head, and a symbol
+    case pushes the arguments straight from the normalisation stack.  Store
+    saves a stack entry unevaluated without popping.  Every saved term
     comes with the binders opened so far.
     """
     stack: list[Term] = list(args)
     stack.reverse()  # stack[-1] is the first column
     store: list[tuple[Term, tuple[Var, ...]]] = []
-    binders: list[Var] = []
+    binders: tuple[Var, ...] = ()  # opened so far, the snapshot of a save
     node = tree
     while True:
         tn = type(node)
         if tn is dt.Switch:
-            top = whnf(ctx, stack.pop(), steps)
+            head, hargs, top = whnf_stk(ctx, stack.pop(), steps)
             if node.store:
                 if trace is not None:
                     trace.append(("store", len(store)))
-                store.append((top, tuple(binders)))
-            head, hargs = spine(top)
-            if type(head) is Symb:
+                if top is None:
+                    top = build_app(head, hargs[::-1])
+                store.append((top, binders))
+            th = type(head)
+            if th is Symb:
                 child = node.sym_cases.get((head.name, len(hargs)))
                 if child is not None:
                     if trace is not None:
                         trace.append(("switch", (head.name, len(hargs))))
-                    stack.extend(reversed(hargs))
+                    stack.extend(hargs)
                     node = child
                     continue
-            elif type(top) is Abst and node.lam_case is not None:
-                v2 = fresh_var(top.var.name)
-                body = subst(top.body, {top.var.vid: v2})
+            elif th is Abst and node.lam_case is not None:
+                v2 = fresh_var(head.var.name)
+                body = subst(head.body, {head.var.vid: v2})
                 if trace is not None:
                     trace.append(("switch", "lambda"))
                 stack.append(body)
-                binders.append(v2)
+                binders += (v2,)
                 node = node.lam_case
                 continue
             if node.default_case is not None:
@@ -292,7 +318,7 @@ def eval_tree(
         if tn is dt.Store:
             if trace is not None:
                 trace.append(("store", len(store)))
-            store.append((stack[-1], tuple(binders)))
+            store.append((stack[-node.index], binders))
             node = node.child
             continue
         if tn is dt.Swap:

@@ -52,9 +52,6 @@ class ClauseRow:
     # as abstraction columns are opened during compilation
     binder_index: dict[int, int] = field(default_factory=dict)
 
-    def constrained(self) -> bool:
-        return bool(self.nl) or bool(self.cl)
-
     def cl_key(self, entry: ClEntry) -> Optional[ClKey]:
         pos, allowed = entry
         try:
