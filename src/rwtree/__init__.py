@@ -13,10 +13,8 @@ from .terms import (
     build_app,
     free_vars,
     fresh_var,
-    positions,
     spine,
     subst,
-    subterm_at,
     symb,
 )
 from .patterns import (
@@ -34,8 +32,8 @@ from .patterns import (
 
 __all__ = [
     "Abst", "App", "MetaApp", "Prod", "Sort", "Symb", "Term", "Var",
-    "alpha_eq", "build_app", "free_vars", "fresh_var", "positions",
-    "spine", "subst", "subterm_at", "symb",
+    "alpha_eq", "build_app", "free_vars", "fresh_var", "spine", "subst",
+    "symb",
     "Closure", "PatAbst", "PatSymb", "PatVar", "Pattern", "Rule",
     "apply_subst", "match_patterns", "naive_rewrite_head", "validate_rule",
 ]

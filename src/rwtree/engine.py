@@ -8,8 +8,13 @@ off the stack instead of unwinding the term again, and a symbol that heads
 no rule is never offered to a matcher.  A Switch head-normalizes the stack
 top before it inspects it, and stores that normal form when the tree asks
 for it; a Leaf builds its right-hand side with the builder compiled when
-the tree was.  In convertibility mode the constraint checks compare or
-inspect fully normalized terms.
+the tree was.  A failed tree match keeps its work: it writes the head
+normal form of every argument it forced back into the argument list, so
+``whnf``, an enclosing Switch and ``snf`` start from the normal forms
+instead of reducing the same arguments again.  The result of ``whnf`` may
+therefore differ from the naive engine's in arguments that only a failed
+match reduced; the two are convertible.  In convertibility mode the
+constraint checks compare or inspect fully normalized terms.
 """
 from __future__ import annotations
 
@@ -136,7 +141,9 @@ def whnf_stk(
     the term that head and stack spell if that term already exists, else
     None.  The head is never an application, and it is an abstraction only
     when the stack is empty.  Only symbols in ``ctx.defined`` reach
-    ``rewrite_head``.
+    ``rewrite_head``.  When the last rewrite attempt fails but
+    head-normalised some of the arguments, the stack holds those normal
+    forms and the term returned is None.
     """
     defined = ctx.defined
     stk: list[Term] = []
@@ -152,19 +159,28 @@ def whnf_stk(
             whole = None if stk else t
             continue
         if tt is Symb and t.name in defined:
-            reduced = rewrite_head(ctx, t.name, stk[::-1], steps)
+            args = stk[::-1]
+            reduced = rewrite_head(ctx, t.name, args, steps)
             if reduced is not None:
                 steps.tick()
                 t = whole = reduced
                 stk = []
                 continue
+            args.reverse()
+            if args != stk:  # terms compare by identity
+                stk = args
+                whole = None
         return t, stk, whole
 
 
 def whnf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
     """Weak-head normal form: beta-reduce and rewrite at the head until
     neither applies.  A term that is already in weak-head normal form is
-    returned as it is."""
+    returned as it is, unless a failed match head-normalised one of its
+    arguments: then the result is rebuilt from those normal forms.  Under
+    the tree engine ``+ (+ a 0) a`` with the rules ``+ 0 $p --> $p`` and
+    ``+ $p 0 --> $p`` gives ``+ a a``; the naive engine keeps
+    ``+ (+ a 0) a``.  Both are head-normal and convertible."""
     if steps is None:
         steps = Steps(ctx.max_steps)
     head, stk, whole = whnf_stk(ctx, t, steps)
@@ -257,10 +273,24 @@ def instantiate(leaf: dt.Leaf, store: dt.StoreEntries) -> Term:
     return leaf.build(store)
 
 
+def _write_back(args: list[Term], forced) -> None:
+    """Replace each entry of ``args`` that a Switch head-normalised, found by
+    identity, with its normal form.  ``forced`` chains the records
+    ``(term, head, stack, whole, next)``; the normal form is built here only
+    when the Switch did not build it."""
+    while forced is not None:
+        x, head, hargs, top, forced = forced
+        for i, a in enumerate(args):
+            if a is x:
+                if top is None:
+                    top = build_app(head, hargs[::-1])
+                args[i] = top
+
+
 def eval_tree(
     ctx: EvalContext,
     tree: DTree,
-    args: Sequence[Term],
+    args: list[Term],
     steps: Steps,
     trace: Optional[list] = None,
 ) -> Optional[Term]:
@@ -272,23 +302,29 @@ def eval_tree(
     if it does not exist yet) before dispatching on the head, and a symbol
     case pushes the arguments straight from the normalisation stack.  Store
     saves a stack entry unevaluated without popping.  Every saved term
-    comes with the binders opened so far.
+    comes with the binders opened so far.  When matching fails, each entry
+    of ``args`` that a Switch head-normalised is replaced by its normal
+    form, so the caller keeps that work.
     """
     stack: list[Term] = list(args)
     stack.reverse()  # stack[-1] is the first column
     store: list[tuple[Term, tuple[Var, ...]]] = []
     binders: tuple[Var, ...] = ()  # opened so far, the snapshot of a save
+    forced = None  # records of the Switches whose whnf took steps
     node = tree
     while True:
         tn = type(node)
         if tn is dt.Switch:
-            head, hargs, top = whnf_stk(ctx, stack.pop(), steps)
+            x = stack.pop()
+            head, hargs, top = whnf_stk(ctx, x, steps)
             if node.store:
                 if trace is not None:
                     trace.append(("store", len(store)))
                 if top is None:
                     top = build_app(head, hargs[::-1])
                 store.append((top, binders))
+            if top is not x:
+                forced = (x, head, hargs, top, forced)
             th = type(head)
             if th is Symb:
                 child = node.sym_cases.get((head.name, len(hargs)))
@@ -314,6 +350,8 @@ def eval_tree(
                 continue
             if trace is not None:
                 trace.append(("no-case",))
+            if forced is not None:
+                _write_back(args, forced)
             return None
         if tn is dt.Store:
             if trace is not None:
@@ -354,15 +392,21 @@ def eval_tree(
         if tn is dt.Fail:
             if trace is not None:
                 trace.append(("fail",))
+            if forced is not None:
+                _write_back(args, forced)
             return None
         raise TermError(f"malformed tree node {tn!r}")
 
 
 def rewrite_head(
-    ctx: EvalContext, head: str, args: Sequence[Term], steps: Steps
+    ctx: EvalContext, head: str, args: list[Term], steps: Steps
 ) -> Optional[Term]:
     """One rewrite attempt at a symbol head: largest consumable arity first,
-    leftover arguments reattached to the instantiated right-hand side."""
+    leftover arguments reattached to the instantiated right-hand side.
+
+    Under the tree engine a failed attempt leaves in ``args`` the head
+    normal form of every argument a tree match head-normalised, so the next
+    smaller arity and the caller start from it."""
     if ctx.engine == TREE:
         arities = ctx.tree_arities.get(head)
         if arities is None:
@@ -371,9 +415,14 @@ def rewrite_head(
         for arity in arities:
             if arity > n:
                 continue
-            result = eval_tree(ctx, ctx.trees[(head, arity)], args[:arity], steps)
+            consumed = args if arity == n else args[:arity]
+            result = eval_tree(ctx, ctx.trees[(head, arity)], consumed, steps)
             if result is not None:
+                if consumed is args:
+                    return result
                 return build_app(result, args[arity:])
+            if consumed is not args:
+                args[:arity] = consumed
         return None
     rules = ctx.rules_by_head.get(head)
     if not rules:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 TYPE = "TYPE"
 KIND = "KIND"
@@ -25,17 +25,6 @@ class TermError(Exception):
 
 class RhsOnlyError(TermError):
     """A construct legal only in rule right-hand sides appeared elsewhere."""
-
-
-class PositionError(TermError):
-    def __init__(self, pos: tuple, bad_index: int, depth: int):
-        self.pos = pos
-        self.bad_index = bad_index
-        self.depth = depth
-        super().__init__(
-            f"invalid position {format_position(pos)}: "
-            f"component {bad_index} at depth {depth} does not exist"
-        )
 
 
 class Term:
@@ -302,58 +291,6 @@ def alpha_eq(t: Term, u: Term) -> bool:
         else:
             raise TermError(f"unknown term node {ta!r}")
     return True
-
-
-Subject = Union[Term, Sequence[Term]]
-
-
-def subterm_at(subject: Subject, pos: Position) -> Term:
-    """Subterm of a term (or of a sequence of terms) at a position.
-
-    Positions address spine arguments 1-based; in an abstraction, 1 selects
-    the body.  A sequence is addressed by its first component.
-    """
-    cur = subject
-    for depth, i in enumerate(pos):
-        if i < 1:
-            raise PositionError(pos, i, depth)
-        if isinstance(cur, (tuple, list)):
-            if i > len(cur):
-                raise PositionError(pos, i, depth)
-            cur = cur[i - 1]
-            continue
-        head, args = spine(cur)
-        if args:
-            if i > len(args):
-                raise PositionError(pos, i, depth)
-            cur = args[i - 1]
-        elif type(cur) is Abst and i == 1:
-            cur = cur.body
-        else:
-            raise PositionError(pos, i, depth)
-    if isinstance(cur, (tuple, list)):
-        raise PositionError(pos, 0, len(pos))
-    return cur
-
-
-def positions(t: Term) -> set[Position]:
-    """All positions of a term (root, spine arguments, abstraction bodies)."""
-    out: set[Position] = set()
-    todo: list[tuple[Term, Position]] = [(t, ())]
-    while todo:
-        x, here = todo.pop()
-        out.add(here)
-        _, args = spine(x)
-        if args:
-            for i, a in enumerate(args, start=1):
-                todo.append((a, here + (i,)))
-        elif type(x) is Abst:
-            todo.append((x.body, here + (1,)))
-    return out
-
-
-def format_position(pos: Position) -> str:
-    return "e" if not pos else ".".join(str(i) for i in pos)
 
 
 def iter_nodes(t: Term) -> Iterator[Term]:

@@ -15,3 +15,22 @@ def test_bench_bad_builtin_spec_is_usage_error(capsys):
     assert main(["bench", "dispatch(5)"]) == USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "dispatch(K,M)" in err
+
+
+UNITS = "symbol a; symbol 0; symbol +;\nrule + 0 $p --> $p with + $p 0 --> $p;\n"
+
+
+def test_whnf_output_keeps_what_a_failed_match_reduced(tmp_path, capsys):
+    # the tree keeps the normal form a of the argument + a 0 that its failed
+    # match forced; naive matching drops it; both outputs are head-normal
+    src = tmp_path / "units.rw"
+    src.write_text(UNITS + "compute + (+ a 0) a;\n")
+    printed = {}
+    for engine in ("tree", "naive"):
+        assert main(["run", str(src), "--strategy", "whnf", "--engine", engine]) == 0
+        printed[engine] = capsys.readouterr().out.strip()
+    assert printed == {"tree": "+ a a", "naive": "+ (+ a 0) a"}
+    same = tmp_path / "same.rw"
+    same.write_text(UNITS + f"assert {printed['tree']} == {printed['naive']};\n")
+    for engine in ("tree", "naive"):
+        assert main(["run", str(same), "--engine", engine]) == 0

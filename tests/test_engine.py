@@ -425,7 +425,7 @@ def test_oracle_agreement_sample(rng):
         ctx_n = EvalContext.from_rules(rules, engine="naive", max_steps=10**6)
         head, args = sampler.subject_args(rules)
         steps = Steps(10**6)
-        res = rewrite_head(ctx_t, head, args, steps)
+        res = rewrite_head(ctx_t, head, list(args), steps)
         cands = oracle_candidates(ctx_n, rules, head, args, Steps(10**6))
         if res is None:
             assert not cands, f"tree missed a match: {cands[0][0]}"
@@ -447,7 +447,7 @@ def test_engines_agree_on_applicability(rng):
         ctx_t = EvalContext.from_rules(rules, engine="tree", max_steps=10**6)
         ctx_n = EvalContext.from_rules(rules, engine="naive", max_steps=10**6)
         head, args = sampler.subject_args(rules)
-        rt = rewrite_head(ctx_t, head, args, Steps(10**6))
+        rt = rewrite_head(ctx_t, head, list(args), Steps(10**6))
         rn = rewrite_head(ctx_n, head, args, Steps(10**6))
         assert (rt is None) == (rn is None)
 
@@ -461,7 +461,7 @@ def test_left_right_heuristic_oracle_equivalent(rng):
         )
         ctx_n = EvalContext.from_rules(rules, engine="naive", max_steps=10**6)
         head, args = sampler.subject_args(rules)
-        rb = rewrite_head(ctx_b, head, args, Steps(10**6))
+        rb = rewrite_head(ctx_b, head, list(args), Steps(10**6))
         cands = oracle_candidates(ctx_n, rules, head, args, Steps(10**6))
         if rb is None:
             assert not cands
@@ -649,3 +649,61 @@ def test_tree_does_not_force_column_first_row_ignores():
     assert normalize(naive, t, Steps(10_000)) is symb("r1")
     ctx = ctx_for(src, engine="tree", strategy="whnf", max_steps=10_000)
     assert normalize(ctx, t, Steps(10_000)) is symb("r1")
+
+
+# ---------------------------------------------------------------------------
+# a failed tree match keeps the head normal forms it computed
+
+UNITS = """
+symbol a; symbol 0; symbol +;
+rule + 0 $p --> $p with + $p 0 --> $p;
+"""
+
+
+@pytest.mark.parametrize("depth", [4, 8, 12])
+def test_failed_match_keeps_forced_arguments(depth):
+    # every + of + (… (+ (+ a 0) a) …) a is stuck, but matching it forces its
+    # first argument down to the one redex + a 0; the tree keeps that normal
+    # form, so snf does not reduce the redex again at each level
+    t = term("+ a 0", UNITS)
+    expected = symb("a")
+    for _ in range(depth):
+        t = build_app(symb("+"), [t, symb("a")])
+        expected = build_app(symb("+"), [expected, symb("a")])
+    used = {}
+    for engine in ("tree", "naive"):
+        steps = Steps(1000)
+        assert alpha_eq(snf(ctx_for(UNITS, engine=engine), t, steps), expected)
+        used[engine] = steps.used
+    assert used == {"tree": 1, "naive": depth + 1}
+
+
+def test_failed_matches_leave_head_normal_arguments(rng):
+    sampler = RuleSampler(rng)
+    changed = 0
+    for _ in range(120):
+        rules = sampler.ruleset()
+        ctxs = [
+            EvalContext.from_rules(rules, engine=engine, max_steps=10**6)
+            for engine in ("tree", "naive")
+        ]
+        for _ in range(5):
+            head, args = sampler.subject_args(rules)
+            if args:  # an argument that likely is a redex
+                inner, inner_args = sampler.subject_args(rules)
+                args[rng.randrange(len(args))] = build_app(symb(inner), inner_args)
+            t = build_app(symb(head), args)
+            for ctx in ctxs:
+                full = snf(ctx, t, Steps(10**6))
+                again = snf(ctx, whnf(ctx, t, Steps(10**6)), Steps(10**6))
+                assert alpha_eq(again, full)
+                after = list(args)
+                if rewrite_head(ctx, head, after, Steps(10**6)) is not None:
+                    continue
+                for old, new in zip(args, after):
+                    if new is not old:
+                        changed += 1
+                        steps = Steps(10**6)
+                        whnf(ctx, new, steps)
+                        assert steps.used == 0
+    assert changed > 50

@@ -6,16 +6,13 @@ from rwtree.terms import (
     Abst,
     App,
     MetaApp,
-    PositionError,
     RhsOnlyError,
     Var,
     alpha_eq,
     build_app,
     free_vars,
     fresh_var,
-    positions,
     subst,
-    subterm_at,
     symb,
 )
 
@@ -112,55 +109,6 @@ def test_alpha_eq_meta():
 
 
 # ---------------------------------------------------------------------------
-# positions and subterm_at
-
-
-def example_term():
-    # f a (\x, g x)
-    x = fresh_var("x")
-    return build_app(symb("f"), [symb("a"), lam(x, App(symb("g"), x))]), x
-
-
-def test_subterm_at_root():
-    t, _ = example_term()
-    assert subterm_at(t, ()) is t
-
-
-def test_subterm_at_under_binder():
-    t, x = example_term()
-    assert subterm_at(t, (2, 1, 1)) is x
-
-
-def test_subterm_at_sequence():
-    c, e = symb("c"), symb("e")
-    inner = App(c, e)
-    seq = (symb("a"), App(c, inner))
-    assert subterm_at(seq, (2, 1)) is inner
-
-
-def test_subterm_at_invalid():
-    t, _ = example_term()
-    with pytest.raises(PositionError):
-        subterm_at(t, (3,))
-    with pytest.raises(PositionError):
-        subterm_at(t, (1, 1))
-
-
-def test_positions_variable():
-    assert positions(fresh_var("x")) == {()}
-
-
-def test_positions_example():
-    t, _ = example_term()
-    assert positions(t) == {(), (1,), (2,), (2, 1), (2, 1, 1)}
-
-
-def test_positions_abstraction():
-    x = fresh_var("x")
-    assert positions(lam(x, x)) == {(), (1,)}
-
-
-# ---------------------------------------------------------------------------
 # randomized properties
 
 
@@ -222,20 +170,6 @@ def test_alpha_eq_is_equivalence(tf):
     assert alpha_eq(t, u) == alpha_eq(u, t)
     if alpha_eq(t, u) and alpha_eq(u, v):
         assert alpha_eq(t, v)
-
-
-@given(open_terms())
-@settings(max_examples=60)
-def test_positions_subterm_totality(tf):
-    t, _ = tf
-    pos = positions(t)
-    for p in pos:
-        subterm_at(t, p)  # never raises
-    for p in pos:
-        bad = p + (99,)
-        if bad not in pos:
-            with pytest.raises(PositionError):
-                subterm_at(t, bad)
 
 
 @given(open_terms())
