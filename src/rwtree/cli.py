@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .corpus import builtin_benchmark, file_benchmark, run_benchmark
-from .dtree import HEURISTICS, to_dot, tree_stats, tree_text, trees_of_ruleset
+from .dtree import to_dot, tree_stats, tree_text, trees_of_ruleset
 from .engine import DivergenceError, EvalContext, Steps, convertible, normalize
 from .patterns import RuleSetError
 from .syntax import (
@@ -53,9 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("symbol")
     t.add_argument("--arity", type=int, default=None)
     t.add_argument("--dot", action="store_true")
-    t.add_argument(
-        "--heuristic", choices=sorted(HEURISTICS), default="max-constructors"
-    )
 
     b = sub.add_parser("bench", help="benchmark tree vs naive matching")
     b.add_argument("target", help=".rw file or builtin like fib(18)")
@@ -79,7 +76,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args.file, args.strategy, args.engine, args.max_steps)
         if args.command == "tree":
-            return cmd_tree(args.file, args.symbol, args.arity, args.dot, args.heuristic)
+            return cmd_tree(args.file, args.symbol, args.arity, args.dot)
         if args.command == "bench":
             return cmd_bench(
                 args.target, args.engine, args.repeat, args.max_steps, args.json_path
@@ -148,9 +145,9 @@ def cmd_run(path: str, strategy: str, engine: str, max_steps: int) -> int:
     return OK
 
 
-def cmd_tree(path: str, symbol: str, arity, dot: bool, heuristic: str) -> int:
+def cmd_tree(path: str, symbol: str, arity, dot: bool) -> int:
     source = parse_file(_read(path))
-    trees = trees_of_ruleset(source.rules, heuristic=heuristic)
+    trees = trees_of_ruleset(source.rules)
     keys = [
         key
         for key in sorted(trees)
@@ -174,6 +171,8 @@ def cmd_bench(
 ) -> int:
     if repeat < 1:
         raise UsageError("--repeat must be at least 1")
+    if max_steps < 1:
+        raise UsageError("--max-steps must be positive")
     try:
         bench = builtin_benchmark(target)
     except ValueError as e:

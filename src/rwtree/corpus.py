@@ -13,13 +13,13 @@ import json
 import re
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .engine import EvalContext, Steps, normalize
 from .patterns import Rule
 from .syntax import Compute, parse_file, print_term
-from .terms import App, Term, build_app, symb
+from .terms import App, Term, symb
 
 _BUILTIN_RE = re.compile(r"^(fib|dispatch|revnat)\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)$")
 
@@ -111,6 +111,8 @@ def builtin_benchmark(spec: str) -> Optional[Benchmark]:
         return revnat_benchmark(first)
     if second is None:
         raise ValueError("dispatch needs two arguments: dispatch(K,M)")
+    if first < 1:
+        raise ValueError("dispatch needs at least one rule: K >= 1")
     return dispatch_benchmark(first, int(second))
 
 

@@ -12,12 +12,13 @@ normalisation (its ``store`` flag), so right-hand sides are built from
 normalised subterms; otherwise a Store saves it unevaluated, and a column
 is never forced only to be stored.
 
-Compilation reduces a clause matrix step by step.  The step to take next is
-chosen by a pluggable heuristic; every heuristic must produce a tree that the
-declarative matcher validates, they only differ in shape and efficiency.
+Compilation reduces a clause matrix step by step; ``choose_action`` picks
+each step by one fixed rule, which switches on the column with the most
+heads.  The inspection helpers all take a node's children from ``_edges``.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -185,8 +186,6 @@ Action = Union[
     tuple[str, ConstraintKey],  # ("solve_nl", key) | ("solve_cl", key)
 ]
 
-Chooser = Callable[[ClauseMatrix, CompileState], Action]
-
 
 def _pending_positions(m: ClauseMatrix) -> set[Position]:
     """Positions that must be stored before a row can fire or be checked."""
@@ -244,24 +243,6 @@ def _unstored_column(st: CompileState, wanted: set[Position]) -> Optional[Action
     return None
 
 
-def _choose(m: ClauseMatrix, st: CompileState, structural: Callable) -> Action:
-    for k, row in enumerate(m.rows):
-        if row.nl or row.cl or any(type(p) is not PatVar for p in row.patterns):
-            continue
-        needed = {pos for pos, _ in row.env.values()}
-        return _unstored_column(st, needed) or ("yield", k)
-    col = structural(m, st)
-    if col is not None:
-        return ("specialize", col)
-    solvable = _solvable_keys(m, st)
-    if solvable:
-        return solvable[0]
-    action = _unstored_column(st, _pending_positions(m))
-    if action is None:
-        raise AssertionError("no action applies to a nonempty matrix")
-    return action
-
-
 def _best_structural_column(m: ClauseMatrix, st: CompileState) -> Optional[int]:
     best = None
     best_key = None
@@ -276,30 +257,7 @@ def _best_structural_column(m: ClauseMatrix, st: CompileState) -> Optional[int]:
     return best
 
 
-def _leftmost_structural_column(m: ClauseMatrix, st: CompileState) -> Optional[int]:
-    for i in range(m.width):
-        if _column_heads(m, i) > 0:
-            return i + 1
-    return None
-
-
-def choose_max_constructors(m: ClauseMatrix, st: CompileState) -> Action:
-    return _choose(m, st, _best_structural_column)
-
-
-def choose_left_right(m: ClauseMatrix, st: CompileState) -> Action:
-    return _choose(m, st, _leftmost_structural_column)
-
-
-HEURISTICS: dict[str, Chooser] = {
-    "max-constructors": choose_max_constructors,
-    "left-right": choose_left_right,
-}
-
-
-def choose_action(
-    m: ClauseMatrix, st: CompileState, heuristic: str = "max-constructors"
-) -> Action:
+def choose_action(m: ClauseMatrix, st: CompileState) -> Action:
     """Next compilation step for a nonempty matrix.
 
     The first row that is all wildcards and unconstrained wins: store the
@@ -310,7 +268,21 @@ def choose_action(
     decided constraint; otherwise store a column whose position a
     constraint still needs.
     """
-    return HEURISTICS[heuristic](m, st)
+    for k, row in enumerate(m.rows):
+        if row.nl or row.cl or any(type(p) is not PatVar for p in row.patterns):
+            continue
+        needed = {pos for pos, _ in row.env.values()}
+        return _unstored_column(st, needed) or ("yield", k)
+    col = _best_structural_column(m, st)
+    if col is not None:
+        return ("specialize", col)
+    solvable = _solvable_keys(m, st)
+    if solvable:
+        return solvable[0]
+    action = _unstored_column(st, _pending_positions(m))
+    if action is None:
+        raise AssertionError("no action applies to a nonempty matrix")
+    return action
 
 
 def _make_leaf(row: ClauseRow, st: CompileState) -> Leaf:
@@ -321,11 +293,7 @@ def _make_leaf(row: ClauseRow, st: CompileState) -> Leaf:
     return Leaf(row.rhs, env)
 
 
-def compile_matrix(
-    m: ClauseMatrix,
-    st: Optional[CompileState] = None,
-    heuristic: str = "max-constructors",
-) -> DTree:
+def compile_matrix(m: ClauseMatrix, st: Optional[CompileState] = None) -> DTree:
     """Compile a clause matrix to a decision tree.
 
     Total: an empty matrix compiles to Fail.  A position that a constraint
@@ -335,14 +303,13 @@ def compile_matrix(
     """
     if st is None:
         st = CompileState(tuple((i,) for i in range(1, m.width + 1)))
-    choose = HEURISTICS[heuristic]
-    return _compile(m, st, choose)
+    return _compile(m, st)
 
 
-def _compile(m: ClauseMatrix, st: CompileState, choose: Chooser) -> DTree:
+def _compile(m: ClauseMatrix, st: CompileState) -> DTree:
     if not m.rows:
         return FAIL
-    kind, arg = choose(m, st)
+    kind, arg = choose_action(m, st)
     if kind == "yield":
         return _make_leaf(m.rows[arg], st)
     if kind == "solve_nl":
@@ -351,29 +318,29 @@ def _compile(m: ClauseMatrix, st: CompileState, choose: Chooser) -> DTree:
         slots = (st.slot_of[a], st.slot_of[b])
         slots = (min(slots), max(slots))
         return BinNl(
-            _compile(cond_succ(key, m), st, choose),
+            _compile(cond_succ(key, m), st),
             slots,
-            _compile(cond_fail(key, m), st, choose),
+            _compile(cond_fail(key, m), st),
         )
     if kind == "solve_cl":
         key = arg
         return BinCl(
-            _compile(cond_succ(key, m), st, choose),
+            _compile(cond_succ(key, m), st),
             st.slot_of[key.pos],
             tuple(sorted(key.slots)),
-            _compile(cond_fail(key, m), st, choose),
+            _compile(cond_fail(key, m), st),
         )
     i = arg
     if kind == "store":
-        return Store(_compile(m, _stored(st, i), choose), i)
+        return Store(_compile(m, _stored(st, i)), i)
     # "specialize": bring column i to the front first
     if i == 1:
-        return _compile_front(m, st, choose)
+        return _compile_front(m, st)
     m = swap_columns(m, i)
     ps = list(st.positions)
     ps[0], ps[i - 1] = ps[i - 1], ps[0]
     st = CompileState(tuple(ps), st.store_size, st.slot_of)
-    return Swap(i, _compile_front(m, st, choose))
+    return Swap(i, _compile_front(m, st))
 
 
 def _stored(st: CompileState, i: int) -> CompileState:
@@ -384,7 +351,7 @@ def _stored(st: CompileState, i: int) -> CompileState:
     )
 
 
-def _compile_front(m: ClauseMatrix, st: CompileState, choose: Chooser) -> DTree:
+def _compile_front(m: ClauseMatrix, st: CompileState) -> DTree:
     pos = st.positions[0]
     store = pos not in st.slot_of and pos in _pending_positions(m)
     if store:
@@ -405,27 +372,25 @@ def _compile_front(m: ClauseMatrix, st: CompileState, choose: Chooser) -> DTree:
     for name, argc in sym_keys:
         sub_positions = tuple(pos + (j,) for j in range(1, argc + 1)) + rest
         sub_st = CompileState(sub_positions, st.store_size, st.slot_of)
-        sym_cases[(name, argc)] = _compile(specialise(name, argc, m), sub_st, choose)
+        sym_cases[(name, argc)] = _compile(specialise(name, argc, m), sub_st)
     lam_case = None
     if has_lam:
         sub_st = CompileState((pos + (1,),) + rest, st.store_size, st.slot_of)
-        lam_case = _compile(spec_lambda(m), sub_st, choose)
+        lam_case = _compile(spec_lambda(m), sub_st)
     default_case = None
     if has_wild:
         sub_st = CompileState(rest, st.store_size, st.slot_of)
-        default_case = _compile(spec_default(m), sub_st, choose)
+        default_case = _compile(spec_default(m), sub_st)
     return Switch(sym_cases, lam_case, default_case, store)
 
 
-def trees_of_ruleset(
-    rules: Sequence[Rule], heuristic: str = "max-constructors"
-) -> dict[tuple[str, int], DTree]:
+def trees_of_ruleset(rules: Sequence[Rule]) -> dict[tuple[str, int], DTree]:
     """Compile one tree per (head symbol, left-hand-side arity) group."""
     groups: dict[tuple[str, int], list[Rule]] = {}
     for r in rules:
         groups.setdefault((r.head, r.arity), []).append(r)
     return {
-        (head, arity): compile_matrix(from_rules(head, rs), heuristic=heuristic)
+        (head, arity): compile_matrix(from_rules(head, rs))
         for (head, arity), rs in groups.items()
     }
 
@@ -434,25 +399,31 @@ def trees_of_ruleset(
 # Inspection helpers
 
 
+def _edges(node: DTree) -> list[tuple[Optional[str], DTree]]:
+    """Children in print order, each with its edge label: none below Swap
+    and Store, the case below Switch, yes or no below BinNl and BinCl."""
+    t = type(node)
+    if t is Swap or t is Store:
+        return [(None, node.child)]
+    if t is Switch:
+        out = [(f"{name}/{argc}", c) for (name, argc), c in node.sym_cases.items()]
+        if node.lam_case is not None:
+            out.append(("lambda", node.lam_case))
+        if node.default_case is not None:
+            out.append(("*", node.default_case))
+        return out
+    if t is BinNl or t is BinCl:
+        return [("yes", node.succ), ("no", node.fail)]
+    return []
+
+
 def iter_tree(tree: DTree):
     """Preorder over all nodes."""
     todo = [tree]
     while todo:
         node = todo.pop()
         yield node
-        t = type(node)
-        if t in (Swap, Store):
-            todo.append(node.child)
-        elif t is Switch:
-            children = list(node.sym_cases.values())
-            if node.lam_case is not None:
-                children.append(node.lam_case)
-            if node.default_case is not None:
-                children.append(node.default_case)
-            todo.extend(reversed(children))
-        elif t in (BinNl, BinCl):
-            todo.append(node.fail)
-            todo.append(node.succ)
+        todo.extend(child for _, child in reversed(_edges(node)))
 
 
 def tree_stats(tree: DTree) -> dict:
@@ -470,96 +441,26 @@ def tree_stats(tree: DTree) -> dict:
         if t is Store or (t is Switch and node.store):
             stores += 1
             max_store = max(max_store, stores)
-        if t in (Store, Swap):
-            todo.append((node.child, depth + 1, stores))
-        elif t is Switch:
-            for child in node.sym_cases.values():
-                todo.append((child, depth + 1, stores))
-            if node.lam_case is not None:
-                todo.append((node.lam_case, depth + 1, stores))
-            if node.default_case is not None:
-                todo.append((node.default_case, depth + 1, stores))
-        elif t in (BinNl, BinCl):
-            todo.append((node.succ, depth + 1, stores))
-            todo.append((node.fail, depth + 1, stores))
+        todo.extend((child, depth + 1, stores) for _, child in _edges(node))
     return {"counts": counts, "depth": max_depth, "store_size": max_store}
 
 
-def erase_stores(tree: DTree) -> DTree:
-    """Tree with every Store node spliced out and every Switch store flag
-    cleared; shape comparison helper."""
-    t = type(tree)
-    if t is Store:
-        return erase_stores(tree.child)
+def _label(node: DTree) -> str:
+    """Text of a Swap, Store or Switch node, the same in both renderings."""
+    t = type(node)
     if t is Swap:
-        return Swap(tree.index, erase_stores(tree.child))
-    if t is Switch:
-        return Switch(
-            {k: erase_stores(v) for k, v in tree.sym_cases.items()},
-            erase_stores(tree.lam_case) if tree.lam_case is not None else None,
-            erase_stores(tree.default_case)
-            if tree.default_case is not None
-            else None,
-        )
-    if t is BinNl:
-        return BinNl(erase_stores(tree.succ), tree.slots, erase_stores(tree.fail))
-    if t is BinCl:
-        return BinCl(
-            erase_stores(tree.succ), tree.slot, tree.allowed, erase_stores(tree.fail)
-        )
-    return tree
-
-
-def tree_equal(a: DTree, b: DTree) -> bool:
-    """Structural equality; Leaf right-hand sides compare by identity."""
-    ta = type(a)
-    if ta is not type(b):
-        return False
-    if ta is Fail:
-        return True
-    if ta is Leaf:
-        return a.rhs is b.rhs and a.env == b.env
-    if ta is Swap:
-        return a.index == b.index and tree_equal(a.child, b.child)
-    if ta is Store:
-        return a.index == b.index and tree_equal(a.child, b.child)
-    if ta is Switch:
-        if a.store != b.store or list(a.sym_cases) != list(b.sym_cases):
-            return False
-        if not all(tree_equal(a.sym_cases[k], b.sym_cases[k]) for k in a.sym_cases):
-            return False
-        for x, y in ((a.lam_case, b.lam_case), (a.default_case, b.default_case)):
-            if (x is None) != (y is None):
-                return False
-            if x is not None and not tree_equal(x, y):
-                return False
-        return True
-    if ta is BinNl:
-        return (
-            a.slots == b.slots
-            and tree_equal(a.succ, b.succ)
-            and tree_equal(a.fail, b.fail)
-        )
-    if ta is BinCl:
-        return (
-            a.slot == b.slot
-            and a.allowed == b.allowed
-            and tree_equal(a.succ, b.succ)
-            and tree_equal(a.fail, b.fail)
-        )
-    return False
-
-
-def _store_label(node: Store) -> str:
-    return "store" if node.index == 1 else f"store {node.index}"
+        return f"swap {node.index}"
+    if t is Store:
+        return "store" if node.index == 1 else f"store {node.index}"
+    return "switch store" if node.store else "switch"
 
 
 def tree_text(tree: DTree, print_rhs=repr) -> str:
     """Indented text rendering, deterministic."""
     lines: list[str] = []
-
-    def go(node: DTree, indent: int, prefix: str = ""):
-        pad = "  " * indent + prefix
+    todo: list[tuple[DTree, int, str]] = [(tree, 0, "")]
+    while todo:
+        node, indent, prefix = todo.pop()
         t = type(node)
         if t is Leaf:
             binds = ""
@@ -569,88 +470,52 @@ def tree_text(tree: DTree, print_rhs=repr) -> str:
                     + (f"[{','.join(map(str, sel))}]" if sel else "")
                     for n, (slot, sel) in sorted(node.env.items())
                 ) + "}"
-            lines.append(f"{pad}leaf {print_rhs(node.rhs)}{binds}")
+            text = f"leaf {print_rhs(node.rhs)}{binds}"
         elif t is Fail:
-            lines.append(f"{pad}fail")
-        elif t is Swap:
-            lines.append(f"{pad}swap {node.index}")
-            go(node.child, indent + 1)
-        elif t is Store:
-            lines.append(f"{pad}{_store_label(node)}")
-            go(node.child, indent + 1)
-        elif t is Switch:
-            lines.append(f"{pad}switch store" if node.store else f"{pad}switch")
-            for (name, argc), child in node.sym_cases.items():
-                go(child, indent + 1, f"{name}/{argc}: ")
-            if node.lam_case is not None:
-                go(node.lam_case, indent + 1, "lambda: ")
-            if node.default_case is not None:
-                go(node.default_case, indent + 1, "*: ")
+            text = "fail"
         elif t is BinNl:
-            i, j = node.slots
-            lines.append(f"{pad}eq? s{i} s{j}")
-            go(node.succ, indent + 1, "yes: ")
-            go(node.fail, indent + 1, "no: ")
+            text = "eq? s{} s{}".format(*node.slots)
         elif t is BinCl:
-            sel = ",".join(map(str, node.allowed))
-            lines.append(f"{pad}closed? s{node.slot} within [{sel}]")
-            go(node.succ, indent + 1, "yes: ")
-            go(node.fail, indent + 1, "no: ")
-
-    go(tree, 0)
+            text = f"closed? s{node.slot} within [{','.join(map(str, node.allowed))}]"
+        else:
+            text = _label(node)
+        lines.append("  " * indent + prefix + text)
+        todo.extend(
+            (child, indent + 1, f"{label}: " if label else "")
+            for label, child in reversed(_edges(node))
+        )
     return "\n".join(lines)
 
 
 def to_dot(tree: DTree, print_rhs=repr) -> str:
     """Graphviz rendering with deterministic preorder node ids."""
     lines = ["digraph dtree {", "  node [shape=box, fontname=monospace];"]
-    counter = [0]
+    ids = itertools.count()
 
     def esc(s: str) -> str:
         return s.replace("\\", "\\\\").replace('"', '\\"')
 
     def emit(node: DTree) -> int:
-        nid = counter[0]
-        counter[0] += 1
+        nid = next(ids)
         t = type(node)
         if t is Leaf:
-            lines.append(f'  n{nid} [label="{esc(print_rhs(node.rhs))}", shape=ellipse];')
+            attrs = f'label="{esc(print_rhs(node.rhs))}", shape=ellipse'
         elif t is Fail:
-            lines.append(f'  n{nid} [label="x", shape=ellipse];')
-        elif t is Swap:
-            lines.append(f'  n{nid} [label="swap {node.index}"];')
-            c = emit(node.child)
-            lines.append(f"  n{nid} -> n{c};")
-        elif t is Store:
-            lines.append(f'  n{nid} [label="{_store_label(node)}"];')
-            c = emit(node.child)
-            lines.append(f"  n{nid} -> n{c};")
-        elif t is Switch:
-            label = "switch store" if node.store else "switch"
-            lines.append(f'  n{nid} [label="{label}", shape=circle];')
-            for (name, argc), child in node.sym_cases.items():
-                c = emit(child)
-                lines.append(f'  n{nid} -> n{c} [label="{esc(name)}/{argc}"];')
-            if node.lam_case is not None:
-                c = emit(node.lam_case)
-                lines.append(f'  n{nid} -> n{c} [label="lambda"];')
-            if node.default_case is not None:
-                c = emit(node.default_case)
-                lines.append(f'  n{nid} -> n{c} [label="*"];')
+            attrs = 'label="x", shape=ellipse'
         elif t is BinNl:
-            i, j = node.slots
-            lines.append(f'  n{nid} [label="s{i} = s{j} ?"];')
-            c1 = emit(node.succ)
-            c2 = emit(node.fail)
-            lines.append(f'  n{nid} -> n{c1} [label="yes"];')
-            lines.append(f'  n{nid} -> n{c2} [label="no"];')
+            attrs = 'label="s{} = s{} ?"'.format(*node.slots)
         elif t is BinCl:
             sel = ",".join(map(str, node.allowed))
-            lines.append(f'  n{nid} [label="fv(s{node.slot}) in [{sel}] ?"];')
-            c1 = emit(node.succ)
-            c2 = emit(node.fail)
-            lines.append(f'  n{nid} -> n{c1} [label="yes"];')
-            lines.append(f'  n{nid} -> n{c2} [label="no"];')
+            attrs = f'label="fv(s{node.slot}) in [{sel}] ?"'
+        elif t is Switch:
+            attrs = f'label="{_label(node)}", shape=circle'
+        else:
+            attrs = f'label="{_label(node)}"'
+        lines.append(f"  n{nid} [{attrs}];")
+        for label, child in _edges(node):
+            c = emit(child)
+            edge = f' [label="{esc(label)}"]' if label else ""
+            lines.append(f"  n{nid} -> n{c}{edge};")
         return nid
 
     emit(tree)

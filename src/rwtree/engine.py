@@ -98,7 +98,6 @@ class EvalContext:
         strategy: str = SNF,
         max_steps: int = 10**8,
         equality: str = CONVERTIBLE,
-        heuristic: str = "max-constructors",
     ) -> "EvalContext":
         bad: dict[str, list[str]] = {}
         for i, r in enumerate(rules):
@@ -110,7 +109,7 @@ class EvalContext:
         by_head: dict[str, list[Rule]] = {}
         for r in rules:
             by_head.setdefault(r.head, []).append(r)
-        trees = trees_of_ruleset(rules, heuristic=heuristic)
+        trees = trees_of_ruleset(rules)
         arities: dict[str, list[int]] = {}
         for head, arity in trees:
             arities.setdefault(head, []).append(arity)

@@ -10,8 +10,8 @@ decomposition operators below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Union
 
 from .patterns import (
     PatAbst,
@@ -71,12 +71,6 @@ class ClauseMatrix:
     rows: tuple[ClauseRow, ...]
     width: int
     depth: int = 0  # binders opened on the path to this matrix
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
 
 
 def erase_vars(p: Pattern) -> Pattern:

@@ -6,7 +6,7 @@ against it, so this module must stay simple and obviously correct.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .terms import (
@@ -22,6 +22,7 @@ from .terms import (
     build_app,
     free_vars,
     fresh_var,
+    iter_nodes,
     spine,
     subst,
 )
@@ -138,23 +139,7 @@ def iter_pattern_vars(pats: Sequence[Pattern]):
 
 def rhs_meta_occurrences(t: Term):
     """Yield every MetaApp node of a right-hand side, preorder."""
-    todo = [t]
-    while todo:
-        x = todo.pop()
-        tx = type(x)
-        if tx is MetaApp:
-            yield x
-            todo.extend(reversed(x.args))
-        elif tx is App:
-            todo.append(x.arg)
-            todo.append(x.fn)
-        elif tx is Abst:
-            if x.domain is not None:
-                todo.append(x.domain)
-            todo.append(x.body)
-        elif tx is Prod:
-            todo.append(x.codomain)
-            todo.append(x.domain)
+    return (x for x in iter_nodes(t) if type(x) is MetaApp)
 
 
 def validate_rule(rule: Rule) -> list[str]:

@@ -21,7 +21,7 @@ binders; a binder body extends maximally to the right.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .patterns import (

@@ -17,6 +17,19 @@ def test_bench_bad_builtin_spec_is_usage_error(capsys):
     assert err.startswith("usage error:") and "dispatch(K,M)" in err
 
 
+def test_bench_dispatch_without_rules_is_usage_error(capsys):
+    assert main(["bench", "dispatch(0,5)"]) == USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "K >= 1" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_bench_rejects_nonpositive_max_steps(capsys):
+    assert main(["bench", "fib(3)", "--max-steps", "0"]) == USAGE
+    err = capsys.readouterr().err
+    assert err == "usage error: --max-steps must be positive\n"
+
+
 UNITS = "symbol a; symbol 0; symbol +;\nrule + 0 $p --> $p with + $p 0 --> $p;\n"
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from rwtree.corpus import FIB_RULES
 from rwtree.dtree import (
     BinCl,
     BinNl,
@@ -11,16 +12,15 @@ from rwtree.dtree import (
     Switch,
     choose_action,
     compile_matrix,
-    erase_stores,
     iter_tree,
     to_dot,
-    tree_equal,
     tree_stats,
     tree_text,
     trees_of_ruleset,
 )
 from rwtree.matrix import ClauseMatrix, from_rules
 from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule
+from rwtree.syntax import parse_file, print_term
 from rwtree.terms import MetaApp, fresh_var, symb
 
 from genlib import RuleSampler
@@ -54,19 +54,11 @@ def test_compile_empty_matrix_fails():
 
 
 def test_compile_example1_shape():
+    # column two first; each right-hand side's $x is stored just before its
+    # leaf (the golden text below, compiled here from hand-built rules)
     tree = compile_matrix(from_rules("f", example1_rules()))
-    bare = erase_stores(tree)
-    assert type(bare) is Swap and bare.index == 2
-    sw = bare.child
-    assert type(sw) is Switch
-    assert list(sw.sym_cases) == [("a", 0), ("b", 0)]
-    assert sw.lam_case is None and sw.default_case is None
-    a_branch = sw.sym_cases[("a", 0)]
-    assert type(a_branch) is Switch and list(a_branch.sym_cases) == [("c", 1)]
-    inner = a_branch.sym_cases[("c", 1)]
-    assert type(inner) is Switch and list(inner.sym_cases) == [("c", 1)]
-    assert type(inner.sym_cases[("c", 1)]) is Leaf
-    assert type(sw.sym_cases[("b", 0)]) is Leaf
+    text, _dot = GOLDEN[("example1", "f", 2)]
+    assert tree_text(tree, print_rhs=print_term) == text
 
 
 def test_compile_example1_stores_for_rhs():
@@ -110,15 +102,7 @@ def test_compile_determinism():
     rules = example1_rules()
     t1 = compile_matrix(from_rules("f", rules))
     t2 = compile_matrix(from_rules("f", rules))
-    assert tree_equal(t1, t2)
-
-
-def test_left_right_heuristic_differs():
-    rules = example1_rules()
-    default = compile_matrix(from_rules("f", rules))
-    lr = compile_matrix(from_rules("f", rules), heuristic="left-right")
-    assert not tree_equal(default, lr)
-    assert type(erase_stores(lr)) is Switch  # column one first: no swap
+    assert tree_text(t1) == tree_text(t2)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +214,7 @@ def test_compile_deterministic_on_random_rulesets(rng):
         b = trees_of_ruleset(rules)
         assert set(a) == set(b)
         for key in a:
-            assert tree_equal(a[key], b[key])
+            assert tree_text(a[key]) == tree_text(b[key])
 
 
 def test_switch_completeness_on_random_rulesets(rng):
@@ -285,3 +269,185 @@ def test_tree_stats():
     assert stats["counts"]["store"] == 2
     assert stats["store_size"] == 1
     assert stats["depth"] >= 4
+
+
+# Golden renderings.  Together these four trees reach every node kind: fib's
+# + a storing Switch and a Store of entry 2, hol's d a lambda case, BinCl
+# and Fail, hol's sub BinNl, example 1's f a Swap.
+
+HOL_RULES = r"""symbol d; symbol sin; symbol cos; symbol +; symbol *; symbol neg;
+symbol sub; symbol 0;
+rule d (\x, $c) --> \x, 0
+with d (\x, sin $u[x]) --> \x, * (cos $u[x]) (d (\x, $u[x]) x)
+with d (\x, cos $u[x]) --> \x, * (neg (sin $u[x])) (d (\x, $u[x]) x)
+with d (\x, + $u[x] $v[x]) --> \x, + (d (\x, $u[x]) x) (d (\x, $v[x]) x)
+with d (\x, * $u[x] $v[x]) --> \x, + (* (d (\x, $u[x]) x) $v[x]) (* $u[x] (d (\x, $v[x]) x));
+rule sub $p $p --> 0;
+"""
+
+EXAMPLE1 = "symbol f; symbol c; symbol a; symbol b;\n" + (
+    "rule f (c (c $x)) a --> $x with f $x b --> $x;\n"
+)
+
+GOLDEN = {
+    ("fib", "+", 2): (
+        """\
+switch store
+  0/0: store
+    leaf $m {$m<-s1}
+  s/1: store
+    store 2
+      leaf s (+ $n $m) {$m<-s2, $n<-s1}
+  *: switch
+    0/0: leaf $m {$m<-s0}
+    s/1: store
+      leaf s (+ $m $n) {$m<-s0, $n<-s1}""",
+        """\
+digraph dtree {
+  node [shape=box, fontname=monospace];
+  n0 [label="switch store", shape=circle];
+  n1 [label="store"];
+  n2 [label="$m", shape=ellipse];
+  n1 -> n2;
+  n0 -> n1 [label="0/0"];
+  n3 [label="store"];
+  n4 [label="store 2"];
+  n5 [label="s (+ $n $m)", shape=ellipse];
+  n4 -> n5;
+  n3 -> n4;
+  n0 -> n3 [label="s/1"];
+  n6 [label="switch", shape=circle];
+  n7 [label="$m", shape=ellipse];
+  n6 -> n7 [label="0/0"];
+  n8 [label="store"];
+  n9 [label="s (+ $m $n)", shape=ellipse];
+  n8 -> n9;
+  n6 -> n8 [label="s/1"];
+  n0 -> n6 [label="*"];
+}""",
+    ),
+    ("hol", "d", 1): (
+        r"""switch
+  lambda: switch store
+    */2: store
+      store 2
+        leaf \x, + (* (d (\x', $u[x']) x) $v[x]) (* $u[x] (d (\x', $v[x']) x)) {$u<-s1[0], $v<-s2[0]}
+    +/2: store
+      store 2
+        leaf \x, + (d (\x', $u[x']) x) (d (\x', $v[x']) x) {$u<-s1[0], $v<-s2[0]}
+    cos/1: store
+      leaf \x, * (neg (sin $u[x])) (d (\x', $u[x']) x) {$u<-s1[0]}
+    sin/1: store
+      leaf \x, * (cos $u[x]) (d (\x', $u[x']) x) {$u<-s1[0]}
+    *: closed? s0 within []
+      yes: leaf \x, 0
+      no: fail""",
+        r"""digraph dtree {
+  node [shape=box, fontname=monospace];
+  n0 [label="switch", shape=circle];
+  n1 [label="switch store", shape=circle];
+  n2 [label="store"];
+  n3 [label="store 2"];
+  n4 [label="\\x, + (* (d (\\x', $u[x']) x) $v[x]) (* $u[x] (d (\\x', $v[x']) x))", shape=ellipse];
+  n3 -> n4;
+  n2 -> n3;
+  n1 -> n2 [label="*/2"];
+  n5 [label="store"];
+  n6 [label="store 2"];
+  n7 [label="\\x, + (d (\\x', $u[x']) x) (d (\\x', $v[x']) x)", shape=ellipse];
+  n6 -> n7;
+  n5 -> n6;
+  n1 -> n5 [label="+/2"];
+  n8 [label="store"];
+  n9 [label="\\x, * (neg (sin $u[x])) (d (\\x', $u[x']) x)", shape=ellipse];
+  n8 -> n9;
+  n1 -> n8 [label="cos/1"];
+  n10 [label="store"];
+  n11 [label="\\x, * (cos $u[x]) (d (\\x', $u[x']) x)", shape=ellipse];
+  n10 -> n11;
+  n1 -> n10 [label="sin/1"];
+  n12 [label="fv(s0) in [] ?"];
+  n13 [label="\\x, 0", shape=ellipse];
+  n14 [label="x", shape=ellipse];
+  n12 -> n13 [label="yes"];
+  n12 -> n14 [label="no"];
+  n1 -> n12 [label="*"];
+  n0 -> n1 [label="lambda"];
+}""",
+    ),
+    ("hol", "sub", 2): (
+        """\
+store
+  store 2
+    eq? s0 s1
+      yes: leaf 0
+      no: fail""",
+        """\
+digraph dtree {
+  node [shape=box, fontname=monospace];
+  n0 [label="store"];
+  n1 [label="store 2"];
+  n2 [label="s0 = s1 ?"];
+  n3 [label="0", shape=ellipse];
+  n4 [label="x", shape=ellipse];
+  n2 -> n3 [label="yes"];
+  n2 -> n4 [label="no"];
+  n1 -> n2;
+  n0 -> n1;
+}""",
+    ),
+    ("example1", "f", 2): (
+        """\
+swap 2
+  switch
+    a/0: switch
+      c/1: switch
+        c/1: store
+          leaf $x {$x<-s0}
+    b/0: store
+      leaf $x {$x<-s0}""",
+        """\
+digraph dtree {
+  node [shape=box, fontname=monospace];
+  n0 [label="swap 2"];
+  n1 [label="switch", shape=circle];
+  n2 [label="switch", shape=circle];
+  n3 [label="switch", shape=circle];
+  n4 [label="store"];
+  n5 [label="$x", shape=ellipse];
+  n4 -> n5;
+  n3 -> n4 [label="c/1"];
+  n2 -> n3 [label="c/1"];
+  n1 -> n2 [label="a/0"];
+  n6 [label="store"];
+  n7 [label="$x", shape=ellipse];
+  n6 -> n7;
+  n1 -> n6 [label="b/0"];
+  n0 -> n1;
+}""",
+    ),
+}
+
+GOLDEN_SOURCES = {"fib": FIB_RULES, "hol": HOL_RULES, "example1": EXAMPLE1}
+
+
+def _golden_tree(source, head, arity):
+    return trees_of_ruleset(parse_file(GOLDEN_SOURCES[source]).rules)[(head, arity)]
+
+
+@pytest.mark.parametrize("source,head,arity", sorted(GOLDEN))
+def test_rendering_golden(source, head, arity):
+    tree = _golden_tree(source, head, arity)
+    text, dot = GOLDEN[(source, head, arity)]
+    assert tree_text(tree, print_rhs=print_term) == text
+    # node ids are preorder; only the order of the edge lines may vary
+    assert sorted(to_dot(tree, print_rhs=print_term).splitlines()) == sorted(
+        dot.splitlines()
+    )
+
+
+def test_golden_trees_reach_every_node_kind():
+    nodes = [n for key in GOLDEN for n in iter_tree(_golden_tree(*key))]
+    assert {type(n) for n in nodes} == {Switch, Swap, Store, BinNl, BinCl, Leaf, Fail}
+    assert any(type(n) is Switch and n.store for n in nodes)
+    assert any(type(n) is Store and n.index > 1 for n in nodes)

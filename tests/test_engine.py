@@ -452,23 +452,6 @@ def test_engines_agree_on_applicability(rng):
         assert (rt is None) == (rn is None)
 
 
-def test_left_right_heuristic_oracle_equivalent(rng):
-    sampler = RuleSampler(rng)
-    for _ in range(80):
-        rules = sampler.ruleset()
-        ctx_b = EvalContext.from_rules(
-            rules, heuristic="left-right", max_steps=10**6
-        )
-        ctx_n = EvalContext.from_rules(rules, engine="naive", max_steps=10**6)
-        head, args = sampler.subject_args(rules)
-        rb = rewrite_head(ctx_b, head, list(args), Steps(10**6))
-        cands = oracle_candidates(ctx_n, rules, head, args, Steps(10**6))
-        if rb is None:
-            assert not cands
-        else:
-            assert any(alpha_eq(rb, cand) for _, cand in cands)
-
-
 # ---------------------------------------------------------------------------
 # matching work and laziness of the compiled trees
 
