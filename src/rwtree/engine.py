@@ -15,6 +15,18 @@ instead of reducing the same arguments again.  The result of ``whnf`` may
 therefore differ from the naive engine's in arguments that only a failed
 match reduced; the two are convertible.  In convertibility mode the
 constraint checks compare or inspect fully normalized terms.
+
+No term is matched twice in one evaluation once it is known to be stuck.
+The evaluation's ``Steps`` marks, by identity, every term whose rewrite
+attempt failed without changing an argument and every term built from a
+head-normal head and stack; ``whnf_stk`` returns a marked term without
+offering it to ``rewrite_head``.  The mark lives as long as the ``Steps``
+object, so nothing carries over from one evaluation, or one context, to
+the next.  Both engines share ``whnf_stk`` and so both use the mark.  For
+the naive engine this changes step counts, not results: its failed matches
+keep no work, so each repeat used to reduce the forced arguments again.
+On ``+ (… (+ (+ a 0) a) …) a`` with ``+ 0 $p --> $p`` and ``+ $p 0 --> $p``
+it now takes 2 steps at any depth, where it took one per level.
 """
 from __future__ import annotations
 
@@ -60,14 +72,23 @@ class DivergenceError(Exception):
 
 
 class Steps:
-    """Per-evaluation rewrite-step budget; counts beta and rule steps."""
+    """Per-evaluation rewrite-step budget; counts beta and rule steps.
 
-    __slots__ = ("remaining", "used", "budget")
+    It also carries the evaluation's stuck mark: ``stuck`` maps ``id(term)``
+    to every term found head-normal so far, and ``whnf_stk`` never offers a
+    marked term to ``rewrite_head`` again.  The value keeps the term alive,
+    so an id is never reused while the mark exists.  The mark lasts as long
+    as this object: one ``whnf``/``snf``/``convertible`` call and the calls
+    it makes, under one ``EvalContext``.  Do not share a ``Steps`` between
+    contexts."""
+
+    __slots__ = ("remaining", "used", "budget", "stuck")
 
     def __init__(self, budget: int):
         self.budget = budget
         self.remaining = budget
         self.used = 0
+        self.stuck: dict[int, Term] = {}
 
     def tick(self):
         self.remaining -= 1
@@ -140,11 +161,14 @@ def whnf_stk(
     the term that head and stack spell if that term already exists, else
     None.  The head is never an application, and it is an abstraction only
     when the stack is empty.  Only symbols in ``ctx.defined`` reach
-    ``rewrite_head``.  When the last rewrite attempt fails but
-    head-normalised some of the arguments, the stack holds those normal
-    forms and the term returned is None.
+    ``rewrite_head``, and only when the term they head is not marked stuck
+    in ``steps.stuck``.  When the attempt fails and changes no argument,
+    that term is marked.  When it fails but head-normalised some of the
+    arguments, the stack holds those normal forms and the term returned is
+    None; whoever builds that term marks it.
     """
     defined = ctx.defined
+    stuck = steps.stuck
     stk: list[Term] = []
     whole: Optional[Term] = t  # what head and stk spell, when it exists
     while True:
@@ -158,6 +182,8 @@ def whnf_stk(
             whole = None if stk else t
             continue
         if tt is Symb and t.name in defined:
+            if stuck and whole is not None and id(whole) in stuck:
+                return t, stk, whole
             args = stk[::-1]
             reduced = rewrite_head(ctx, t.name, args, steps)
             if reduced is not None:
@@ -169,24 +195,34 @@ def whnf_stk(
             if args != stk:  # terms compare by identity
                 stk = args
                 whole = None
+            elif whole is not None:
+                stuck[id(whole)] = whole
         return t, stk, whole
+
+
+def _build_stuck(head: Term, stk: list[Term], stuck: dict[int, Term]) -> Term:
+    """The term a head-normal head and its argument stack spell, marked
+    stuck: matching it again in this evaluation would fail."""
+    t = build_app(head, stk[::-1])
+    stuck[id(t)] = t
+    return t
 
 
 def whnf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
     """Weak-head normal form: beta-reduce and rewrite at the head until
     neither applies.  A term that is already in weak-head normal form is
     returned as it is, unless a failed match head-normalised one of its
-    arguments: then the result is rebuilt from those normal forms.  Under
-    the tree engine ``+ (+ a 0) a`` with the rules ``+ 0 $p --> $p`` and
-    ``+ $p 0 --> $p`` gives ``+ a a``; the naive engine keeps
+    arguments: then the result is rebuilt from those normal forms, and
+    marked stuck for the rest of the evaluation that ``steps`` counts.
+    Under the tree engine ``+ (+ a 0) a`` with the rules ``+ 0 $p --> $p``
+    and ``+ $p 0 --> $p`` gives ``+ a a``; the naive engine keeps
     ``+ (+ a 0) a``.  Both are head-normal and convertible."""
     if steps is None:
         steps = Steps(ctx.max_steps)
     head, stk, whole = whnf_stk(ctx, t, steps)
     if whole is not None:
         return whole
-    stk.reverse()
-    return build_app(head, stk)
+    return _build_stuck(head, stk, steps.stuck)
 
 
 def snf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
@@ -272,17 +308,17 @@ def instantiate(leaf: dt.Leaf, store: dt.StoreEntries) -> Term:
     return leaf.build(store)
 
 
-def _write_back(args: list[Term], forced) -> None:
+def _write_back(args: list[Term], forced, stuck: dict[int, Term]) -> None:
     """Replace each entry of ``args`` that a Switch head-normalised, found by
     identity, with its normal form.  ``forced`` chains the records
-    ``(term, head, stack, whole, next)``; the normal form is built here only
-    when the Switch did not build it."""
+    ``(term, head, stack, whole, next)``; the normal form is built, and
+    marked stuck, here only when the Switch did not build it."""
     while forced is not None:
         x, head, hargs, top, forced = forced
         for i, a in enumerate(args):
             if a is x:
                 if top is None:
-                    top = build_app(head, hargs[::-1])
+                    top = _build_stuck(head, hargs, stuck)
                 args[i] = top
 
 
@@ -297,13 +333,13 @@ def eval_tree(
 
     Returns the instantiated right-hand side, or None when matching fails.
     A Switch pops the stack top and weak-head normalizes it on an argument
-    stack; if its store flag is set it saves that normal form (built only
-    if it does not exist yet) before dispatching on the head, and a symbol
-    case pushes the arguments straight from the normalisation stack.  Store
-    saves a stack entry unevaluated without popping.  Every saved term
-    comes with the binders opened so far.  When matching fails, each entry
-    of ``args`` that a Switch head-normalised is replaced by its normal
-    form, so the caller keeps that work.
+    stack; if its store flag is set it saves that normal form (built, and
+    marked stuck, only if it does not exist yet) before dispatching on the
+    head, and a symbol case pushes the arguments straight from the
+    normalisation stack.  Store saves a stack entry unevaluated without
+    popping.  Every saved term comes with the binders opened so far.  When
+    matching fails, each entry of ``args`` that a Switch head-normalised is
+    replaced by its normal form, so the caller keeps that work.
     """
     stack: list[Term] = list(args)
     stack.reverse()  # stack[-1] is the first column
@@ -320,7 +356,7 @@ def eval_tree(
                 if trace is not None:
                     trace.append(("store", len(store)))
                 if top is None:
-                    top = build_app(head, hargs[::-1])
+                    top = _build_stuck(head, hargs, steps.stuck)
                 store.append((top, binders))
             if top is not x:
                 forced = (x, head, hargs, top, forced)
@@ -350,7 +386,7 @@ def eval_tree(
             if trace is not None:
                 trace.append(("no-case",))
             if forced is not None:
-                _write_back(args, forced)
+                _write_back(args, forced, steps.stuck)
             return None
         if tn is dt.Store:
             if trace is not None:
@@ -392,7 +428,7 @@ def eval_tree(
             if trace is not None:
                 trace.append(("fail",))
             if forced is not None:
-                _write_back(args, forced)
+                _write_back(args, forced, steps.stuck)
             return None
         raise TermError(f"malformed tree node {tn!r}")
 

@@ -643,22 +643,51 @@ rule + 0 $p --> $p with + $p 0 --> $p;
 """
 
 
-@pytest.mark.parametrize("depth", [4, 8, 12])
-def test_failed_match_keeps_forced_arguments(depth):
-    # every + of + (… (+ (+ a 0) a) …) a is stuck, but matching it forces its
-    # first argument down to the one redex + a 0; the tree keeps that normal
-    # form, so snf does not reduce the redex again at each level
+def units_chain(depth):
+    """``+ (… (+ (+ a 0) a) …) a`` with ``depth`` stuck ``+`` above the one
+    redex ``+ a 0``, and its normal form."""
     t = term("+ a 0", UNITS)
     expected = symb("a")
     for _ in range(depth):
         t = build_app(symb("+"), [t, symb("a")])
         expected = build_app(symb("+"), [expected, symb("a")])
+    return t, expected
+
+
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so that the list returned counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kw):
+        calls.append(None)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("depth", [4, 8, 12, 24])
+def test_failed_match_keeps_forced_arguments(depth, monkeypatch):
+    # every + of + (… (+ (+ a 0) a) …) a is stuck, but matching it forces its
+    # first argument down to the one redex + a 0.  The tree keeps that normal
+    # form, and snf never matches a stuck + again, so both engines reduce the
+    # redex a bounded number of times and match each level a bounded number
+    # of times
+    import rwtree.engine as eng
+    import rwtree.patterns as pat
+
+    t, expected = units_chain(depth)
+    tree_calls = counting(monkeypatch, eng, "eval_tree")
+    naive_calls = counting(monkeypatch, pat, "match_patterns")
     used = {}
     for engine in ("tree", "naive"):
         steps = Steps(1000)
         assert alpha_eq(snf(ctx_for(UNITS, engine=engine), t, steps), expected)
         used[engine] = steps.used
-    assert used == {"tree": 1, "naive": depth + 1}
+    assert used == {"tree": 1, "naive": 2}
+    assert len(tree_calls) <= depth + 1
+    assert len(naive_calls) <= 3 * depth
 
 
 def test_failed_matches_leave_head_normal_arguments(rng):
@@ -690,3 +719,85 @@ def test_failed_matches_leave_head_normal_arguments(rng):
                         whnf(ctx, new, steps)
                         assert steps.used == 0
     assert changed > 50
+
+
+# ---------------------------------------------------------------------------
+# the stuck mark: sound, and scoped to one evaluation
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_stuck_marks_are_head_normal(engine, rng):
+    # every term the mark holds after an snf evaluation is its own whnf under
+    # a fresh budget: a mark on a term a rule rewrites, or on one whose
+    # forced arguments a tree match would still reduce, fails here.  Without
+    # constraint checks the tree also needs no step to see it: its marked
+    # terms have head-normal arguments wherever a Switch looks.  The naive
+    # engine's matches and the convertibility checks keep none of the steps
+    # they take, so there a fresh whnf may take steps to fail again.
+    sampler = RuleSampler(rng)
+    checked = 0
+    for _ in range(80):
+        rules = sampler.ruleset()
+        ctxs = [
+            EvalContext.from_rules(
+                rules, engine=engine, equality=equality, max_steps=10**6
+            )
+            for equality in ("convertible", "alpha")
+        ]
+        for _ in range(5):
+            head, args = sampler.subject_args(rules)
+            if args:  # an argument that likely is a redex
+                inner, inner_args = sampler.subject_args(rules)
+                args[rng.randrange(len(args))] = build_app(symb(inner), inner_args)
+            t = build_app(symb(head), args)
+            for ctx in ctxs:
+                steps = Steps(10**6)
+                snf(ctx, t, steps)
+                for m in steps.stuck.values():
+                    again = Steps(10**6)
+                    assert whnf(ctx, m, again) is m
+                    if engine == "tree" and ctx.equality == "alpha":
+                        assert again.used == 0
+                    checked += 1
+    assert checked > 200
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_stuck_mark_does_not_outlive_the_evaluation(engine, monkeypatch):
+    # every + of + (… (+ a a) …) a is stuck and its match changes nothing, so
+    # the first evaluation marks the term objects themselves; the second one
+    # must match them again
+    import rwtree.engine as eng
+    import rwtree.patterns as pat
+
+    t = term("+ a a", UNITS)
+    for _ in range(8):
+        t = build_app(symb("+"), [t, symb("a")])
+    ctx = ctx_for(UNITS, engine=engine)
+    if engine == "tree":
+        calls = counting(monkeypatch, eng, "eval_tree")
+    else:
+        calls = counting(monkeypatch, pat, "match_patterns")
+    counts = []
+    for _ in range(2):
+        before = len(calls)
+        assert alpha_eq(snf(ctx, t, Steps(1000)), t)
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] > 1
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_stuck_mark_belongs_to_one_context(engine):
+    # + (+ a a) a is stuck under A and reduces to a under B; its parts are
+    # marked while A evaluates it, and B must still rewrite them
+    a_rules = "symbol a; symbol 0; symbol +; rule + 0 $p --> $p;"
+    b_rules = "symbol a; symbol 0; symbol +; rule + a $p --> $p;"
+    t = term("+ (+ a a) a", a_rules)
+    ctx_a = ctx_for(a_rules, engine=engine)
+    ctx_b = ctx_for(b_rules, engine=engine)
+    steps = Steps(100)
+    assert alpha_eq(snf(ctx_a, t, steps), t)
+    assert id(t) in steps.stuck and id(t.fn.arg) in steps.stuck
+    assert whnf(ctx_a, t, Steps(100)) is t
+    assert snf(ctx_b, t, Steps(100)) == symb("a")
+    assert whnf(ctx_b, t, Steps(100)) == symb("a")
