@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 usage, 2 parse error, 3 validation or unknown symbol,
-4 assertion failure, 5 rewrite budget exhausted, 6 input too deep (nesting
-beyond the Python recursion limit).
+Exit codes: 0 ok, 1 usage (bad arguments, or a missing or unreadable input
+file), 2 parse error, 3 validation or unknown symbol, 4 assertion failure,
+5 rewrite budget exhausted, 6 input too deep (nesting beyond the Python
+recursion limit).
 """
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import builtin_benchmark, file_benchmark, run_benchmark
 from .dtree import to_dot, tree_stats, tree_text, trees_of_ruleset
 from .engine import DivergenceError, EvalContext, Steps, convertible, normalize
 from .patterns import RuleSetError
@@ -53,13 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("symbol")
     t.add_argument("--arity", type=int, default=None)
     t.add_argument("--dot", action="store_true")
-
-    b = sub.add_parser("bench", help="benchmark tree vs naive matching")
-    b.add_argument("target", help=".rw file or builtin like fib(18)")
-    b.add_argument("--engine", choices=["tree", "naive", "both"], default="both")
-    b.add_argument("--repeat", type=int, default=3)
-    b.add_argument("--max-steps", type=int, default=10**8)
-    b.add_argument("--json", dest="json_path", default=None)
     return p
 
 
@@ -77,10 +70,6 @@ def main(argv=None) -> int:
             return cmd_run(args.file, args.strategy, args.engine, args.max_steps)
         if args.command == "tree":
             return cmd_tree(args.file, args.symbol, args.arity, args.dot)
-        if args.command == "bench":
-            return cmd_bench(
-                args.target, args.engine, args.repeat, args.max_steps, args.json_path
-            )
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return USAGE
@@ -103,10 +92,12 @@ def main(argv=None) -> int:
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"no such file: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"cannot read {path}: not UTF-8 ({e.reason})") from None
 
 
 def cmd_check(path: str) -> int:
@@ -163,30 +154,6 @@ def cmd_tree(path: str, symbol: str, arity, dot: bool) -> int:
         else:
             print(f"{key[0]}/{key[1]}:")
             print(tree_text(trees[key], print_rhs=print_term))
-    return OK
-
-
-def cmd_bench(
-    target: str, engine: str, repeat: int, max_steps: int, json_path
-) -> int:
-    if repeat < 1:
-        raise UsageError("--repeat must be at least 1")
-    if max_steps < 1:
-        raise UsageError("--max-steps must be positive")
-    try:
-        bench = builtin_benchmark(target)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    if bench is None:
-        bench = file_benchmark(target, _read(target))
-    engines = ["tree", "naive"] if engine == "both" else [engine]
-    lines = []
-    for eng in engines:
-        report = run_benchmark(bench, eng, repeat, max_steps)
-        lines.append(report.to_json())
-        print(lines[-1])
-    if json_path:
-        Path(json_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return OK
 
 

@@ -293,7 +293,7 @@ def _make_leaf(row: ClauseRow, st: CompileState) -> Leaf:
     return Leaf(row.rhs, env)
 
 
-def compile_matrix(m: ClauseMatrix, st: Optional[CompileState] = None) -> DTree:
+def compile_matrix(m: ClauseMatrix) -> DTree:
     """Compile a clause matrix to a decision tree.
 
     Total: an empty matrix compiles to Fail.  A position that a constraint
@@ -301,9 +301,7 @@ def compile_matrix(m: ClauseMatrix, st: Optional[CompileState] = None) -> DTree:
     that consumes it, after head normalisation, or by a Store when no
     Switch inspects it.
     """
-    if st is None:
-        st = CompileState(tuple((i,) for i in range(1, m.width + 1)))
-    return _compile(m, st)
+    return _compile(m, CompileState(tuple((i,) for i in range(1, m.width + 1))))
 
 
 def _compile(m: ClauseMatrix, st: CompileState) -> DTree:

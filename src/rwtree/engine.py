@@ -35,12 +35,7 @@ from typing import Optional, Sequence
 
 from . import dtree as dt
 from .dtree import DTree, trees_of_ruleset
-from .patterns import (
-    Rule,
-    RuleSetError,
-    naive_rewrite_head,
-    validate_rule,
-)
+from .patterns import Rule, naive_rewrite_head, validate_rules
 from .terms import (
     Abst,
     App,
@@ -120,13 +115,7 @@ class EvalContext:
         max_steps: int = 10**8,
         equality: str = CONVERTIBLE,
     ) -> "EvalContext":
-        bad: dict[str, list[str]] = {}
-        for i, r in enumerate(rules):
-            violations = validate_rule(r)
-            if violations:
-                bad[r.label or f"rule {i + 1}"] = violations
-        if bad:
-            raise RuleSetError(bad)
+        validate_rules(rules)
         by_head: dict[str, list[Rule]] = {}
         for r in rules:
             by_head.setdefault(r.head, []).append(r)

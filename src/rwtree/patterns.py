@@ -14,7 +14,6 @@ from .terms import (
     App,
     MetaApp,
     Prod,
-    Sort,
     Symb,
     Term,
     Var,
@@ -116,25 +115,21 @@ def iter_pattern_vars(pats: Sequence[Pattern]):
     """Yield (pattern-var, position, binders-in-scope) over a pattern vector.
 
     Positions are sequence positions: component one selects the argument,
-    the rest descends into it.  Preorder, so the first occurrence of a name
-    comes first.
+    the rest descends into it.  Preorder, so positions come in increasing
+    lexicographic order and the first occurrence of a name comes first.
     """
-    for i, p in enumerate(pats, start=1):
-        stack = [(p, (i,), ())]
-        collected = []
-        while stack:
-            q, pos, scope = stack.pop()
-            tq = type(q)
-            if tq is PatVar:
-                collected.append((q, pos, scope))
-            elif tq is PatSymb:
-                for j, a in enumerate(reversed(q.args)):
-                    stack.append((a, pos + (len(q.args) - j,), scope))
-            else:  # PatAbst
-                stack.append((q.body, pos + (1,), scope + (q.var,)))
-        # stack order above is not preorder; sort by position instead
-        collected.sort(key=lambda e: e[1])
-        yield from collected
+    stack = [(p, (i,), ()) for i, p in enumerate(pats, start=1)]
+    stack.reverse()
+    while stack:
+        q, pos, scope = stack.pop()
+        tq = type(q)
+        if tq is PatVar:
+            yield q, pos, scope
+        elif tq is PatSymb:
+            for j in range(len(q.args), 0, -1):
+                stack.append((q.args[j - 1], pos + (j,), scope))
+        else:  # PatAbst
+            stack.append((q.body, pos + (1,), scope + (q.var,)))
 
 
 def rhs_meta_occurrences(t: Term):
@@ -190,14 +185,29 @@ def validate_rule(rule: Rule) -> list[str]:
     return violations
 
 
+def validate_rules(rules: Sequence[Rule]) -> None:
+    """Validate every rule; raise RuleSetError with all the violations,
+    keyed by rule label (``rule N`` when a rule has none).  Rules that
+    share a label keep their violations under it in order."""
+    bad: dict[str, list[str]] = {}
+    for i, rule in enumerate(rules, start=1):
+        violations = validate_rule(rule)
+        if violations:
+            bad.setdefault(rule.label or f"rule {i}", []).extend(violations)
+    if bad:
+        raise RuleSetError(bad)
+
+
 def _fmt(pos: tuple[int, ...]) -> str:
     return ".".join(map(str, pos)) if pos else "e"
+
+
+_NO_BINDERS: frozenset[int] = frozenset()
 
 
 def match_patterns(
     pats: Sequence[Pattern],
     terms: Sequence[Term],
-    traversed: frozenset[int] = frozenset(),
     *,
     whnf: Optional[Callable[[Term], Term]] = None,
     equal: Optional[Callable[[Term, Term], bool]] = None,
@@ -205,8 +215,7 @@ def match_patterns(
 ) -> Optional[Substitution]:
     """Match a pattern vector against a term vector.
 
-    ``traversed`` seeds the set of binder identities already crossed.  The
-    hooks make the matcher usable both as a purely syntactic relation
+    The hooks make the matcher usable both as a purely syntactic relation
     (defaults) and as the reference for an engine that matches modulo
     reduction: ``whnf`` head-normalizes a subject before a structural
     pattern inspects it, ``equal`` decides the repeated-variable condition,
@@ -257,7 +266,7 @@ def match_patterns(
         return go(p.body, body, vset | {v2.vid}, {**bmap, p.var.vid: v2})
 
     for p, t in zip(pats, terms):
-        if not go(p, t, traversed, {}):
+        if not go(p, t, _NO_BINDERS, {}):
             return None
     return sub
 

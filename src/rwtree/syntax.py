@@ -30,8 +30,7 @@ from .patterns import (
     PatVar,
     Pattern,
     Rule,
-    RuleSetError,
-    validate_rule,
+    validate_rules,
 )
 from .terms import (
     KIND,
@@ -142,8 +141,10 @@ def tokenize(text: str) -> list[Token]:
 
 @dataclass(slots=True)
 class Declaration:
+    """``symbol name;``.  A ``: T`` annotation is parsed and scope-checked,
+    then dropped: the engine is untyped."""
+
     name: str
-    type_term: Optional[Term]
 
 
 @dataclass(slots=True)
@@ -317,15 +318,14 @@ class _Parser:
         if t.text == "symbol":
             self.next()
             name = self.ident("symbol name")
-            type_term = None
             if self.peek().kind == ":":
                 self.next()
-                type_term = self.term({}, meta=False)
+                self.term({}, meta=False)
             self.expect(";", "';'")
             if name in self.scope:
                 raise ParseError(t.line, t.col, f"symbol {name!r} redeclared")
             self.scope[name] = symb(name)
-            return Declaration(name, type_term)
+            return Declaration(name)
         if t.text == "rule":
             self.next()
             rules = [self.rule()]
@@ -396,13 +396,7 @@ def parse_file(text: str, scope: Optional[dict[str, Term]] = None) -> SourceFile
     """
     parser = _Parser(tokenize(text), scope or {})
     source = parser.file()
-    bad: dict[str, list[str]] = {}
-    for rule in source.rules:
-        violations = validate_rule(rule)
-        if violations:
-            bad[rule.label] = violations
-    if bad:
-        raise RuleSetError(bad)
+    validate_rules(source.rules)
     return source
 
 
@@ -421,14 +415,13 @@ def parse_term(text: str, scope: dict[str, Term], meta: bool = False) -> Term:
 _TOP, _HEAD, _ARG, _DOMAIN = 0, 1, 2, 3
 
 
-def print_term(t: Term, unicode: bool = False) -> str:
+def print_term(t: Term) -> str:
     """Render a term; ``parse_term`` maps the output back to an
     alpha-equivalent term given a scope with the symbols and free variables.
 
     Binder display names are primed when they would capture a symbol, a free
     variable or an enclosing binder.  Iterative, safe for very deep terms.
     """
-    lam = "λ" if unicode else "\\"
     reserved = _reserved_names(t)
     out: list[str] = []
     # work items: literal strings, or (term, context, names: vid -> printed)
@@ -461,7 +454,7 @@ def print_term(t: Term, unicode: bool = False) -> str:
             if close:
                 work.append(")")
             work.append((x.body, _TOP, names2))
-            work.append(f"{lam}{name}, ")
+            work.append(f"\\{name}, ")
             if close:
                 work.append("(")
         elif tx is Prod:

@@ -1,4 +1,5 @@
-"""Random generators shared by the engine and acceptance tests.
+"""Random generators and fixed rule sets shared by the engine and
+acceptance tests.
 
 The rule generator stays inside a strongly-normalizing fragment: right-hand
 sides contain constructors, bound variables and pattern variables but no
@@ -11,6 +12,45 @@ import random
 
 from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule, validate_rule
 from rwtree.terms import Abst, App, MetaApp, Term, Var, build_app, fresh_var, symb
+
+FIB_RULES = """
+symbol 0; symbol s; symbol +; symbol fib;
+rule + 0 $m --> $m
+with + (s $n) $m --> s (+ $n $m)
+with + $m 0 --> $m
+with + $m (s $n) --> s (+ $m $n);
+rule fib 0 --> 0
+with fib (s 0) --> s 0
+with fib (s (s $n)) --> + (fib (s $n)) (fib $n);
+"""
+
+# quadratic list reversal: rev of a k-element list takes
+# k + 1 rev steps and k (k + 1) / 2 append steps
+REVNAT_RULES = """
+symbol 0; symbol s; symbol nil; symbol cons; symbol append; symbol rev;
+rule append nil $l --> $l
+with append (cons $x $k) $l --> cons $x (append $k $l);
+rule rev nil --> nil
+with rev (cons $x $k) --> append (rev $k) (cons $x nil);
+"""
+
+
+def numeral(k: int) -> Term:
+    """The unary numeral ``s (… (s 0))`` with ``k`` successors."""
+    t: Term = symb("0")
+    for _ in range(k):
+        t = App(symb("s"), t)
+    return t
+
+
+def nat_list(values: list[int]) -> Term:
+    """``cons v1 (… (cons vn nil))`` over unary numerals, built without
+    the parser so its length is not bounded by parser nesting."""
+    t: Term = symb("nil")
+    for v in reversed(values):
+        t = build_app(symb("cons"), [numeral(v), t])
+    return t
+
 
 CONSTRUCTORS = [("k0", 0), ("k1", 1), ("k2", 2), ("a", 0), ("b", 0)]
 DEFINED = ["f", "g"]

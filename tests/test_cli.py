@@ -1,3 +1,5 @@
+import pytest
+
 from rwtree.cli import TOO_DEEP, USAGE, main
 
 
@@ -11,23 +13,36 @@ def test_too_deep_input_exits_6_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
-def test_bench_bad_builtin_spec_is_usage_error(capsys):
-    assert main(["bench", "dispatch(5)"]) == USAGE
+def test_bench_is_no_longer_a_command(capsys):
+    assert main(["bench", "fib(3)"]) == USAGE
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "dispatch(K,M)" in err
+    assert err.startswith("usage error:") and len(err.splitlines()) == 1
 
 
-def test_bench_dispatch_without_rules_is_usage_error(capsys):
-    assert main(["bench", "dispatch(0,5)"]) == USAGE
+def _missing(tmp_path):
+    return tmp_path / "missing.rw"
+
+
+def _directory(tmp_path):
+    return tmp_path
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "utf16.rw"
+    path.write_bytes(b"\xff\xfesymbol a;\n")
+    return path
+
+
+@pytest.mark.parametrize("make", [_missing, _directory, _not_utf8])
+@pytest.mark.parametrize(
+    "command", [["run"], ["check"], ["tree", "+"]], ids=["run", "check", "tree"]
+)
+def test_unreadable_input_is_usage_error(command, make, tmp_path, capsys):
+    path = str(make(tmp_path))
+    assert main([command[0], path, *command[1:]]) == USAGE
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "K >= 1" in err
+    assert err.startswith(f"usage error: cannot read {path}: ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
-
-
-def test_bench_rejects_nonpositive_max_steps(capsys):
-    assert main(["bench", "fib(3)", "--max-steps", "0"]) == USAGE
-    err = capsys.readouterr().err
-    assert err == "usage error: --max-steps must be positive\n"
 
 
 UNITS = "symbol a; symbol 0; symbol +;\nrule + 0 $p --> $p with + $p 0 --> $p;\n"

@@ -1,6 +1,5 @@
 import pytest
 
-from rwtree.corpus import FIB_RULES
 from rwtree.dtree import (
     BinCl,
     BinNl,
@@ -23,7 +22,7 @@ from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule
 from rwtree.syntax import parse_file, print_term
 from rwtree.terms import MetaApp, fresh_var, symb
 
-from genlib import RuleSampler
+from genlib import FIB_RULES, RuleSampler
 
 
 def pvar(name, *args):

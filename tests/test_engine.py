@@ -1,6 +1,5 @@
 import pytest
 
-from rwtree.corpus import FIB_RULES
 from rwtree.dtree import Fail, Leaf, Store, Switch, iter_tree, trees_of_ruleset
 from rwtree.engine import (
     DivergenceError,
@@ -15,20 +14,27 @@ from rwtree.engine import (
     whnf,
 )
 from rwtree.patterns import Closure, match_patterns
-from rwtree.syntax import parse_file, parse_term, print_term
+from rwtree.syntax import Declaration, parse_file, parse_term, print_term
 from rwtree.terms import (
     Abst,
     App,
     MetaApp,
     alpha_eq,
     build_app,
-    free_vars,
     fresh_var,
     spine,
     symb,
 )
 
-from genlib import RuleSampler, linear_wildcard_arities, loop_rule
+from genlib import (
+    FIB_RULES,
+    REVNAT_RULES,
+    RuleSampler,
+    linear_wildcard_arities,
+    loop_rule,
+    nat_list,
+    numeral,
+)
 
 
 def lam(v, body):
@@ -74,24 +80,13 @@ def ctx_for(text, **kw):
 
 
 def term(text, ctx_text):
-    scope = {}
     src = parse_file(ctx_text)
-    for item in src.items:
-        pass
-    # collect declared symbols
-    from rwtree.syntax import Declaration
-
-    for item in src.items:
-        if isinstance(item, Declaration):
-            scope[item.name] = symb(item.name)
+    scope = {
+        item.name: symb(item.name)
+        for item in src.items
+        if isinstance(item, Declaration)
+    }
     return parse_term(text, scope)
-
-
-def numeral(k):
-    t = symb("0")
-    for _ in range(k):
-        t = App(symb("s"), t)
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +255,11 @@ def test_snf_under_binder():
     x = fresh_var("x")
     t = lam(x, build_app(symb("+"), [symb("0"), x]))
     out = snf(ctx, t, Steps(100))
-    assert alpha_eq(out, lam(fresh_var("y"), fresh_var("y")) if False else out)
     assert isinstance(out, Abst)
     assert out.body is out.var or alpha_eq(out.body, out.var)
 
 
 def test_snf_fib_10_is_55():
-    from rwtree.corpus import FIB_RULES
-
     ctx = ctx_for(FIB_RULES)
     ctxn = ctx_for(FIB_RULES, engine="naive")
     t = App(symb("fib"), numeral(10))
@@ -275,6 +267,30 @@ def test_snf_fib_10_is_55():
     got_naive = snf(ctxn, t, Steps(10**7))
     assert alpha_eq(got_tree, numeral(55))
     assert alpha_eq(got_naive, numeral(55))
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_rev_reverses_a_list(engine):
+    values = [(j % 5) + 1 for j in range(60)]
+    ctx = ctx_for(REVNAT_RULES, engine=engine)
+    steps = Steps(10**6)
+    out = snf(ctx, App(symb("rev"), nat_list(values)), steps)
+    assert alpha_eq(out, nat_list(values[::-1]))
+    assert steps.used == 61 + 60 * 61 // 2 == 1891
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RecursionError,
+    reason="tree matching and naive matching both recurse through whnf once "
+    "per list cell; see ROADMAP item 4",
+)
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_rev_of_a_deep_list_does_not_overflow(engine):
+    values = [(j % 5) + 1 for j in range(400)]
+    ctx = ctx_for(REVNAT_RULES, engine=engine)
+    out = snf(ctx, App(symb("rev"), nat_list(values)))
+    assert alpha_eq(out, nat_list(values[::-1]))
 
 
 def test_divergence_budget():

@@ -1,14 +1,15 @@
-import random
-
 import pytest
 
+from rwtree.engine import EvalContext
 from rwtree.patterns import (
     Closure,
     PatAbst,
     PatSymb,
     PatVar,
     Rule,
+    RuleSetError,
     apply_subst,
+    iter_pattern_vars,
     match_patterns,
     naive_rewrite_head,
     validate_rule,
@@ -78,6 +79,33 @@ def test_validate_arity_mismatch():
     )
     violations = validate_rule(rule)
     assert any("inconsistent arity" in v for v in violations)
+
+
+def test_from_rules_keeps_violations_of_rules_sharing_a_label():
+    rules = [
+        Rule("f", (pvar("x"),), MetaApp("y", ()), "f@1"),
+        Rule("f", (PatSymb("k"),), MetaApp("z", ()), "f@1"),
+        Rule("f", (pvar("x"),), MetaApp("w", ())),
+    ]
+    with pytest.raises(RuleSetError) as e:
+        EvalContext.from_rules(rules)
+    assert e.value.violations == {
+        "f@1": ["unbound rhs variable $y", "unbound rhs variable $z"],
+        "rule 3": ["unbound rhs variable $w"],
+    }
+
+
+def test_pattern_vars_come_in_preorder(rng):
+    # validate_rule and matrix.from_rules rely on the first occurrence of
+    # a name coming first
+    sampler = RuleSampler(rng)
+    seen = 0
+    for _ in range(300):
+        for rule in sampler.ruleset():
+            positions = [pos for _, pos, _ in iter_pattern_vars(rule.lhs_args)]
+            assert all(a < b for a, b in zip(positions, positions[1:]))
+            seen += len(positions)
+    assert seen > 1000
 
 
 # ---------------------------------------------------------------------------
