@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .dtree import to_dot, tree_stats, tree_text, trees_of_ruleset
-from .engine import DivergenceError, EvalContext, Steps, convertible, normalize
+from .engine import DivergenceError, EvalContext, Steps, convertible, snf, whnf
 from .patterns import RuleSetError
 from .syntax import (
     Assert,
@@ -118,9 +118,8 @@ def cmd_run(path: str, strategy: str, engine: str, max_steps: int) -> int:
     if max_steps < 1:
         raise UsageError("--max-steps must be positive")
     source = parse_file(_read(path))
-    ctx = EvalContext.from_rules(
-        source.rules, engine=engine, strategy=strategy, max_steps=max_steps
-    )
+    ctx = EvalContext.from_rules(source.rules, engine=engine, max_steps=max_steps)
+    normalize = snf if strategy == "snf" else whnf
     for item in source.items:
         if isinstance(item, Compute):
             result = normalize(ctx, item.term, Steps(max_steps))

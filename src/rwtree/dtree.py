@@ -14,7 +14,11 @@ is never forced only to be stored.
 
 Compilation reduces a clause matrix step by step; ``choose_action`` picks
 each step by one fixed rule, which switches on the column with the most
-heads.  The inspection helpers all take a node's children from ``_edges``.
+heads.  The compiler says where something is only by position: the matrix
+carries the position of each column, and the compile state maps each saved
+position to its store slot and each opened abstraction, named by its
+position, to its index in the binder snapshot.  The inspection helpers all
+take a node's children from ``_edges``.
 """
 from __future__ import annotations
 
@@ -24,9 +28,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from .matrix import (
     ClauseMatrix,
-    ClauseRow,
-    ClKey,
     ConstraintKey,
+    Occurrence,
     cond_fail,
     cond_succ,
     from_rules,
@@ -35,7 +38,14 @@ from .matrix import (
     specialise,
     swap_columns,
 )
-from .patterns import PatAbst, PatSymb, PatVar, Rule, SubstitutionError
+from .patterns import (
+    PatAbst,
+    PatSymb,
+    PatVar,
+    Rule,
+    SubstitutionError,
+    validate_rules,
+)
 from .terms import Abst, App, MetaApp, Position, Prod, Term, Var, subst
 
 
@@ -101,6 +111,9 @@ class BinNl(DTree):
     succ: DTree
     slots: tuple[int, int]
     fail: DTree
+    # per slot, indices into its binder snapshot selecting the formals; the
+    # k-th formals of the two are renamed to one variable before comparing
+    formals: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(slots=True)
@@ -176,9 +189,10 @@ def _builder(t: Term, env) -> Optional[Builder]:
 
 @dataclass(slots=True)
 class CompileState:
-    positions: tuple[Position, ...]
-    store_size: int = 0
+    # store slot of each saved position
     slot_of: dict[Position, int] = field(default_factory=dict)
+    # snapshot index of each opened abstraction, named by its position
+    binder_of: dict[Position, int] = field(default_factory=dict)
 
 
 Action = Union[
@@ -192,7 +206,7 @@ def _pending_positions(m: ClauseMatrix) -> set[Position]:
     out: set[Position] = set()
     for row in m.rows:
         for pair in row.nl:
-            out |= pair
+            out.update(pos for pos, _ in pair)
         for pos, _ in row.cl:
             out.add(pos)
         for pos, _ in row.env.values():
@@ -202,21 +216,19 @@ def _pending_positions(m: ClauseMatrix) -> set[Position]:
 
 def _solvable_keys(m: ClauseMatrix, st: CompileState) -> list[tuple[str, ConstraintKey]]:
     done = st.slot_of
-    cl: set[ClKey] = set()
-    nl: set[frozenset] = set()
-    for row in m.rows:
-        for entry in row.cl:
-            if entry[0] in done:
-                key = row.cl_key(entry)
-                if key is not None:
-                    cl.add(key)
-        for pair in row.nl:
-            if all(p in done for p in pair):
-                nl.add(pair)
+    cl = {key for row in m.rows for key in row.cl if key[0] in done}
+    nl = {
+        pair
+        for row in m.rows
+        for pair in row.nl
+        if all(pos in done for pos, _ in pair)
+    }
+    # the abstractions of one cl key all enclose its position, so sorting
+    # them by position sorts them in the order they were opened
     out: list[tuple[str, ConstraintKey]] = [
-        ("solve_cl", k) for k in sorted(cl, key=lambda k: (k.pos, sorted(k.slots)))
+        ("solve_cl", k) for k in sorted(cl, key=lambda k: (k[0], sorted(k[1])))
     ]
-    out += [("solve_nl", k) for k in sorted(nl, key=lambda k: sorted(k))]
+    out += [("solve_nl", k) for k in sorted(nl, key=sorted)]
     return out
 
 
@@ -229,28 +241,30 @@ def _constraints_touching(m: ClauseMatrix, pos: Position) -> int:
     count = 0
     for row in m.rows:
         for pair in row.nl:
-            count += sum(1 for p in pair if p[:n] == pos)
+            count += sum(1 for p, _ in pair if p[:n] == pos)
         for p, _ in row.cl:
             if p[:n] == pos:
                 count += 1
     return count
 
 
-def _unstored_column(st: CompileState, wanted: set[Position]) -> Optional[Action]:
-    for i, pos in enumerate(st.positions):
+def _unstored_column(
+    m: ClauseMatrix, st: CompileState, wanted: set[Position]
+) -> Optional[Action]:
+    for i, pos in enumerate(m.positions):
         if pos in wanted and pos not in st.slot_of:
             return ("store", i + 1)
     return None
 
 
-def _best_structural_column(m: ClauseMatrix, st: CompileState) -> Optional[int]:
+def _best_structural_column(m: ClauseMatrix) -> Optional[int]:
     best = None
     best_key = None
-    for i in range(m.width):
+    for i, pos in enumerate(m.positions):
         heads = _column_heads(m, i)
         if heads == 0:
             continue
-        key = (-heads, _constraints_touching(m, st.positions[i]), i)
+        key = (-heads, _constraints_touching(m, pos), i)
         if best_key is None or key < best_key:
             best_key = key
             best = i + 1
@@ -272,25 +286,23 @@ def choose_action(m: ClauseMatrix, st: CompileState) -> Action:
         if row.nl or row.cl or any(type(p) is not PatVar for p in row.patterns):
             continue
         needed = {pos for pos, _ in row.env.values()}
-        return _unstored_column(st, needed) or ("yield", k)
-    col = _best_structural_column(m, st)
+        return _unstored_column(m, st, needed) or ("yield", k)
+    col = _best_structural_column(m)
     if col is not None:
         return ("specialize", col)
     solvable = _solvable_keys(m, st)
     if solvable:
         return solvable[0]
-    action = _unstored_column(st, _pending_positions(m))
+    action = _unstored_column(m, st, _pending_positions(m))
     if action is None:
         raise AssertionError("no action applies to a nonempty matrix")
     return action
 
 
-def _make_leaf(row: ClauseRow, st: CompileState) -> Leaf:
-    env = {}
-    for name, (pos, formals) in row.env.items():
-        slot = st.slot_of[pos]
-        env[name] = (slot, tuple(row.binder_index[v.vid] for v in formals))
-    return Leaf(row.rhs, env)
+def _slot_selector(st: CompileState, occ: Occurrence) -> tuple[int, tuple[int, ...]]:
+    """Store slot and snapshot selector of a pattern-variable occurrence."""
+    pos, formals = occ
+    return st.slot_of[pos], tuple(st.binder_of[at] for at in formals)
 
 
 def compile_matrix(m: ClauseMatrix) -> DTree:
@@ -301,7 +313,7 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
     that consumes it, after head normalisation, or by a Store when no
     Switch inspects it.
     """
-    return _compile(m, CompileState(tuple((i,) for i in range(1, m.width + 1))))
+    return _compile(m, CompileState())
 
 
 def _compile(m: ClauseMatrix, st: CompileState) -> DTree:
@@ -309,51 +321,40 @@ def _compile(m: ClauseMatrix, st: CompileState) -> DTree:
         return FAIL
     kind, arg = choose_action(m, st)
     if kind == "yield":
-        return _make_leaf(m.rows[arg], st)
+        row = m.rows[arg]
+        env = {name: _slot_selector(st, occ) for name, occ in row.env.items()}
+        return Leaf(row.rhs, env)
     if kind == "solve_nl":
-        key = arg
-        a, b = sorted(key)
-        slots = (st.slot_of[a], st.slot_of[b])
-        slots = (min(slots), max(slots))
-        return BinNl(
-            _compile(cond_succ(key, m), st),
-            slots,
-            _compile(cond_fail(key, m), st),
-        )
+        (i, sel_i), (j, sel_j) = sorted(_slot_selector(st, occ) for occ in arg)
+        succ, fail = _compile(cond_succ(arg, m), st), _compile(cond_fail(arg, m), st)
+        return BinNl(succ, (i, j), fail, (sel_i, sel_j))
     if kind == "solve_cl":
-        key = arg
+        pos, allowed = arg
         return BinCl(
-            _compile(cond_succ(key, m), st),
-            st.slot_of[key.pos],
-            tuple(sorted(key.slots)),
-            _compile(cond_fail(key, m), st),
+            _compile(cond_succ(arg, m), st),
+            st.slot_of[pos],
+            tuple(sorted(st.binder_of[at] for at in allowed)),
+            _compile(cond_fail(arg, m), st),
         )
     i = arg
     if kind == "store":
-        return Store(_compile(m, _stored(st, i)), i)
+        return Store(_compile(m, _stored(st, m.positions[i - 1])), i)
     # "specialize": bring column i to the front first
     if i == 1:
         return _compile_front(m, st)
-    m = swap_columns(m, i)
-    ps = list(st.positions)
-    ps[0], ps[i - 1] = ps[i - 1], ps[0]
-    st = CompileState(tuple(ps), st.store_size, st.slot_of)
-    return Swap(i, _compile_front(m, st))
+    return Swap(i, _compile_front(swap_columns(m, i), st))
 
 
-def _stored(st: CompileState, i: int) -> CompileState:
-    """State after saving column ``i`` (1-based) in the next store slot."""
-    pos = st.positions[i - 1]
-    return CompileState(
-        st.positions, st.store_size + 1, {**st.slot_of, pos: st.store_size}
-    )
+def _stored(st: CompileState, pos: Position) -> CompileState:
+    """State after saving ``pos`` in the next store slot."""
+    return CompileState({**st.slot_of, pos: len(st.slot_of)}, st.binder_of)
 
 
 def _compile_front(m: ClauseMatrix, st: CompileState) -> DTree:
-    pos = st.positions[0]
+    pos = m.positions[0]
     store = pos not in st.slot_of and pos in _pending_positions(m)
     if store:
-        st = _stored(st, 1)
+        st = _stored(st, pos)
 
     sym_keys = sorted(
         {
@@ -362,28 +363,22 @@ def _compile_front(m: ClauseMatrix, st: CompileState) -> DTree:
             if type(p := row.patterns[0]) is PatSymb
         }
     )
-    has_lam = any(type(row.patterns[0]) is PatAbst for row in m.rows)
-    has_wild = any(type(row.patterns[0]) is PatVar for row in m.rows)
-    rest = st.positions[1:]
-
-    sym_cases = {}
-    for name, argc in sym_keys:
-        sub_positions = tuple(pos + (j,) for j in range(1, argc + 1)) + rest
-        sub_st = CompileState(sub_positions, st.store_size, st.slot_of)
-        sym_cases[(name, argc)] = _compile(specialise(name, argc, m), sub_st)
-    lam_case = None
-    if has_lam:
-        sub_st = CompileState((pos + (1,),) + rest, st.store_size, st.slot_of)
-        lam_case = _compile(spec_lambda(m), sub_st)
-    default_case = None
-    if has_wild:
-        sub_st = CompileState(rest, st.store_size, st.slot_of)
-        default_case = _compile(spec_default(m), sub_st)
+    sym_cases = {
+        (name, argc): _compile(specialise(name, argc, m), st) for name, argc in sym_keys
+    }
+    lam_case = default_case = None
+    if any(type(row.patterns[0]) is PatAbst for row in m.rows):
+        opened = CompileState(st.slot_of, {**st.binder_of, pos: len(st.binder_of)})
+        lam_case = _compile(spec_lambda(m), opened)
+    if any(type(row.patterns[0]) is PatVar for row in m.rows):
+        default_case = _compile(spec_default(m), st)
     return Switch(sym_cases, lam_case, default_case, store)
 
 
 def trees_of_ruleset(rules: Sequence[Rule]) -> dict[tuple[str, int], DTree]:
-    """Compile one tree per (head symbol, left-hand-side arity) group."""
+    """Validate the rules, raising RuleSetError, then compile one tree per
+    (head symbol, left-hand-side arity) group."""
+    validate_rules(rules)
     groups: dict[tuple[str, int], list[Rule]] = {}
     for r in rules:
         groups.setdefault((r.head, r.arity), []).append(r)
@@ -453,6 +448,11 @@ def _label(node: DTree) -> str:
     return "switch store" if node.store else "switch"
 
 
+def _saved_text(slot: int, selector: tuple[int, ...]) -> str:
+    """A store slot, with the snapshot indices of its formals if any."""
+    return f"s{slot}[{','.join(map(str, selector))}]" if selector else f"s{slot}"
+
+
 def tree_text(tree: DTree, print_rhs=repr) -> str:
     """Indented text rendering, deterministic."""
     lines: list[str] = []
@@ -464,15 +464,14 @@ def tree_text(tree: DTree, print_rhs=repr) -> str:
             binds = ""
             if node.env:
                 binds = " {" + ", ".join(
-                    f"${n}<-s{slot}"
-                    + (f"[{','.join(map(str, sel))}]" if sel else "")
+                    f"${n}<-{_saved_text(slot, sel)}"
                     for n, (slot, sel) in sorted(node.env.items())
                 ) + "}"
             text = f"leaf {print_rhs(node.rhs)}{binds}"
         elif t is Fail:
             text = "fail"
         elif t is BinNl:
-            text = "eq? s{} s{}".format(*node.slots)
+            text = "eq? {} {}".format(*map(_saved_text, node.slots, node.formals))
         elif t is BinCl:
             text = f"closed? s{node.slot} within [{','.join(map(str, node.allowed))}]"
         else:
@@ -501,7 +500,8 @@ def to_dot(tree: DTree, print_rhs=repr) -> str:
         elif t is Fail:
             attrs = 'label="x", shape=ellipse'
         elif t is BinNl:
-            attrs = 'label="s{} = s{} ?"'.format(*node.slots)
+            sides = map(_saved_text, node.slots, node.formals)
+            attrs = 'label="{} = {} ?"'.format(*sides)
         elif t is BinCl:
             sel = ",".join(map(str, node.allowed))
             attrs = f'label="fv(s{node.slot}) in [{sel}] ?"'

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from . import dtree as dt
 from .dtree import DTree, trees_of_ruleset
-from .patterns import Rule, naive_rewrite_head, validate_rules
+from .patterns import Rule, naive_rewrite_head, shared_formals
 from .terms import (
     Abst,
     App,
@@ -52,8 +52,6 @@ from .terms import (
     subst,
 )
 
-WHNF = "whnf"
-SNF = "snf"
 CONVERTIBLE = "convertible"
 ALPHA = "alpha"
 TREE = "tree"
@@ -94,13 +92,13 @@ class Steps:
 
 @dataclass(slots=True)
 class EvalContext:
-    """Immutable evaluation setup: compiled trees, rules, strategy, budget."""
+    """Immutable evaluation setup: compiled trees, rules, budget, equality
+    and engine."""
 
     trees: dict[tuple[str, int], DTree]
     rules_by_head: dict[str, list[Rule]]
     tree_arities: dict[str, tuple[int, ...]]  # descending
     defined: frozenset[str]  # heads of rules, the same for both engines
-    strategy: str = SNF
     max_steps: int = 10**8
     equality: str = CONVERTIBLE
     engine: str = TREE
@@ -111,11 +109,10 @@ class EvalContext:
         rules: Sequence[Rule],
         *,
         engine: str = TREE,
-        strategy: str = SNF,
         max_steps: int = 10**8,
         equality: str = CONVERTIBLE,
     ) -> "EvalContext":
-        validate_rules(rules)
+        """Raises RuleSetError when a rule fails validation."""
         by_head: dict[str, list[Rule]] = {}
         for r in rules:
             by_head.setdefault(r.head, []).append(r)
@@ -130,7 +127,6 @@ class EvalContext:
             tree_arities={
                 h: tuple(sorted(a, reverse=True)) for h, a in arities.items()
             },
-            strategy=strategy,
             max_steps=max_steps,
             equality=equality,
             engine=engine,
@@ -264,10 +260,6 @@ def snf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
     return out[0]
 
 
-def normalize(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
-    return snf(ctx, t, steps) if ctx.strategy == SNF else whnf(ctx, t, steps)
-
-
 def convertible(
     ctx: EvalContext, t: Term, u: Term, steps: Optional[Steps] = None
 ) -> bool:
@@ -396,7 +388,13 @@ def eval_tree(
             return instantiate(node, store)
         if tn is dt.BinNl:
             i, j = node.slots
-            ok = equal_terms(ctx, store[i][0], store[j][0], steps)
+            (a, snap_a), (b, snap_b) = store[i], store[j]
+            sel_a, sel_b = node.formals
+            if sel_a:
+                a, b = shared_formals(
+                    a, [snap_a[k] for k in sel_a], b, [snap_b[k] for k in sel_b]
+                )
+            ok = equal_terms(ctx, a, b, steps)
             if trace is not None:
                 trace.append(("nl", (i, j), ok))
             node = node.succ if ok else node.fail

@@ -112,7 +112,9 @@ Substitution = dict[str, Closure]
 
 
 def iter_pattern_vars(pats: Sequence[Pattern]):
-    """Yield (pattern-var, position, binders-in-scope) over a pattern vector.
+    """Yield (pattern-var, position, scope) over a pattern vector; the scope
+    pairs each enclosing binder with the position of its abstraction,
+    outermost first.
 
     Positions are sequence positions: component one selects the argument,
     the rest descends into it.  Preorder, so positions come in increasing
@@ -129,7 +131,7 @@ def iter_pattern_vars(pats: Sequence[Pattern]):
             for j in range(len(q.args), 0, -1):
                 stack.append((q.args[j - 1], pos + (j,), scope))
         else:  # PatAbst
-            stack.append((q.body, pos + (1,), scope + (q.var,)))
+            stack.append((q.body, pos + (1,), scope + ((q.var, pos),)))
 
 
 def rhs_meta_occurrences(t: Term):
@@ -148,7 +150,7 @@ def validate_rule(rule: Rule) -> list[str]:
     arities: dict[str, int] = {}
 
     for pv, pos, scope in iter_pattern_vars(rule.lhs_args):
-        scope_ids = {v.vid for v in scope}
+        scope_ids = {v.vid for v, _ in scope}
         seen: set[int] = set()
         for a in pv.args:
             if a.vid in seen:
@@ -202,6 +204,20 @@ def _fmt(pos: tuple[int, ...]) -> str:
     return ".".join(map(str, pos)) if pos else "e"
 
 
+def shared_formals(
+    t: Term, t_formals: Sequence[Var], u: Term, u_formals: Sequence[Var]
+) -> tuple[Term, Term]:
+    """``t`` and ``u`` with the k-th formal of each renamed to one shared
+    fresh variable: two occurrences of a non-linear pattern variable under
+    different binders are compared this way, so ``$v[x]`` matched against
+    ``c x`` and ``$v[y]`` against ``c y`` agree."""
+    shared = [fresh_var(v.name) for v in t_formals]
+    return (
+        subst(t, {v.vid: z for v, z in zip(t_formals, shared)}),
+        subst(u, {v.vid: z for v, z in zip(u_formals, shared)}),
+    )
+
+
 _NO_BINDERS: frozenset[int] = frozenset()
 
 
@@ -218,8 +234,10 @@ def match_patterns(
     The hooks make the matcher usable both as a purely syntactic relation
     (defaults) and as the reference for an engine that matches modulo
     reduction: ``whnf`` head-normalizes a subject before a structural
-    pattern inspects it, ``equal`` decides the repeated-variable condition,
-    and ``fv_normalize`` is applied before the variable-occurrence check.
+    pattern inspects it, ``equal`` decides the repeated-variable condition
+    (on the two occurrences with their formals renamed alike, see
+    ``shared_formals``), and ``fv_normalize`` is applied before the
+    variable-occurrence check.
 
     Returns the substitution mapping each named pattern variable to a
     closure over its bound-variable arguments, or None on failure.
@@ -246,6 +264,8 @@ def match_patterns(
                     return False
             prev = sub.get(p.name)
             if prev is not None:
+                if imgs:
+                    return equal(*shared_formals(prev.body, prev.formals, t, imgs))
                 return equal(prev.body, t)
             sub[p.name] = Closure(imgs, t)
             return True

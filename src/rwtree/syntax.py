@@ -24,14 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .patterns import (
-    PatAbst,
-    PatSymb,
-    PatVar,
-    Pattern,
-    Rule,
-    validate_rules,
-)
+from .patterns import PatAbst, PatSymb, PatVar, Pattern, Rule
 from .terms import (
     KIND,
     TYPE,
@@ -49,9 +42,10 @@ from .terms import (
     symb,
 )
 
-_DELIMS = set("()[],;:.$\\")
-_LAM_CHARS = {"\\", "λ"}
-_ARROWS = {"-->", "↪"}
+# the kind of each one-character token, and of the words that are not names
+_SINGLE = {c: c for c in "()[],;:.$"}
+_SINGLE |= {"\\": "lam", "λ": "lam", "Π": "pi", "↪": "arrow"}
+_WORDS = {"-->": "arrow", "==": "eqeq"}
 _KEYWORDS = {"symbol", "rule", "with", "compute", "assert"}
 
 
@@ -93,48 +87,26 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
+        if c == "/" and text.startswith("//", i):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        start_col = col
-        if c in _LAM_CHARS:
-            toks.append(Token("lam", c, line, start_col))
+        kind = _SINGLE.get(c)
+        if kind is not None:
+            toks.append(Token(kind, c, line, col))
             i += 1
             col += 1
             continue
-        if c == "Π":
-            toks.append(Token("pi", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == "↪":
-            toks.append(Token("arrow", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c in _DELIMS:
-            toks.append(Token(c, c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        j = i
+        j = i + 1
         while j < n:
             d = text[j]
-            if d.isspace() or d in _DELIMS or d in _LAM_CHARS or d in "Π↪":
-                break
-            if d == "/" and j + 1 < n and text[j + 1] == "/":
+            if d.isspace() or d in _SINGLE or (d == "/" and text.startswith("//", j)):
                 break
             j += 1
         word = text[i:j]
+        toks.append(Token(_WORDS.get(word, "word"), word, line, col))
         col += j - i
         i = j
-        if word in _ARROWS:
-            toks.append(Token("arrow", word, line, start_col))
-        elif word == "==":
-            toks.append(Token("eqeq", word, line, start_col))
-        else:
-            toks.append(Token("word", word, line, start_col))
     toks.append(Token("eof", "", line, col))
     return toks
 
@@ -388,16 +360,14 @@ def term_to_pattern(t: Term, line: int, col: int) -> Pattern:
     return PatSymb(head.name, tuple(term_to_pattern(a, line, col) for a in args))
 
 
-def parse_file(text: str, scope: Optional[dict[str, Term]] = None) -> SourceFile:
-    """Parse and validate a source file.
+def parse_file(text: str) -> SourceFile:
+    """Parse a source file.
 
-    Raises ParseError for syntax, ScopeError for undeclared identifiers and
-    RuleSetError when a rule fails validation.
+    Raises ParseError for syntax and ScopeError for undeclared identifiers.
+    The rules are validated where they are compiled
+    (``dtree.trees_of_ruleset``).
     """
-    parser = _Parser(tokenize(text), scope or {})
-    source = parser.file()
-    validate_rules(source.rules)
-    return source
+    return _Parser(tokenize(text), {}).file()
 
 
 def parse_term(text: str, scope: dict[str, Term], meta: bool = False) -> Term:

@@ -11,7 +11,17 @@ from __future__ import annotations
 import random
 
 from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule, validate_rule
-from rwtree.terms import Abst, App, MetaApp, Term, Var, build_app, fresh_var, symb
+from rwtree.terms import (
+    Abst,
+    App,
+    MetaApp,
+    Term,
+    Var,
+    build_app,
+    fresh_var,
+    subst,
+    symb,
+)
 
 FIB_RULES = """
 symbol 0; symbol s; symbol +; symbol fib;
@@ -170,24 +180,26 @@ class RuleSampler:
     def instance_of(self, rule: Rule) -> list[Term]:
         """Arguments likely to match: instantiate the rule's own patterns.
 
-        Repeated zero-argument variables reuse one closed term so that
+        A repeated variable reuses the body built at its first occurrence,
+        with that occurrence's formals renamed to its own, so that
         non-linear rules fire often enough to exercise both branches.
         """
-        memo: dict[str, Term] = {}
+        memo: dict[str, tuple[tuple[Var, ...], Term]] = {}
 
         def fill(p) -> Term:
             if type(p) is PatVar:
-                if p.name is not None and not p.args and p.name in memo:
-                    return memo[p.name]
+                if p.name in memo:
+                    formals, t = memo[p.name]
+                    return subst(t, {f.vid: a for f, a in zip(formals, p.args)})
                 t = self.subject_term(1, p.args)
-                if p.name is not None and not p.args:
-                    memo[p.name] = t
+                if p.name is not None:
+                    memo[p.name] = (p.args, t)
                 return t
             if type(p) is PatSymb:
                 return build_app(symb(p.symbol), [fill(a) for a in p.args])
             v = fresh_var(p.var.name)
             body = fill(p.body)
-            return Abst(v, None, _swap_binder(body, p.var, v))
+            return Abst(v, None, subst(body, {p.var.vid: v}))
 
         return [fill(p) for p in rule.lhs_args]
 
@@ -221,8 +233,3 @@ def linear_wildcard_arities(rules: list[Rule], head: str) -> set[int]:
             out.add(r.arity)
     return out
 
-
-def _swap_binder(t: Term, old: Var, new: Var) -> Term:
-    from rwtree.terms import subst
-
-    return subst(t, {old.vid: new})

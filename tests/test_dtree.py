@@ -49,7 +49,7 @@ def nonlinear_rule():
 
 
 def test_compile_empty_matrix_fails():
-    assert type(compile_matrix(ClauseMatrix((), 0))) is Fail
+    assert type(compile_matrix(ClauseMatrix((), ()))) is Fail
 
 
 def test_compile_example1_shape():
@@ -110,30 +110,31 @@ def test_compile_determinism():
 
 def test_choose_action_example1_picks_column_two():
     m = from_rules("f", example1_rules())
-    st = CompileState(((1,), (2,)))
-    assert choose_action(m, st) == ("specialize", 2)
+    assert m.positions == ((1,), (2,))
+    assert choose_action(m, CompileState()) == ("specialize", 2)
 
 
 def test_choose_action_yields_unconstrained_row():
     rule = Rule("k", (pvar(None), pvar(None)), symb("0"), "k")
     m = from_rules("k", [rule])
-    st = CompileState(((1,), (2,)))
-    assert choose_action(m, st) == ("yield", 0)
+    assert choose_action(m, CompileState()) == ("yield", 0)
 
 
 def test_choose_action_solves_nl_after_stores():
     m = from_rules("eq", [nonlinear_rule()])
-    st = CompileState(((1,), (2,)), 2, {(1,): 0, (2,): 1})
+    st = CompileState(slot_of={(1,): 0, (2,): 1})
     kind, key = choose_action(m, st)
     assert kind == "solve_nl"
-    assert key == frozenset({(1,), (2,)})
+    # one (position, formals) occurrence per side
+    assert key == frozenset({((1,), ()), ((2,), ())})
 
 
 def test_choose_action_forces_store_for_env():
     rule = Rule("id", (pvar("x"),), MetaApp("x", ()), "id")
     m = from_rules("id", [rule])
-    st = CompileState(((1,),))
-    assert choose_action(m, st) == ("store", 1)
+    assert choose_action(m, CompileState()) == ("store", 1)
+    st = CompileState(slot_of={(1,): 0})
+    assert choose_action(m, st) == ("yield", 0)
     tree = compile_matrix(m)
     assert type(tree) is Store and type(tree.child) is Leaf
 
@@ -167,42 +168,42 @@ def test_trees_example1_single_group():
 # structural invariants on random rule sets
 
 
-def _switch_children(node):
-    out = list(node.sym_cases.values())
-    if node.lam_case is not None:
-        out.append(node.lam_case)
-    if node.default_case is not None:
-        out.append(node.default_case)
-    return out
-
-
 def test_store_indices_bounded_on_random_rulesets(rng):
+    # every store slot is below the number of saves on the path, and every
+    # binder index below the number of lambda cases taken on it
     sampler = RuleSampler(rng)
     for _ in range(150):
         rules = sampler.ruleset()
         for tree in trees_of_ruleset(rules).values():
-            todo = [(tree, 0)]
+            todo = [(tree, 0, 0)]
             while todo:
-                node, stores = todo.pop()
+                node, stores, lambdas = todo.pop()
                 t = type(node)
                 if t is Store:
-                    todo.append((node.child, stores + 1))
+                    todo.append((node.child, stores + 1, lambdas))
                 elif t is Swap:
-                    todo.append((node.child, stores))
+                    todo.append((node.child, stores, lambdas))
                 elif t is Switch:
                     below = stores + node.store
-                    todo.extend((c, below) for c in _switch_children(node))
+                    todo.extend((c, below, lambdas) for c in node.sym_cases.values())
+                    if node.lam_case is not None:
+                        todo.append((node.lam_case, below, lambdas + 1))
+                    if node.default_case is not None:
+                        todo.append((node.default_case, below, lambdas))
                 elif t is BinNl:
                     assert max(node.slots) < stores
-                    todo.append((node.succ, stores))
-                    todo.append((node.fail, stores))
+                    assert all(k < lambdas for sel in node.formals for k in sel)
+                    todo.append((node.succ, stores, lambdas))
+                    todo.append((node.fail, stores, lambdas))
                 elif t is BinCl:
                     assert node.slot < stores
-                    todo.append((node.succ, stores))
-                    todo.append((node.fail, stores))
+                    assert all(k < lambdas for k in node.allowed)
+                    todo.append((node.succ, stores, lambdas))
+                    todo.append((node.fail, stores, lambdas))
                 elif t is Leaf:
-                    for slot, _sel in node.env.values():
+                    for slot, sel in node.env.values():
                         assert slot < stores
+                        assert all(k < lambdas for k in sel)
 
 
 def test_compile_deterministic_on_random_rulesets(rng):
@@ -237,7 +238,7 @@ def test_switch_completeness_on_random_rulesets(rng):
 
 
 def test_dot_fail_node():
-    dot = to_dot(compile_matrix(ClauseMatrix((), 0)))
+    dot = to_dot(compile_matrix(ClauseMatrix((), ())))
     assert dot.startswith("digraph")
     assert '"x"' in dot
 

@@ -8,7 +8,6 @@ from rwtree.engine import (
     convertible,
     eval_tree,
     instantiate,
-    normalize,
     rewrite_head,
     snf,
     whnf,
@@ -338,6 +337,36 @@ def test_eq_stuck_on_distinct_values():
     assert head is symb("eq")
 
 
+HO_NONLINEAR = r"""
+symbol f; symbol g; symbol c; symbol a; symbol id; symbol yes;
+rule id $z --> $z;
+rule f (\x, $v[x]) (\y, $v[y]) --> yes;
+rule g (\x, \y, $v[x,y]) (\a, \b, $v[b,a]) --> yes;
+"""
+
+
+@pytest.mark.parametrize("equality", ["convertible", "alpha"])
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_nonlinear_variable_with_formals_is_compared_up_to_its_binders(
+    engine, equality
+):
+    # the occurrences of $v are compared with the k-th formal of each
+    # renamed to one shared variable: in the first case both are \z, c z
+    ctx = ctx_for(HO_NONLINEAR, engine=engine, equality=equality)
+
+    def run(text):
+        return print_term(snf(ctx, term(text, HO_NONLINEAR), Steps(1000)))
+
+    assert run(r"f (\x, c x) (\y, c y)") == "yes"
+    assert run(r"f (\x, c a) (\y, c a)") == "yes"
+    stuck = [r"f (\x, c x) (\y, c a)", r"g (\x, \y, c x y) (\a, \b, c a b)"]
+    assert [run(t) for t in stuck] == stuck
+    assert run(r"g (\x, \y, c x y) (\a, \b, c b a)") == "yes"
+    # equal only once the body under the binder is reduced
+    reduced = "yes" if equality == "convertible" else r"f (\x, c x) (\y, c y)"
+    assert run(r"f (\x, c x) (\y, c (id y))") == reduced
+
+
 # ---------------------------------------------------------------------------
 # higher-order suite
 
@@ -488,8 +517,8 @@ def test_wildcard_row_does_not_force_other_column():
     src = FIB_RULES + "symbol loop;\nrule loop --> loop;\n"
     t = term("+ (s 0) loop", src)
     for engine in ("tree", "naive"):
-        ctx = ctx_for(src, engine=engine, strategy="whnf", max_steps=10_000)
-        out = normalize(ctx, t, Steps(10_000))
+        ctx = ctx_for(src, engine=engine, max_steps=10_000)
+        out = whnf(ctx, t, Steps(10_000))
         assert print_term(out) == "s (+ 0 loop)"
 
 
@@ -644,10 +673,10 @@ def test_tree_does_not_force_column_first_row_ignores():
     rule f b $y --> r1 with f $x a --> r2 with f $x c --> r3;
     """
     t = term("f b loop", src)
-    naive = ctx_for(src, engine="naive", strategy="whnf", max_steps=10_000)
-    assert normalize(naive, t, Steps(10_000)) is symb("r1")
-    ctx = ctx_for(src, engine="tree", strategy="whnf", max_steps=10_000)
-    assert normalize(ctx, t, Steps(10_000)) is symb("r1")
+    naive = ctx_for(src, engine="naive", max_steps=10_000)
+    assert whnf(naive, t, Steps(10_000)) is symb("r1")
+    ctx = ctx_for(src, engine="tree", max_steps=10_000)
+    assert whnf(ctx, t, Steps(10_000)) is symb("r1")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from rwtree.matrix import (
     spec_default,
     spec_lambda,
     specialise,
+    swap_columns,
 )
 from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule, WILDCARD
 from rwtree.terms import MetaApp, fresh_var, symb
@@ -35,20 +36,34 @@ def constraint_example_rules():
     return [r1, r2, r3], x
 
 
+# the repeated-variable key of $x at 1 and at 2, neither under a binder
+NL_12 = frozenset({((1,), ()), ((2,), ())})
+
+
 def test_from_rules_constraint_encoding():
     rules, x = constraint_example_rules()
     m = from_rules("f", rules)
     row1, row2, row3 = m.rows
-    assert row1.cl == frozenset({((2, 1, 1), (x,))})
+    # $g[x] at 2.1.1 may use only the binder of the abstraction at 2
+    assert row1.cl == frozenset({((2, 1, 1), frozenset({(2,)}))})
     assert row1.nl == frozenset()
-    assert row2.nl == frozenset({frozenset({(1,), (2,)})})
+    assert row2.nl == frozenset({NL_12})
     assert row2.cl == frozenset()
     assert row3.nl == frozenset() and row3.cl == frozenset()
-    # constrained and named variables are erased to wildcards
-    assert row2.patterns == (WILDCARD, WILDCARD)
-    inner = row1.patterns[1]
-    assert type(inner) is PatAbst and type(inner.body) is PatAbst
-    assert inner.body.body == WILDCARD
+    # rows keep the rule patterns; the compiler reads only their shape
+    assert [row.patterns for row in m.rows] == [r.lhs_args for r in rules]
+    assert m.positions == ((1,), (2,))
+
+
+def test_from_rules_names_formals_by_abstraction_position():
+    # f (\x, \y, $v[y,x]) $w --> $v[a,b]: the formals of $v are the
+    # binders of the abstractions at 1.1 and 1, in argument order
+    x, y = fresh_var("x"), fresh_var("y")
+    lhs = (PatAbst(x, PatAbst(y, pvar("v", y, x))), pvar("w"))
+    rule = Rule("f", lhs, MetaApp("v", (symb("a"), symb("b"))), "r")
+    (row,) = from_rules("f", [rule]).rows
+    assert row.env == {"v": ((1, 1, 1), ((1, 1), (1,)))}
+    assert row.cl == frozenset()
 
 
 def test_from_rules_example1_env():
@@ -67,7 +82,7 @@ def test_from_rules_single_addition_rule():
     rule = Rule("+", (psym("0"), pvar("m")), MetaApp("m", ()), "add0")
     m = from_rules("+", [rule])
     (row,) = m.rows
-    assert row.patterns == (psym("0"), WILDCARD)
+    assert row.patterns == (psym("0"), pvar("m"))
     assert row.nl == frozenset() and row.cl == frozenset()
     assert row.env == {"m": ((2,), ())}
 
@@ -111,7 +126,7 @@ def decomposition_matrix():
             source="4",
         ),
     )
-    return ClauseMatrix(rows, 2), x4
+    return ClauseMatrix(rows, ((1,), (2,))), x4
 
 
 def test_specialise_golden():
@@ -120,7 +135,7 @@ def test_specialise_golden():
     assert [row.source for row in out.rows] == ["1", "3"]
     assert out.rows[0].patterns == (pvar("x"), psym("q"))
     assert out.rows[1].patterns == (WILDCARD, psym("r"))
-    assert out.width == 2
+    assert out.positions == ((1, 1), (2,))
 
 
 def test_spec_lambda_golden():
@@ -130,9 +145,8 @@ def test_spec_lambda_golden():
     assert out.rows[0].patterns == (WILDCARD, psym("r"))
     assert out.rows[1].patterns[0] == pvar("x", x4)
     assert type(out.rows[1].patterns[1]) is PatAbst
-    assert out.width == 2
-    assert out.depth == m.depth + 1
-    assert out.rows[1].binder_index == {x4.vid: 0}
+    # the body takes the abstraction's place, one level down
+    assert out.positions == ((1, 1), (2,))
 
 
 def test_spec_default_golden():
@@ -140,21 +154,23 @@ def test_spec_default_golden():
     out = spec_default(m)
     assert [row.source for row in out.rows] == ["3"]
     assert out.rows[0].patterns == (psym("r"),)
-    assert out.width == 1
+    assert out.positions == ((2,),)
 
 
 def test_specialise_no_matching_symbol():
     m, _ = decomposition_matrix()
     out = specialise("zzz", 0, m)
     assert [row.source for row in out.rows] == ["3"]  # only the wildcard row
-    out2 = spec_default(ClauseMatrix((m.rows[0], m.rows[1]), 2))
+    out2 = spec_default(ClauseMatrix((m.rows[0], m.rows[1]), m.positions))
     assert out2.rows == ()
+    assert out2.positions == ((2,),)
 
 
 def test_specialise_unrolls_nested_application():
     row = ClauseRow((psym("c", psym("c", WILDCARD)),), rhs=symb("r"))
-    out = specialise("c", 1, ClauseMatrix((row,), 1))
+    out = specialise("c", 1, ClauseMatrix((row,), ((3, 2),)))
     assert out.rows[0].patterns == (psym("c", WILDCARD),)
+    assert out.positions == ((3, 2, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +180,7 @@ def test_specialise_unrolls_nested_application():
 def test_cond_succ_removes_pair():
     rules, _ = constraint_example_rules()
     m = from_rules("f", rules)
-    key = frozenset({(1,), (2,)})
-    out = cond_succ(key, m)
+    out = cond_succ(NL_12, m)
     assert out.rows[1].nl == frozenset()
     assert [row.source for row in out.rows] == ["r1", "r2", "r3"]
 
@@ -173,15 +188,22 @@ def test_cond_succ_removes_pair():
 def test_cond_fail_drops_constrained_row():
     rules, _ = constraint_example_rules()
     m = from_rules("f", rules)
-    key = frozenset({(1,), (2,)})
-    out = cond_fail(key, m)
+    out = cond_fail(NL_12, m)
     assert [row.source for row in out.rows] == ["r1", "r3"]
+
+
+def test_cond_succ_and_fail_take_a_cl_key_the_same_way():
+    rules, _ = constraint_example_rules()
+    m = from_rules("f", rules)
+    key = ((2, 1, 1), frozenset({(2,)}))
+    assert [row.cl for row in cond_succ(key, m).rows] == [frozenset()] * 3
+    assert [row.source for row in cond_fail(key, m).rows] == ["r2", "r3"]
 
 
 def test_cond_succ_no_constraints_is_identity():
     rule = Rule("+", (psym("0"), pvar("m")), MetaApp("m", ()), "add0")
     m = from_rules("+", [rule])
-    out = cond_succ(frozenset({(1,), (2,)}), m)
+    out = cond_succ(NL_12, m)
     assert [r.patterns for r in out.rows] == [r.patterns for r in m.rows]
     assert [r.nl for r in out.rows] == [r.nl for r in m.rows]
 
@@ -189,9 +211,9 @@ def test_cond_succ_no_constraints_is_identity():
 def test_cond_succ_idempotent():
     rules, _ = constraint_example_rules()
     m = from_rules("f", rules)
-    key = frozenset({(1,), (2,)})
-    once = cond_succ(key, m)
-    twice = cond_succ(key, once)
+    once = cond_succ(NL_12, m)
+    assert once.rows[1].nl == frozenset()
+    twice = cond_succ(NL_12, once)
     assert [r.nl for r in once.rows] == [r.nl for r in twice.rows]
     assert [r.cl for r in once.rows] == [r.cl for r in twice.rows]
 
@@ -218,8 +240,22 @@ def test_row_partition():
 
 
 def test_width_arithmetic():
+    # one position per column after every operator; swap moves the
+    # position with its column
     m, _ = decomposition_matrix()
-    assert specialise("r", 1, m).width == m.width - 1 + 1
-    assert specialise("r", 0, m).width == m.width - 1
-    assert spec_lambda(m).width == m.width
-    assert spec_default(m).width == m.width - 1
+    outs = [
+        specialise("r", 1, m),
+        specialise("r", 0, m),
+        spec_lambda(m),
+        spec_default(m),
+        swap_columns(m, 2),
+    ]
+    for out in outs:
+        assert all(len(row.patterns) == len(out.positions) for row in out.rows)
+    assert specialise("r", 2, m).positions == ((1, 1), (1, 2), (2,))
+    assert specialise("r", 0, m).positions == ((2,),)
+    swapped = swap_columns(m, 2)
+    assert swapped.positions == ((2,), (1,))
+    assert [row.patterns[0] for row in swapped.rows] == [
+        row.patterns[1] for row in m.rows
+    ]

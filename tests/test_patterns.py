@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from rwtree import patterns
 from rwtree.engine import EvalContext
 from rwtree.patterns import (
     Closure,
@@ -25,7 +28,9 @@ from rwtree.terms import (
     symb,
 )
 
-from genlib import RuleSampler
+from rwtree.syntax import parse_file
+
+from genlib import FIB_RULES, RuleSampler
 
 
 def lam(v, body):
@@ -93,6 +98,19 @@ def test_from_rules_keeps_violations_of_rules_sharing_a_label():
         "f@1": ["unbound rhs variable $y", "unbound rhs variable $z"],
         "rule 3": ["unbound rhs variable $w"],
     }
+
+
+def test_each_rule_is_validated_once(monkeypatch):
+    # parse_file only parses; trees_of_ruleset, which from_rules reaches,
+    # validates
+    validated = []
+    real = patterns.validate_rule
+    monkeypatch.setattr(
+        patterns, "validate_rule", lambda r: validated.append(r) or real(r)
+    )
+    rules = parse_file(FIB_RULES).rules
+    EvalContext.from_rules(rules)
+    assert validated == rules and len(rules) == 7
 
 
 def test_pattern_vars_come_in_preorder(rng):
@@ -340,6 +358,21 @@ def _pattern_as_rhs(p, sub):
 
 class _SkipPattern(Exception):
     pass
+
+
+def test_every_genlib_rule_matches_its_own_instance():
+    # instance_of reuses a repeated variable's body with its formals
+    # renamed, so every rule matches its instance, the non-linear ones in
+    # a variable with formals included (seed 69's f0 is
+    # f (\u, k2 $z[u] $z[u]))
+    checked = 0
+    for seed in range(400):
+        sampler = RuleSampler(random.Random(seed))
+        for rule in sampler.ruleset():
+            args = sampler.instance_of(rule)
+            assert match_patterns(rule.lhs_args, args) is not None, (seed, rule)
+            checked += 1
+    assert checked > 1000
 
 
 def test_round_trip_skip_wildcards(rng):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwtree.dtree import trees_of_ruleset
 from rwtree.patterns import PatAbst, PatSymb, PatVar, RuleSetError
 from rwtree.syntax import (
     Assert,
@@ -144,8 +145,10 @@ def test_parse_pattern_variable_arguments():
 
 
 def test_parse_rejects_unbound_rhs_variable():
+    # parse_file only parses; the rules are validated where they compile
+    src = parse_file("symbol f;\nrule f $x --> $y;")
     with pytest.raises(RuleSetError):
-        parse_file("symbol f;\nrule f $x --> $y;")
+        trees_of_ruleset(src.rules)
 
 
 def test_parse_rejects_bare_binder_in_pattern():
@@ -181,14 +184,16 @@ def test_wildcard_in_lhs_ok_rhs_rejected():
     src = parse_file("symbol f; symbol k;\nrule f _ --> k;")
     assert isinstance(src.rules[0].lhs_args[0], PatVar)
     assert src.rules[0].lhs_args[0].name is None
+    src = parse_file("symbol f; symbol k;\nrule f $x --> _;")
     with pytest.raises(RuleSetError):
-        parse_file("symbol f; symbol k;\nrule f $x --> _;")
+        trees_of_ruleset(src.rules)
 
 
 def test_rules_sharing_a_label_keep_every_violation():
     # both rules of the block are labelled f@2
+    src = parse_file("symbol f; symbol k;\nrule f $x --> $y with f k --> $z;")
     with pytest.raises(RuleSetError) as e:
-        parse_file("symbol f; symbol k;\nrule f $x --> $y with f k --> $z;")
+        trees_of_ruleset(src.rules)
     assert e.value.violations == {
         "f@2": ["unbound rhs variable $y", "unbound rhs variable $z"]
     }
