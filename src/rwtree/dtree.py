@@ -122,6 +122,10 @@ class BinCl(DTree):
     slot: int
     allowed: tuple[int, ...]  # snapshot indices
     fail: DTree
+    # snapshot indices of the binders that enclose the slot's position and
+    # are not allowed; only these are rejected, since the binder of a
+    # sibling abstraction may occur free in the saved term
+    restricted: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +334,17 @@ def _compile(m: ClauseMatrix, st: CompileState) -> DTree:
         return BinNl(succ, (i, j), fail, (sel_i, sel_j))
     if kind == "solve_cl":
         pos, allowed = arg
+        restricted = sorted(
+            k
+            for at, k in st.binder_of.items()
+            if at not in allowed and len(at) < len(pos) and pos[: len(at)] == at
+        )
         return BinCl(
             _compile(cond_succ(arg, m), st),
             st.slot_of[pos],
             tuple(sorted(st.binder_of[at] for at in allowed)),
             _compile(cond_fail(arg, m), st),
+            tuple(restricted),
         )
     i = arg
     if kind == "store":

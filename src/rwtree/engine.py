@@ -14,7 +14,14 @@ normal form of every argument it forced back into the argument list, so
 instead of reducing the same arguments again.  The result of ``whnf`` may
 therefore differ from the naive engine's in arguments that only a failed
 match reduced; the two are convertible.  In convertibility mode the
-constraint checks compare or inspect fully normalized terms.
+constraint checks compare or inspect fully normalized terms, and a
+right-hand side is built from the normal form a closedness check passed on.
+
+Both matchers open a subject abstraction in place: they go on with its own
+body and record its own binder, and rename it to a fresh variable, with a
+substitution walk, only when a binder opened on the path already has its
+identity (shadowing).  So the naive engine's rules all match the same body
+objects, and its per-attempt whnf memo and the stuck mark below see them.
 
 No term is matched twice in one evaluation once it is known to be stuck.
 The evaluation's ``Steps`` marks, by identity, every term whose rewrite
@@ -318,7 +325,10 @@ def eval_tree(
     marked stuck, only if it does not exist yet) before dispatching on the
     head, and a symbol case pushes the arguments straight from the
     normalisation stack.  Store saves a stack entry unevaluated without
-    popping.  Every saved term comes with the binders opened so far.  When
+    popping.  A lambda case opens the abstraction in place: it pushes the
+    body itself and records the abstraction's own binder, renamed to a fresh
+    variable only when a binder opened on this path already has its
+    identity.  Every saved term comes with the binders opened so far.  When
     matching fails, each entry of ``args`` that a Switch head-normalised is
     replaced by its normal form, so the caller keeps that work.
     """
@@ -351,12 +361,16 @@ def eval_tree(
                     node = child
                     continue
             elif th is Abst and node.lam_case is not None:
-                v2 = fresh_var(head.var.name)
-                body = subst(head.body, {head.var.vid: v2})
+                var, body = head.var, head.body
+                # shadowed: under a shared name the inner binder would pass
+                # for the outer one in the snapshot
+                if var in binders:
+                    var = fresh_var(var.name)
+                    body = subst(body, {head.var.vid: var})
                 if trace is not None:
                     trace.append(("switch", "lambda"))
                 stack.append(body)
-                binders += (v2,)
+                binders += (var,)
                 node = node.lam_case
                 continue
             if node.default_case is not None:
@@ -402,11 +416,12 @@ def eval_tree(
         if tn is dt.BinCl:
             term, snapshot = store[node.slot]
             if ctx.equality == CONVERTIBLE:
+                # build from the normal form the check passed on: the raw
+                # term may mention a binder that only reduction drops
                 term = snf(ctx, term, steps)
+                store[node.slot] = (term, snapshot)
             fv = free_vars(term)
-            snap_ids = [v.vid for v in snapshot]
-            allowed = {snap_ids[k] for k in node.allowed}
-            ok = (fv & set(snap_ids)) <= allowed
+            ok = not any(snapshot[k].vid in fv for k in node.restricted)
             if trace is not None:
                 trace.append(("cl", node.slot, ok))
             node = node.succ if ok else node.fail

@@ -237,7 +237,13 @@ def match_patterns(
     pattern inspects it, ``equal`` decides the repeated-variable condition
     (on the two occurrences with their formals renamed alike, see
     ``shared_formals``), and ``fv_normalize`` is applied before the
-    variable-occurrence check.
+    variable-occurrence check; a variable whose check normalised its term
+    is bound to that normal form.
+
+    A subject abstraction is opened in place: its own body is matched under
+    its own binder, renamed to a fresh variable only when a binder opened on
+    this path already has its identity.  So every rule tried on the same
+    arguments sees the same body objects.
 
     Returns the substitution mapping each named pattern variable to a
     closure over its bound-variable arguments, or None on failure.
@@ -259,8 +265,11 @@ def match_patterns(
             # otherwise
             restricted = vset - {v.vid for v in imgs}
             if restricted:
-                t1 = fv_normalize(t) if fv_normalize is not None else t
-                if free_vars(t1) & restricted:
+                # keep the normal form the check passed on: the raw term
+                # may mention a binder that only reduction drops
+                if fv_normalize is not None:
+                    t = fv_normalize(t)
+                if free_vars(t) & restricted:
                     return False
             prev = sub.get(p.name)
             if prev is not None:
@@ -281,9 +290,13 @@ def match_patterns(
         # PatAbst: the domain of the subject abstraction is ignored
         if type(t) is not Abst:
             return False
-        v2 = fresh_var(t.var.name)
-        body = subst(t.body, {t.var.vid: v2})
-        return go(p.body, body, vset | {v2.vid}, {**bmap, p.var.vid: v2})
+        var, body = t.var, t.body
+        # shadowed: under a shared name the inner binder would pass for the
+        # outer one in bmap and in the closedness check
+        if var.vid in vset:
+            var = fresh_var(var.name)
+            body = subst(body, {t.var.vid: var})
+        return go(p.body, body, vset | {var.vid}, {**bmap, p.var.vid: var})
 
     for p, t in zip(pats, terms):
         if not go(p, t, _NO_BINDERS, {}):

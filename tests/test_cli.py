@@ -62,3 +62,19 @@ def test_whnf_output_keeps_what_a_failed_match_reduced(tmp_path, capsys):
     same.write_text(UNITS + f"assert {printed['tree']} == {printed['naive']};\n")
     for engine in ("tree", "naive"):
         assert main(["run", str(same), "--engine", engine]) == 0
+
+
+@pytest.mark.parametrize("strategy", ["whnf", "snf"])
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_closed_after_reduction_builds_from_the_normal_form(
+    engine, strategy, tmp_path, capsys
+):
+    # (\y, k) x is closed only once reduced; the raw term would leave x
+    # unbound in the result
+    src = tmp_path / "leak.rw"
+    src.write_text(
+        "symbol f; symbol g; symbol k;\nrule f (\\x, $c) --> g $c;\n"
+        "compute f (\\x, (\\y, k) x);\n"
+    )
+    assert main(["run", str(src), "--engine", engine, "--strategy", strategy]) == 0
+    assert capsys.readouterr().out.strip() == "g k"

@@ -93,6 +93,7 @@ def test_compile_closedness_rule():
     cls = [n for n in nodes if type(n) is BinCl]
     assert len(cls) == 1
     assert cls[0].allowed == ()  # no binder admitted
+    assert cls[0].restricted == (0,)
     assert type(cls[0].succ) is Leaf
     assert type(cls[0].fail) is Fail
 
@@ -197,7 +198,8 @@ def test_store_indices_bounded_on_random_rulesets(rng):
                     todo.append((node.fail, stores, lambdas))
                 elif t is BinCl:
                     assert node.slot < stores
-                    assert all(k < lambdas for k in node.allowed)
+                    assert all(k < lambdas for k in node.allowed + node.restricted)
+                    assert not set(node.allowed) & set(node.restricted)
                     todo.append((node.succ, stores, lambdas))
                     todo.append((node.fail, stores, lambdas))
                 elif t is Leaf:

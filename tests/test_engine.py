@@ -367,6 +367,47 @@ def test_nonlinear_variable_with_formals_is_compared_up_to_its_binders(
     assert run(r"f (\x, c x) (\y, c (id y))") == reduced
 
 
+SHADOWING = r"""
+symbol f; symbol g; symbol h; symbol k; symbol yes;
+rule f (\x, \y, $u[x]) --> yes;
+rule h (\x, \y, $u[x, y]) --> g (\a, \b, $u[a, b]);
+"""
+
+
+@pytest.mark.parametrize("equality", ["convertible", "alpha"])
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_shadowing_binder_is_opened_under_a_new_name(engine, equality):
+    # \x, \x, k x with one shared x: the inner x must not pass the
+    # closedness check as the outer formal, and $u[x, y] must see k y
+    ctx = ctx_for(SHADOWING, engine=engine, equality=equality)
+    x = fresh_var("x")
+    shadowed = lam(x, lam(x, App(symb("k"), x)))
+
+    def run(head):
+        return print_term(snf(ctx, App(symb(head), shadowed), Steps(100)))
+
+    assert run("f") == r"f (\x, \x', k x')"
+    assert run("h") == r"g (\a, \b, k b)"
+
+
+SIBLING = r"""
+symbol f; symbol g; symbol c; symbol yes;
+rule f (\a, $u[a]) (\b, $w) --> yes;
+rule g $t --> \z, f $t (\b, z);
+"""
+
+
+@pytest.mark.parametrize("equality", ["convertible", "alpha"])
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_sibling_binder_may_occur_free_in_a_closed_argument(engine, equality):
+    # snf reaches f (\z, f c (\b, z)) (\b, z) under the outer \z, with one
+    # shared z: the z free in the second argument is the outer binder, which
+    # the closedness check of $w must not reject as the first argument's
+    ctx = ctx_for(SIBLING, engine=engine, equality=equality)
+    t = term("g (g c)", SIBLING)
+    assert print_term(snf(ctx, t, Steps(100))) == r"\z, yes"
+
+
 # ---------------------------------------------------------------------------
 # higher-order suite
 
@@ -476,9 +517,13 @@ def test_oracle_agreement_sample(rng):
             assert not cands, f"tree missed a match: {cands[0][0]}"
         else:
             applied += 1
-            assert any(alpha_eq(res, cand) for _, cand in cands), (
-                f"tree result not produced by any rule"
-            )
+            # semantics (d): a failed tree match keeps the head normal forms
+            # it computed, so the tree's result may be only convertible to
+            # the rule's
+            assert any(
+                alpha_eq(res, cand) or convertible(ctx_n, res, cand, Steps(10**6))
+                for _, cand in cands
+            ), "tree result not produced by any rule"
     assert applied > 60
 
 
@@ -846,3 +891,52 @@ def test_stuck_mark_belongs_to_one_context(engine):
     assert whnf(ctx_a, t, Steps(100)) is t
     assert snf(ctx_b, t, Steps(100)) == symb("a")
     assert whnf(ctx_b, t, Steps(100)) == symb("a")
+
+
+# ---------------------------------------------------------------------------
+# opening an abstraction in place
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_opening_a_binder_copies_nothing(engine, monkeypatch):
+    # the matched body is the subject's own: no renaming walk, no new name
+    import rwtree.dtree as dtm
+    import rwtree.engine as eng
+    import rwtree.patterns as pat
+    import rwtree.terms as terms
+
+    src = r"symbol f; symbol k; symbol yes; rule f (\x, k $u[x]) --> yes;"
+    ctx = ctx_for(src, engine=engine)
+    subject = term(r"\x, k x", src)
+    calls = [
+        counting(monkeypatch, module, name)
+        for module in (terms, eng, pat, dtm)
+        for name in ("subst", "fresh_var")
+        if hasattr(module, name)
+    ]
+    assert rewrite_head(ctx, "f", [subject], Steps(100)) is symb("yes")
+    assert [len(c) for c in calls] == [0] * len(calls)
+
+
+def _hol_rules():
+    import runpy
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    return runpy.run_path(str(path))["HOL_RULES"]
+
+
+def test_every_rule_of_d_sees_one_body():
+    # each rule of d opens the same abstraction; with the body shared, the
+    # naive engine's whnf memo and stuck mark reduce + x 0 once, not once per
+    # rule (11 steps when each rule matched its own copy)
+    rules = _hol_rules()
+    t = term(r"d (\x, * 1 (sin (+ x 0)))", rules)
+    used, printed = {}, set()
+    for engine in ("tree", "naive"):
+        steps = Steps(1000)
+        printed.add(print_term(snf(ctx_for(rules, engine=engine), t, steps)))
+        used[engine] = steps.used
+    assert printed == {r"\x, * (cos x) (d (\x', x') x)"}
+    assert used == {"tree": 5, "naive": 8}
+    assert used["naive"] < 11
