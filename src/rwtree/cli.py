@@ -30,6 +30,18 @@ class UsageError(Exception):
     pass
 
 
+# what main reports for each failure: the stderr prefix the message follows,
+# and the exit code; a RecursionError's own message names no input
+_FAILURES = (
+    (UsageError, "usage error", USAGE),
+    (ParseError, "parse error", PARSE),
+    (ScopeError, "scope error", VALIDATION),
+    (RuleSetError, "validation error", VALIDATION),
+    (DivergenceError, "divergence", DIVERGENCE),
+    (RecursionError, "input too deep", TOO_DEEP),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -57,37 +69,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return USAGE
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "check":
             return cmd_check(args.file)
         if args.command == "run":
             return cmd_run(args.file, args.strategy, args.engine, args.max_steps)
         if args.command == "tree":
             return cmd_tree(args.file, args.symbol, args.arity, args.dot)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return USAGE
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return PARSE
-    except ScopeError as e:
-        print(f"scope error: {e}", file=sys.stderr)
-        return VALIDATION
-    except RuleSetError as e:
-        print(f"validation error: {e}", file=sys.stderr)
-        return VALIDATION
-    except DivergenceError as e:
-        print(f"divergence: {e}", file=sys.stderr)
-        return DIVERGENCE
-    except RecursionError:
-        print("input too deep: nesting exceeds the recursion limit", file=sys.stderr)
-        return TOO_DEEP
+    except tuple(cls for cls, _, _ in _FAILURES) as e:
+        prefix, code = next((p, c) for cls, p, c in _FAILURES if isinstance(e, cls))
+        detail = e
+        if isinstance(e, RecursionError):
+            detail = "nesting exceeds the recursion limit"
+        print(f"{prefix}: {detail}", file=sys.stderr)
+        return code
     raise AssertionError("unreachable")
 
 

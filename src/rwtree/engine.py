@@ -224,7 +224,7 @@ def snf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
     are fine."""
     if steps is None:
         steps = Steps(ctx.max_steps)
-    EXPAND, BUILD_APP, BUILD_ABST, BUILD_PROD = 0, 1, 2, 3
+    EXPAND, BUILD_APP, BUILD_BINDER = 0, 1, 2
     work: list[tuple[int, object]] = [(EXPAND, t)]
     out: list[Term] = []
     while work:
@@ -237,15 +237,11 @@ def snf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
             # the head is normal: the stack held every argument it could
             # have been rewritten with
             tx = type(x)
-            if tx is Abst:
-                work.append((BUILD_ABST, (x.var, x.domain is not None)))
-                work.append((EXPAND, x.body))
+            if tx is Abst or tx is Prod:
+                work.append((BUILD_BINDER, (tx, x.var, x.domain is not None)))
+                work.append((EXPAND, x.body if tx is Abst else x.codomain))
                 if x.domain is not None:
                     work.append((EXPAND, x.domain))
-            elif tx is Prod:
-                work.append((BUILD_PROD, x.var))
-                work.append((EXPAND, x.codomain))
-                work.append((EXPAND, x.domain))
             elif tx is MetaApp:
                 raise TermError("rhs-only construct reached the evaluator")
             else:
@@ -255,15 +251,11 @@ def snf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
             parts = out[-n:]
             del out[-n:]
             out.append(build_app(parts[0], parts[1:]))
-        elif tag == BUILD_ABST:
-            var, has_domain = x
+        else:  # BUILD_BINDER
+            binder, var, has_domain = x
             body = out.pop()
             domain = out.pop() if has_domain else None
-            out.append(Abst(var, domain, body))
-        else:  # BUILD_PROD
-            codomain = out.pop()
-            domain = out.pop()
-            out.append(Prod(x, domain, codomain))
+            out.append(binder(var, domain, body))
     return out[0]
 
 

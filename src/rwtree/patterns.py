@@ -333,18 +333,13 @@ def apply_subst(sub: Substitution, rhs: Term) -> Term:
         f2 = apply_subst(sub, rhs.fn)
         a2 = apply_subst(sub, rhs.arg)
         return rhs if (f2 is rhs.fn and a2 is rhs.arg) else App(f2, a2)
-    if tr is Abst:
+    if tr is Abst or tr is Prod:
+        body = rhs.body if tr is Abst else rhs.codomain
         d2 = apply_subst(sub, rhs.domain) if rhs.domain is not None else None
-        b2 = apply_subst(sub, rhs.body)
-        if d2 is rhs.domain and b2 is rhs.body:
+        b2 = apply_subst(sub, body)
+        if d2 is rhs.domain and b2 is body:
             return rhs
-        return Abst(rhs.var, d2, b2)
-    if tr is Prod:
-        d2 = apply_subst(sub, rhs.domain)
-        c2 = apply_subst(sub, rhs.codomain)
-        if d2 is rhs.domain and c2 is rhs.codomain:
-            return rhs
-        return Prod(rhs.var, d2, c2)
+        return tr(rhs.var, d2, b2)
     return rhs  # Var, Symb, Sort
 
 

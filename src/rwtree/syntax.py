@@ -417,26 +417,18 @@ def print_term(t: Term) -> str:
             work.append((x.fn, _HEAD, names))
             if ctx == _ARG:
                 work.append("(")
-        elif tx is Abst:
+        elif tx is Abst or tx is Prod:
             name = _pick_name(x.var, names, reserved)
-            names2 = {**names, x.var.vid: name}
+            body = x.body if tx is Abst else x.codomain
             close = ctx != _TOP
             if close:
                 work.append(")")
-            work.append((x.body, _TOP, names2))
-            work.append(f"\\{name}, ")
-            if close:
-                work.append("(")
-        elif tx is Prod:
-            name = _pick_name(x.var, names, reserved)
-            names2 = {**names, x.var.vid: name}
-            close = ctx != _TOP
-            if close:
-                work.append(")")
-            work.append((x.codomain, _TOP, names2))
+            work.append((body, _TOP, {**names, x.var.vid: name}))
             work.append(", ")
-            work.append((x.domain, _DOMAIN, names))
-            work.append(f"Π{name} : ")
+            if x.domain is not None:
+                work.append((x.domain, _DOMAIN, names))
+                work.append(" : ")
+            work.append(("\\" if tx is Abst else "Π") + name)
             if close:
                 work.append("(")
         elif tx is MetaApp:

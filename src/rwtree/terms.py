@@ -8,6 +8,12 @@ single piece of mutable global state (itertools.count, atomic under the GIL).
 The traversals that routinely see very deep terms (unary numerals, long
 lists) are written iteratively so they do not depend on the interpreter
 recursion limit.
+
+Π (``Prod``) is inert in this untyped engine: no rule matches it and no step
+reduces it, so it is an abstraction that always has a domain.  Every walk
+handles both binders in one case: it reads the body as ``body`` or
+``codomain``, treats the domain as optional and rebuilds with
+``type(x)(var, domain, body)``.
 """
 from __future__ import annotations
 
@@ -153,13 +159,11 @@ def free_vars(t: Term) -> set[int]:
         elif tx is App:
             todo.append((x.fn, bound))
             todo.append((x.arg, bound))
-        elif tx is Abst:
+        elif tx is Abst or tx is Prod:
             if x.domain is not None:
                 todo.append((x.domain, bound))
-            todo.append((x.body, bound | {x.var.vid}))
-        elif tx is Prod:
-            todo.append((x.domain, bound))
-            todo.append((x.codomain, bound | {x.var.vid}))
+            body = x.body if tx is Abst else x.codomain
+            todo.append((body, bound | {x.var.vid}))
         elif tx is MetaApp:
             raise RhsOnlyError("rhs-only construct: pattern variable in term")
         # Symb and Sort contribute nothing
@@ -194,34 +198,21 @@ def subst(t: Term, bindings: dict[int, Term]) -> Term:
             f2 = go(x.fn, m)
             a2 = go(x.arg, m)
             return x if (f2 is x.fn and a2 is x.arg) else App(f2, a2)
-        if tx is Abst:
+        if tx is Abst or tx is Prod:
+            body = x.body if tx is Abst else x.codomain
             d2 = go(x.domain, m) if x.domain is not None else None
             m2 = m
             if x.var.vid in m2:
                 m2 = {k: u for k, u in m2.items() if k != x.var.vid}
             if not m2:
-                return x if d2 is x.domain else Abst(x.var, d2, x.body)
+                return x if d2 is x.domain else tx(x.var, d2, body)
             if x.var.vid in value_fvs():
                 v2 = fresh_var(x.var.name)
-                b2 = go(x.body, {**m2, x.var.vid: v2})
-                return Abst(v2, d2, b2)
-            b2 = go(x.body, m2)
-            if b2 is x.body and d2 is x.domain:
+                return tx(v2, d2, go(body, {**m2, x.var.vid: v2}))
+            b2 = go(body, m2)
+            if b2 is body and d2 is x.domain:
                 return x
-            return Abst(x.var, d2, b2)
-        if tx is Prod:
-            d2 = go(x.domain, m)
-            m2 = m
-            if x.var.vid in m2:
-                m2 = {k: u for k, u in m2.items() if k != x.var.vid}
-            if m2 and x.var.vid in value_fvs():
-                v2 = fresh_var(x.var.name)
-                c2 = go(x.codomain, {**m2, x.var.vid: v2})
-                return Prod(v2, d2, c2)
-            c2 = go(x.codomain, m2) if m2 else x.codomain
-            if d2 is x.domain and c2 is x.codomain:
-                return x
-            return Prod(x.var, d2, c2)
+            return tx(x.var, d2, b2)
         if tx is MetaApp:
             args2 = tuple(go(a, m) for a in x.args)
             if all(a2 is a for a2, a in zip(args2, x.args)):
@@ -264,7 +255,7 @@ def alpha_eq(t: Term, u: Term) -> bool:
         elif ta is Sort:
             if a.kind != b.kind:
                 return False
-        elif ta is Abst:
+        elif ta is Abst or ta is Prod:
             if (a.domain is None) != (b.domain is None):
                 return False
             if a.domain is not None:
@@ -274,15 +265,10 @@ def alpha_eq(t: Term, u: Term) -> bool:
             el[a.var.vid] = k
             er = dict(envr)
             er[b.var.vid] = k
-            todo.append((a.body, b.body, el, er))
-        elif ta is Prod:
-            todo.append((a.domain, b.domain, envl, envr))
-            k = len(envl)
-            el = dict(envl)
-            el[a.var.vid] = k
-            er = dict(envr)
-            er[b.var.vid] = k
-            todo.append((a.codomain, b.codomain, el, er))
+            if ta is Abst:
+                todo.append((a.body, b.body, el, er))
+            else:
+                todo.append((a.codomain, b.codomain, el, er))
         elif ta is MetaApp:
             if a.name != b.name or len(a.args) != len(b.args):
                 return False
@@ -294,7 +280,11 @@ def alpha_eq(t: Term, u: Term) -> bool:
 
 
 def iter_nodes(t: Term) -> Iterator[Term]:
-    """Preorder walk over every node, ignoring binder structure."""
+    """Preorder walk over every node, ignoring binder structure.
+
+    A binder yields its domain, when it has one, before its body.  That holds
+    for a λ with a domain too, although the parser never builds one.
+    """
     todo = [t]
     while todo:
         x = todo.pop()
@@ -303,12 +293,9 @@ def iter_nodes(t: Term) -> Iterator[Term]:
         if tx is App:
             todo.append(x.arg)
             todo.append(x.fn)
-        elif tx is Abst:
+        elif tx is Abst or tx is Prod:
+            todo.append(x.body if tx is Abst else x.codomain)
             if x.domain is not None:
                 todo.append(x.domain)
-            todo.append(x.body)
-        elif tx is Prod:
-            todo.append(x.codomain)
-            todo.append(x.domain)
         elif tx is MetaApp:
             todo.extend(reversed(x.args))

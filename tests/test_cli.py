@@ -1,6 +1,14 @@
 import pytest
 
-from rwtree.cli import TOO_DEEP, USAGE, main
+from rwtree.cli import (
+    ASSERTION,
+    DIVERGENCE,
+    PARSE,
+    TOO_DEEP,
+    USAGE,
+    VALIDATION,
+    main,
+)
 
 
 def test_too_deep_input_exits_6_without_traceback(tmp_path, capsys):
@@ -78,3 +86,80 @@ def test_closed_after_reduction_builds_from_the_normal_form(
     )
     assert main(["run", str(src), "--engine", engine, "--strategy", strategy]) == 0
     assert capsys.readouterr().out.strip() == "g k"
+
+
+# Π is inert: no rule matches it and no step reduces it, but every walk that
+# goes under a binder must carry both its domain and its codomain
+PI = r"""symbol a; symbol b; symbol 0; symbol +; symbol f; symbol g; symbol h; symbol N : TYPE; symbol k : Π n : N, N;
+rule + 0 $p --> $p with + $p 0 --> $p;
+rule f $t --> Πx : $t, + x 0;
+rule g (\y, $u[y]) --> Πz : N, $u[z];
+rule h (\y, $u[y]) --> \w, Πy : $u[w], $u[y];
+compute Πx : + 0 a, + x 0;
+compute f (+ 0 b);
+compute g (\y, + y 0);
+compute (\y, Πx : y, x y) (+ 0 a);
+compute \x, (\y, Πx : N, y) x;
+compute h (\y, + y 0);
+compute (\y, \x, y) (Πx : N, x);
+assert Πx : a, x == Πy : a, y;
+assert (Πx : a, x) == Πx : + 0 a, + x 0;
+"""
+
+PI_PRINTED = {
+    "snf": [
+        "Πx : a, x",
+        "Πx : b, x",
+        "Πz : N, z",
+        "Πx : a, x a",
+        r"\x, Πx' : N, x",
+        r"\w, Πy : w, y",
+        r"\x, Πx' : N, x'",
+    ],
+    "whnf": [
+        "Πx : + 0 a, + x 0",
+        "Πx : + 0 b, + x 0",
+        "Πz : N, + z 0",
+        "Πx : + 0 a, x (+ 0 a)",
+        r"\x, (\y, Πx' : N, y) x",
+        r"\w, Πy : + w 0, + y 0",
+        r"\x, Πx' : N, x'",
+    ],
+}
+
+
+@pytest.mark.parametrize("strategy", ["whnf", "snf"])
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_products_are_normalised_substituted_and_printed(
+    engine, strategy, tmp_path, capsys
+):
+    src = tmp_path / "pi.rw"
+    src.write_text(PI, encoding="utf-8")
+    assert main(["run", str(src), "--engine", engine, "--strategy", strategy]) == 0
+    assert capsys.readouterr().out.splitlines() == PI_PRINTED[strategy]
+
+
+@pytest.mark.parametrize(
+    "source, extra, code, prefix",
+    [
+        ("symbol a;\ncompute (a;\n", [], PARSE, "parse error: "),
+        ("symbol a;\ncompute b;\n", [], VALIDATION, "scope error: "),
+        ("symbol f;\nrule f $x --> $y;\n", [], VALIDATION, "validation error: "),
+        ("symbol a; symbol b;\nassert a == b;\n", [], ASSERTION, "assertion failed"),
+        (
+            "symbol loop;\nrule loop --> loop;\ncompute loop;\n",
+            ["--max-steps", "1000"],
+            DIVERGENCE,
+            "divergence: ",
+        ),
+    ],
+    ids=["parse", "scope", "validation", "assertion", "divergence"],
+)
+def test_each_failure_exits_with_its_documented_code(
+    source, extra, code, prefix, tmp_path, capsys
+):
+    src = tmp_path / "fails.rw"
+    src.write_text(source)
+    assert main(["run", str(src), *extra]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "Traceback" not in err

@@ -18,9 +18,12 @@ from rwtree.terms import (
     Abst,
     App,
     MetaApp,
+    Var,
     alpha_eq,
     build_app,
+    free_vars,
     fresh_var,
+    iter_nodes,
     spine,
     symb,
 )
@@ -406,6 +409,29 @@ def test_a_sibling_binder_may_occur_free_in_a_closed_argument(engine, equality):
     ctx = ctx_for(SIBLING, engine=engine, equality=equality)
     t = term("g (g c)", SIBLING)
     assert print_term(snf(ctx, t, Steps(100))) == r"\z, yes"
+
+
+SHARED_BINDER = r"""
+symbol f; symbol g; symbol c;
+rule f $t --> \x, g $t x;
+"""
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_free_vars_tracks_scope_when_binders_are_shared(engine):
+    # the right-hand side builder reuses the rule's binder, so both
+    # abstractions of the result bind the same Var object; the outer body
+    # still has that variable free, which "variables minus binders" over
+    # iter_nodes would lose
+    ctx = ctx_for(SHARED_BINDER, engine=engine)
+    t = snf(ctx, term("f (f c)", SHARED_BINDER), Steps(100))
+    assert print_term(t) == r"\x, g (\x', g c x') x"
+    inner = spine(t.body)[1][0]
+    assert inner.var is t.var
+    assert free_vars(t.body) == {t.var.vid}
+    nodes = list(iter_nodes(t.body))
+    binders = {n.var.vid for n in nodes if type(n) is Abst}
+    assert {n.vid for n in nodes if type(n) is Var} - binders == set()
 
 
 # ---------------------------------------------------------------------------

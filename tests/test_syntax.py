@@ -214,6 +214,11 @@ def test_print_parenthesizes_arguments():
     assert s == "f (g a) (\\x, x)"
 
 
+def test_print_parenthesizes_products():
+    s = "f (Πx : g a, x) (Πy : (Πz : a, z), y) (\\x, Πy : x, y)"
+    assert print_term(parse_term(s, SCOPE)) == s
+
+
 def test_print_binder_collision_primed():
     # two distinct binders sharing a display name must not capture
     x1, x2 = fresh_var("x"), fresh_var("x")

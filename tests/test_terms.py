@@ -6,12 +6,14 @@ from rwtree.terms import (
     Abst,
     App,
     MetaApp,
+    Prod,
     RhsOnlyError,
     Var,
     alpha_eq,
     build_app,
     free_vars,
     fresh_var,
+    iter_nodes,
     subst,
     symb,
 )
@@ -42,6 +44,12 @@ def test_free_vars_mixed_scopes():
     assert free_vars(t) == {y.vid, x2.vid}
 
 
+def test_free_vars_product_binds_its_codomain_not_its_domain():
+    # Πx : y, x  where the domain y is free
+    x, y = fresh_var("x"), fresh_var("y")
+    assert free_vars(Prod(x, y, x)) == {y.vid}
+
+
 def test_free_vars_rejects_meta():
     with pytest.raises(RhsOnlyError):
         free_vars(MetaApp("v", ()))
@@ -65,6 +73,15 @@ def test_subst_capture_forces_rename():
     assert r.body is y
     z = fresh_var("z")
     assert alpha_eq(r, lam(z, y))
+
+
+def test_subst_renames_a_product_binder_that_would_capture():
+    # (Πy : x, x)[x := y]: the domain is outside the binder's scope
+    x, y = fresh_var("x"), fresh_var("y")
+    r = subst(Prod(y, x, x), {x.vid: y})
+    assert isinstance(r, Prod)
+    assert r.var.vid != y.vid  # fresh binder
+    assert r.domain is y and r.codomain is y
 
 
 def test_subst_duplicates_argument():
@@ -96,6 +113,13 @@ def test_alpha_eq_distinguishes_binders():
     x1, y1 = fresh_var("x"), fresh_var("y")
     x2, y2 = fresh_var("x"), fresh_var("y")
     assert not alpha_eq(lam(x1, lam(y1, x1)), lam(x2, lam(y2, y2)))
+
+
+def test_alpha_eq_products():
+    x, y = fresh_var("x"), fresh_var("y")
+    a = symb("a")
+    assert alpha_eq(Prod(x, a, x), Prod(y, a, y))
+    assert not alpha_eq(Prod(x, a, x), lam(x, x))
 
 
 def test_alpha_eq_symbols():
@@ -189,3 +213,11 @@ def test_iterative_traversals_handle_deep_terms():
     assert free_vars(t) == set()
     assert alpha_eq(t, t)
     assert subst(t, {}) is t
+
+
+def test_iter_nodes_yields_a_domain_before_its_body():
+    # terms compare by identity
+    x, a = fresh_var("x"), symb("a")
+    body = App(x, a)
+    t = Prod(x, a, body)
+    assert list(iter_nodes(t)) == [t, a, body, x, a]
