@@ -8,32 +8,26 @@ off the stack instead of unwinding the term again, and a symbol that heads
 no rule is never offered to a matcher.  A Switch head-normalizes the stack
 top before it inspects it, and stores that normal form when the tree asks
 for it; a Leaf builds its right-hand side with the builder compiled when
-the tree was.  A failed tree match keeps its work: it writes the head
-normal form of every argument it forced back into the argument list, so
-``whnf``, an enclosing Switch and ``snf`` start from the normal forms
-instead of reducing the same arguments again.  The result of ``whnf`` may
-therefore differ from the naive engine's in arguments that only a failed
-match reduced; the two are convertible.  In convertibility mode the
-constraint checks compare or inspect fully normalized terms, and a
-right-hand side is built from the normal form a closedness check passed on.
+the tree was.  In convertibility mode the constraint checks compare or
+inspect fully normalized terms, and a right-hand side is built from the
+normal form a closedness check passed on.
 
 Both matchers open a subject abstraction in place: they go on with its own
 body and record its own binder, and rename it to a fresh variable, with a
 substitution walk, only when a binder opened on the path already has its
-identity (shadowing).  So the naive engine's rules all match the same body
-objects, and its per-attempt whnf memo and the stuck mark below see them.
+identity (shadowing).  So the naive engine's rules all see the same body
+objects, and so does the record below.
 
-No term is matched twice in one evaluation once it is known to be stuck.
-The evaluation's ``Steps`` marks, by identity, every term whose rewrite
-attempt failed without changing an argument and every term built from a
-head-normal head and stack; ``whnf_stk`` returns a marked term without
-offering it to ``rewrite_head``.  The mark lives as long as the ``Steps``
-object, so nothing carries over from one evaluation, or one context, to
-the next.  Both engines share ``whnf_stk`` and so both use the mark.  For
-the naive engine this changes step counts, not results: its failed matches
-keep no work, so each repeat used to reduce the forced arguments again.
-On ``+ (… (+ (+ a 0) a) …) a`` with ``+ 0 $p --> $p`` and ``+ $p 0 --> $p``
-it now takes 2 steps at any depth, where it took one per level.
+A failed match keeps its work, and nothing else does.  Each evaluation's
+``Steps`` holds one record, ``hnf``, written only when a rewrite attempt
+fails: the term found stuck maps to itself, and every term the failed
+match head-normalised maps to its normal form.  ``whnf_stk`` reads it
+before it reduces a term, so a term whose match failed, and every term
+that match forced, is normalised at most once per evaluation under either
+engine; on ``+ (… (+ (+ a 0) a) …) a`` with ``+ 0 $p --> $p`` and
+``+ $p 0 --> $p`` both take 1 step at any depth.  A successful match
+records nothing, so the reduced terms of a long evaluation are not kept
+alive, and ``whnf`` returns a head-normal term as it is under either engine.
 """
 from __future__ import annotations
 
@@ -74,26 +68,26 @@ class DivergenceError(Exception):
 class Steps:
     """Per-evaluation rewrite-step budget; counts beta and rule steps.
 
-    It also carries the evaluation's stuck mark: ``stuck`` maps ``id(term)``
-    to every term found head-normal so far, and ``whnf_stk`` never offers a
-    marked term to ``rewrite_head`` again.  The value keeps the term alive,
-    so an id is never reused while the mark exists.  The mark lasts as long
-    as this object: one ``whnf``/``snf``/``convertible`` call and the calls
-    it makes, under one ``EvalContext``.  Do not share a ``Steps`` between
-    contexts."""
+    It also carries the evaluation's record of head normal forms: ``hnf``
+    maps ``id(t)`` to ``(t, head normal form of t)`` for every term that a
+    failed rewrite attempt found stuck (it maps to itself) or forced
+    (normalised while a match was tried).  ``whnf_stk`` reads it before it
+    reduces a term, so no such term is normalised twice.  The value keeps
+    the term alive, so an id is never reused while the record exists.  The
+    record lasts as long as this object: one ``whnf``/``snf``/``convertible``
+    call and the calls it makes, under one ``EvalContext``.  Do not share a
+    ``Steps`` between contexts."""
 
-    __slots__ = ("remaining", "used", "budget", "stuck")
+    __slots__ = ("used", "budget", "hnf")
 
     def __init__(self, budget: int):
         self.budget = budget
-        self.remaining = budget
         self.used = 0
-        self.stuck: dict[int, Term] = {}
+        self.hnf: dict[int, tuple[Term, Term]] = {}
 
     def tick(self):
-        self.remaining -= 1
         self.used += 1
-        if self.remaining < 0:
+        if self.used > self.budget:
             raise DivergenceError(self.budget)
 
 
@@ -146,21 +140,20 @@ class EvalContext:
 
 def whnf_stk(
     ctx: EvalContext, t: Term, steps: Steps
-) -> tuple[Term, list[Term], Optional[Term]]:
+) -> tuple[Term, list[Term], Term]:
     """Weak-head normalise ``t`` on an argument stack.
 
     Returns the head, its arguments as a stack (first argument last) and
-    the term that head and stack spell if that term already exists, else
-    None.  The head is never an application, and it is an abstraction only
-    when the stack is empty.  Only symbols in ``ctx.defined`` reach
-    ``rewrite_head``, and only when the term they head is not marked stuck
-    in ``steps.stuck``.  When the attempt fails and changes no argument,
-    that term is marked.  When it fails but head-normalised some of the
-    arguments, the stack holds those normal forms and the term returned is
-    None; whoever builds that term marks it.
+    the term that head and stack spell, built only if it does not exist
+    yet.  The head is never an application, and it is an abstraction only
+    when the stack is empty.  Before it takes a beta step or offers a term
+    to ``rewrite_head``, it looks the term up in ``steps.hnf`` and goes on
+    from the recorded normal form instead.  Only symbols in ``ctx.defined``
+    reach ``rewrite_head``; when the attempt fails, the term is recorded as
+    its own head normal form.
     """
     defined = ctx.defined
-    stuck = steps.stuck
+    hnf = steps.hnf
     stk: list[Term] = []
     whole: Optional[Term] = t  # what head and stk spell, when it exists
     while True:
@@ -168,53 +161,42 @@ def whnf_stk(
             stk.append(t.arg)
             t = t.fn
         tt = type(t)
-        if tt is Abst and stk:
+        if not (tt is Abst and stk or tt is Symb and t.name in defined):
+            break
+        if hnf and whole is not None and id(whole) in hnf:
+            nf = hnf[id(whole)][1]
+            if nf is whole:
+                break
+            t = whole = nf
+            stk = []
+            continue
+        if tt is Abst:
             steps.tick()
             t = subst(t.body, {t.var.vid: stk.pop()})
             whole = None if stk else t
             continue
-        if tt is Symb and t.name in defined:
-            if stuck and whole is not None and id(whole) in stuck:
-                return t, stk, whole
-            args = stk[::-1]
-            reduced = rewrite_head(ctx, t.name, args, steps)
-            if reduced is not None:
-                steps.tick()
-                t = whole = reduced
-                stk = []
-                continue
-            args.reverse()
-            if args != stk:  # terms compare by identity
-                stk = args
-                whole = None
-            elif whole is not None:
-                stuck[id(whole)] = whole
-        return t, stk, whole
-
-
-def _build_stuck(head: Term, stk: list[Term], stuck: dict[int, Term]) -> Term:
-    """The term a head-normal head and its argument stack spell, marked
-    stuck: matching it again in this evaluation would fail."""
-    t = build_app(head, stk[::-1])
-    stuck[id(t)] = t
-    return t
+        args = stk[::-1]
+        reduced = rewrite_head(ctx, t.name, args, steps)
+        if reduced is None:
+            if whole is None:
+                whole = build_app(t, args)
+            hnf[id(whole)] = (whole, whole)
+            break
+        steps.tick()
+        t = whole = reduced
+        stk = []
+    if whole is None:
+        whole = build_app(t, stk[::-1])
+    return t, stk, whole
 
 
 def whnf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
     """Weak-head normal form: beta-reduce and rewrite at the head until
     neither applies.  A term that is already in weak-head normal form is
-    returned as it is, unless a failed match head-normalised one of its
-    arguments: then the result is rebuilt from those normal forms, and
-    marked stuck for the rest of the evaluation that ``steps`` counts.
-    Under the tree engine ``+ (+ a 0) a`` with the rules ``+ 0 $p --> $p``
-    and ``+ $p 0 --> $p`` gives ``+ a a``; the naive engine keeps
-    ``+ (+ a 0) a``.  Both are head-normal and convertible."""
+    returned as it is."""
     if steps is None:
         steps = Steps(ctx.max_steps)
-    head, stk, whole = whnf_stk(ctx, t, steps)
-    if whole is not None:
-        return whole
-    return _build_stuck(head, stk, steps.stuck)
+    return whnf_stk(ctx, t, steps)[2]
 
 
 def snf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
@@ -288,20 +270,6 @@ def instantiate(leaf: dt.Leaf, store: dt.StoreEntries) -> Term:
     return leaf.build(store)
 
 
-def _write_back(args: list[Term], forced, stuck: dict[int, Term]) -> None:
-    """Replace each entry of ``args`` that a Switch head-normalised, found by
-    identity, with its normal form.  ``forced`` chains the records
-    ``(term, head, stack, whole, next)``; the normal form is built, and
-    marked stuck, here only when the Switch did not build it."""
-    while forced is not None:
-        x, head, hargs, top, forced = forced
-        for i, a in enumerate(args):
-            if a is x:
-                if top is None:
-                    top = _build_stuck(head, hargs, stuck)
-                args[i] = top
-
-
 def eval_tree(
     ctx: EvalContext,
     tree: DTree,
@@ -312,23 +280,25 @@ def eval_tree(
     """Run a decision tree on an argument vector.
 
     Returns the instantiated right-hand side, or None when matching fails.
-    A Switch pops the stack top and weak-head normalizes it on an argument
-    stack; if its store flag is set it saves that normal form (built, and
-    marked stuck, only if it does not exist yet) before dispatching on the
-    head, and a symbol case pushes the arguments straight from the
-    normalisation stack.  Store saves a stack entry unevaluated without
-    popping.  A lambda case opens the abstraction in place: it pushes the
-    body itself and records the abstraction's own binder, renamed to a fresh
-    variable only when a binder opened on this path already has its
-    identity.  Every saved term comes with the binders opened so far.  When
-    matching fails, each entry of ``args`` that a Switch head-normalised is
-    replaced by its normal form, so the caller keeps that work.
+    ``args`` is only read.  A Switch pops the stack top and weak-head
+    normalizes it on an argument stack; if its store flag is set it saves
+    that normal form before dispatching on the head, and a symbol case
+    pushes the arguments straight from the normalisation stack.  Store saves
+    a stack entry without popping or normalising it, as its recorded head
+    normal form when ``steps.hnf`` has one.  A lambda case opens the
+    abstraction in place: it pushes the body itself and records the
+    abstraction's own binder, renamed to a fresh variable only when a binder
+    opened on this path already has its identity.  Every saved term comes
+    with the binders opened so far.  When matching fails, every column a
+    Switch normalised is recorded in ``steps.hnf`` with its normal form, so
+    no later attempt in the evaluation reduces it again.
     """
     stack: list[Term] = list(args)
     stack.reverse()  # stack[-1] is the first column
     store: list[tuple[Term, tuple[Var, ...]]] = []
     binders: tuple[Var, ...] = ()  # opened so far, the snapshot of a save
-    forced = None  # records of the Switches whose whnf took steps
+    hnf = steps.hnf
+    forced = None  # (column, normal form, next) for each column a Switch reduced
     node = tree
     while True:
         tn = type(node)
@@ -338,11 +308,9 @@ def eval_tree(
             if node.store:
                 if trace is not None:
                     trace.append(("store", len(store)))
-                if top is None:
-                    top = _build_stuck(head, hargs, steps.stuck)
                 store.append((top, binders))
             if top is not x:
-                forced = (x, head, hargs, top, forced)
+                forced = (x, top, forced)
             th = type(head)
             if th is Symb:
                 child = node.sym_cases.get((head.name, len(hargs)))
@@ -372,13 +340,14 @@ def eval_tree(
                 continue
             if trace is not None:
                 trace.append(("no-case",))
-            if forced is not None:
-                _write_back(args, forced, steps.stuck)
-            return None
+            break
         if tn is dt.Store:
             if trace is not None:
                 trace.append(("store", len(store)))
-            store.append((stack[-node.index], binders))
+            x = stack[-node.index]
+            if hnf and id(x) in hnf:
+                x = hnf[id(x)][1]
+            store.append((x, binders))
             node = node.child
             continue
         if tn is dt.Swap:
@@ -421,10 +390,12 @@ def eval_tree(
         if tn is dt.Fail:
             if trace is not None:
                 trace.append(("fail",))
-            if forced is not None:
-                _write_back(args, forced, steps.stuck)
-            return None
+            break
         raise TermError(f"malformed tree node {tn!r}")
+    while forced is not None:
+        x, nf, forced = forced
+        hnf[id(x)] = (x, nf)
+    return None
 
 
 def rewrite_head(
@@ -432,10 +403,14 @@ def rewrite_head(
 ) -> Optional[Term]:
     """One rewrite attempt at a symbol head: largest consumable arity first,
     leftover arguments reattached to the instantiated right-hand side.
+    ``args`` is only read.
 
-    Under the tree engine a failed attempt leaves in ``args`` the head
-    normal form of every argument a tree match head-normalised, so the next
-    smaller arity and the caller start from it."""
+    A failed attempt records in ``steps.hnf`` every term its matches
+    head-normalised, so the next smaller arity and the rest of the
+    evaluation start from those normal forms.  The naive matcher's ``whnf``
+    hook keeps them in a memo for the attempt, so rules tried after the
+    first do not reduce a subterm again; its reduced entries join the record
+    only when no rule applies."""
     if ctx.engine == TREE:
         arities = ctx.tree_arities.get(head)
         if arities is None:
@@ -447,25 +422,32 @@ def rewrite_head(
             consumed = args if arity == n else args[:arity]
             result = eval_tree(ctx, ctx.trees[(head, arity)], consumed, steps)
             if result is not None:
-                if consumed is args:
-                    return result
-                return build_app(result, args[arity:])
-            if consumed is not args:
-                args[:arity] = consumed
+                return result if arity == n else build_app(result, args[arity:])
         return None
     rules = ctx.rules_by_head.get(head)
     if not rules:
         return None
+    memo: dict[int, tuple[Term, Term]] = {}
+
+    def memo_whnf(u: Term) -> Term:
+        hit = memo.get(id(u))
+        if hit is None:
+            hit = memo[id(u)] = (u, whnf(ctx, u, steps))
+        return hit[1]
+
     found = naive_rewrite_head(
         rules,
         head,
         args,
-        whnf=lambda u: whnf(ctx, u, steps),
+        whnf=memo_whnf,
         equal=lambda a, b: equal_terms(ctx, a, b, steps),
         fv_normalize=(
             (lambda u: snf(ctx, u, steps)) if ctx.equality == CONVERTIBLE else None
         ),
     )
     if found is None:
+        # like a tree match, keep what was reduced; whnf_stk has recorded
+        # each stuck term itself
+        steps.hnf.update({k: v for k, v in memo.items() if v[1] is not v[0]})
         return None
     return found[1]

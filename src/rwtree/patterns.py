@@ -354,26 +354,13 @@ def naive_rewrite_head(
 ) -> Optional[tuple[Rule, Term]]:
     """Try each rule in order against a prefix of the arguments.
 
-    Head normalization of a scrutinized subterm is memoized for the duration
-    of the call, so a subterm is normalized once even when several rules
-    inspect it; the structural re-traversal per rule is not avoided, which
-    is exactly the cost the compiled engine removes.  Returns the first
+    Each rule walks its subjects again, which is exactly the cost the
+    compiled engine removes; the hooks are passed to ``match_patterns``
+    unchanged, so a ``whnf`` hook that should not normalise a subterm once
+    per rule has to remember its results itself.  Returns the first
     applicable rule together with its instantiated right-hand side applied
     to the leftover arguments.
     """
-    args = list(args)
-    hook = whnf
-    if whnf is not None:
-        memo: dict[int, tuple[Term, Term]] = {}
-
-        def hook(t: Term, _whnf=whnf, _memo=memo) -> Term:
-            hit = _memo.get(id(t))
-            if hit is not None:
-                return hit[1]
-            r = _whnf(t)
-            _memo[id(t)] = (t, r)
-            return r
-
     for rule in rules:
         n = len(rule.lhs_args)
         if n > len(args):
@@ -381,11 +368,10 @@ def naive_rewrite_head(
         sub = match_patterns(
             rule.lhs_args,
             args[:n],
-            whnf=hook,
+            whnf=whnf,
             equal=equal,
             fv_normalize=fv_normalize,
         )
         if sub is not None:
-            result = apply_subst(sub, rule.rhs)
-            return rule, build_app(result, args[n:])
+            return rule, build_app(apply_subst(sub, rule.rhs), args[n:])
     return None

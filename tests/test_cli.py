@@ -56,20 +56,17 @@ def test_unreadable_input_is_usage_error(command, make, tmp_path, capsys):
 UNITS = "symbol a; symbol 0; symbol +;\nrule + 0 $p --> $p with + $p 0 --> $p;\n"
 
 
-def test_whnf_output_keeps_what_a_failed_match_reduced(tmp_path, capsys):
-    # the tree keeps the normal form a of the argument + a 0 that its failed
-    # match forced; naive matching drops it; both outputs are head-normal
+def test_whnf_output_is_the_same_under_both_engines(tmp_path, capsys):
+    # a failed match records the normal form a of the argument + a 0 that it
+    # forced, but whnf returns the head-normal term itself under either
+    # engine
     src = tmp_path / "units.rw"
     src.write_text(UNITS + "compute + (+ a 0) a;\n")
     printed = {}
     for engine in ("tree", "naive"):
         assert main(["run", str(src), "--strategy", "whnf", "--engine", engine]) == 0
         printed[engine] = capsys.readouterr().out.strip()
-    assert printed == {"tree": "+ a a", "naive": "+ (+ a 0) a"}
-    same = tmp_path / "same.rw"
-    same.write_text(UNITS + f"assert {printed['tree']} == {printed['naive']};\n")
-    for engine in ("tree", "naive"):
-        assert main(["run", str(same), "--engine", engine]) == 0
+    assert printed == {"tree": "+ (+ a 0) a", "naive": "+ (+ a 0) a"}
 
 
 @pytest.mark.parametrize("strategy", ["whnf", "snf"])
@@ -163,3 +160,16 @@ def test_each_failure_exits_with_its_documented_code(
     assert main(["run", str(src), *extra]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and "Traceback" not in err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="dtree._compile and _compile_front recurse once per column, so a "
+    "rule with some 330 or more arguments overflows the stack (ROADMAP item 4)",
+)
+def test_a_rule_with_600_arguments_compiles(tmp_path, capsys):
+    src = tmp_path / "wide.rw"
+    src.write_text(
+        "symbol f; symbol a; symbol b;\nrule f " + " ".join(["a"] * 600) + " --> b;\n"
+    )
+    assert main(["check", str(src)]) == 0

@@ -537,15 +537,16 @@ def test_oracle_agreement_sample(rng):
         ctx_n = EvalContext.from_rules(rules, engine="naive", max_steps=10**6)
         head, args = sampler.subject_args(rules)
         steps = Steps(10**6)
-        res = rewrite_head(ctx_t, head, list(args), steps)
+        res = rewrite_head(ctx_t, head, args, steps)
         cands = oracle_candidates(ctx_n, rules, head, args, Steps(10**6))
         if res is None:
             assert not cands, f"tree missed a match: {cands[0][0]}"
         else:
             applied += 1
-            # semantics (d): a failed tree match keeps the head normal forms
-            # it computed, so the tree's result may be only convertible to
-            # the rule's
+            # a storing Switch binds its column's head normal form where the
+            # oracle binds the raw argument, so the tree's result may be
+            # only convertible to the rule's (see
+            # test_a_switch_binds_the_head_normal_form_of_its_column)
             assert any(
                 alpha_eq(res, cand) or convertible(ctx_n, res, cand, Steps(10**6))
                 for _, cand in cands
@@ -563,9 +564,48 @@ def test_engines_agree_on_applicability(rng):
         ctx_t = EvalContext.from_rules(rules, engine="tree", max_steps=10**6)
         ctx_n = EvalContext.from_rules(rules, engine="naive", max_steps=10**6)
         head, args = sampler.subject_args(rules)
-        rt = rewrite_head(ctx_t, head, list(args), Steps(10**6))
+        rt = rewrite_head(ctx_t, head, args, Steps(10**6))
         rn = rewrite_head(ctx_n, head, args, Steps(10**6))
         assert (rt is None) == (rn is None)
+
+
+def test_a_switch_binds_the_head_normal_form_of_its_column():
+    # the Switch on the first column (for f b …) reduces g … to k1 a (k2 a b)
+    # and stores it for $x; the oracle binds the raw g …, so the tree's
+    # result is convertible to, not alpha-equal to, the rule's
+    src = """
+    symbol f; symbol g; symbol a; symbol b; symbol k0; symbol k1; symbol k2;
+    rule f b $y (k1 b) --> $y;
+    rule f $y _ --> b;
+    rule f $x $y $y --> $x;
+    rule g _ $z --> $z;
+    """
+    rules = parse_file(src).rules
+    args = [term("g (k1 k0) (k1 a) (k2 a b)", src), symb("f"), symb("f")]
+    ctx_t = ctx_for(src, engine="tree")
+    ctx_n = ctx_for(src, engine="naive")
+    res = rewrite_head(ctx_t, "f", args, Steps(100))
+    assert print_term(res) == "k1 a (k2 a b)"
+    cands = [c for _, c in oracle_candidates(ctx_n, rules, "f", args, Steps(100))]
+    assert [print_term(c) for c in cands] == ["b f", "g (k1 k0) (k1 a) (k2 a b)"]
+    assert not any(alpha_eq(res, c) for c in cands)
+    assert convertible(ctx_n, res, cands[1], Steps(100))
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_rewrite_head_leaves_its_arguments_alone(engine, rng):
+    sampler = RuleSampler(rng)
+    for _ in range(120):
+        rules = sampler.ruleset()
+        ctx = EvalContext.from_rules(rules, engine=engine, max_steps=10**6)
+        head, args = sampler.subject_args(rules)
+        if args:  # an argument that likely is a redex
+            inner, inner_args = sampler.subject_args(rules)
+            args[rng.randrange(len(args))] = build_app(symb(inner), inner_args)
+        before = list(args)
+        rewrite_head(ctx, head, args, Steps(10**6))
+        assert len(args) == len(before)
+        assert all(a is b for a, b in zip(args, before))
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +791,7 @@ def test_tree_does_not_force_column_first_row_ignores():
 
 
 # ---------------------------------------------------------------------------
-# a failed tree match keeps the head normal forms it computed
+# a failed match keeps the head normal forms it computed
 
 UNITS = """
 symbol a; symbol 0; symbol +;
@@ -786,10 +826,10 @@ def counting(monkeypatch, module, name):
 @pytest.mark.parametrize("depth", [4, 8, 12, 24])
 def test_failed_match_keeps_forced_arguments(depth, monkeypatch):
     # every + of + (… (+ (+ a 0) a) …) a is stuck, but matching it forces its
-    # first argument down to the one redex + a 0.  The tree keeps that normal
-    # form, and snf never matches a stuck + again, so both engines reduce the
-    # redex a bounded number of times and match each level a bounded number
-    # of times
+    # first argument down to the one redex + a 0.  Each failed match records
+    # the normal forms it forced, and snf never matches a stuck + again, so
+    # both engines reduce the redex once and match each level a bounded
+    # number of times
     import rwtree.engine as eng
     import rwtree.patterns as pat
 
@@ -801,63 +841,29 @@ def test_failed_match_keeps_forced_arguments(depth, monkeypatch):
         steps = Steps(1000)
         assert alpha_eq(snf(ctx_for(UNITS, engine=engine), t, steps), expected)
         used[engine] = steps.used
-    assert used == {"tree": 1, "naive": 2}
+    assert used == {"tree": 1, "naive": 1}
     assert len(tree_calls) <= depth + 1
     assert len(naive_calls) <= 3 * depth
 
 
-def test_failed_matches_leave_head_normal_arguments(rng):
-    sampler = RuleSampler(rng)
-    changed = 0
-    for _ in range(120):
-        rules = sampler.ruleset()
-        ctxs = [
-            EvalContext.from_rules(rules, engine=engine, max_steps=10**6)
-            for engine in ("tree", "naive")
-        ]
-        for _ in range(5):
-            head, args = sampler.subject_args(rules)
-            if args:  # an argument that likely is a redex
-                inner, inner_args = sampler.subject_args(rules)
-                args[rng.randrange(len(args))] = build_app(symb(inner), inner_args)
-            t = build_app(symb(head), args)
-            for ctx in ctxs:
-                full = snf(ctx, t, Steps(10**6))
-                again = snf(ctx, whnf(ctx, t, Steps(10**6)), Steps(10**6))
-                assert alpha_eq(again, full)
-                after = list(args)
-                if rewrite_head(ctx, head, after, Steps(10**6)) is not None:
-                    continue
-                for old, new in zip(args, after):
-                    if new is not old:
-                        changed += 1
-                        steps = Steps(10**6)
-                        whnf(ctx, new, steps)
-                        assert steps.used == 0
-    assert changed > 50
-
-
 # ---------------------------------------------------------------------------
-# the stuck mark: sound, and scoped to one evaluation
+# the record of head normal forms: sound, and scoped to one evaluation
 
 
-@pytest.mark.parametrize("engine", ["tree", "naive"])
-def test_stuck_marks_are_head_normal(engine, rng):
-    # every term the mark holds after an snf evaluation is its own whnf under
-    # a fresh budget: a mark on a term a rule rewrites, or on one whose
-    # forced arguments a tree match would still reduce, fails here.  Without
-    # constraint checks the tree also needs no step to see it: its marked
-    # terms have head-normal arguments wherever a Switch looks.  The naive
-    # engine's matches and the convertibility checks keep none of the steps
-    # they take, so there a fresh whnf may take steps to fail again.
+def test_recorded_normal_forms_are_head_normal(rng):
+    # every (x, nf) an snf evaluation records is what whnf gives for x in
+    # that evaluation, without a step, and nf is its own whnf under a fresh
+    # budget: a record of a term a rule rewrites, or of one a failed match
+    # would still reduce, fails here
     sampler = RuleSampler(rng)
     checked = 0
-    for _ in range(80):
+    for _ in range(120):
         rules = sampler.ruleset()
         ctxs = [
             EvalContext.from_rules(
                 rules, engine=engine, equality=equality, max_steps=10**6
             )
+            for engine in ("tree", "naive")
             for equality in ("convertible", "alpha")
         ]
         for _ in range(5):
@@ -868,14 +874,26 @@ def test_stuck_marks_are_head_normal(engine, rng):
             t = build_app(symb(head), args)
             for ctx in ctxs:
                 steps = Steps(10**6)
-                snf(ctx, t, steps)
-                for m in steps.stuck.values():
-                    again = Steps(10**6)
-                    assert whnf(ctx, m, again) is m
-                    if engine == "tree" and ctx.equality == "alpha":
-                        assert again.used == 0
+                full = snf(ctx, t, steps)
+                again = snf(ctx, whnf(ctx, t, Steps(10**6)), Steps(10**6))
+                assert alpha_eq(again, full)
+                used = steps.used
+                for x, nf in list(steps.hnf.values()):
+                    assert whnf(ctx, x, steps) is nf
+                    assert steps.used == used
+                    assert whnf(ctx, nf, Steps(10**6)) is nf
                     checked += 1
-    assert checked > 200
+    assert checked >= 200
+
+
+def test_the_record_keeps_nothing_from_successful_matches():
+    # every rewrite attempt of fib 12 succeeds, so nothing is recorded
+    t = App(symb("fib"), numeral(12))
+    for engine in ("tree", "naive"):
+        steps = Steps(10**6)
+        assert alpha_eq(snf(ctx_for(FIB_RULES, engine=engine), t, steps), numeral(144))
+        assert steps.used == 1441
+        assert steps.hnf == {}
 
 
 @pytest.mark.parametrize("engine", ["tree", "naive"])
@@ -913,7 +931,7 @@ def test_stuck_mark_belongs_to_one_context(engine):
     ctx_b = ctx_for(b_rules, engine=engine)
     steps = Steps(100)
     assert alpha_eq(snf(ctx_a, t, steps), t)
-    assert id(t) in steps.stuck and id(t.fn.arg) in steps.stuck
+    assert id(t) in steps.hnf and id(t.fn.arg) in steps.hnf
     assert whnf(ctx_a, t, Steps(100)) is t
     assert snf(ctx_b, t, Steps(100)) == symb("a")
     assert whnf(ctx_b, t, Steps(100)) == symb("a")
@@ -954,8 +972,8 @@ def _hol_rules():
 
 def test_every_rule_of_d_sees_one_body():
     # each rule of d opens the same abstraction; with the body shared, the
-    # naive engine's whnf memo and stuck mark reduce + x 0 once, not once per
-    # rule (11 steps when each rule matched its own copy)
+    # naive engine's whnf memo and the record of failed matches reduce + x 0
+    # once, not once per rule (11 steps when each rule matched its own copy)
     rules = _hol_rules()
     t = term(r"d (\x, * 1 (sin (+ x 0)))", rules)
     used, printed = {}, set()
@@ -964,5 +982,21 @@ def test_every_rule_of_d_sees_one_body():
         printed.add(print_term(snf(ctx_for(rules, engine=engine), t, steps)))
         used[engine] = steps.used
     assert printed == {r"\x, * (cos x) (d (\x', x') x)"}
-    assert used == {"tree": 5, "naive": 8}
+    assert used == {"tree": 4, "naive": 7}
     assert used["naive"] < 11
+
+
+def test_a_store_saves_the_recorded_normal_form():
+    # the failed match of + (* 1 x) b records its argument * 1 x with the
+    # normal form x; the Store for $u[x] of d (\x, + $u[x] $v[x]) saves x,
+    # so the copies of $u[x] that the right-hand side builds need no step
+    # (14 tree steps when it saves the raw * 1 x)
+    rules = _hol_rules()
+    t = term(r"d (\x, * (sin x) (cos (+ (* 1 x) b)))", rules)
+    steps = Steps(1000)
+    out = snf(ctx_for(rules, engine="tree"), t, steps)
+    assert print_term(out) == (
+        r"\x, + (* (* (cos x) (d (\x', x') x)) (cos (+ x b)))"
+        r" (* (sin x) (* (neg (sin (+ x b))) (d (\x', x') x)))"
+    )
+    assert steps.used == 13
