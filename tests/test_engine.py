@@ -850,6 +850,82 @@ def test_failed_match_keeps_forced_arguments(depth, monkeypatch):
 # the record of head normal forms: sound, and scoped to one evaluation
 
 
+def test_failed_matches_leave_head_normal_arguments(rng):
+    # a failed rewrite_head records, for each argument its matches reduced,
+    # a head normal form that whnf returns in the same evaluation without a
+    # step and that is its own whnf under a fresh budget
+    sampler = RuleSampler(rng)
+    changed = 0
+    for _ in range(120):
+        rules = sampler.ruleset()
+        ctxs = [
+            EvalContext.from_rules(rules, engine=engine, max_steps=10**6)
+            for engine in ("tree", "naive")
+        ]
+        for _ in range(5):
+            head, args = sampler.subject_args(rules)
+            if args:  # an argument that likely is a redex
+                inner, inner_args = sampler.subject_args(rules)
+                args[rng.randrange(len(args))] = build_app(symb(inner), inner_args)
+            t = build_app(symb(head), args)
+            for ctx in ctxs:
+                full = snf(ctx, t, Steps(10**6))
+                again = snf(ctx, whnf(ctx, t, Steps(10**6)), Steps(10**6))
+                assert alpha_eq(again, full)
+                steps = Steps(10**6)
+                if rewrite_head(ctx, head, args, steps) is not None:
+                    continue
+                used = steps.used
+                for old in args:
+                    if id(old) not in steps.hnf:
+                        continue
+                    x, new = steps.hnf[id(old)]
+                    assert x is old
+                    if new is not old:
+                        changed += 1
+                        assert whnf(ctx, old, steps) is new
+                        assert steps.used == used
+                        assert whnf(ctx, new, Steps(10**6)) is new
+    assert changed > 50
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_stuck_marks_are_head_normal(engine, rng):
+    # every term the record marks stuck after an snf evaluation (one that
+    # maps to itself) is its own whnf under a fresh budget, and whnf sees
+    # that in the same evaluation without a step: a mark on a term a rule
+    # rewrites, or on one whose forced arguments a match would still
+    # reduce, fails here
+    sampler = RuleSampler(rng)
+    checked = 0
+    for _ in range(80):
+        rules = sampler.ruleset()
+        ctxs = [
+            EvalContext.from_rules(
+                rules, engine=engine, equality=equality, max_steps=10**6
+            )
+            for equality in ("convertible", "alpha")
+        ]
+        for _ in range(5):
+            head, args = sampler.subject_args(rules)
+            if args:  # an argument that likely is a redex
+                inner, inner_args = sampler.subject_args(rules)
+                args[rng.randrange(len(args))] = build_app(symb(inner), inner_args)
+            t = build_app(symb(head), args)
+            for ctx in ctxs:
+                steps = Steps(10**6)
+                snf(ctx, t, steps)
+                used = steps.used
+                for x, m in list(steps.hnf.values()):
+                    if m is not x:
+                        continue
+                    assert whnf(ctx, m, Steps(10**6)) is m
+                    assert whnf(ctx, m, steps) is m
+                    assert steps.used == used
+                    checked += 1
+    assert checked > 200
+
+
 def test_recorded_normal_forms_are_head_normal(rng):
     # every (x, nf) an snf evaluation records is what whnf gives for x in
     # that evaluation, without a step, and nf is its own whnf under a fresh
