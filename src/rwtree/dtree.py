@@ -17,14 +17,17 @@ each step by one fixed rule, which switches on the column with the most
 heads.  The compiler says where something is only by position: the matrix
 carries the position of each column, and the compile state maps each saved
 position to its store slot and each opened abstraction, named by its
-position, to its index in the binder snapshot.  The inspection helpers all
-take a node's children from ``_edges``.
+position, to its index in the binder snapshot.
+
+A tree is walked in one place: ``iter_tree`` yields every node in preorder
+with its depth and edge label, taking a node's children from ``_edges``.
+``tree_stats``, ``tree_text`` and ``to_dot`` consume that walk, so none of
+them recurses, and both renderings print the same text for a node.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .matrix import (
     ClauseMatrix,
@@ -420,42 +423,34 @@ def _edges(node: DTree) -> list[tuple[Optional[str], DTree]]:
     return []
 
 
-def iter_tree(tree: DTree):
-    """Preorder over all nodes."""
-    todo = [tree]
+def iter_tree(tree: DTree) -> Iterator[tuple[int, Optional[str], DTree]]:
+    """Preorder over all nodes as ``(depth, edge label, node)``; the root
+    has depth 0 and no label.  The n-th item is the node that ``to_dot``
+    numbers n.  Iterative, so a tree of any depth can be walked."""
+    todo: list[tuple[int, Optional[str], DTree]] = [(0, None, tree)]
     while todo:
-        node = todo.pop()
-        yield node
-        todo.extend(child for _, child in reversed(_edges(node)))
+        item = todo.pop()
+        yield item
+        depth, _, node = item
+        todo.extend((depth + 1, label, c) for label, c in reversed(_edges(node)))
 
 
 def tree_stats(tree: DTree) -> dict:
     """Node counts by kind, maximum depth and maximum store size."""
     counts: dict[str, int] = {}
-    max_depth = 0
-    max_store = 0
-    todo: list[tuple[DTree, int, int]] = [(tree, 1, 0)]
-    while todo:
-        node, depth, stores = todo.pop()
-        name = type(node).__name__.lower()
-        counts[name] = counts.get(name, 0) + 1
-        max_depth = max(max_depth, depth)
+    max_depth = max_store = 0
+    # saves[d]: how many of the first d nodes on the current path save a
+    # subterm, that is, are a Store or a storing Switch
+    saves = [0]
+    for depth, _, node in iter_tree(tree):
         t = type(node)
-        if t is Store or (t is Switch and node.store):
-            stores += 1
-            max_store = max(max_store, stores)
-        todo.extend((child, depth + 1, stores) for _, child in _edges(node))
+        name = t.__name__.lower()
+        counts[name] = counts.get(name, 0) + 1
+        max_depth = max(max_depth, depth + 1)
+        del saves[depth + 1 :]
+        saves.append(saves[depth] + (t is Store or (t is Switch and node.store)))
+        max_store = max(max_store, saves[-1])
     return {"counts": counts, "depth": max_depth, "store_size": max_store}
-
-
-def _label(node: DTree) -> str:
-    """Text of a Swap, Store or Switch node, the same in both renderings."""
-    t = type(node)
-    if t is Swap:
-        return f"swap {node.index}"
-    if t is Store:
-        return "store" if node.index == 1 else f"store {node.index}"
-    return "switch store" if node.store else "switch"
 
 
 def _saved_text(slot: int, selector: tuple[int, ...]) -> str:
@@ -463,69 +458,55 @@ def _saved_text(slot: int, selector: tuple[int, ...]) -> str:
     return f"s{slot}[{','.join(map(str, selector))}]" if selector else f"s{slot}"
 
 
+def _node_text(node: DTree, print_rhs) -> str:
+    """One node's text, the same in both renderings."""
+    t = type(node)
+    if t is Leaf:
+        binds = ", ".join(
+            f"${n}<-{_saved_text(slot, sel)}"
+            for n, (slot, sel) in sorted(node.env.items())
+        )
+        return f"leaf {print_rhs(node.rhs)}" + (f" {{{binds}}}" if binds else "")
+    if t is Fail:
+        return "fail"
+    if t is BinNl:
+        return "eq? {} {}".format(*map(_saved_text, node.slots, node.formals))
+    if t is BinCl:
+        return f"closed? s{node.slot} within [{','.join(map(str, node.allowed))}]"
+    if t is Swap:
+        return f"swap {node.index}"
+    if t is Store:
+        return "store" if node.index == 1 else f"store {node.index}"
+    return "switch store" if node.store else "switch"
+
+
 def tree_text(tree: DTree, print_rhs=repr) -> str:
     """Indented text rendering, deterministic."""
-    lines: list[str] = []
-    todo: list[tuple[DTree, int, str]] = [(tree, 0, "")]
-    while todo:
-        node, indent, prefix = todo.pop()
-        t = type(node)
-        if t is Leaf:
-            binds = ""
-            if node.env:
-                binds = " {" + ", ".join(
-                    f"${n}<-{_saved_text(slot, sel)}"
-                    for n, (slot, sel) in sorted(node.env.items())
-                ) + "}"
-            text = f"leaf {print_rhs(node.rhs)}{binds}"
-        elif t is Fail:
-            text = "fail"
-        elif t is BinNl:
-            text = "eq? {} {}".format(*map(_saved_text, node.slots, node.formals))
-        elif t is BinCl:
-            text = f"closed? s{node.slot} within [{','.join(map(str, node.allowed))}]"
-        else:
-            text = _label(node)
-        lines.append("  " * indent + prefix + text)
-        todo.extend(
-            (child, indent + 1, f"{label}: " if label else "")
-            for label, child in reversed(_edges(node))
-        )
-    return "\n".join(lines)
+    return "\n".join(
+        "  " * depth + (f"{label}: " if label else "") + _node_text(node, print_rhs)
+        for depth, label, node in iter_tree(tree)
+    )
+
+
+def _esc(s: str) -> str:
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
+# dot shapes other than the default box
+_SHAPES = {Leaf: ", shape=ellipse", Fail: ", shape=ellipse", Switch: ", shape=circle"}
 
 
 def to_dot(tree: DTree, print_rhs=repr) -> str:
-    """Graphviz rendering with deterministic preorder node ids."""
+    """Graphviz rendering; node ``n<k>`` is the k-th node of ``iter_tree``."""
     lines = ["digraph dtree {", "  node [shape=box, fontname=monospace];"]
-    ids = itertools.count()
-
-    def esc(s: str) -> str:
-        return s.replace("\\", "\\\\").replace('"', '\\"')
-
-    def emit(node: DTree) -> int:
-        nid = next(ids)
-        t = type(node)
-        if t is Leaf:
-            attrs = f'label="{esc(print_rhs(node.rhs))}", shape=ellipse'
-        elif t is Fail:
-            attrs = 'label="x", shape=ellipse'
-        elif t is BinNl:
-            sides = map(_saved_text, node.slots, node.formals)
-            attrs = 'label="{} = {} ?"'.format(*sides)
-        elif t is BinCl:
-            sel = ",".join(map(str, node.allowed))
-            attrs = f'label="fv(s{node.slot}) in [{sel}] ?"'
-        elif t is Switch:
-            attrs = f'label="{_label(node)}", shape=circle'
-        else:
-            attrs = f'label="{_label(node)}"'
-        lines.append(f"  n{nid} [{attrs}];")
-        for label, child in _edges(node):
-            c = emit(child)
-            edge = f' [label="{esc(label)}"]' if label else ""
-            lines.append(f"  n{nid} -> n{c}{edge};")
-        return nid
-
-    emit(tree)
+    path: list[int] = []  # ids of the nodes above the current one
+    for nid, (depth, label, node) in enumerate(iter_tree(tree)):
+        text = _esc(_node_text(node, print_rhs))
+        lines.append(f'  n{nid} [label="{text}"{_SHAPES.get(type(node), "")}];')
+        del path[depth:]
+        if path:
+            edge = f' [label="{_esc(label)}"]' if label else ""
+            lines.append(f"  n{path[-1]} -> n{nid}{edge};")
+        path.append(nid)
     lines.append("}")
     return "\n".join(lines)

@@ -54,9 +54,7 @@ from .terms import (
 )
 
 CONVERTIBLE = "convertible"
-ALPHA = "alpha"
 TREE = "tree"
-NAIVE = "naive"
 
 
 class DivergenceError(Exception):
@@ -437,7 +435,6 @@ def rewrite_head(
 
     found = naive_rewrite_head(
         rules,
-        head,
         args,
         whnf=memo_whnf,
         equal=lambda a, b: equal_terms(ctx, a, b, steps),

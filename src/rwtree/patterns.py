@@ -345,7 +345,6 @@ def apply_subst(sub: Substitution, rhs: Term) -> Term:
 
 def naive_rewrite_head(
     rules: Sequence[Rule],
-    head: str,
     args: Sequence[Term],
     *,
     whnf: Optional[Callable[[Term], Term]] = None,

@@ -154,10 +154,10 @@ class SourceFile:
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], scope: dict[str, Term]):
+    def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
-        self.scope = dict(scope)
+        self.scope: dict[str, Term] = {}  # declared symbols by name
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -367,15 +367,7 @@ def parse_file(text: str) -> SourceFile:
     The rules are validated where they are compiled
     (``dtree.trees_of_ruleset``).
     """
-    return _Parser(tokenize(text), {}).file()
-
-
-def parse_term(text: str, scope: dict[str, Term], meta: bool = False) -> Term:
-    """Parse one term; ``scope`` maps names to symbols or free variables."""
-    parser = _Parser(tokenize(text), scope)
-    term = parser.term({}, meta=meta)
-    parser.expect("eof", "end of input")
-    return term
+    return _Parser(tokenize(text)).file()
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +378,8 @@ _TOP, _HEAD, _ARG, _DOMAIN = 0, 1, 2, 3
 
 
 def print_term(t: Term) -> str:
-    """Render a term; ``parse_term`` maps the output back to an
-    alpha-equivalent term given a scope with the symbols and free variables.
+    """Render a term.  With its symbols declared, the output parses as the
+    term of a ``compute`` line to a term alpha-equivalent to ``t``.
 
     Binder display names are primed when they would capture a symbol, a free
     variable or an enclosing binder.  Iterative, safe for very deep terms.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule, validate_rule
+from rwtree.syntax import parse_file
 from rwtree.terms import (
     Abst,
     App,
@@ -43,6 +44,13 @@ with append (cons $x $k) $l --> cons $x (append $k $l);
 rule rev nil --> nil
 with rev (cons $x $k) --> append (rev $k) (cons $x nil);
 """
+
+
+def parse_term(text: str, scope: dict[str, Term]) -> Term:
+    """Parse one term whose free names are the symbols named in ``scope``,
+    as the term of a ``compute`` line after their declarations."""
+    decls = "".join(f"symbol {name};\n" for name in scope)
+    return parse_file(f"{decls}compute {text};").items[-1].term
 
 
 def numeral(k: int) -> Term:

@@ -10,6 +10,9 @@ from rwtree.cli import (
     main,
 )
 
+from genlib import FIB_RULES
+from test_dtree import GOLDEN
+
 
 def test_too_deep_input_exits_6_without_traceback(tmp_path, capsys):
     depth = 3000
@@ -51,6 +54,19 @@ def test_unreadable_input_is_usage_error(command, make, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: cannot read {path}: ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_tree_dot_prints_the_golden_graph(tmp_path, capsys):
+    src = tmp_path / "fib.rw"
+    src.write_text(FIB_RULES)
+    assert main(["tree", str(src), "+", "--dot"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    _, dot = GOLDEN[("fib", "+", 2)]
+    assert out[0] == "digraph dtree {" and out[-1] == "}"
+    # node lines in id order; edge lines may come in any order
+    nodes = [line for line in dot.splitlines() if "->" not in line]
+    assert [line for line in out if "->" not in line] == nodes
+    assert sorted(out) == sorted(dot.splitlines())
 
 
 UNITS = "symbol a; symbol 0; symbol +;\nrule + 0 $p --> $p with + $p 0 --> $p;\n"

@@ -62,16 +62,16 @@ def test_compile_example1_shape():
 
 def test_compile_example1_stores_for_rhs():
     tree = compile_matrix(from_rules("f", example1_rules()))
-    kinds = [type(n).__name__ for n in iter_tree(tree)]
+    kinds = [type(n).__name__ for _, _, n in iter_tree(tree)]
     assert kinds.count("Store") == 2
-    for node in iter_tree(tree):
+    for _, _, node in iter_tree(tree):
         if type(node) is Leaf:
             assert node.env["x"][0] == 0  # single store on each path
 
 
 def test_compile_nonlinear_rule():
     tree = compile_matrix(from_rules("eq", [nonlinear_rule()]))
-    nodes = list(iter_tree(tree))
+    nodes = [n for _, _, n in iter_tree(tree)]
     stores = [n for n in nodes if type(n) is Store]
     nls = [n for n in nodes if type(n) is BinNl]
     assert len(stores) == 2
@@ -89,7 +89,7 @@ def test_compile_closedness_rule():
 
     rule = Rule("diff", (PatAbst(x, pvar("v")),), Abst(rx, None, symb("0")), "dconst")
     tree = compile_matrix(from_rules("diff", [rule]))
-    nodes = list(iter_tree(tree))
+    nodes = [n for _, _, n in iter_tree(tree)]
     cls = [n for n in nodes if type(n) is BinCl]
     assert len(cls) == 1
     assert cls[0].allowed == ()  # no binder admitted
@@ -227,7 +227,7 @@ def test_switch_completeness_on_random_rulesets(rng):
     for _ in range(100):
         rules = sampler.ruleset()
         for tree in trees_of_ruleset(rules).values():
-            for node in iter_tree(tree):
+            for _, _, node in iter_tree(tree):
                 if type(node) is Switch:
                     keys = list(node.sym_cases)
                     assert keys == sorted(keys)
@@ -242,7 +242,7 @@ def test_switch_completeness_on_random_rulesets(rng):
 def test_dot_fail_node():
     dot = to_dot(compile_matrix(ClauseMatrix((), ())))
     assert dot.startswith("digraph")
-    assert '"x"' in dot
+    assert '"fail"' in dot
 
 
 def test_dot_example1_edges():
@@ -271,6 +271,32 @@ def test_tree_stats():
     assert stats["counts"]["store"] == 2
     assert stats["store_size"] == 1
     assert stats["depth"] >= 4
+
+
+def test_a_deep_chain_is_rendered_and_measured_without_recursion():
+    # 1,500 Stores over a leaf, deeper than the default recursion limit of
+    # 1,000 frames
+    tree = Leaf(symb("a"), {})
+    for _ in range(1500):
+        tree = Store(tree)
+    stats = tree_stats(tree)
+    assert stats == {
+        "counts": {"store": 1500, "leaf": 1},
+        "depth": 1501,
+        "store_size": 1500,
+    }
+    assert tree_text(tree).splitlines()[-1] == "  " * 1500 + "leaf a"
+    dot = to_dot(tree).splitlines()
+    assert len(dot) == 2 + 1501 + 1500 + 1
+    assert "  n1499 -> n1500;" in dot
+
+
+def test_dot_escapes_quotes_in_node_and_edge_labels():
+    source = 'symbol f; symbol q";\nrule f q" --> q";\n'
+    tree = trees_of_ruleset(parse_file(source).rules)[("f", 1)]
+    dot = to_dot(tree, print_rhs=print_term)
+    assert '  n0 -> n1 [label="q\\"/0"];' in dot.splitlines()
+    assert '  n1 [label="leaf q\\"", shape=ellipse];' in dot.splitlines()
 
 
 # Golden renderings.  Together these four trees reach every node kind: fib's
@@ -309,20 +335,20 @@ digraph dtree {
   node [shape=box, fontname=monospace];
   n0 [label="switch store", shape=circle];
   n1 [label="store"];
-  n2 [label="$m", shape=ellipse];
+  n2 [label="leaf $m {$m<-s1}", shape=ellipse];
   n1 -> n2;
   n0 -> n1 [label="0/0"];
   n3 [label="store"];
   n4 [label="store 2"];
-  n5 [label="s (+ $n $m)", shape=ellipse];
+  n5 [label="leaf s (+ $n $m) {$m<-s2, $n<-s1}", shape=ellipse];
   n4 -> n5;
   n3 -> n4;
   n0 -> n3 [label="s/1"];
   n6 [label="switch", shape=circle];
-  n7 [label="$m", shape=ellipse];
+  n7 [label="leaf $m {$m<-s0}", shape=ellipse];
   n6 -> n7 [label="0/0"];
   n8 [label="store"];
-  n9 [label="s (+ $m $n)", shape=ellipse];
+  n9 [label="leaf s (+ $m $n) {$m<-s0, $n<-s1}", shape=ellipse];
   n8 -> n9;
   n6 -> n8 [label="s/1"];
   n0 -> n6 [label="*"];
@@ -350,27 +376,27 @@ digraph dtree {
   n1 [label="switch store", shape=circle];
   n2 [label="store"];
   n3 [label="store 2"];
-  n4 [label="\\x, + (* (d (\\x', $u[x']) x) $v[x]) (* $u[x] (d (\\x', $v[x']) x))", shape=ellipse];
+  n4 [label="leaf \\x, + (* (d (\\x', $u[x']) x) $v[x]) (* $u[x] (d (\\x', $v[x']) x)) {$u<-s1[0], $v<-s2[0]}", shape=ellipse];
   n3 -> n4;
   n2 -> n3;
   n1 -> n2 [label="*/2"];
   n5 [label="store"];
   n6 [label="store 2"];
-  n7 [label="\\x, + (d (\\x', $u[x']) x) (d (\\x', $v[x']) x)", shape=ellipse];
+  n7 [label="leaf \\x, + (d (\\x', $u[x']) x) (d (\\x', $v[x']) x) {$u<-s1[0], $v<-s2[0]}", shape=ellipse];
   n6 -> n7;
   n5 -> n6;
   n1 -> n5 [label="+/2"];
   n8 [label="store"];
-  n9 [label="\\x, * (neg (sin $u[x])) (d (\\x', $u[x']) x)", shape=ellipse];
+  n9 [label="leaf \\x, * (neg (sin $u[x])) (d (\\x', $u[x']) x) {$u<-s1[0]}", shape=ellipse];
   n8 -> n9;
   n1 -> n8 [label="cos/1"];
   n10 [label="store"];
-  n11 [label="\\x, * (cos $u[x]) (d (\\x', $u[x']) x)", shape=ellipse];
+  n11 [label="leaf \\x, * (cos $u[x]) (d (\\x', $u[x']) x) {$u<-s1[0]}", shape=ellipse];
   n10 -> n11;
   n1 -> n10 [label="sin/1"];
-  n12 [label="fv(s0) in [] ?"];
-  n13 [label="\\x, 0", shape=ellipse];
-  n14 [label="x", shape=ellipse];
+  n12 [label="closed? s0 within []"];
+  n13 [label="leaf \\x, 0", shape=ellipse];
+  n14 [label="fail", shape=ellipse];
   n12 -> n13 [label="yes"];
   n12 -> n14 [label="no"];
   n1 -> n12 [label="*"];
@@ -389,9 +415,9 @@ digraph dtree {
   node [shape=box, fontname=monospace];
   n0 [label="store"];
   n1 [label="store 2"];
-  n2 [label="s0 = s1 ?"];
-  n3 [label="0", shape=ellipse];
-  n4 [label="x", shape=ellipse];
+  n2 [label="eq? s0 s1"];
+  n3 [label="leaf 0", shape=ellipse];
+  n4 [label="fail", shape=ellipse];
   n2 -> n3 [label="yes"];
   n2 -> n4 [label="no"];
   n1 -> n2;
@@ -416,13 +442,13 @@ digraph dtree {
   n2 [label="switch", shape=circle];
   n3 [label="switch", shape=circle];
   n4 [label="store"];
-  n5 [label="$x", shape=ellipse];
+  n5 [label="leaf $x {$x<-s0}", shape=ellipse];
   n4 -> n5;
   n3 -> n4 [label="c/1"];
   n2 -> n3 [label="c/1"];
   n1 -> n2 [label="a/0"];
   n6 [label="store"];
-  n7 [label="$x", shape=ellipse];
+  n7 [label="leaf $x {$x<-s0}", shape=ellipse];
   n6 -> n7;
   n1 -> n6 [label="b/0"];
   n0 -> n1;
@@ -449,7 +475,7 @@ def test_rendering_golden(source, head, arity):
 
 
 def test_golden_trees_reach_every_node_kind():
-    nodes = [n for key in GOLDEN for n in iter_tree(_golden_tree(*key))]
+    nodes = [n for key in GOLDEN for _, _, n in iter_tree(_golden_tree(*key))]
     assert {type(n) for n in nodes} == {Switch, Swap, Store, BinNl, BinCl, Leaf, Fail}
     assert any(type(n) is Switch and n.store for n in nodes)
     assert any(type(n) is Store and n.index > 1 for n in nodes)

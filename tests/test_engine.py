@@ -13,7 +13,7 @@ from rwtree.engine import (
     whnf,
 )
 from rwtree.patterns import Closure, match_patterns
-from rwtree.syntax import Declaration, parse_file, parse_term, print_term
+from rwtree.syntax import Declaration, parse_file, print_term
 from rwtree.terms import (
     Abst,
     App,
@@ -36,6 +36,7 @@ from genlib import (
     loop_rule,
     nat_list,
     numeral,
+    parse_term,
 )
 
 
@@ -652,7 +653,7 @@ def test_every_switch_inspects_a_head(rng):
     sampler = RuleSampler(rng)
     for _ in range(150):
         for tree in trees_of_ruleset(sampler.ruleset()).values():
-            for node in iter_tree(tree):
+            for _, _, node in iter_tree(tree):
                 if type(node) is Switch:
                     assert node.sym_cases or node.lam_case is not None
 
@@ -680,7 +681,7 @@ def _hand_rules():
 
 def _leaves(rules):
     for tree in trees_of_ruleset(rules).values():
-        for node in iter_tree(tree):
+        for _, _, node in iter_tree(tree):
             if type(node) is Leaf:
                 yield node
 

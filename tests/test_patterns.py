@@ -261,7 +261,7 @@ def example1_rules():
 def test_naive_first_match_wins():
     rules = example1_rules()
     cce = App(symb("c"), App(symb("c"), symb("e")))
-    hit = naive_rewrite_head(rules, "f", [cce, symb("b")])
+    hit = naive_rewrite_head(rules, [cce, symb("b")])
     assert hit is not None
     rule, result = hit
     assert rule.label == "r2"
@@ -271,7 +271,7 @@ def test_naive_first_match_wins():
 def test_naive_rule_one_binds_inner_subterm():
     rules = example1_rules()
     cce = App(symb("c"), App(symb("c"), symb("e")))
-    hit = naive_rewrite_head(rules, "f", [cce, symb("a")])
+    hit = naive_rewrite_head(rules, [cce, symb("a")])
     assert hit is not None
     rule, result = hit
     assert rule.label == "r1"
@@ -280,16 +280,16 @@ def test_naive_rule_one_binds_inner_subterm():
 
 def test_naive_no_rule_applies():
     rules = example1_rules()
-    assert naive_rewrite_head(rules, "f", [symb("e"), symb("e")]) is None
+    assert naive_rewrite_head(rules, [symb("e"), symb("e")]) is None
 
 
 def test_naive_prefix_match_reattaches_suffix():
     rules = [Rule("map", (PatSymb("id"), pvar("l")), MetaApp("l", ()), "mapid")]
-    hit = naive_rewrite_head(rules, "map", [symb("id"), symb("nil")])
+    hit = naive_rewrite_head(rules, [symb("id"), symb("nil")])
     assert hit is not None
     assert alpha_eq(hit[1], symb("nil"))
     # extra argument is reattached
-    hit = naive_rewrite_head(rules, "map", [symb("id"), symb("nil"), symb("k")])
+    hit = naive_rewrite_head(rules, [symb("id"), symb("nil"), symb("k")])
     assert alpha_eq(hit[1], App(symb("nil"), symb("k")))
 
 

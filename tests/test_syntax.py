@@ -12,7 +12,6 @@ from rwtree.syntax import (
     RuleBlock,
     ScopeError,
     parse_file,
-    parse_term,
     print_term,
 )
 from rwtree.terms import (
@@ -25,6 +24,8 @@ from rwtree.terms import (
     fresh_var,
     symb,
 )
+
+from genlib import parse_term
 
 SCOPE = {name: symb(name) for name in ["f", "g", "c", "a", "b", "e", "+", "0", "s"]}
 
