@@ -150,7 +150,3 @@ def cmd_tree(path: str, symbol: str, arity, dot: bool) -> int:
             print(f"{key[0]}/{key[1]}:")
             print(tree_text(trees[key], print_rhs=print_term))
     return OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

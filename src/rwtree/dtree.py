@@ -14,10 +14,11 @@ is never forced only to be stored.
 
 Compilation reduces a clause matrix step by step; ``choose_action`` picks
 each step by one fixed rule, which switches on the column with the most
-heads.  The compiler says where something is only by position: the matrix
-carries the position of each column, and the compile state maps each saved
-position to its store slot and each opened abstraction, named by its
-position, to its index in the binder snapshot.
+heads.  A Switch takes all of its symbol cases from one pass over the rows
+(``matrix.spec_symbols``).  The compiler says where something is only by
+position: the matrix carries the position of each column, and the compile
+state maps each saved position to its store slot and each opened
+abstraction, named by its position, to its index in the binder snapshot.
 
 A tree is walked in one place: ``iter_tree`` yields every node in preorder
 with its depth and edge label, taking a node's children from ``_edges``.
@@ -38,12 +39,11 @@ from .matrix import (
     from_rules,
     spec_default,
     spec_lambda,
-    specialise,
+    spec_symbols,
     swap_columns,
 )
 from .patterns import (
     PatAbst,
-    PatSymb,
     PatVar,
     Rule,
     SubstitutionError,
@@ -369,16 +369,7 @@ def _compile_front(m: ClauseMatrix, st: CompileState) -> DTree:
     if store:
         st = _stored(st, pos)
 
-    sym_keys = sorted(
-        {
-            (p.symbol, len(p.args))
-            for row in m.rows
-            if type(p := row.patterns[0]) is PatSymb
-        }
-    )
-    sym_cases = {
-        (name, argc): _compile(specialise(name, argc, m), st) for name, argc in sym_keys
-    }
+    sym_cases = {key: _compile(sub, st) for key, sub in spec_symbols(m).items()}
     lam_case = default_case = None
     if any(type(row.patterns[0]) is PatAbst for row in m.rows):
         opened = CompileState(st.slot_of, {**st.binder_of, pos: len(st.binder_of)})

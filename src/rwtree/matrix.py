@@ -8,7 +8,10 @@ the abstractions whose binders it may use), and the bindings needed to
 instantiate the right-hand side.  A binder is named by the position of its
 abstraction.  Positions refer to the original left-hand-side argument
 sequence; the matrix carries the position of each of its columns, and the
-decomposition operators below move it with the column.
+decomposition operators below move it with the column.  ``spec_symbols``
+builds every symbol case of a column in one pass over the rows, so a Switch
+with k cases costs one visit per row plus one per padded variable row, not
+k visits per row.
 """
 from __future__ import annotations
 
@@ -93,24 +96,39 @@ def _with_patterns(row: ClauseRow, patterns: tuple[Pattern, ...]) -> ClauseRow:
     return ClauseRow(patterns, row.nl, row.cl, row.env, row.rhs, row.source)
 
 
-def specialise(symbol: str, argc: int, m: ClauseMatrix) -> ClauseMatrix:
-    """Keep rows compatible with the first column being ``symbol`` applied
-    to exactly ``argc`` arguments; the column is replaced by the argument
-    subpatterns."""
-    rows = []
+def spec_symbols(m: ClauseMatrix) -> dict[tuple[str, int], ClauseMatrix]:
+    """Every symbol case of the first column, keyed by (symbol, argument
+    count) in sorted order.  A case keeps the rows compatible with the
+    column being that symbol applied to exactly that many arguments, and
+    replaces the column by the argument subpatterns.  Once the keys are
+    known, one pass over the rows fills every case in row order: a symbol
+    row goes to its own case, a variable row is padded into every case and
+    an abstraction row into none."""
+    keys = {
+        (p.symbol, len(p.args))
+        for row in m.rows
+        if type(p := row.patterns[0]) is PatSymb
+    }
+    cases: dict[tuple[str, int], list[ClauseRow]] = {key: [] for key in sorted(keys)}
     for row in m.rows:
         p = row.patterns[0]
         tp = type(p)
         if tp is PatSymb:
-            if p.symbol == symbol and len(p.args) == argc:
-                rows.append(_with_patterns(row, p.args + row.patterns[1:]))
+            cases[p.symbol, len(p.args)].append(
+                _with_patterns(row, p.args + row.patterns[1:])
+            )
         elif tp is PatVar:
-            pad = (WILDCARD,) * argc
-            rows.append(_with_patterns(row, pad + row.patterns[1:]))
-        # abstraction rows are incompatible
+            rest = row.patterns[1:]
+            for (_, argc), rows in cases.items():
+                rows.append(_with_patterns(row, (WILDCARD,) * argc + rest))
     pos = m.positions[0]
-    subs = tuple(pos + (j,) for j in range(1, argc + 1))
-    return ClauseMatrix(tuple(rows), subs + m.positions[1:])
+    return {
+        (name, argc): ClauseMatrix(
+            tuple(rows),
+            tuple(pos + (j,) for j in range(1, argc + 1)) + m.positions[1:],
+        )
+        for (name, argc), rows in cases.items()
+    }
 
 
 def spec_lambda(m: ClauseMatrix) -> ClauseMatrix:

@@ -15,14 +15,23 @@ Grammar (whitespace-insensitive, ``//`` line comments)::
     atom  := IDENT | "$" IDENT ("[" IDENT ("," IDENT)* "]")?
            | "_" | "TYPE" | "KIND" | "(" term ")"
 
-Identifiers are any run of non-delimiter, non-whitespace characters, so
-names like ``+`` or unicode letters work.  Application binds tighter than
-binders; a binder body extends maximally to the right.
+A token is a one-character delimiter (``( ) [ ] , ; : . $``, a binder sign
+or the hook arrow) or a run of other non-whitespace characters, so names
+like ``+`` or unicode letters work; ``//`` starts a comment that runs to the
+end of the line.  Application binds tighter than binders; a binder body
+extends maximally to the right.  ``TYPE``, ``KIND``, ``_`` and the keywords
+are never names.
+
+The tokenizer keeps token texts only.  The parser records where each line's
+tokens start, so a token's line is one bisection; its column is found only
+when an error is raised, by scanning that one line again.
 """
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NoReturn, Optional, Union
 
 from .patterns import PatAbst, PatSymb, PatVar, Pattern, Rule
 from .terms import (
@@ -42,11 +51,14 @@ from .terms import (
     symb,
 )
 
-# the kind of each one-character token, and of the words that are not names
-_SINGLE = {c: c for c in "()[],;:.$"}
-_SINGLE |= {"\\": "lam", "λ": "lam", "Π": "pi", "↪": "arrow"}
-_WORDS = {"-->": "arrow", "==": "eqeq"}
+# the kind of every token that is not a word: first the one-character
+# delimiters, which a token is made of or stops at; "" ends the token list
+_KIND = {c: c for c in "()[],;:.$"} | {"\\": "lam", "λ": "lam", "Π": "pi", "↪": "arrow"}
+_DELIMITERS = re.escape("".join(_KIND))
+_TOKEN = re.compile(f"[{_DELIMITERS}]|[^\\s{_DELIMITERS}]+")
+_KIND |= {"-->": "arrow", "==": "eqeq", "": "eof"}
 _KEYWORDS = {"symbol", "rule", "with", "compute", "assert"}
+_RESERVED = _KEYWORDS | {"_", TYPE, KIND}
 
 
 class ParseError(Exception):
@@ -64,51 +76,26 @@ class ScopeError(Exception):
         super().__init__(f"{line}:{col}: undeclared identifier {name!r}")
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # one of ( ) [ ] , ; : . $ lam pi arrow eqeq word eof
-    text: str
-    line: int
-    col: int
+def _code(line: str) -> str:
+    """The part of a source line before its comment."""
+    return line.partition("//")[0]
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "/" and text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        kind = _SINGLE.get(c)
-        if kind is not None:
-            toks.append(Token(kind, c, line, col))
-            i += 1
-            col += 1
-            continue
-        j = i + 1
-        while j < n:
-            d = text[j]
-            if d.isspace() or d in _SINGLE or (d == "/" and text.startswith("//", j)):
-                break
-            j += 1
-        word = text[i:j]
-        toks.append(Token(_WORDS.get(word, "word"), word, line, col))
-        col += j - i
-        i = j
-    toks.append(Token("eof", "", line, col))
-    return toks
+def _scan(text: str) -> tuple[list[str], list[int]]:
+    """Token texts, ending with ``""``, and the index of each line's first
+    token.  ``//`` never occurs inside a token, so cutting there is exact."""
+    toks: list[str] = []
+    line_starts = []
+    for line in text.split("\n"):
+        line_starts.append(len(toks))
+        toks += _TOKEN.findall(_code(line))
+    toks.append("")
+    return toks, line_starts
+
+
+def tokenize(text: str) -> list[str]:
+    """Token texts of ``text``, ending with the end-of-file sentinel ``""``."""
+    return _scan(text)[0]
 
 
 @dataclass(slots=True)
@@ -154,45 +141,54 @@ class SourceFile:
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks, self.line_starts = _scan(text)
         self.pos = 0
         self.scope: dict[str, Term] = {}  # declared symbols by name
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
+    def kind(self) -> str:
+        return _KIND.get(self.toks[self.pos], "word")
+
+    def line(self, i: int) -> int:
+        """Line of token ``i``: the last line starting at or before it (a
+        line without tokens starts where the next line does)."""
+        return bisect_right(self.line_starts, i)
+
+    def where(self, i: int) -> tuple[int, int]:
+        """Line and column of token ``i``, found by scanning its line again."""
+        line = self.line(i)
+        code = _code(self.text.split("\n")[line - 1])
+        # the end of file is one column past the code, where a comment starts
+        cols = [m.start() + 1 for m in _TOKEN.finditer(code)] + [len(code) + 1]
+        return line, cols[i - self.line_starts[line - 1]]
+
+    def expect(self, kind: str, what: str) -> None:
+        if self.kind() != kind:
+            self.fail(f"expected {what}, found {self.peek()!r}")
         self.pos += 1
-        return t
 
-    def expect(self, kind: str, what: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(t.line, t.col, f"expected {what}, found {t.text!r}")
-        return self.next()
-
-    def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(t.line, t.col, msg)
+    def fail(self, msg: str, at: Optional[int] = None) -> NoReturn:
+        raise ParseError(*self.where(self.pos if at is None else at), msg)
 
     # -- terms -------------------------------------------------------------
 
     def term(self, binders: dict[str, Var], meta: bool) -> Term:
-        t = self.peek()
-        if t.kind == "lam":
-            self.next()
+        kind = self.kind()
+        if kind == "lam":
+            self.pos += 1
             name = self.ident("binder name")
-            sep = self.peek()
-            if sep.kind not in (",", "."):
+            if self.kind() not in (",", "."):
                 self.fail("expected ',' or '.' after binder")
-            self.next()
+            self.pos += 1
             v = fresh_var(name)
             body = self.term({**binders, name: v}, meta)
             return Abst(v, None, body)
-        if t.kind == "pi":
-            self.next()
+        if kind == "pi":
+            self.pos += 1
             name = self.ident("binder name")
             self.expect(":", "':' after product binder")
             domain = self.app({**binders}, meta)
@@ -213,151 +209,140 @@ class _Parser:
             t = App(t, a)
 
     def atom(self, binders: dict[str, Var], meta: bool) -> Optional[Term]:
-        t = self.peek()
-        if t.kind == "(":
-            self.next()
+        text = self.peek()
+        kind = _KIND.get(text, "word")
+        if kind == "word":
+            # reserved names are never bound or declared
+            found = binders.get(text)
+            if found is None:
+                found = self.scope.get(text)
+            if found is None:
+                if text in _KEYWORDS:
+                    return None
+                if text == "_":
+                    if not meta:
+                        self.fail("wildcard outside a rule")
+                    found = MetaApp(None, ())
+                elif text == TYPE or text == KIND:
+                    found = Sort(text)
+                else:
+                    raise ScopeError(*self.where(self.pos), text)
+            self.pos += 1
+            return found
+        if kind == "(":
+            self.pos += 1
             inner = self.term(binders, meta)
             self.expect(")", "')'")
             return inner
-        if t.kind == "lam" or t.kind == "pi":
-            # binder as the whole remaining app argument chain would be
-            # ambiguous; binders start a term, not an atom
-            return None
-        if t.kind == "$":
+        if kind == "$":
             if not meta:
-                raise ParseError(
-                    t.line, t.col, "pattern variables are only allowed in rules"
-                )
-            self.next()
+                self.fail("pattern variables are only allowed in rules")
+            self.pos += 1
             name = self.ident("pattern-variable name")
             args: list[Term] = []
-            if self.peek().kind == "[":
-                self.next()
-                while True:
+            if self.kind() == "[":
+                self.pos += 1
+                args.append(self.bound_ref(binders))
+                while self.kind() == ",":
+                    self.pos += 1
                     args.append(self.bound_ref(binders))
-                    if self.peek().kind == ",":
-                        self.next()
-                        continue
-                    break
                 self.expect("]", "']'")
             return MetaApp(name, tuple(args))
-        if t.kind == "word":
-            if t.text in _KEYWORDS:
-                return None
-            self.next()
-            if t.text == "_":
-                if not meta:
-                    raise ParseError(t.line, t.col, "wildcard outside a rule")
-                return MetaApp(None, ())
-            if t.text == TYPE:
-                return Sort(TYPE)
-            if t.text == KIND:
-                return Sort(KIND)
-            if t.text in binders:
-                return binders[t.text]
-            if t.text in self.scope:
-                return self.scope[t.text]
-            raise ScopeError(t.line, t.col, t.text)
+        # a binder starts a term, not an atom: as the whole remaining
+        # argument chain it would be ambiguous
         return None
 
     def bound_ref(self, binders: dict[str, Var]) -> Var:
-        t = self.peek()
         name = self.ident("bound variable name")
         v = binders.get(name)
         if v is None:
-            raise ScopeError(t.line, t.col, name)
+            raise ScopeError(*self.where(self.pos - 1), name)
         return v
 
     def ident(self, what: str) -> str:
-        t = self.peek()
-        if t.kind != "word" or t.text in _KEYWORDS or t.text == "_":
+        text = self.peek()
+        if self.kind() != "word" or text in _RESERVED:
             self.fail(f"expected {what}")
-        self.next()
-        return t.text
+        self.pos += 1
+        return text
 
     # -- items -------------------------------------------------------------
 
     def file(self) -> SourceFile:
         items: list[Item] = []
-        while self.peek().kind != "eof":
+        while self.kind() != "eof":
             items.append(self.item())
         return SourceFile(items)
 
     def item(self) -> Item:
-        t = self.peek()
-        if t.kind != "word":
-            self.fail("expected a declaration, rule or directive")
-        if t.text == "symbol":
-            self.next()
+        start = self.pos
+        text = self.peek()
+        if text == "symbol":
+            self.pos += 1
             name = self.ident("symbol name")
-            if self.peek().kind == ":":
-                self.next()
+            if self.kind() == ":":
+                self.pos += 1
                 self.term({}, meta=False)
             self.expect(";", "';'")
             if name in self.scope:
-                raise ParseError(t.line, t.col, f"symbol {name!r} redeclared")
+                self.fail(f"symbol {name!r} redeclared", start)
             self.scope[name] = symb(name)
             return Declaration(name)
-        if t.text == "rule":
-            self.next()
+        if text == "rule":
+            self.pos += 1
             rules = [self.rule()]
-            while self.peek().kind == "word" and self.peek().text == "with":
-                self.next()
+            while self.peek() == "with":
+                self.pos += 1
                 rules.append(self.rule())
             self.expect(";", "';'")
             return RuleBlock(rules)
-        if t.text == "compute":
-            self.next()
+        if text == "compute":
+            self.pos += 1
             term = self.term({}, meta=False)
             self.expect(";", "';'")
-            return Compute(term, t.line)
-        if t.text == "assert":
-            self.next()
+            return Compute(term, self.line(start))
+        if text == "assert":
+            self.pos += 1
             lhs = self.term({}, meta=False)
             self.expect("eqeq", "'=='")
             rhs = self.term({}, meta=False)
             self.expect(";", "';'")
-            return Assert(lhs, rhs, t.line)
-        self.fail(f"unknown item {t.text!r}")
+            return Assert(lhs, rhs, self.line(start))
+        if self.kind() != "word":
+            self.fail("expected a declaration, rule or directive")
+        self.fail(f"unknown item {text!r}")
 
     def rule(self) -> Rule:
-        t = self.peek()
+        start = self.pos
         lhs = self.term({}, meta=True)
         self.expect("arrow", "rule arrow")
         rhs = self.term({}, meta=True)
-        head, pats = lhs_to_patterns(lhs, t.line, t.col)
-        return Rule(head, pats, rhs, label=f"{head}@{t.line}")
+        head, args = spine(lhs)
+        if type(head) is not Symb:
+            self.fail("rule left-hand side must apply a symbol", start)
+        pats = tuple(self.pattern(a, start) for a in args)
+        return Rule(head.name, pats, rhs, label=f"{head.name}@{self.line(start)}")
 
-
-def lhs_to_patterns(lhs: Term, line: int, col: int) -> tuple[str, tuple[Pattern, ...]]:
-    head, args = spine(lhs)
-    if type(head) is not Symb:
-        raise ParseError(line, col, "rule left-hand side must apply a symbol")
-    return head.name, tuple(term_to_pattern(a, line, col) for a in args)
-
-
-def term_to_pattern(t: Term, line: int, col: int) -> Pattern:
-    tt = type(t)
-    if tt is MetaApp:
-        for a in t.args:
-            if type(a) is not Var:
-                raise ParseError(
-                    line, col, "pattern-variable arguments must be bound variables"
-                )
-        return PatVar(t.name, t.args)
-    if tt is Abst:
-        return PatAbst(t.var, term_to_pattern(t.body, line, col))
-    if tt is Var:
-        raise ParseError(
-            line,
-            col,
-            f"bare bound variable {t.name!r} in a pattern; "
-            "apply a pattern variable to it instead",
-        )
-    head, args = spine(t)
-    if type(head) is not Symb:
-        raise ParseError(line, col, "unsupported pattern shape")
-    return PatSymb(head.name, tuple(term_to_pattern(a, line, col) for a in args))
+    def pattern(self, t: Term, start: int) -> Pattern:
+        """The pattern that the term ``t`` spells; errors point at ``start``,
+        the first token of its rule."""
+        tt = type(t)
+        if tt is MetaApp:
+            if any(type(a) is not Var for a in t.args):
+                self.fail("pattern-variable arguments must be bound variables", start)
+            return PatVar(t.name, t.args)
+        if tt is Abst:
+            return PatAbst(t.var, self.pattern(t.body, start))
+        if tt is Var:
+            self.fail(
+                f"bare bound variable {t.name!r} in a pattern; "
+                "apply a pattern variable to it instead",
+                start,
+            )
+        head, args = spine(t)
+        if type(head) is not Symb:
+            self.fail("unsupported pattern shape", start)
+        return PatSymb(head.name, tuple(self.pattern(a, start) for a in args))
 
 
 def parse_file(text: str) -> SourceFile:
@@ -367,7 +352,7 @@ def parse_file(text: str) -> SourceFile:
     The rules are validated where they are compiled
     (``dtree.trees_of_ruleset``).
     """
-    return _Parser(tokenize(text)).file()
+    return _Parser(text).file()
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +442,6 @@ def _reserved_names(t: Term) -> set[str]:
 def _pick_name(v: Var, names: dict[int, str], reserved: set[str]) -> str:
     taken = reserved | set(names.values())
     name = v.name
-    while name in taken or name in _KEYWORDS or name == "_":
+    while name in taken or name in _RESERVED:
         name += "'"
     return name

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rwtree.cli import (
@@ -22,6 +27,21 @@ def test_too_deep_input_exits_6_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input too deep")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path):
+    src = tmp_path / "fib.rw"
+    src.write_text(FIB_RULES)
+    checkout_src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "rwtree", "check", str(src)],
+        env={**os.environ, "PYTHONPATH": str(checkout_src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"{src}: ok, 7 rules, 2 trees")
 
 
 def test_bench_is_no_longer_a_command(capsys):

@@ -8,7 +8,7 @@ from rwtree.matrix import (
     from_rules,
     spec_default,
     spec_lambda,
-    specialise,
+    spec_symbols,
     swap_columns,
 )
 from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule, WILDCARD
@@ -131,11 +131,21 @@ def decomposition_matrix():
 
 def test_specialise_golden():
     m, _ = decomposition_matrix()
-    out = specialise("r", 1, m)
+    cases = spec_symbols(m)
+    assert list(cases) == [("r", 0), ("r", 1)]
+    out = cases["r", 1]
     assert [row.source for row in out.rows] == ["1", "3"]
     assert out.rows[0].patterns == (pvar("x"), psym("q"))
     assert out.rows[1].patterns == (WILDCARD, psym("r"))
     assert out.positions == ((1, 1), (2,))
+    out = cases["r", 0]
+    assert [row.source for row in out.rows] == ["2", "3"]
+    assert out.rows[0].patterns == (psym("f", pvar("x")),)
+    assert out.rows[1].patterns == (psym("r"),)
+    assert out.positions == ((2,),)
+    # a variable row keeps its place among the symbol rows
+    out = spec_symbols(ClauseMatrix(m.rows[::-1], m.positions))["r", 1]
+    assert [row.source for row in out.rows] == ["3", "1"]
 
 
 def test_spec_lambda_golden():
@@ -159,8 +169,9 @@ def test_spec_default_golden():
 
 def test_specialise_no_matching_symbol():
     m, _ = decomposition_matrix()
-    out = specialise("zzz", 0, m)
-    assert [row.source for row in out.rows] == ["3"]  # only the wildcard row
+    assert ("zzz", 0) not in spec_symbols(m)
+    # only the wildcard and abstraction rows: no symbol case at all
+    assert spec_symbols(ClauseMatrix((m.rows[2], m.rows[3]), m.positions)) == {}
     out2 = spec_default(ClauseMatrix((m.rows[0], m.rows[1]), m.positions))
     assert out2.rows == ()
     assert out2.positions == ((2,),)
@@ -168,7 +179,7 @@ def test_specialise_no_matching_symbol():
 
 def test_specialise_unrolls_nested_application():
     row = ClauseRow((psym("c", psym("c", WILDCARD)),), rhs=symb("r"))
-    out = specialise("c", 1, ClauseMatrix((row,), ((3, 2),)))
+    (out,) = spec_symbols(ClauseMatrix((row,), ((3, 2),))).values()
     assert out.rows[0].patterns == (psym("c", WILDCARD),)
     assert out.positions == ((3, 2, 1),)
 
@@ -224,10 +235,10 @@ def test_cond_succ_idempotent():
 
 def test_row_partition():
     m, _ = decomposition_matrix()
-    syms = {("r", 1), ("r", 0), ("f", 1)}
+    cases = spec_symbols(m)
     landed = {src: 0 for src in "1234"}
-    for name, argc in syms:
-        for row in specialise(name, argc, m).rows:
+    for case in cases.values():
+        for row in case.rows:
             landed[row.source] += 1
     for row in spec_lambda(m).rows:
         landed[row.source] += 1
@@ -236,7 +247,7 @@ def test_row_partition():
     # wildcard rows land everywhere: every symbol case, the lambda case and
     # the default; symbol and abstraction rows land exactly once
     assert landed["1"] == 1 and landed["2"] == 1 and landed["4"] == 1
-    assert landed["3"] == len(syms) + 2
+    assert landed["3"] == len(cases) + 2
 
 
 def test_width_arithmetic():
@@ -244,16 +255,17 @@ def test_width_arithmetic():
     # position with its column
     m, _ = decomposition_matrix()
     outs = [
-        specialise("r", 1, m),
-        specialise("r", 0, m),
+        *spec_symbols(m).values(),
         spec_lambda(m),
         spec_default(m),
         swap_columns(m, 2),
     ]
     for out in outs:
         assert all(len(row.patterns) == len(out.positions) for row in out.rows)
-    assert specialise("r", 2, m).positions == ((1, 1), (1, 2), (2,))
-    assert specialise("r", 0, m).positions == ((2,),)
+    wide = ClauseRow((psym("r", pvar("x"), pvar("y")), psym("q")), rhs=symb("r5"))
+    cases = spec_symbols(ClauseMatrix(m.rows + (wide,), m.positions))
+    assert cases["r", 2].positions == ((1, 1), (1, 2), (2,))
+    assert cases["r", 0].positions == ((2,),)
     swapped = swap_columns(m, 2)
     assert swapped.positions == ((2,), (1,))
     assert [row.patterns[0] for row in swapped.rows] == [

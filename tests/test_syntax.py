@@ -13,6 +13,7 @@ from rwtree.syntax import (
     ScopeError,
     parse_file,
     print_term,
+    tokenize,
 )
 from rwtree.terms import (
     Abst,
@@ -82,6 +83,103 @@ def test_parse_unicode_identifiers():
     scope = {"ℕ": symb("ℕ"), "+": symb("+")}
     t = parse_term("+ ℕ ℕ", scope)
     assert isinstance(t, App)
+
+
+# ---------------------------------------------------------------------------
+# tokens and error positions
+
+
+def test_tokenize_golden():
+    # every token kind: a comment cut inside a word, a lone and an inner
+    # slash, both arrows, ==, the three binder signs, every one-character
+    # delimiter, a tab, a CRLF line end and a non-breaking space
+    src = (
+        "symbol f// c\n/ a/b --> ↪ == \\ λ Π x(y)[z],;:.$\tw\r\n"
+        "k\xa0m-->n a↪b"
+    )
+    assert tokenize(src) == [
+        "symbol", "f", "/", "a/b", "-->", "↪", "==", "\\", "λ", "Π",
+        "x", "(", "y", ")", "[", "z", "]", ",", ";", ":", ".", "$", "w",
+        "k", "m-->n", "a", "↪", "b", "",
+    ]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "src, error, message",
+    [
+        (
+            "symbol f; symbol a;\ncompute f (a;",
+            ParseError,
+            "2:13: expected ')', found ';'",
+        ),
+        (
+            "// header\nsymbol f;\ncompute f zz;",
+            ScopeError,
+            "3:11: undeclared identifier 'zz'",
+        ),
+        (
+            "symbol f;\n\t\tcompute f zz;",
+            ScopeError,
+            "2:13: undeclared identifier 'zz'",
+        ),
+        (
+            "symbol f;\r\ncompute\xa0f zz;",
+            ScopeError,
+            "2:11: undeclared identifier 'zz'",
+        ),
+        (
+            "symbol f;\nrule f (\\x, $u[y]) --> f (\\x, $u[x]);",
+            ScopeError,
+            "2:16: undeclared identifier 'y'",
+        ),
+        ("symbol a;\n  symbol a;", ParseError, "2:3: symbol 'a' redeclared"),
+        (
+            "symbol f; symbol a;\nrule f a --> a\n  with f (\\x, x) --> a;",
+            ParseError,
+            "3:8: bare bound variable 'x' in a pattern; "
+            "apply a pattern variable to it instead",
+        ),
+        # the column of the end of file is where the trailing comment starts
+        (
+            "symbol f;\ncompute f // done",
+            ParseError,
+            "2:11: expected ';', found ''",
+        ),
+    ],
+    ids=[
+        "missing-paren",
+        "after-comment-line",
+        "after-tabs",
+        "after-crlf-and-nbsp",
+        "unbound-formal",
+        "redeclared",
+        "second-rule-of-block",
+        "eof-after-comment",
+    ],
+)
+def test_error_positions(src, error, message):
+    with pytest.raises(error) as exc:
+        parse_file(src)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        # each was read as a declared symbol, an unused binder or a sort
+        ("symbol TYPE; compute TYPE;", "1:8: expected symbol name"),
+        ("symbol f; compute \\TYPE, f TYPE;", "1:20: expected binder name"),
+        (
+            "symbol KIND; symbol f; rule f KIND --> KIND;",
+            "1:8: expected symbol name",
+        ),
+    ],
+    ids=["declared", "binder", "pattern"],
+)
+def test_sort_names_are_reserved(src, message):
+    with pytest.raises(ParseError) as exc:
+        parse_file(src)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +330,15 @@ def test_print_binder_avoids_symbol_capture():
     v = fresh_var("f")
     t = Abst(v, None, App(symb("f"), v))
     s = print_term(t)
+    assert alpha_eq(parse_term(s, SCOPE), t)
+
+
+def test_print_primes_a_binder_named_like_a_sort():
+    # TYPE is reserved, so an unprimed binder would reparse as the sort
+    v = fresh_var("TYPE")
+    t = Abst(v, None, App(symb("f"), v))
+    s = print_term(t)
+    assert s == "\\TYPE', f TYPE'"
     assert alpha_eq(parse_term(s, SCOPE), t)
 
 
