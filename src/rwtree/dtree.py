@@ -43,13 +43,14 @@ from .matrix import (
     swap_columns,
 )
 from .patterns import (
+    BinderSources,
     PatAbst,
     PatVar,
     Rule,
     SubstitutionError,
     validate_rules,
 )
-from .terms import Abst, App, MetaApp, Position, Prod, Term, Var, subst
+from .terms import Abst, App, MetaApp, Position, Prod, Term, Var, fresh_var, subst
 
 
 class DTree:
@@ -68,12 +69,14 @@ class Leaf(DTree):
     # pattern-variable name -> (store slot, indices into that slot's
     # binder snapshot selecting the closure formals)
     env: dict[str, tuple[int, tuple[int, ...]]]
-    # build(store) -> the instantiated rhs; compiled from rhs and env when
-    # the leaf is made
+    # the rule's changing rhs binders (``Rule.binders``)
+    binders: BinderSources = field(default_factory=dict)
+    # build(store) -> the instantiated rhs; compiled from rhs, env and
+    # binders when the leaf is made
     build: Builder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.build = rhs_builder(self.rhs, self.env)
+        self.build = rhs_builder(self.rhs, self.env, self.binders)
 
 
 @dataclass(slots=True)
@@ -135,23 +138,39 @@ class BinCl(DTree):
 # Right-hand-side builders
 
 
-def rhs_builder(rhs: Term, env: dict[str, tuple[int, tuple[int, ...]]]) -> Builder:
+def rhs_builder(
+    rhs: Term,
+    env: dict[str, tuple[int, tuple[int, ...]]],
+    binders: BinderSources,
+) -> Builder:
     """Compile a right-hand side into a function of the store.
 
-    The built term equals ``patterns.apply_subst`` node for node: subterms
-    without pattern variables are the shared rhs objects, a bare ``$x`` is
-    its stored term, ``$u[a...]`` substitutes the built arguments for the
-    selected snapshot binders, and the nodes above a pattern variable are
-    rebuilt around the rhs binders.  Raises SubstitutionError on an unbound
+    The built term equals ``patterns.apply_subst`` with the same
+    ``binders`` node for node, names included: subterms without pattern
+    variables or changing binders are the shared rhs objects, a bare ``$x``
+    is its stored term, ``$u[a...]`` substitutes the built arguments for the
+    selected snapshot binders, and the nodes above are rebuilt.  A binder
+    that stands for a subject binder is read from the snapshot of its
+    pattern variable's entry, so ``$u[x]`` with ``x`` that binder is the
+    stored term itself.  A binder that is fresh at every firing is built
+    as a placeholder Var made here, which no term holds, and the firing
+    renames it in the built body.  Raises SubstitutionError on an unbound
     name or an arity mismatch.
     """
-    build = _builder(rhs, env)
+    build = _builder(rhs, env, binders, {})
     return build if build is not None else lambda store: rhs
 
 
-def _builder(t: Term, env) -> Optional[Builder]:
-    """Builder for ``t``, or None when ``t`` has no pattern variable."""
+def _builder(t: Term, env, binders: BinderSources, bound) -> Optional[Builder]:
+    """Builder for ``t``, or None when ``t`` is built as itself.  ``bound``
+    maps the vid of each enclosing changing binder to its snapshot index
+    (None for a fresh one) and to the builder of its variable; a binder is
+    the same Var in every snapshot that holds it, so a formal with that
+    index is passed itself."""
     tt = type(t)
+    if tt is Var:
+        entry = bound.get(t.vid)
+        return entry[1] if entry is not None else None
     if tt is MetaApp:
         entry = env.get(t.name)
         if entry is None:
@@ -162,9 +181,15 @@ def _builder(t: Term, env) -> Optional[Builder]:
                 f"arity mismatch for ${t.name}: "
                 f"{len(selector)} formals, {len(t.args)} arguments"
             )
-        if not t.args:
+        pairs = []
+        for k, a in zip(selector, t.args):
+            if type(a) is Var and a.vid in bound and bound[a.vid][0] == k:
+                continue  # the formal is passed the binder that is itself
+            part = _builder(a, env, binders, bound)
+            pairs.append((k, part or (lambda store, a=a: a)))
+        if not pairs:
             return lambda store: store[slot][0]
-        pairs = tuple((k, rhs_builder(a, env)) for k, a in zip(selector, t.args))
+        pairs = tuple(pairs)
 
         def build_meta(store):
             term, snapshot = store[slot]
@@ -172,7 +197,8 @@ def _builder(t: Term, env) -> Optional[Builder]:
 
         return build_meta
     if tt is App:
-        fn, arg = _builder(t.fn, env), _builder(t.arg, env)
+        fn = _builder(t.fn, env, binders, bound)
+        arg = _builder(t.arg, env, binders, bound)
         if fn is None and arg is None:
             return None
         if fn is None:
@@ -184,14 +210,36 @@ def _builder(t: Term, env) -> Optional[Builder]:
         return lambda store: App(fn(store), arg(store))
     if tt is Abst or tt is Prod:
         body = t.body if tt is Abst else t.codomain
-        dom, inner = _builder(t.domain, env), _builder(body, env)
-        if dom is None and inner is None:
-            return None
         var, domain = t.var, t.domain
+        dom = _builder(domain, env, binders, bound)
+        if var.vid not in binders:  # the rule's Var
+            if var.vid in bound:  # it shadows a changing binder
+                bound = {k: e for k, e in bound.items() if k != var.vid}
+            inner = _builder(body, env, binders, bound)
+            if dom is None and inner is None:
+                return None
+            dom = dom or (lambda store: domain)
+            inner = inner or (lambda store: body)
+            return lambda store: tt(var, dom(store), inner(store))
         dom = dom or (lambda store: domain)
-        inner = inner or (lambda store: body)
-        return lambda store: tt(var, dom(store), inner(store))
-    return None  # Var, Symb, Sort, or an absent Abst domain
+        source = binders[var.vid]
+        if source is None:  # fresh
+            hole = fresh_var(var.name)
+            scope = {**bound, var.vid: (None, lambda store: hole)}
+            inner = _builder(body, env, binders, scope) or (lambda store: body)
+
+            def build_fresh(store):
+                v = fresh_var(var.name)
+                return tt(v, dom(store), subst(inner(store), {hole.vid: v}))
+
+            return build_fresh
+        name, j = source
+        slot, selector = env[name]
+        k = selector[j]
+        scope = {**bound, var.vid: (k, lambda store: store[slot][1][k])}
+        inner = _builder(body, env, binders, scope) or (lambda store: body)
+        return lambda store: tt(store[slot][1][k], dom(store), inner(store))
+    return None  # Symb, Sort, or an absent Abst domain
 
 
 @dataclass(slots=True)
@@ -330,7 +378,7 @@ def _compile(m: ClauseMatrix, st: CompileState) -> DTree:
     if kind == "yield":
         row = m.rows[arg]
         env = {name: _slot_selector(st, occ) for name, occ in row.env.items()}
-        return Leaf(row.rhs, env)
+        return Leaf(row.rhs, env, row.binders)
     if kind == "solve_nl":
         (i, sel_i), (j, sel_j) = sorted(_slot_selector(st, occ) for occ in arg)
         succ, fail = _compile(cond_succ(arg, m), st), _compile(cond_fail(arg, m), st)

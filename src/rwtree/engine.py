@@ -12,6 +12,15 @@ the tree was.  In convertibility mode the constraint checks compare or
 inspect fully normalized terms, and a right-hand side is built from the
 normal form a closedness check passed on.
 
+Neither engine renames to build a right-hand side.  A rule's ``binders``
+(``patterns.analyse_rhs``) say which subject binder each
+right-hand-side binder stands for, and the result reuses that binder, name
+included; a binder that stands for none is fresh at every firing, so
+instantiation never captures.  So in ``d (\\x, sin $u[x]) --> \\x, * (cos
+$u[x]) (d (\\x, $u[x]) x)`` both binders are the subject's ``s``, ``$u[x]``
+is the matched term itself, and the beta step ``(\\s, b) s`` is ``b``, all
+with no walk.
+
 Both matchers open a subject abstraction in place: they go on with its own
 body and record its own binder, and rename it to a fresh variable, with a
 substitution walk, only when a binder opened on the path already has its
@@ -170,7 +179,9 @@ def whnf_stk(
             continue
         if tt is Abst:
             steps.tick()
-            t = subst(t.body, {t.var.vid: stk.pop()})
+            arg = stk.pop()
+            # (\s, b) s is b: a result that reuses its subject's binder
+            t = t.body if arg is t.var else subst(t.body, {t.var.vid: arg})
             whole = None if stk else t
             continue
         args = stk[::-1]

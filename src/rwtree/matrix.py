@@ -22,11 +22,11 @@ from .patterns import (
     PatAbst,
     PatSymb,
     PatVar,
+    BinderSources,
     Pattern,
     Rule,
     WILDCARD,
     iter_pattern_vars,
-    rhs_meta_occurrences,
 )
 from .terms import Position, Term
 
@@ -47,6 +47,8 @@ class ClauseRow:
     env: dict[str, Occurrence] = field(default_factory=dict)
     rhs: Term = None
     source: str = ""
+    # the rule's changing rhs binders (``Rule.binders``)
+    binders: BinderSources = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -84,16 +86,26 @@ def from_rules(head: str, rules: Sequence[Rule]) -> ClauseMatrix:
             for i in range(len(occs))
             for j in range(i + 1, len(occs))
         }
-        rhs_names = {m.name for m in rhs_meta_occurrences(r.rhs)}
+        rhs_names = {m.name for m in r.rhs_metas}
         env = {name: occurrences[name][0] for name in rhs_names if name in occurrences}
         rows.append(
-            ClauseRow(r.lhs_args, frozenset(nl), frozenset(cl), env, r.rhs, r.label)
+            ClauseRow(
+                r.lhs_args,
+                frozenset(nl),
+                frozenset(cl),
+                env,
+                r.rhs,
+                r.label,
+                r.binders,
+            )
         )
     return ClauseMatrix(tuple(rows), tuple((i,) for i in range(1, width + 1)))
 
 
 def _with_patterns(row: ClauseRow, patterns: tuple[Pattern, ...]) -> ClauseRow:
-    return ClauseRow(patterns, row.nl, row.cl, row.env, row.rhs, row.source)
+    return ClauseRow(
+        patterns, row.nl, row.cl, row.env, row.rhs, row.source, row.binders
+    )
 
 
 def spec_symbols(m: ClauseMatrix) -> dict[tuple[str, int], ClauseMatrix]:
@@ -174,7 +186,9 @@ def cond_succ(key: ConstraintKey, m: ClauseMatrix) -> ClauseMatrix:
     for row in m.rows:
         if key in row.nl or key in row.cl:
             nl, cl = row.nl - {key}, row.cl - {key}
-            row = ClauseRow(row.patterns, nl, cl, row.env, row.rhs, row.source)
+            row = ClauseRow(
+                row.patterns, nl, cl, row.env, row.rhs, row.source, row.binders
+            )
         rows.append(row)
     return ClauseMatrix(tuple(rows), m.positions)
 

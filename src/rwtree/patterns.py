@@ -6,14 +6,16 @@ against it, so this module must stay simple and obviously correct.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .terms import (
     Abst,
     App,
     MetaApp,
+    Position,
     Prod,
+    Sort,
     Symb,
     Term,
     Var,
@@ -21,7 +23,6 @@ from .terms import (
     build_app,
     free_vars,
     fresh_var,
-    iter_nodes,
     spine,
     subst,
 )
@@ -83,12 +84,29 @@ class PatAbst(Pattern):
 WILDCARD = PatVar(None, ())
 
 
+# The right-hand-side binders that change from one firing to the next,
+# keyed by the vid of the rule's binder Var: each stands for the subject
+# binder that is the j-th formal of a pattern variable, given as (name, j),
+# or for a fresh variable at every firing (None).  An absent binder keeps
+# the rule's Var.  See ``analyse_rhs``.
+BinderSource = Optional[tuple[str, int]]
+BinderSources = dict[int, BinderSource]
+
+
 @dataclass(slots=True)
 class Rule:
     head: str
     lhs_args: tuple[Pattern, ...]
     rhs: Term
     label: str = ""
+    # both computed once, when the rule is made, by one walk of the rhs
+    # (``analyse_rhs``): its pattern-variable applications in preorder, and
+    # the rhs binders that change per firing, which both engines read
+    rhs_metas: tuple[MetaApp, ...] = field(init=False, repr=False, compare=False)
+    binders: BinderSources = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rhs_metas, self.binders = analyse_rhs(self)
 
     @property
     def arity(self) -> int:
@@ -134,11 +152,6 @@ def iter_pattern_vars(pats: Sequence[Pattern]):
             stack.append((q.body, pos + (1,), scope + ((q.var, pos),)))
 
 
-def rhs_meta_occurrences(t: Term):
-    """Yield every MetaApp node of a right-hand side, preorder."""
-    return (x for x in iter_nodes(t) if type(x) is MetaApp)
-
-
 def validate_rule(rule: Rule) -> list[str]:
     """Check rule well-formedness; returns a list of violations (empty = ok).
 
@@ -173,7 +186,7 @@ def validate_rule(rule: Rule) -> list[str]:
                     f"inconsistent arity for ${pv.name}: {prev} vs {len(pv.args)}"
                 )
 
-    for m in rhs_meta_occurrences(rule.rhs):
+    for m in rule.rhs_metas:
         if m.name is None:
             violations.append("wildcard _ in right-hand side")
             continue
@@ -202,6 +215,125 @@ def validate_rules(rules: Sequence[Rule]) -> None:
 
 def _fmt(pos: tuple[int, ...]) -> str:
     return ".".join(map(str, pos)) if pos else "e"
+
+
+def analyse_rhs(rule: Rule) -> tuple[tuple[MetaApp, ...], BinderSources]:
+    """One walk of the right-hand side: its pattern-variable applications
+    in preorder, and the binder each of its abstractions takes when the
+    rule fires.
+
+    A binder whose scope holds no pattern variable and refers to no binder
+    that changes per firing is a constant: it keeps the rule's Var and is
+    not in the map.  Every other binder ``x`` stands for the subject binder
+    that is the j-th formal of ``$u``, mapped as ``(u, j)``, when, with A
+    the left-hand-side abstraction of that formal:
+
+    1. every pattern variable in x's scope first occurs under A, so A's
+       binder is free in what they stand for only as a formal of A;
+    2. nothing in x's scope refers to an outer right-hand-side binder that
+       was also given A, which x would capture.
+
+    The formals that ``x`` is passed to are tried first, then every formal
+    of the pattern variables in its scope.  A binder that gets none of them,
+    or whose scope holds no pattern variable but refers to a changing
+    binder, is a fresh variable at every firing (None).  So ``$u[x]`` with
+    ``x`` mapped to ``(u, 0)`` needs no renaming, nor does the beta step
+    ``(\\s, b) s`` of a result that reuses ``s``.  A Var that binds two
+    abstractions of the right-hand side, which no parsed rule has, is fresh
+    at both when either changes.
+    """
+    rhs = rule.rhs
+    tr = type(rhs)
+    if tr is Symb or tr is Sort:
+        return (), {}
+    # every abstraction, outer ones first, as its binder's vid; every
+    # pattern-variable application and every bound variable, in preorder,
+    # with the abstractions enclosing it
+    vids: list[int] = []
+    meta_apps: list[tuple[MetaApp, tuple[int, ...]]] = []
+    var_refs: list[tuple[Var, tuple[int, ...]]] = []
+    todo: list[tuple[Term, tuple[int, ...]]] = [(rhs, ())]
+    while todo:
+        t, chain = todo.pop()
+        tt = type(t)
+        if tt is App:
+            todo.append((t.arg, chain))
+            todo.append((t.fn, chain))
+        elif tt is Var:
+            var_refs.append((t, chain))
+        elif tt is MetaApp:
+            meta_apps.append((t, chain))
+            todo.extend((a, chain) for a in reversed(t.args))
+        elif tt is Abst or tt is Prod:
+            todo.append((t.body if tt is Abst else t.codomain, chain + (len(vids),)))
+            if t.domain is not None:
+                todo.append((t.domain, chain))
+            vids.append(t.var.vid)
+    rhs_metas = tuple(m for m, _ in meta_apps)
+    if not meta_apps or not vids:
+        return rhs_metas, {}
+
+    def binder_of(v: Var, chain: tuple[int, ...]) -> Optional[int]:
+        for i in reversed(chain):
+            if vids[i] == v.vid:
+                return i
+        return None
+
+    # per abstraction: the pattern variables in its scope, the outer
+    # abstractions its scope refers to and the formals its binder is
+    # passed to
+    metas: list[set[str]] = [set() for _ in vids]
+    outer: list[set[int]] = [set() for _ in vids]
+    passed: list[list[tuple[str, int]]] = [[] for _ in vids]
+    for m, chain in meta_apps:
+        for i in chain:
+            metas[i].add(m.name)
+        for j, a in enumerate(m.args):
+            if type(a) is Var and (k := binder_of(a, chain)) is not None:
+                passed[k].append((m.name, j))
+    for v, chain in var_refs:
+        k = binder_of(v, chain)
+        for i in chain:
+            if k is not None and i > k:
+                outer[i].add(k)
+    if not any(metas):
+        return rhs_metas, {}  # every binder is a constant
+    # the first occurrence of each pattern variable: the positions of the
+    # abstractions enclosing it, and of the abstraction of each formal
+    first: dict[str, tuple[set[Position], tuple[Optional[Position], ...]]] = {}
+    for pv, _, scope in iter_pattern_vars(rule.lhs_args):
+        if pv.name is not None and pv.name not in first:
+            abst_of = {v.vid: at for v, at in scope}
+            first[pv.name] = (
+                set(abst_of.values()),
+                tuple(abst_of.get(v.vid) for v in pv.args),
+            )
+
+    changes: list[bool] = []
+    given: list[Optional[Position]] = []  # the A of each abstraction's source
+    out: BinderSources = {}
+    for i, vid in enumerate(vids):
+        changes.append(bool(metas[i]) or any(changes[r] for r in outer[i]))
+        given.append(None)
+        if not changes[i]:
+            continue
+        out[vid] = None
+        if not all(m in first for m in metas[i]):
+            continue  # an unbound name or a wildcard, which validation reports
+        taken = {given[r] for r in outer[i]}
+        in_scope = [(u, j) for u in sorted(metas[i]) for j in range(len(first[u][1]))]
+        for u, j in passed[i] + in_scope:
+            formals = first[u][1]
+            at = formals[j] if j < len(formals) else None
+            if at is None or at in taken:
+                continue
+            if all(at in first[m][0] for m in metas[i]):
+                out[vid], given[i] = (u, j), at
+                break
+    for vid in out:
+        if vids.count(vid) > 1:
+            out[vid] = None
+    return rhs_metas, out
 
 
 def shared_formals(
@@ -308,12 +440,18 @@ class SubstitutionError(Exception):
     """Internal invariant failure: unbound or arity-mismatched variable."""
 
 
-def apply_subst(sub: Substitution, rhs: Term) -> Term:
+def apply_subst(sub: Substitution, rhs: Term, binders: BinderSources) -> Term:
     """Instantiate a right-hand side with a match witness.
 
     Every MetaApp is replaced by its closure body with the formals
     substituted by the (instantiated) arguments; the result contains no
-    MetaApp.  Substitution is capture-avoiding.
+    MetaApp.  A binder in ``binders`` (the rule's ``binders``, see
+    ``analyse_rhs``) becomes the closure formal it stands for, or a
+    fresh variable, which replaces its entry in the copy of ``binders``
+    passed below its abstraction; every other binder keeps the rule's Var.
+    So a formal passed the binder that is itself is left in place:
+    ``subst`` drops a variable bound to itself.  Substitution is
+    capture-avoiding.
     """
     tr = type(rhs)
     if tr is MetaApp:
@@ -327,20 +465,37 @@ def apply_subst(sub: Substitution, rhs: Term) -> Term:
             )
         if not rhs.args:
             return cl.body
-        args = [apply_subst(sub, a) for a in rhs.args]
+        args = [apply_subst(sub, a, binders) for a in rhs.args]
         return subst(cl.body, {f.vid: a for f, a in zip(cl.formals, args)})
     if tr is App:
-        f2 = apply_subst(sub, rhs.fn)
-        a2 = apply_subst(sub, rhs.arg)
+        f2 = apply_subst(sub, rhs.fn, binders)
+        a2 = apply_subst(sub, rhs.arg, binders)
         return rhs if (f2 is rhs.fn and a2 is rhs.arg) else App(f2, a2)
+    if tr is Symb:
+        return rhs
+    if tr is Var:
+        source = binders.get(rhs.vid) if binders else None
+        if source is None:
+            return rhs
+        return source if type(source) is Var else sub[source[0]].formals[source[1]]
     if tr is Abst or tr is Prod:
         body = rhs.body if tr is Abst else rhs.codomain
-        d2 = apply_subst(sub, rhs.domain) if rhs.domain is not None else None
-        b2 = apply_subst(sub, body)
-        if d2 is rhs.domain and b2 is body:
+        d2 = apply_subst(sub, rhs.domain, binders) if rhs.domain is not None else None
+        var = rhs.var
+        if var.vid in binders:
+            source = binders[var.vid]
+            if source is None:
+                var = fresh_var(var.name)
+                binders = {**binders, rhs.var.vid: var}
+            elif type(source) is Var:
+                var = source
+            else:
+                var = sub[source[0]].formals[source[1]]
+        b2 = apply_subst(sub, body, binders)
+        if var is rhs.var and d2 is rhs.domain and b2 is body:
             return rhs
-        return tr(rhs.var, d2, b2)
-    return rhs  # Var, Symb, Sort
+        return tr(var, d2, b2)
+    return rhs  # Sort
 
 
 def naive_rewrite_head(
@@ -372,5 +527,6 @@ def naive_rewrite_head(
             fv_normalize=fv_normalize,
         )
         if sub is not None:
-            return rule, build_app(apply_subst(sub, rule.rhs), args[n:])
+            rhs = apply_subst(sub, rule.rhs, rule.binders)
+            return rule, build_app(rhs, args[n:])
     return None

@@ -328,8 +328,7 @@ class _Parser:
         the first token of its rule."""
         tt = type(t)
         if tt is MetaApp:
-            if any(type(a) is not Var for a in t.args):
-                self.fail("pattern-variable arguments must be bound variables", start)
+            # bound_ref made every argument a binder's Var
             return PatVar(t.name, t.args)
         if tt is Abst:
             return PatAbst(t.var, self.pattern(t.body, start))

@@ -121,6 +121,68 @@ def test_closed_after_reduction_builds_from_the_normal_form(
     assert capsys.readouterr().out.strip() == "g k"
 
 
+# Instantiation never captures: a result binder that stands for a subject
+# binder is that binder, with its name, and one that stands for none is a
+# fresh variable at every firing
+CAPTURE = {
+    # each firing's \x is a new binder; reusing the rule's Var made the
+    # second firing capture the first one's x
+    "repeated firing": (
+        "symbol f; symbol s; symbol 0; symbol p; symbol a;\n"
+        "rule f (s $n) $w --> \\x, f $n (p x $w) with f 0 $w --> $w;\n"
+        "compute f (s (s 0)) a;\n",
+        r"\x, \x', p x' (p x a)",
+    ),
+    # \y may not be the subject's z too: it would capture the z of k z
+    "inner binder": (
+        "symbol f; symbol g; symbol k;\n"
+        "rule f (\\x, $u[x]) --> \\x, \\y, g $u[x];\n"
+        "compute f (\\z, k z);\n",
+        r"\z, \y, g (k z)",
+    ),
+    # the SIBLING rules of test_engine with f returning its sibling
+    # argument: g's \z is fresh at each firing, so the z that f hands to
+    # the outer g is not captured by that g's own \z
+    "sibling binder": (
+        "symbol f; symbol g; symbol c;\n"
+        "rule f (\\a, $u[a]) (\\b, $w) --> g $w;\n"
+        "rule g $t --> \\z, f $t (\\b, z);\n"
+        "compute g (g c);\n",
+        r"\z, \z', f z (\b, z')",
+    ),
+    # dup makes two sibling abstractions with one binder, which the naive
+    # matcher opens under that one Var; \x and \y may not both be it, as
+    # c x would then be captured by \y
+    "shared sibling binders": (
+        "symbol dup; symbol p; symbol g; symbol c;\n"
+        "rule dup (\\x, $u[x]) --> p (\\x, $u[x]) (\\y, $u[y]);\n"
+        "rule p (\\a, $u[a]) (\\b, $w[b]) --> \\x, \\y, g $u[x] $w[y];\n"
+        "compute dup (\\z, c z);\n",
+        r"\x, \y, g (c x) (c y)",
+    ),
+    # \y holds no pattern variable but refers to \x, which is the subject
+    # binder; that binder is the rule's own y here, so \y must be fresh
+    "binder of a constant": (
+        "symbol f; symbol g; symbol h; symbol k; symbol q; symbol m;\n"
+        "rule f (\\x, $u[x]) --> \\x, g $u[x] (\\y, h x y);\n"
+        "rule k (\\v, g $a[v] $b[v]) --> q (\\v, $b[v]);\n"
+        "rule q (\\v, \\w, h $x[v] $e[w]) --> f (\\w, $e[w]);\n"
+        "compute k (f (\\z, m z));\n",
+        r"\y, g y (\y', h y y')",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CAPTURE)
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_instantiation_never_captures(engine, case, tmp_path, capsys):
+    source, printed = CAPTURE[case]
+    src = tmp_path / "capture.rw"
+    src.write_text(source)
+    assert main(["run", str(src), "--engine", engine, "--strategy", "snf"]) == 0
+    assert capsys.readouterr().out.strip() == printed
+
+
 # Π is inert: no rule matches it and no step reduces it, but every walk that
 # goes under a binder must carry both its domain and its codomain
 PI = r"""symbol a; symbol b; symbol 0; symbol +; symbol f; symbol g; symbol h; symbol N : TYPE; symbol k : Π n : N, N;
@@ -143,19 +205,19 @@ PI_PRINTED = {
     "snf": [
         "Πx : a, x",
         "Πx : b, x",
-        "Πz : N, z",
+        "Πy : N, y",
         "Πx : a, x a",
         r"\x, Πx' : N, x",
-        r"\w, Πy : w, y",
+        r"\y, Πy' : y, y'",
         r"\x, Πx' : N, x'",
     ],
     "whnf": [
         "Πx : + 0 a, + x 0",
         "Πx : + 0 b, + x 0",
-        "Πz : N, + z 0",
+        "Πy : N, + y 0",
         "Πx : + 0 a, x (+ 0 a)",
         r"\x, (\y, Πx' : N, y) x",
-        r"\w, Πy : + w 0, + y 0",
+        r"\y, Πy' : + y 0, + y' 0",
         r"\x, Πx' : N, x'",
     ],
 }

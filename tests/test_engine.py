@@ -382,7 +382,8 @@ rule h (\x, \y, $u[x, y]) --> g (\a, \b, $u[a, b]);
 @pytest.mark.parametrize("engine", ["tree", "naive"])
 def test_a_shadowing_binder_is_opened_under_a_new_name(engine, equality):
     # \x, \x, k x with one shared x: the inner x must not pass the
-    # closedness check as the outer formal, and $u[x, y] must see k y
+    # closedness check as the outer formal, and $u[x, y] must see k y; the
+    # result's binders are the subject's, the inner one renamed
     ctx = ctx_for(SHADOWING, engine=engine, equality=equality)
     x = fresh_var("x")
     shadowed = lam(x, lam(x, App(symb("k"), x)))
@@ -391,43 +392,43 @@ def test_a_shadowing_binder_is_opened_under_a_new_name(engine, equality):
         return print_term(snf(ctx, App(symb(head), shadowed), Steps(100)))
 
     assert run("f") == r"f (\x, \x', k x')"
-    assert run("h") == r"g (\a, \b, k b)"
+    assert run("h") == r"g (\x, \x', k x')"
 
 
 SIBLING = r"""
 symbol f; symbol g; symbol c; symbol yes;
 rule f (\a, $u[a]) (\b, $w) --> yes;
-rule g $t --> \z, f $t (\b, z);
+rule g (\x, $u[x]) --> \x, f (\x, $u[x]) (\b, x);
 """
 
 
 @pytest.mark.parametrize("equality", ["convertible", "alpha"])
 @pytest.mark.parametrize("engine", ["tree", "naive"])
 def test_a_sibling_binder_may_occur_free_in_a_closed_argument(engine, equality):
-    # snf reaches f (\z, f c (\b, z)) (\b, z) under the outer \z, with one
-    # shared z: the z free in the second argument is the outer binder, which
-    # the closedness check of $w must not reject as the first argument's
+    # both binders x of g's result are the subject's z, so snf reaches
+    # f (\z, c z) (\b, z) under the outer \z with one shared z: the z free
+    # in the second argument is the outer binder, which the closedness
+    # check of $w must not reject as the first argument's
     ctx = ctx_for(SIBLING, engine=engine, equality=equality)
-    t = term("g (g c)", SIBLING)
+    t = term(r"g (\z, c z)", SIBLING)
     assert print_term(snf(ctx, t, Steps(100))) == r"\z, yes"
 
 
 SHARED_BINDER = r"""
-symbol f; symbol g; symbol c;
-rule f $t --> \x, g $t x;
+symbol d; symbol sin; symbol cos; symbol *;
+rule d (\x, sin $u[x]) --> \x, * (cos $u[x]) (d (\x, $u[x]) x);
 """
 
 
 @pytest.mark.parametrize("engine", ["tree", "naive"])
 def test_free_vars_tracks_scope_when_binders_are_shared(engine):
-    # the right-hand side builder reuses the rule's binder, so both
-    # abstractions of the result bind the same Var object; the outer body
-    # still has that variable free, which "variables minus binders" over
-    # iter_nodes would lose
+    # both binders of the result are the subject's s, one Var object:
+    # \s, * (cos s) (d (\s, s) s); the outer body still has s free, which
+    # "variables minus binders" over iter_nodes would lose
     ctx = ctx_for(SHARED_BINDER, engine=engine)
-    t = snf(ctx, term("f (f c)", SHARED_BINDER), Steps(100))
-    assert print_term(t) == r"\x, g (\x', g c x') x"
-    inner = spine(t.body)[1][0]
+    t = snf(ctx, term(r"d (\s, sin s)", SHARED_BINDER), Steps(100))
+    assert print_term(t) == r"\s, * (cos s) (d (\s', s') s)"
+    inner = spine(spine(t.body)[1][1])[1][0]
     assert inner.var is t.var
     assert free_vars(t.body) == {t.var.vid}
     nodes = list(iter_nodes(t.body))
@@ -523,9 +524,8 @@ def oracle_candidates(ctx_naive, rules, head, args, steps):
         if sub is not None:
             from rwtree.patterns import apply_subst
 
-            out.append(
-                (rule, build_app(apply_subst(sub, rule.rhs), args[rule.arity :]))
-            )
+            rhs = apply_subst(sub, rule.rhs, rule.binders)
+            out.append((rule, build_app(rhs, args[rule.arity :])))
     return out
 
 
@@ -707,7 +707,7 @@ def test_builder_equals_apply_subst(rng):
                         break
                     sub[name] = Closure(tuple(snap[k] for k in sel), term)
                 else:
-                    want = apply_subst(sub, leaf.rhs)
+                    want = apply_subst(sub, leaf.rhs, leaf.binders)
                     assert alpha_eq(instantiate(leaf, store), want)
                     checked += 1
     assert checked > 200
@@ -1059,15 +1059,31 @@ def test_every_rule_of_d_sees_one_body():
         printed.add(print_term(snf(ctx_for(rules, engine=engine), t, steps)))
         used[engine] = steps.used
     assert printed == {r"\x, * (cos x) (d (\x', x') x)"}
-    assert used == {"tree": 4, "naive": 7}
+    assert used == {"tree": 3, "naive": 6}
     assert used["naive"] < 11
+
+
+STORE_RENAMES = r"""
+symbol f; symbol g; symbol +; symbol *; symbol 0; symbol 1; symbol b;
+rule + 0 $p --> $p;
+rule * 1 $p --> $p;
+rule f (\x, + $u[x] $v[x]) (\y, $w[y]) --> \z, g $u[z] $u[z] $w[z];
+"""
 
 
 def test_a_store_saves_the_recorded_normal_form():
     # the failed match of + (* 1 x) b records its argument * 1 x with the
-    # normal form x; the Store for $u[x] of d (\x, + $u[x] $v[x]) saves x,
-    # so the copies of $u[x] that the right-hand side builds need no step
-    # (14 tree steps when it saves the raw * 1 x)
+    # normal form x; the Store for $u[x] saves x, so the two copies $u[z]
+    # that the right-hand side renames (z is fresh: it stands for no one
+    # subject binder) need no step (4 tree steps when it saves the raw
+    # * 1 x)
+    t = term(r"f (\x, + (* 1 x) b) (\y, y)", STORE_RENAMES)
+    steps = Steps(1000)
+    out = snf(ctx_for(STORE_RENAMES, engine="tree"), t, steps)
+    assert print_term(out) == r"\z, g z z z"
+    assert steps.used == 2
+    # on the differentiation rules $u[x] is the stored term itself, which
+    # the record holds whether or not the Store read it
     rules = _hol_rules()
     t = term(r"d (\x, * (sin x) (cos (+ (* 1 x) b)))", rules)
     steps = Steps(1000)
@@ -1076,4 +1092,4 @@ def test_a_store_saves_the_recorded_normal_form():
         r"\x, + (* (* (cos x) (d (\x', x') x)) (cos (+ x b)))"
         r" (* (sin x) (* (neg (sin (+ x b))) (d (\x', x') x)))"
     )
-    assert steps.used == 13
+    assert steps.used == 11

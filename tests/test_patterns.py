@@ -25,6 +25,7 @@ from rwtree.terms import (
     build_app,
     free_vars,
     fresh_var,
+    iter_nodes,
     symb,
 )
 
@@ -207,19 +208,55 @@ def test_match_uses_whnf_hook():
 
 
 # ---------------------------------------------------------------------------
+# analyse_rhs
+
+BINDER_RULES = r"""symbol d; symbol g; symbol +; symbol 0;
+rule d (\x, + $u[x] $v[x]) --> \x, + (d (\x, $u[x]) x) (d (\x, $v[x]) x);
+rule d (\x, $u[x]) --> \x, \y, g $u[x];
+rule d $t --> \x, g $t x;
+rule d (\x, $c) --> \x, 0;
+rule g (\x, $u[x]) (\y, $w[y]) --> \z, g $u[z] $w[z];
+"""
+
+
+def _binders_in_preorder(rule):
+    """The source of each rhs binder, outermost first; "keep" for one
+    that keeps the rule's Var."""
+    return [
+        rule.binders.get(x.var.vid, "keep")
+        for x in iter_nodes(rule.rhs)
+        if type(x) is Abst
+    ]
+
+
+def test_each_rhs_binder_stands_for_a_subject_binder_when_it_can():
+    plus, inner, bare, closed, two = parse_file(BINDER_RULES).rules
+    # the outer binder is passed to no formal: any formal whose abstraction
+    # encloses $u and $v will do; each inner one is the formal it is passed
+    assert _binders_in_preorder(plus) == [("u", 0), ("u", 0), ("v", 0)]
+    # \y would capture the \x that is the same subject binder
+    assert _binders_in_preorder(inner) == [("u", 0), None]
+    # $t has no formal, and a scope without pattern variables is constant
+    assert _binders_in_preorder(bare) == [None]
+    assert _binders_in_preorder(closed) == ["keep"]
+    # $u and $w first occur under different abstractions
+    assert _binders_in_preorder(two) == [None]
+
+
+# ---------------------------------------------------------------------------
 # apply_subst
 
 
 def test_apply_subst_plain():
     s0 = App(symb("s"), symb("0"))
-    out = apply_subst({"m": Closure((), s0)}, MetaApp("m", ()))
+    out = apply_subst({"m": Closure((), s0)}, MetaApp("m", ()), {})
     assert out is s0
 
 
 def test_apply_subst_constant_function_rhs():
     # rhs \x, 0 with empty environment entry for v
     x = fresh_var("x")
-    out = apply_subst({"v": Closure((), symb("c"))}, lam(x, symb("0")))
+    out = apply_subst({"v": Closure((), symb("c"))}, lam(x, symb("0")), {})
     assert alpha_eq(out, lam(fresh_var("x"), symb("0")))
 
 
@@ -231,7 +268,7 @@ def test_apply_subst_closure_under_binder():
         symb("*"),
         [App(symb("diff"), lam(x, MetaApp("v", (x,)))), symb("cos")],
     )
-    out = apply_subst({"v": Closure((y,), y)}, rhs)
+    out = apply_subst({"v": Closure((y,), y)}, rhs, {})
     expected_x = fresh_var("x")
     expected = build_app(
         symb("*"),
@@ -244,7 +281,7 @@ def test_apply_subst_missing_variable_is_internal_error():
     from rwtree.patterns import SubstitutionError
 
     with pytest.raises(SubstitutionError):
-        apply_subst({}, MetaApp("nope", ()))
+        apply_subst({}, MetaApp("nope", ()), {})
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +376,7 @@ def test_round_trip_instantiation(rng):
         except _SkipPattern:
             continue
         hits += 1
-        rebuilt = [apply_subst(sub, view) for view in rhs_views]
+        rebuilt = [apply_subst(sub, view, {}) for view in rhs_views]
         for got, want in zip(rebuilt, args):
             assert alpha_eq(got, want)
     assert hits > 100
