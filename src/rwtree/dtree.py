@@ -33,7 +33,6 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .matrix import (
     ClauseMatrix,
     ConstraintKey,
-    Occurrence,
     cond_fail,
     cond_succ,
     from_rules,
@@ -44,10 +43,12 @@ from .matrix import (
 )
 from .patterns import (
     BinderSources,
+    Occurrence,
     PatAbst,
     PatVar,
     Rule,
     SubstitutionError,
+    encloses,
     validate_rules,
 )
 from .terms import Abst, App, MetaApp, Position, Prod, Term, Var, fresh_var, subst
@@ -264,7 +265,7 @@ def _pending_positions(m: ClauseMatrix) -> set[Position]:
             out.update(pos for pos, _ in pair)
         for pos, _ in row.cl:
             out.add(pos)
-        for pos, _ in row.env.values():
+        for pos, _ in row.rule.env.values():
             out.add(pos)
     return out
 
@@ -340,7 +341,7 @@ def choose_action(m: ClauseMatrix, st: CompileState) -> Action:
     for k, row in enumerate(m.rows):
         if row.nl or row.cl or any(type(p) is not PatVar for p in row.patterns):
             continue
-        needed = {pos for pos, _ in row.env.values()}
+        needed = {pos for pos, _ in row.rule.env.values()}
         return _unstored_column(m, st, needed) or ("yield", k)
     col = _best_structural_column(m)
     if col is not None:
@@ -376,9 +377,9 @@ def _compile(m: ClauseMatrix, st: CompileState) -> DTree:
         return FAIL
     kind, arg = choose_action(m, st)
     if kind == "yield":
-        row = m.rows[arg]
-        env = {name: _slot_selector(st, occ) for name, occ in row.env.items()}
-        return Leaf(row.rhs, env, row.binders)
+        rule = m.rows[arg].rule
+        env = {name: _slot_selector(st, occ) for name, occ in rule.env.items()}
+        return Leaf(rule.rhs, env, rule.binders)
     if kind == "solve_nl":
         (i, sel_i), (j, sel_j) = sorted(_slot_selector(st, occ) for occ in arg)
         succ, fail = _compile(cond_succ(arg, m), st), _compile(cond_fail(arg, m), st)
@@ -388,7 +389,7 @@ def _compile(m: ClauseMatrix, st: CompileState) -> DTree:
         restricted = sorted(
             k
             for at, k in st.binder_of.items()
-            if at not in allowed and len(at) < len(pos) and pos[: len(at)] == at
+            if at not in allowed and encloses(at, pos)
         )
         return BinCl(
             _compile(cond_succ(arg, m), st),

@@ -1,39 +1,29 @@
 """Clause matrices: the compiler's working representation of a rule set.
 
 A matrix row keeps the rule's patterns; the compiler reads only their shape,
-so a pattern variable counts as a wildcard.  What the variables mean lives
-in three side structures keyed by position: repeated-variable constraints
-(a pair of occurrences), variable-occurrence constraints (a position plus
-the abstractions whose binders it may use), and the bindings needed to
-instantiate the right-hand side.  A binder is named by the position of its
-abstraction.  Positions refer to the original left-hand-side argument
-sequence; the matrix carries the position of each of its columns, and the
-decomposition operators below move it with the column.  ``spec_symbols``
-builds every symbol case of a column in one pass over the rows, so a Switch
-with k cases costs one visit per row plus one per padded variable row, not
-k visits per row.
+so a pattern variable counts as a wildcard.  What the variables mean comes
+from the row's rule, whose left-hand side was analysed once when it was
+made (``patterns.analyse_lhs``), as three side structures keyed by
+position: repeated-variable constraints (a pair of occurrences),
+variable-occurrence constraints (a position plus the abstractions whose
+binders it may use), and the bindings needed to instantiate the right-hand
+side (``Rule.env``).  A binder is named by the position of its abstraction.
+Positions refer to the original left-hand-side argument sequence; the
+matrix carries the position of each of its columns, and the decomposition
+operators below move it with the column.  ``spec_symbols`` builds every
+symbol case of a column in one pass over the rows, so a Switch with k cases
+costs one visit per row plus one per padded variable row, not k visits per
+row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .patterns import (
-    PatAbst,
-    PatSymb,
-    PatVar,
-    BinderSources,
-    Pattern,
-    Rule,
-    WILDCARD,
-    iter_pattern_vars,
-)
-from .terms import Position, Term
+from .patterns import PatAbst, PatSymb, PatVar, Pattern, Rule, WILDCARD
+from .terms import Position
 
-# an occurrence of a pattern variable: its position and, for each of its
-# arguments, the position of the abstraction binding it
-Occurrence = tuple[Position, tuple[Position, ...]]
-NlKey = frozenset  # of two Occurrences
+NlKey = frozenset  # of two patterns.Occurrences
 # a position and the abstractions whose binders may occur free there
 ClKey = tuple[Position, frozenset]
 ConstraintKey = Union[NlKey, ClKey]
@@ -42,13 +32,9 @@ ConstraintKey = Union[NlKey, ClKey]
 @dataclass(slots=True)
 class ClauseRow:
     patterns: tuple[Pattern, ...]
-    nl: frozenset[NlKey] = frozenset()
-    cl: frozenset[ClKey] = frozenset()
-    env: dict[str, Occurrence] = field(default_factory=dict)
-    rhs: Term = None
-    source: str = ""
-    # the rule's changing rhs binders (``Rule.binders``)
-    binders: BinderSources = field(default_factory=dict)
+    nl: frozenset[NlKey]
+    cl: frozenset[ClKey]
+    rule: Rule
 
 
 @dataclass(slots=True)
@@ -69,43 +55,19 @@ def from_rules(head: str, rules: Sequence[Rule]) -> ClauseMatrix:
             )
     rows = []
     for r in rules:
-        occurrences: dict[str, list[Occurrence]] = {}
-        cl: set[ClKey] = set()
-        for pv, pos, scope in iter_pattern_vars(r.lhs_args):
-            if pv.name is None:
-                continue
-            abst_of = {v.vid: at for v, at in scope}
-            formals = tuple(abst_of[v.vid] for v in pv.args)
-            occurrences.setdefault(pv.name, []).append((pos, formals))
-            # restrictive only if some binder in scope is not allowed
-            if len(formals) < len(scope):
-                cl.add((pos, frozenset(formals)))
-        nl = {
+        nl = frozenset(
             frozenset((occs[i], occs[j]))
-            for occs in occurrences.values()
+            for occs in r.occurrences.values()
             for i in range(len(occs))
             for j in range(i + 1, len(occs))
-        }
-        rhs_names = {m.name for m in r.rhs_metas}
-        env = {name: occurrences[name][0] for name in rhs_names if name in occurrences}
-        rows.append(
-            ClauseRow(
-                r.lhs_args,
-                frozenset(nl),
-                frozenset(cl),
-                env,
-                r.rhs,
-                r.label,
-                r.binders,
-            )
         )
+        cl = frozenset((pos, frozenset(formals)) for pos, formals in r.restricted)
+        rows.append(ClauseRow(r.lhs_args, nl, cl, r))
     return ClauseMatrix(tuple(rows), tuple((i,) for i in range(1, width + 1)))
 
 
 def _with_patterns(row: ClauseRow, patterns: tuple[Pattern, ...]) -> ClauseRow:
-    return ClauseRow(
-        patterns, row.nl, row.cl, row.env, row.rhs, row.source, row.binders
-    )
+    return ClauseRow(patterns, row.nl, row.cl, row.rule)
 
 
 def spec_symbols(m: ClauseMatrix) -> dict[tuple[str, int], ClauseMatrix]:
@@ -185,10 +147,7 @@ def cond_succ(key: ConstraintKey, m: ClauseMatrix) -> ClauseMatrix:
     rows = []
     for row in m.rows:
         if key in row.nl or key in row.cl:
-            nl, cl = row.nl - {key}, row.cl - {key}
-            row = ClauseRow(
-                row.patterns, nl, cl, row.env, row.rhs, row.source, row.binders
-            )
+            row = ClauseRow(row.patterns, row.nl - {key}, row.cl - {key}, row.rule)
         rows.append(row)
     return ClauseMatrix(tuple(rows), m.positions)
 

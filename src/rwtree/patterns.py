@@ -93,20 +93,35 @@ BinderSource = Optional[tuple[str, int]]
 BinderSources = dict[int, BinderSource]
 
 
+# An occurrence of a pattern variable: its position and, for each of its
+# arguments, the position of the abstraction binding it (None when no
+# enclosing abstraction does, which validation reports).
+Occurrence = tuple[Position, tuple[Optional[Position], ...]]
+
+
 @dataclass(slots=True)
 class Rule:
     head: str
     lhs_args: tuple[Pattern, ...]
     rhs: Term
     label: str = ""
-    # both computed once, when the rule is made, by one walk of the rhs
-    # (``analyse_rhs``): its pattern-variable applications in preorder, and
-    # the rhs binders that change per firing, which both engines read
+    # computed once, when the rule is made, by one walk of each side, for
+    # validation, the clause matrix and both engines: each named pattern
+    # variable's occurrences and those some enclosing binder may not reach
+    # (``analyse_lhs``); the rhs's pattern-variable applications in preorder,
+    # the first occurrence of each name it uses, and the rhs binders that
+    # change per firing (``analyse_rhs``)
+    occurrences: dict[str, list[Occurrence]] = field(
+        init=False, repr=False, compare=False
+    )
+    restricted: tuple[Occurrence, ...] = field(init=False, repr=False, compare=False)
     rhs_metas: tuple[MetaApp, ...] = field(init=False, repr=False, compare=False)
+    env: dict[str, Occurrence] = field(init=False, repr=False, compare=False)
     binders: BinderSources = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.rhs_metas, self.binders = analyse_rhs(self)
+        self.occurrences, self.restricted = analyse_lhs(self.lhs_args)
+        self.rhs_metas, self.env, self.binders = analyse_rhs(self)
 
     @property
     def arity(self) -> int:
@@ -129,27 +144,47 @@ class Closure:
 Substitution = dict[str, Closure]
 
 
-def iter_pattern_vars(pats: Sequence[Pattern]):
-    """Yield (pattern-var, position, scope) over a pattern vector; the scope
-    pairs each enclosing binder with the position of its abstraction,
-    outermost first.
+def analyse_lhs(
+    pats: Sequence[Pattern],
+) -> tuple[dict[str, list[Occurrence]], tuple[Occurrence, ...]]:
+    """One walk of a left-hand side: the occurrences of each named pattern
+    variable, keyed in the order names first occur, and the occurrences
+    that some enclosing binder may not reach, because the variable is not
+    applied to it.  Wildcards are not recorded.
 
     Positions are sequence positions: component one selects the argument,
-    the rest descends into it.  Preorder, so positions come in increasing
-    lexicographic order and the first occurrence of a name comes first.
+    the rest descends into it.  Preorder, so each name's occurrences come
+    in increasing lexicographic order and its first occurrence comes first.
     """
+    occurrences: dict[str, list[Occurrence]] = {}
+    restricted: list[Occurrence] = []
+    # the scope pairs each enclosing binder's vid with the position of its
+    # abstraction, outermost first
     stack = [(p, (i,), ()) for i, p in enumerate(pats, start=1)]
     stack.reverse()
     while stack:
         q, pos, scope = stack.pop()
         tq = type(q)
         if tq is PatVar:
-            yield q, pos, scope
+            if q.name is None:
+                continue
+            abst_of = dict(scope)
+            occ = (pos, tuple(abst_of.get(v.vid) for v in q.args))
+            occurrences.setdefault(q.name, []).append(occ)
+            if len(q.args) < len(scope):
+                restricted.append(occ)
         elif tq is PatSymb:
             for j in range(len(q.args), 0, -1):
                 stack.append((q.args[j - 1], pos + (j,), scope))
         else:  # PatAbst
-            stack.append((q.body, pos + (1,), scope + ((q.var, pos),)))
+            stack.append((q.body, pos + (1,), scope + ((q.var.vid, pos),)))
+    return occurrences, tuple(restricted)
+
+
+def encloses(at: Position, pos: Position) -> bool:
+    """Whether the abstraction at ``at`` encloses position ``pos``: its
+    position is a proper prefix of ``pos``."""
+    return len(at) < len(pos) and pos[: len(at)] == at
 
 
 def validate_rule(rule: Rule) -> list[str]:
@@ -160,42 +195,36 @@ def validate_rule(rule: Rule) -> list[str]:
     and every occurrence of a name uses one arity.
     """
     violations: list[str] = []
-    arities: dict[str, int] = {}
-
-    for pv, pos, scope in iter_pattern_vars(rule.lhs_args):
-        scope_ids = {v.vid for v, _ in scope}
-        seen: set[int] = set()
-        for a in pv.args:
-            if a.vid in seen:
+    for name, occs in rule.occurrences.items():
+        arity = len(occs[0][1])
+        for pos, formals in occs:
+            for k, at in enumerate(formals):
+                if at is None:
+                    violations.append(
+                        f"argument {k + 1} of ${name} at {_fmt(pos)} "
+                        "is not bound by an enclosing abstraction"
+                    )
+                elif at in formals[:k]:
+                    violations.append(
+                        f"non-distinct bound arguments of ${name} at {_fmt(pos)}"
+                    )
+                    break
+            if len(formals) != arity:
                 violations.append(
-                    f"non-distinct bound arguments of ${pv.name} at {_fmt(pos)}"
-                )
-                break
-            seen.add(a.vid)
-            if a.vid not in scope_ids:
-                violations.append(
-                    f"argument {a.name} of ${pv.name} at {_fmt(pos)} "
-                    "is not bound by an enclosing abstraction"
-                )
-        if pv.name is not None:
-            prev = arities.get(pv.name)
-            if prev is None:
-                arities[pv.name] = len(pv.args)
-            elif prev != len(pv.args):
-                violations.append(
-                    f"inconsistent arity for ${pv.name}: {prev} vs {len(pv.args)}"
+                    f"inconsistent arity for ${name}: {arity} vs {len(formals)}"
                 )
 
     for m in rule.rhs_metas:
         if m.name is None:
             violations.append("wildcard _ in right-hand side")
             continue
-        if m.name not in arities:
+        occs = rule.occurrences.get(m.name)
+        if occs is None:
             violations.append(f"unbound rhs variable ${m.name}")
-        elif arities[m.name] != len(m.args):
+        elif len(occs[0][1]) != len(m.args):
             violations.append(
                 f"rhs arity mismatch for ${m.name}: "
-                f"{arities[m.name]} vs {len(m.args)}"
+                f"{len(occs[0][1])} vs {len(m.args)}"
             )
     return violations
 
@@ -217,10 +246,12 @@ def _fmt(pos: tuple[int, ...]) -> str:
     return ".".join(map(str, pos)) if pos else "e"
 
 
-def analyse_rhs(rule: Rule) -> tuple[tuple[MetaApp, ...], BinderSources]:
+def analyse_rhs(
+    rule: Rule,
+) -> tuple[tuple[MetaApp, ...], dict[str, Occurrence], BinderSources]:
     """One walk of the right-hand side: its pattern-variable applications
-    in preorder, and the binder each of its abstractions takes when the
-    rule fires.
+    in preorder, the first occurrence on the left of each name they use,
+    and the binder each of its abstractions takes when the rule fires.
 
     A binder whose scope holds no pattern variable and refers to no binder
     that changes per firing is a constant: it keeps the rule's Var and is
@@ -245,7 +276,7 @@ def analyse_rhs(rule: Rule) -> tuple[tuple[MetaApp, ...], BinderSources]:
     rhs = rule.rhs
     tr = type(rhs)
     if tr is Symb or tr is Sort:
-        return (), {}
+        return (), {}, {}
     # every abstraction, outer ones first, as its binder's vid; every
     # pattern-variable application and every bound variable, in preorder,
     # with the abstractions enclosing it
@@ -270,8 +301,11 @@ def analyse_rhs(rule: Rule) -> tuple[tuple[MetaApp, ...], BinderSources]:
                 todo.append((t.domain, chain))
             vids.append(t.var.vid)
     rhs_metas = tuple(m for m, _ in meta_apps)
+    env = {
+        m.name: occs[0] for m in rhs_metas if (occs := rule.occurrences.get(m.name))
+    }
     if not meta_apps or not vids:
-        return rhs_metas, {}
+        return rhs_metas, env, {}
 
     def binder_of(v: Var, chain: tuple[int, ...]) -> Optional[int]:
         for i in reversed(chain):
@@ -297,17 +331,7 @@ def analyse_rhs(rule: Rule) -> tuple[tuple[MetaApp, ...], BinderSources]:
             if k is not None and i > k:
                 outer[i].add(k)
     if not any(metas):
-        return rhs_metas, {}  # every binder is a constant
-    # the first occurrence of each pattern variable: the positions of the
-    # abstractions enclosing it, and of the abstraction of each formal
-    first: dict[str, tuple[set[Position], tuple[Optional[Position], ...]]] = {}
-    for pv, _, scope in iter_pattern_vars(rule.lhs_args):
-        if pv.name is not None and pv.name not in first:
-            abst_of = {v.vid: at for v, at in scope}
-            first[pv.name] = (
-                set(abst_of.values()),
-                tuple(abst_of.get(v.vid) for v in pv.args),
-            )
+        return rhs_metas, env, {}  # every binder is a constant
 
     changes: list[bool] = []
     given: list[Optional[Position]] = []  # the A of each abstraction's source
@@ -318,22 +342,22 @@ def analyse_rhs(rule: Rule) -> tuple[tuple[MetaApp, ...], BinderSources]:
         if not changes[i]:
             continue
         out[vid] = None
-        if not all(m in first for m in metas[i]):
+        if not all(m in env for m in metas[i]):
             continue  # an unbound name or a wildcard, which validation reports
         taken = {given[r] for r in outer[i]}
-        in_scope = [(u, j) for u in sorted(metas[i]) for j in range(len(first[u][1]))]
+        in_scope = [(u, j) for u in sorted(metas[i]) for j in range(len(env[u][1]))]
         for u, j in passed[i] + in_scope:
-            formals = first[u][1]
+            formals = env[u][1]
             at = formals[j] if j < len(formals) else None
             if at is None or at in taken:
                 continue
-            if all(at in first[m][0] for m in metas[i]):
+            if all(encloses(at, env[m][0]) for m in metas[i]):
                 out[vid], given[i] = (u, j), at
                 break
     for vid in out:
         if vids.count(vid) > 1:
             out[vid] = None
-    return rhs_metas, out
+    return rhs_metas, env, out
 
 
 def shared_formals(
@@ -449,9 +473,9 @@ def apply_subst(sub: Substitution, rhs: Term, binders: BinderSources) -> Term:
     ``analyse_rhs``) becomes the closure formal it stands for, or a
     fresh variable, which replaces its entry in the copy of ``binders``
     passed below its abstraction; every other binder keeps the rule's Var.
-    So a formal passed the binder that is itself is left in place:
-    ``subst`` drops a variable bound to itself.  Substitution is
-    capture-avoiding.
+    A formal passed the binder that is itself is dropped, as
+    ``dtree.rhs_builder`` drops it, and ``subst`` runs only when a binding
+    remains.  Substitution is capture-avoiding.
     """
     tr = type(rhs)
     if tr is MetaApp:
@@ -465,8 +489,12 @@ def apply_subst(sub: Substitution, rhs: Term, binders: BinderSources) -> Term:
             )
         if not rhs.args:
             return cl.body
-        args = [apply_subst(sub, a, binders) for a in rhs.args]
-        return subst(cl.body, {f.vid: a for f, a in zip(cl.formals, args)})
+        bindings = {
+            f.vid: a2
+            for f, a in zip(cl.formals, rhs.args)
+            if (a2 := apply_subst(sub, a, binders)) is not f
+        }
+        return subst(cl.body, bindings) if bindings else cl.body
     if tr is App:
         f2 = apply_subst(sub, rhs.fn, binders)
         a2 = apply_subst(sub, rhs.arg, binders)

@@ -175,15 +175,7 @@ def subst(t: Term, bindings: dict[int, Term]) -> Term:
 
     Binders are renamed to fresh identities whenever a replacement term could
     be captured.  Unchanged subterms are returned as-is to preserve sharing.
-    A variable bound to itself is dropped first, so a substitution that
-    renames nothing returns ``t`` without a walk.
     """
-    for k, u in bindings.items():
-        if type(u) is Var and u.vid == k:
-            bindings = {
-                k: u for k, u in bindings.items() if type(u) is not Var or u.vid != k
-            }
-            break
     if not bindings:
         return t
     # Union of replacement free variables, computed lazily: most

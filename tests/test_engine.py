@@ -1047,6 +1047,21 @@ def _hol_rules():
     return runpy.run_path(str(path))["HOL_RULES"]
 
 
+def test_naive_instantiation_substitutes_only_real_bindings(monkeypatch):
+    # in d (\x, sin $u[x]) --> \x, * (cos $u[x]) (d (\x, $u[x]) x) each
+    # binder is the subject's own, so every $u[x] passes its formal itself
+    # and is the matched term: apply_subst, like the tree's builder, makes
+    # no subst call for it
+    import rwtree.patterns as pat
+
+    rules = _hol_rules()
+    t = term(r"d (\x, sin x)", rules)
+    calls = counting(monkeypatch, pat, "subst")
+    out = snf(ctx_for(rules, engine="naive"), t, Steps(1000))
+    assert print_term(out) == r"\x, * (cos x) (d (\x', x') x)"
+    assert calls == []
+
+
 def test_every_rule_of_d_sees_one_body():
     # each rule of d opens the same abstraction; with the body shared, the
     # naive engine's whnf memo and the record of failed matches reduce + x 0

@@ -62,7 +62,7 @@ def test_from_rules_names_formals_by_abstraction_position():
     lhs = (PatAbst(x, PatAbst(y, pvar("v", y, x))), pvar("w"))
     rule = Rule("f", lhs, MetaApp("v", (symb("a"), symb("b"))), "r")
     (row,) = from_rules("f", [rule]).rows
-    assert row.env == {"v": ((1, 1, 1), ((1, 1), (1,)))}
+    assert row.rule.env == {"v": ((1, 1, 1), ((1, 1), (1,)))}
     assert row.cl == frozenset()
 
 
@@ -74,8 +74,8 @@ def test_from_rules_example1_env():
     row1, row2 = m.rows
     assert row1.nl == row2.nl == frozenset()
     assert row1.cl == row2.cl == frozenset()
-    assert row1.env == {"x": ((1, 1, 1), ())}
-    assert row2.env == {"x": ((1,), ())}
+    assert row1.rule.env == {"x": ((1, 1, 1), ())}
+    assert row2.rule.env == {"x": ((1,), ())}
 
 
 def test_from_rules_single_addition_rule():
@@ -84,7 +84,7 @@ def test_from_rules_single_addition_rule():
     (row,) = m.rows
     assert row.patterns == (psym("0"), pvar("m"))
     assert row.nl == frozenset() and row.cl == frozenset()
-    assert row.env == {"m": ((2,), ())}
+    assert row.rule.env == {"m": ((2,), ())}
 
 
 def test_from_rules_arity_mismatch():
@@ -113,18 +113,20 @@ def test_from_rules_wildcard_under_binder_unconstrained():
 # decomposition operators on the worked four-row matrix
 
 
+def clause_row(label, *patterns):
+    """An unconstrained row for the rule ``f patterns --> r<label>``."""
+    rule = Rule("f", patterns, symb("r" + label), label)
+    return ClauseRow(patterns, frozenset(), frozenset(), rule)
+
+
 def decomposition_matrix():
     # rows: (r $x, q) ; (r, f $x) ; ($x, r) ; (\x, $x[x], \x, r)
     x4 = fresh_var("x")
     rows = (
-        ClauseRow((psym("r", pvar("x")), psym("q")), rhs=symb("r1"), source="1"),
-        ClauseRow((psym("r"), psym("f", pvar("x"))), rhs=symb("r2"), source="2"),
-        ClauseRow((pvar("x"), psym("r")), rhs=symb("r3"), source="3"),
-        ClauseRow(
-            (PatAbst(x4, pvar("x", x4)), PatAbst(fresh_var("x"), psym("r"))),
-            rhs=symb("r4"),
-            source="4",
-        ),
+        clause_row("1", psym("r", pvar("x")), psym("q")),
+        clause_row("2", psym("r"), psym("f", pvar("x"))),
+        clause_row("3", pvar("x"), psym("r")),
+        clause_row("4", PatAbst(x4, pvar("x", x4)), PatAbst(fresh_var("x"), psym("r"))),
     )
     return ClauseMatrix(rows, ((1,), (2,))), x4
 
@@ -134,24 +136,24 @@ def test_specialise_golden():
     cases = spec_symbols(m)
     assert list(cases) == [("r", 0), ("r", 1)]
     out = cases["r", 1]
-    assert [row.source for row in out.rows] == ["1", "3"]
+    assert [row.rule.label for row in out.rows] == ["1", "3"]
     assert out.rows[0].patterns == (pvar("x"), psym("q"))
     assert out.rows[1].patterns == (WILDCARD, psym("r"))
     assert out.positions == ((1, 1), (2,))
     out = cases["r", 0]
-    assert [row.source for row in out.rows] == ["2", "3"]
+    assert [row.rule.label for row in out.rows] == ["2", "3"]
     assert out.rows[0].patterns == (psym("f", pvar("x")),)
     assert out.rows[1].patterns == (psym("r"),)
     assert out.positions == ((2,),)
     # a variable row keeps its place among the symbol rows
     out = spec_symbols(ClauseMatrix(m.rows[::-1], m.positions))["r", 1]
-    assert [row.source for row in out.rows] == ["3", "1"]
+    assert [row.rule.label for row in out.rows] == ["3", "1"]
 
 
 def test_spec_lambda_golden():
     m, x4 = decomposition_matrix()
     out = spec_lambda(m)
-    assert [row.source for row in out.rows] == ["3", "4"]
+    assert [row.rule.label for row in out.rows] == ["3", "4"]
     assert out.rows[0].patterns == (WILDCARD, psym("r"))
     assert out.rows[1].patterns[0] == pvar("x", x4)
     assert type(out.rows[1].patterns[1]) is PatAbst
@@ -162,7 +164,7 @@ def test_spec_lambda_golden():
 def test_spec_default_golden():
     m, _ = decomposition_matrix()
     out = spec_default(m)
-    assert [row.source for row in out.rows] == ["3"]
+    assert [row.rule.label for row in out.rows] == ["3"]
     assert out.rows[0].patterns == (psym("r"),)
     assert out.positions == ((2,),)
 
@@ -178,7 +180,7 @@ def test_specialise_no_matching_symbol():
 
 
 def test_specialise_unrolls_nested_application():
-    row = ClauseRow((psym("c", psym("c", WILDCARD)),), rhs=symb("r"))
+    row = clause_row("", psym("c", psym("c", WILDCARD)))
     (out,) = spec_symbols(ClauseMatrix((row,), ((3, 2),))).values()
     assert out.rows[0].patterns == (psym("c", WILDCARD),)
     assert out.positions == ((3, 2, 1),)
@@ -193,14 +195,14 @@ def test_cond_succ_removes_pair():
     m = from_rules("f", rules)
     out = cond_succ(NL_12, m)
     assert out.rows[1].nl == frozenset()
-    assert [row.source for row in out.rows] == ["r1", "r2", "r3"]
+    assert [row.rule.label for row in out.rows] == ["r1", "r2", "r3"]
 
 
 def test_cond_fail_drops_constrained_row():
     rules, _ = constraint_example_rules()
     m = from_rules("f", rules)
     out = cond_fail(NL_12, m)
-    assert [row.source for row in out.rows] == ["r1", "r3"]
+    assert [row.rule.label for row in out.rows] == ["r1", "r3"]
 
 
 def test_cond_succ_and_fail_take_a_cl_key_the_same_way():
@@ -208,7 +210,7 @@ def test_cond_succ_and_fail_take_a_cl_key_the_same_way():
     m = from_rules("f", rules)
     key = ((2, 1, 1), frozenset({(2,)}))
     assert [row.cl for row in cond_succ(key, m).rows] == [frozenset()] * 3
-    assert [row.source for row in cond_fail(key, m).rows] == ["r2", "r3"]
+    assert [row.rule.label for row in cond_fail(key, m).rows] == ["r2", "r3"]
 
 
 def test_cond_succ_no_constraints_is_identity():
@@ -239,11 +241,11 @@ def test_row_partition():
     landed = {src: 0 for src in "1234"}
     for case in cases.values():
         for row in case.rows:
-            landed[row.source] += 1
+            landed[row.rule.label] += 1
     for row in spec_lambda(m).rows:
-        landed[row.source] += 1
+        landed[row.rule.label] += 1
     for row in spec_default(m).rows:
-        landed[row.source] += 1
+        landed[row.rule.label] += 1
     # wildcard rows land everywhere: every symbol case, the lambda case and
     # the default; symbol and abstraction rows land exactly once
     assert landed["1"] == 1 and landed["2"] == 1 and landed["4"] == 1
@@ -262,7 +264,7 @@ def test_width_arithmetic():
     ]
     for out in outs:
         assert all(len(row.patterns) == len(out.positions) for row in out.rows)
-    wide = ClauseRow((psym("r", pvar("x"), pvar("y")), psym("q")), rhs=symb("r5"))
+    wide = clause_row("5", psym("r", pvar("x"), pvar("y")), psym("q"))
     cases = spec_symbols(ClauseMatrix(m.rows + (wide,), m.positions))
     assert cases["r", 2].positions == ((1, 1), (1, 2), (2,))
     assert cases["r", 0].positions == ((2,),)

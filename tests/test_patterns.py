@@ -12,7 +12,6 @@ from rwtree.patterns import (
     Rule,
     RuleSetError,
     apply_subst,
-    iter_pattern_vars,
     match_patterns,
     naive_rewrite_head,
     validate_rule,
@@ -114,16 +113,33 @@ def test_each_rule_is_validated_once(monkeypatch):
     assert validated == rules and len(rules) == 7
 
 
+def test_each_lhs_is_analysed_once(monkeypatch):
+    # the walk made with the rule serves validation, the clause matrix and
+    # analyse_rhs; parse_file makes each rule once and from_rules makes none
+    analysed = []
+    real = patterns.analyse_lhs
+    monkeypatch.setattr(
+        patterns, "analyse_lhs", lambda pats: analysed.append(pats) or real(pats)
+    )
+    rules = parse_file(FIB_RULES).rules
+    EvalContext.from_rules(rules)
+    assert analysed == [r.lhs_args for r in rules] and len(rules) == 7
+
+
 def test_pattern_vars_come_in_preorder(rng):
-    # validate_rule and matrix.from_rules rely on the first occurrence of
-    # a name coming first
+    # Rule.env, from which the tree stores a right-hand side's bindings, and
+    # the declarative matcher both take a name's first occurrence in
+    # preorder; names are keyed in the order they first occur
     sampler = RuleSampler(rng)
     seen = 0
-    for _ in range(300):
+    for _ in range(500):
         for rule in sampler.ruleset():
-            positions = [pos for _, pos, _ in iter_pattern_vars(rule.lhs_args)]
-            assert all(a < b for a, b in zip(positions, positions[1:]))
-            seen += len(positions)
+            firsts = [occs[0][0] for occs in rule.occurrences.values()]
+            assert all(a < b for a, b in zip(firsts, firsts[1:]))
+            for occs in rule.occurrences.values():
+                positions = [pos for pos, _ in occs]
+                assert all(a < b for a, b in zip(positions, positions[1:]))
+                seen += len(positions)
     assert seen > 1000
 
 

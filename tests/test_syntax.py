@@ -6,10 +6,8 @@ from rwtree.dtree import trees_of_ruleset
 from rwtree.patterns import PatAbst, PatSymb, PatVar, RuleSetError
 from rwtree.syntax import (
     Assert,
-    Compute,
     Declaration,
     ParseError,
-    RuleBlock,
     ScopeError,
     parse_file,
     print_term,

@@ -8,7 +8,6 @@ from rwtree.terms import (
     MetaApp,
     Prod,
     RhsOnlyError,
-    Var,
     alpha_eq,
     build_app,
     free_vars,
