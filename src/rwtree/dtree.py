@@ -4,7 +4,8 @@ A tree is a small program over a stack of subject terms and a store of saved
 subterms: Switch head-normalises the stack top and dispatches on its head,
 Swap reorders the stack, Store saves a stack entry without inspecting it, BinNl
 and BinCl decide the repeated-variable and variable-occurrence constraints,
-and Leaf yields an instantiable right-hand side.
+and Leaf yields its rule's right-hand side, built from the store by the
+builder that ``patterns.rhs_builder`` compiles when the leaf is made.
 
 A position that a constraint or a right-hand side needs is saved exactly
 once.  If some Switch inspects it, that Switch saves it after head
@@ -28,7 +29,7 @@ them recurses, and both renderings print the same text for a node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .matrix import (
     ClauseMatrix,
@@ -42,42 +43,34 @@ from .matrix import (
     swap_columns,
 )
 from .patterns import (
-    BinderSources,
+    Builder,
     Occurrence,
     PatAbst,
     PatVar,
     Rule,
-    SubstitutionError,
     encloses,
+    rhs_builder,
     validate_rules,
 )
-from .terms import Abst, App, MetaApp, Position, Prod, Term, Var, fresh_var, subst
+from .terms import Position
 
 
 class DTree:
     __slots__ = ()
 
 
-# The evaluator's store: saved subterms, each with the binders opened when
-# it was saved.
-StoreEntries = Sequence[tuple[Term, tuple[Var, ...]]]
-Builder = Callable[[StoreEntries], Term]
-
-
 @dataclass(slots=True)
 class Leaf(DTree):
-    rhs: Term
+    rule: Rule
     # pattern-variable name -> (store slot, indices into that slot's
     # binder snapshot selecting the closure formals)
     env: dict[str, tuple[int, tuple[int, ...]]]
-    # the rule's changing rhs binders (``Rule.binders``)
-    binders: BinderSources = field(default_factory=dict)
-    # build(store) -> the instantiated rhs; compiled from rhs, env and
-    # binders when the leaf is made
+    # build(store) -> the instantiated rhs; compiled from the rule and env
+    # when the leaf is made (``patterns.rhs_builder``)
     build: Builder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.build = rhs_builder(self.rhs, self.env, self.binders)
+        self.build = rhs_builder(self.rule, self.env)
 
 
 @dataclass(slots=True)
@@ -133,114 +126,6 @@ class BinCl(DTree):
     # are not allowed; only these are rejected, since the binder of a
     # sibling abstraction may occur free in the saved term
     restricted: tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# Right-hand-side builders
-
-
-def rhs_builder(
-    rhs: Term,
-    env: dict[str, tuple[int, tuple[int, ...]]],
-    binders: BinderSources,
-) -> Builder:
-    """Compile a right-hand side into a function of the store.
-
-    The built term equals ``patterns.apply_subst`` with the same
-    ``binders`` node for node, names included: subterms without pattern
-    variables or changing binders are the shared rhs objects, a bare ``$x``
-    is its stored term, ``$u[a...]`` substitutes the built arguments for the
-    selected snapshot binders, and the nodes above are rebuilt.  A binder
-    that stands for a subject binder is read from the snapshot of its
-    pattern variable's entry, so ``$u[x]`` with ``x`` that binder is the
-    stored term itself.  A binder that is fresh at every firing is built
-    as a placeholder Var made here, which no term holds, and the firing
-    renames it in the built body.  Raises SubstitutionError on an unbound
-    name or an arity mismatch.
-    """
-    build = _builder(rhs, env, binders, {})
-    return build if build is not None else lambda store: rhs
-
-
-def _builder(t: Term, env, binders: BinderSources, bound) -> Optional[Builder]:
-    """Builder for ``t``, or None when ``t`` is built as itself.  ``bound``
-    maps the vid of each enclosing changing binder to its snapshot index
-    (None for a fresh one) and to the builder of its variable; a binder is
-    the same Var in every snapshot that holds it, so a formal with that
-    index is passed itself."""
-    tt = type(t)
-    if tt is Var:
-        entry = bound.get(t.vid)
-        return entry[1] if entry is not None else None
-    if tt is MetaApp:
-        entry = env.get(t.name)
-        if entry is None:
-            raise SubstitutionError(f"unbound pattern variable ${t.name}")
-        slot, selector = entry
-        if len(selector) != len(t.args):
-            raise SubstitutionError(
-                f"arity mismatch for ${t.name}: "
-                f"{len(selector)} formals, {len(t.args)} arguments"
-            )
-        pairs = []
-        for k, a in zip(selector, t.args):
-            if type(a) is Var and a.vid in bound and bound[a.vid][0] == k:
-                continue  # the formal is passed the binder that is itself
-            part = _builder(a, env, binders, bound)
-            pairs.append((k, part or (lambda store, a=a: a)))
-        if not pairs:
-            return lambda store: store[slot][0]
-        pairs = tuple(pairs)
-
-        def build_meta(store):
-            term, snapshot = store[slot]
-            return subst(term, {snapshot[k].vid: arg(store) for k, arg in pairs})
-
-        return build_meta
-    if tt is App:
-        fn = _builder(t.fn, env, binders, bound)
-        arg = _builder(t.arg, env, binders, bound)
-        if fn is None and arg is None:
-            return None
-        if fn is None:
-            head = t.fn
-            return lambda store: App(head, arg(store))
-        if arg is None:
-            last = t.arg
-            return lambda store: App(fn(store), last)
-        return lambda store: App(fn(store), arg(store))
-    if tt is Abst or tt is Prod:
-        body = t.body if tt is Abst else t.codomain
-        var, domain = t.var, t.domain
-        dom = _builder(domain, env, binders, bound)
-        if var.vid not in binders:  # the rule's Var
-            if var.vid in bound:  # it shadows a changing binder
-                bound = {k: e for k, e in bound.items() if k != var.vid}
-            inner = _builder(body, env, binders, bound)
-            if dom is None and inner is None:
-                return None
-            dom = dom or (lambda store: domain)
-            inner = inner or (lambda store: body)
-            return lambda store: tt(var, dom(store), inner(store))
-        dom = dom or (lambda store: domain)
-        source = binders[var.vid]
-        if source is None:  # fresh
-            hole = fresh_var(var.name)
-            scope = {**bound, var.vid: (None, lambda store: hole)}
-            inner = _builder(body, env, binders, scope) or (lambda store: body)
-
-            def build_fresh(store):
-                v = fresh_var(var.name)
-                return tt(v, dom(store), subst(inner(store), {hole.vid: v}))
-
-            return build_fresh
-        name, j = source
-        slot, selector = env[name]
-        k = selector[j]
-        scope = {**bound, var.vid: (k, lambda store: store[slot][1][k])}
-        inner = _builder(body, env, binders, scope) or (lambda store: body)
-        return lambda store: tt(store[slot][1][k], dom(store), inner(store))
-    return None  # Symb, Sort, or an absent Abst domain
 
 
 @dataclass(slots=True)
@@ -378,8 +263,7 @@ def _compile(m: ClauseMatrix, st: CompileState) -> DTree:
     kind, arg = choose_action(m, st)
     if kind == "yield":
         rule = m.rows[arg].rule
-        env = {name: _slot_selector(st, occ) for name, occ in rule.env.items()}
-        return Leaf(rule.rhs, env, rule.binders)
+        return Leaf(rule, {n: _slot_selector(st, occ) for n, occ in rule.env.items()})
     if kind == "solve_nl":
         (i, sel_i), (j, sel_j) = sorted(_slot_selector(st, occ) for occ in arg)
         succ, fail = _compile(cond_succ(arg, m), st), _compile(cond_fail(arg, m), st)
@@ -506,7 +390,7 @@ def _node_text(node: DTree, print_rhs) -> str:
             f"${n}<-{_saved_text(slot, sel)}"
             for n, (slot, sel) in sorted(node.env.items())
         )
-        return f"leaf {print_rhs(node.rhs)}" + (f" {{{binds}}}" if binds else "")
+        return f"leaf {print_rhs(node.rule.rhs)}" + (f" {{{binds}}}" if binds else "")
     if t is Fail:
         return "fail"
     if t is BinNl:

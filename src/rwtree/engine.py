@@ -7,13 +7,15 @@ argument stack (``whnf_stk``), so a Switch and ``snf`` read the arguments
 off the stack instead of unwinding the term again, and a symbol that heads
 no rule is never offered to a matcher.  A Switch head-normalizes the stack
 top before it inspects it, and stores that normal form when the tree asks
-for it; a Leaf builds its right-hand side with the builder compiled when
-the tree was.  In convertibility mode the constraint checks compare or
-inspect fully normalized terms, and a right-hand side is built from the
-normal form a closedness check passed on.
+for it.  In convertibility mode the constraint checks compare or inspect
+fully normalized terms, and a right-hand side is built from the normal form
+a closedness check passed on.
 
-Neither engine renames to build a right-hand side.  A rule's ``binders``
-(``patterns.analyse_rhs``) say which subject binder each
+Both engines build a right-hand side with the rule's builder
+(``patterns.rhs_builder``): a Leaf runs the one compiled with the tree, on
+the tree's store, and the naive engine the one compiled on the rule's first
+naive firing, on the match witness.  Neither renames to build it.  A rule's
+``binders`` (``patterns.analyse_rhs``) say which subject binder each
 right-hand-side binder stands for, and the result reuses that binder, name
 included; a binder that stands for none is fresh at every firing, so
 instantiation never captures.  So in ``d (\\x, sin $u[x]) --> \\x, * (cos
@@ -45,7 +47,7 @@ from typing import Optional, Sequence
 
 from . import dtree as dt
 from .dtree import DTree, trees_of_ruleset
-from .patterns import Rule, naive_rewrite_head, shared_formals
+from .patterns import Rule, StoreEntries, naive_rewrite_head, shared_formals
 from .terms import (
     Abst,
     App,
@@ -269,12 +271,13 @@ def equal_terms(ctx: EvalContext, t: Term, u: Term, steps: Steps) -> bool:
 # Tree evaluation
 
 
-def instantiate(leaf: dt.Leaf, store: dt.StoreEntries) -> Term:
+def instantiate(leaf: dt.Leaf, store: StoreEntries) -> Term:
     """Build the right-hand side of a matched rule from the stored subterms
-    with the leaf's compiled builder.
+    with the leaf's compiled builder: the tree engine's counterpart of
+    ``patterns.apply_subst``.
 
     Each pattern variable stands for its stored term, abstracted over the
-    selected binders of that entry's snapshot (see ``dtree.rhs_builder``).
+    selected binders of that entry's snapshot (see ``patterns.rhs_builder``).
     """
     return leaf.build(store)
 

@@ -1,13 +1,20 @@
-"""Rewrite-rule patterns, rule validation and the declarative matcher.
+"""Rewrite-rule patterns, rule validation, the declarative matcher and
+right-hand-side instantiation.
 
 The matcher here is the reference semantics: it walks a pattern vector over a
 term vector directly, with no compilation.  The compiled engine is checked
 against it, so this module must stay simple and obviously correct.
+
+A right-hand side is instantiated in one place, ``rhs_builder``, which
+compiles it into a function of a store of ``(term, binders)`` entries.
+Both engines run it: a tree Leaf compiles one over the tree's store slots,
+and ``apply_subst`` compiles one per rule over the match witness, which is
+a store keyed by name.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .terms import (
     Abst,
@@ -118,6 +125,11 @@ class Rule:
     rhs_metas: tuple[MetaApp, ...] = field(init=False, repr=False, compare=False)
     env: dict[str, Occurrence] = field(init=False, repr=False, compare=False)
     binders: BinderSources = field(init=False, repr=False, compare=False)
+    # the naive engine's builder, compiled on the rule's first naive firing
+    # (``apply_subst``), so that set-up compiles none
+    naive_build: Optional[Builder] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.occurrences, self.restricted = analyse_lhs(self.lhs_args)
@@ -132,13 +144,14 @@ class Rule:
         return f"<{self.label or 'rule'}: {lhs} --> {self.rhs!r}>"
 
 
-@dataclass(slots=True)
-class Closure:
+class Closure(NamedTuple):
     """Match witness for one pattern variable: a term abstracted over the
-    traversed binders the variable was applied to."""
+    traversed binders the variable was applied to.  It has the shape of a
+    store entry ``(term, binders)``, so a Substitution is a store keyed by
+    name (see ``rhs_builder``)."""
 
-    formals: tuple[Var, ...]
     body: Term
+    formals: tuple[Var, ...]
 
 
 Substitution = dict[str, Closure]
@@ -432,7 +445,7 @@ def match_patterns(
                 if imgs:
                     return equal(*shared_formals(prev.body, prev.formals, t, imgs))
                 return equal(prev.body, t)
-            sub[p.name] = Closure(imgs, t)
+            sub[p.name] = Closure(t, imgs)
             return True
         if whnf is not None:
             t = whnf(t)
@@ -464,66 +477,132 @@ class SubstitutionError(Exception):
     """Internal invariant failure: unbound or arity-mismatched variable."""
 
 
-def apply_subst(sub: Substitution, rhs: Term, binders: BinderSources) -> Term:
-    """Instantiate a right-hand side with a match witness.
+# A store of saved subterms, each as ``(term, binders)``.  The tree
+# evaluator's store is a list, each entry with the binders opened when it
+# was saved; a match witness is a store keyed by name.
+StoreEntries = Union[Sequence[tuple[Term, tuple[Var, ...]]], Substitution]
+Builder = Callable[[StoreEntries], Term]
+# pattern-variable name -> (store key, indices into that entry's binders
+# selecting the closure formals)
+BuilderEnv = dict[str, tuple[Union[int, str], tuple[int, ...]]]
 
-    Every MetaApp is replaced by its closure body with the formals
-    substituted by the (instantiated) arguments; the result contains no
-    MetaApp.  A binder in ``binders`` (the rule's ``binders``, see
-    ``analyse_rhs``) becomes the closure formal it stands for, or a
-    fresh variable, which replaces its entry in the copy of ``binders``
-    passed below its abstraction; every other binder keeps the rule's Var.
-    A formal passed the binder that is itself is dropped, as
-    ``dtree.rhs_builder`` drops it, and ``subst`` runs only when a binding
-    remains.  Substitution is capture-avoiding.
+
+def rhs_builder(rule: Rule, env: BuilderEnv) -> Builder:
+    """Compile the rule's right-hand side into a function of a store.
+
+    Subterms without pattern variables or changing binders are the shared
+    rhs objects, a bare ``$x`` is its stored term, ``$u[a...]`` substitutes
+    the built arguments for the selected binders of its entry, and the
+    nodes above are rebuilt.  A binder that stands for a subject binder
+    (``rule.binders``) is read from the entry of its pattern variable, so
+    ``$u[x]`` with ``x`` that binder is the stored term itself.  A binder
+    that is fresh at every firing is built as a placeholder Var made here,
+    which no term holds, and the firing renames it in the built body.
+    Raises SubstitutionError on an unbound name or an arity mismatch.
     """
-    tr = type(rhs)
-    if tr is MetaApp:
-        cl = sub.get(rhs.name)
-        if cl is None:
-            raise SubstitutionError(f"unbound pattern variable ${rhs.name}")
-        if len(cl.formals) != len(rhs.args):
+    rhs = rule.rhs
+    build = _builder(rhs, rule, env, {})
+    return build if build is not None else lambda store: rhs
+
+
+def _builder(t: Term, rule: Rule, env: BuilderEnv, bound) -> Optional[Builder]:
+    """Builder for ``t``, or None when ``t`` is built as itself.  ``bound``
+    maps the vid of each enclosing changing binder to the position of the
+    left-hand-side abstraction whose subject binder it is (its placeholder
+    when it is fresh) and to the builder of its variable; a formal opened
+    at that abstraction is passed itself.  The position, not the index
+    into an entry's binders, names that binder: an index means one binder
+    in every slot of the tree's store, but another in each closure of a
+    match witness."""
+    tt = type(t)
+    if tt is Var:
+        entry = bound.get(t.vid)
+        return entry[1] if entry is not None else None
+    if tt is MetaApp:
+        entry = env.get(t.name)
+        if entry is None:
+            raise SubstitutionError(f"unbound pattern variable ${t.name}")
+        slot, selector = entry
+        if len(selector) != len(t.args):
             raise SubstitutionError(
-                f"arity mismatch for ${rhs.name}: "
-                f"{len(cl.formals)} formals, {len(rhs.args)} arguments"
+                f"arity mismatch for ${t.name}: "
+                f"{len(selector)} formals, {len(t.args)} arguments"
             )
-        if not rhs.args:
-            return cl.body
-        bindings = {
-            f.vid: a2
-            for f, a in zip(cl.formals, rhs.args)
-            if (a2 := apply_subst(sub, a, binders)) is not f
-        }
-        return subst(cl.body, bindings) if bindings else cl.body
-    if tr is App:
-        f2 = apply_subst(sub, rhs.fn, binders)
-        a2 = apply_subst(sub, rhs.arg, binders)
-        return rhs if (f2 is rhs.fn and a2 is rhs.arg) else App(f2, a2)
-    if tr is Symb:
-        return rhs
-    if tr is Var:
-        source = binders.get(rhs.vid) if binders else None
-        if source is None:
-            return rhs
-        return source if type(source) is Var else sub[source[0]].formals[source[1]]
-    if tr is Abst or tr is Prod:
-        body = rhs.body if tr is Abst else rhs.codomain
-        d2 = apply_subst(sub, rhs.domain, binders) if rhs.domain is not None else None
-        var = rhs.var
-        if var.vid in binders:
-            source = binders[var.vid]
-            if source is None:
-                var = fresh_var(var.name)
-                binders = {**binders, rhs.var.vid: var}
-            elif type(source) is Var:
-                var = source
-            else:
-                var = sub[source[0]].formals[source[1]]
-        b2 = apply_subst(sub, body, binders)
-        if var is rhs.var and d2 is rhs.domain and b2 is body:
-            return rhs
-        return tr(var, d2, b2)
-    return rhs  # Sort
+        pairs = []
+        for k, at, a in zip(selector, rule.env[t.name][1], t.args):
+            if type(a) is Var and a.vid in bound and bound[a.vid][0] == at:
+                continue  # the formal is passed the binder that is itself
+            part = _builder(a, rule, env, bound)
+            pairs.append((k, part or (lambda store, a=a: a)))
+        if not pairs:
+            return lambda store: store[slot][0]
+        pairs = tuple(pairs)
+
+        def build_meta(store):
+            term, snapshot = store[slot]
+            return subst(term, {snapshot[k].vid: arg(store) for k, arg in pairs})
+
+        return build_meta
+    if tt is App:
+        fn = _builder(t.fn, rule, env, bound)
+        arg = _builder(t.arg, rule, env, bound)
+        if fn is None and arg is None:
+            return None
+        if fn is None:
+            head = t.fn
+            return lambda store: App(head, arg(store))
+        if arg is None:
+            last = t.arg
+            return lambda store: App(fn(store), last)
+        return lambda store: App(fn(store), arg(store))
+    if tt is Abst or tt is Prod:
+        body = t.body if tt is Abst else t.codomain
+        var, domain = t.var, t.domain
+        dom = _builder(domain, rule, env, bound)
+        if var.vid not in rule.binders:  # the rule's Var
+            if var.vid in bound:  # it shadows a changing binder
+                bound = {k: e for k, e in bound.items() if k != var.vid}
+            inner = _builder(body, rule, env, bound)
+            if dom is None and inner is None:
+                return None
+            dom = dom or (lambda store: domain)
+            inner = inner or (lambda store: body)
+            return lambda store: tt(var, dom(store), inner(store))
+        dom = dom or (lambda store: domain)
+        source = rule.binders[var.vid]
+        if source is None:  # fresh
+            hole = fresh_var(var.name)
+            scope = {**bound, var.vid: (hole, lambda store: hole)}
+            inner = _builder(body, rule, env, scope) or (lambda store: body)
+
+            def build_fresh(store):
+                v = fresh_var(var.name)
+                return tt(v, dom(store), subst(inner(store), {hole.vid: v}))
+
+            return build_fresh
+        name, j = source
+        slot, selector = env[name]
+        k = selector[j]
+        at = rule.env[name][1][j]
+        scope = {**bound, var.vid: (at, lambda store: store[slot][1][k])}
+        inner = _builder(body, rule, env, scope) or (lambda store: body)
+        return lambda store: tt(store[slot][1][k], dom(store), inner(store))
+    return None  # Symb, Sort, or an absent Abst domain
+
+
+def apply_subst(sub: Substitution, rule: Rule) -> Term:
+    """Instantiate the rule's right-hand side with a match witness: the
+    naive engine's counterpart of ``engine.instantiate``.
+
+    The witness is the store of the rule's naive builder, whose entry for
+    each name is its closure, with formals ``0..k-1``.  That builder is
+    compiled on the rule's first naive firing and kept on the rule.
+    """
+    build = rule.naive_build
+    if build is None:
+        env = {name: (name, tuple(range(len(f)))) for name, (_, f) in rule.env.items()}
+        build = rule.naive_build = rhs_builder(rule, env)
+    return build(sub)
 
 
 def naive_rewrite_head(
@@ -555,6 +634,6 @@ def naive_rewrite_head(
             fv_normalize=fv_normalize,
         )
         if sub is not None:
-            rhs = apply_subst(sub, rule.rhs, rule.binders)
+            rhs = apply_subst(sub, rule)
             return rule, build_app(rhs, args[n:])
     return None

@@ -370,14 +370,30 @@ def print_term(t: Term) -> str:
     """
     reserved = _reserved_names(t)
     out: list[str] = []
-    # work items: literal strings, or (term, context, names: vid -> printed)
-    work: list = [(t, _TOP, {})]
+    # the printed name of each binder in scope, by vid, and the set of those
+    # names; a binder's scope item sets its entry, and the item popped after
+    # its body puts back the entry it replaced
+    names: dict[int, str] = {}
+    taken: set[str] = set()
+    # work items: literal strings, (term, context), or (None, vid, name):
+    # bind vid to name in ``names`` (name None: unbind it)
+    work: list = [(t, _TOP)]
     while work:
         item = work.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        x, ctx, names = item
+        x = item[0]
+        if x is None:
+            _, vid, name = item
+            old = names.pop(vid, None)
+            if old is not None:
+                taken.discard(old)
+            if name is not None:
+                names[vid] = name
+                taken.add(name)
+            continue
+        ctx = item[1]
         tx = type(x)
         if tx is Var:
             out.append(names.get(x.vid, x.name))
@@ -388,21 +404,24 @@ def print_term(t: Term) -> str:
         elif tx is App:
             if ctx == _ARG:
                 work.append(")")
-            work.append((x.arg, _ARG, names))
+            work.append((x.arg, _ARG))
             work.append(" ")
-            work.append((x.fn, _HEAD, names))
+            work.append((x.fn, _HEAD))
             if ctx == _ARG:
                 work.append("(")
         elif tx is Abst or tx is Prod:
-            name = _pick_name(x.var, names, reserved)
+            vid = x.var.vid
+            name = _pick_name(x.var, taken, reserved)
             body = x.body if tx is Abst else x.codomain
             close = ctx != _TOP
             if close:
                 work.append(")")
-            work.append((body, _TOP, {**names, x.var.vid: name}))
+            work.append((None, vid, names.get(vid)))
+            work.append((body, _TOP))
+            work.append((None, vid, name))
             work.append(", ")
             if x.domain is not None:
-                work.append((x.domain, _DOMAIN, names))
+                work.append((x.domain, _DOMAIN))
                 work.append(" : ")
             work.append(("\\" if tx is Abst else "Π") + name)
             if close:
@@ -414,7 +433,7 @@ def print_term(t: Term) -> str:
             else:
                 work.append("]")
                 for i, a in enumerate(reversed(x.args)):
-                    work.append((a, _TOP, names))
+                    work.append((a, _TOP))
                     if i != len(x.args) - 1:
                         work.append(",")
                 work.append(base + "[")
@@ -438,9 +457,8 @@ def _reserved_names(t: Term) -> set[str]:
     return names
 
 
-def _pick_name(v: Var, names: dict[int, str], reserved: set[str]) -> str:
-    taken = reserved | set(names.values())
+def _pick_name(v: Var, taken: set[str], reserved: set[str]) -> str:
     name = v.name
-    while name in taken or name in _RESERVED:
+    while name in taken or name in reserved or name in _RESERVED:
         name += "'"
     return name

@@ -77,7 +77,7 @@ def test_compile_nonlinear_rule():
     assert len(stores) == 2
     assert len(nls) == 1
     assert nls[0].slots == (0, 1)
-    assert type(nls[0].succ) is Leaf and nls[0].succ.rhs is symb("true")
+    assert type(nls[0].succ) is Leaf and nls[0].succ.rule.rhs is symb("true")
     assert type(nls[0].fail) is Fail
 
 
@@ -276,7 +276,7 @@ def test_tree_stats():
 def test_a_deep_chain_is_rendered_and_measured_without_recursion():
     # 1,500 Stores over a leaf, deeper than the default recursion limit of
     # 1,000 frames
-    tree = Leaf(symb("a"), {})
+    tree = Leaf(Rule("f", (), symb("a")), {})
     for _ in range(1500):
         tree = Store(tree)
     stats = tree_stats(tree)

@@ -12,8 +12,17 @@ from rwtree.engine import (
     snf,
     whnf,
 )
-from rwtree.patterns import Closure, match_patterns
-from rwtree.syntax import Declaration, parse_file, print_term
+from rwtree.patterns import (
+    PatAbst,
+    PatSymb,
+    PatVar,
+    Rule,
+    SubstitutionError,
+    apply_subst,
+    match_patterns,
+    rhs_builder,
+)
+from rwtree.syntax import Compute, Declaration, parse_file, print_term
 from rwtree.terms import (
     Abst,
     App,
@@ -136,7 +145,8 @@ def test_eval_tree_no_case_no_default():
 def test_store_does_not_pop():
     # a switch below a store still sees the stored term on the stack
     ctx = ctx_for(EXAMPLE1)
-    tree = Store(Switch({("a", 0): Leaf(symb("ok"), {})}))
+    ok = Rule("f", (PatSymb("a"),), symb("ok"))
+    tree = Store(Switch({("a", 0): Leaf(ok, {})}))
     out = eval_tree(ctx, tree, [symb("a")], Steps(10))
     assert out is symb("ok")
 
@@ -147,29 +157,28 @@ def test_store_does_not_pop():
 
 def test_instantiate_plain_slot():
     s0 = App(symb("s"), symb("0"))
-    leaf = Leaf(MetaApp("m", ()), {"m": (0, ())})
+    leaf = Leaf(Rule("f", (PatVar("m"),), MetaApp("m", ())), {"m": (0, ())})
     assert instantiate(leaf, [(s0, ())]) is s0
 
 
 def test_instantiate_closure_with_snapshot():
-    # leaf rhs: * (diff (\x, $v[x])) cos, store holds sin-free body over y
+    # leaf of f (\y, $v[y]) --> * (diff (\x, $v[x])) cos, store holds the
+    # body y over y: x stands for the subject's y and is y
     y = fresh_var("y")
     x = fresh_var("x")
     rhs = build_app(
         symb("*"), [App(symb("diff"), lam(x, MetaApp("v", (x,)))), symb("cos")]
     )
-    leaf = Leaf(rhs, {"v": (0, (0,))})
-    out = instantiate(leaf, [(y, (y,))])
-    x2 = fresh_var("x")
-    want = build_app(
-        symb("*"), [App(symb("diff"), lam(x2, x2)), symb("cos")]
-    )
+    rule = Rule("f", (PatAbst(y, PatVar("v", (y,))),), rhs)
+    out = instantiate(Leaf(rule, {"v": (0, (0,))}), [(y, (y,))])
+    want = build_app(symb("*"), [App(symb("diff"), lam(y, y)), symb("cos")])
     assert alpha_eq(out, want)
+    assert out.fn.arg.arg.var is y
 
 
 def test_instantiate_empty_env():
     x = fresh_var("x")
-    leaf = Leaf(lam(x, symb("0")), {})
+    leaf = Leaf(Rule("f", (), lam(x, symb("0"))), {})
     out = instantiate(leaf, [])
     assert alpha_eq(out, lam(fresh_var("y"), symb("0")))
 
@@ -522,9 +531,7 @@ def oracle_candidates(ctx_naive, rules, head, args, steps):
             fv_normalize=lambda u: snf(ctx_naive, u, steps),
         )
         if sub is not None:
-            from rwtree.patterns import apply_subst
-
-            rhs = apply_subst(sub, rule.rhs, rule.binders)
+            rhs = apply_subst(sub, rule)
             out.append((rule, build_app(rhs, args[rule.arity :])))
     return out
 
@@ -659,76 +666,23 @@ def test_every_switch_inspects_a_head(rng):
 
 
 # ---------------------------------------------------------------------------
-# right-hand-side builders against the reference instantiation
-
-
-def _hand_rules():
-    """Rules whose right-hand sides apply pattern variables to binders and
-    to built terms: ``$u[x]`` under a binder, ``$u[$w]``, ``$u[k1 x]``."""
-    from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule
-
-    x, y = fresh_var("x"), fresh_var("y")
-    lhs = (PatAbst(x, PatVar("u", (x,))), PatVar("w"))
-    k1 = symb("k1")
-    rhss = [
-        lam(y, App(k1, MetaApp("u", (y,)))),
-        MetaApp("u", (MetaApp("w", ()),)),
-        lam(y, MetaApp("u", (App(k1, y),))),
-    ]
-    rules = [Rule(f"h{i}", lhs, rhs, f"h{i}") for i, rhs in enumerate(rhss)]
-    return rules + [Rule("h0", (PatSymb("a"), PatVar("w")), lam(y, symb("b")), "h3")]
-
-
-def _leaves(rules):
-    for tree in trees_of_ruleset(rules).values():
-        for _, _, node in iter_tree(tree):
-            if type(node) is Leaf:
-                yield node
-
-
-def test_builder_equals_apply_subst(rng):
-    from rwtree.patterns import apply_subst
-
-    sampler = RuleSampler(rng)
-    rulesets = [_hand_rules()] + [sampler.ruleset() for _ in range(150)]
-    checked = 0
-    for rules in rulesets:
-        for leaf in _leaves(rules):
-            for _ in range(3):
-                size = 1 + max((slot for slot, _ in leaf.env.values()), default=0)
-                store = []
-                for _ in range(size):
-                    snap = tuple(fresh_var("b") for _ in range(rng.randint(0, 3)))
-                    store.append((sampler.subject_term(2, snap), snap))
-                sub = {}
-                for name, (slot, sel) in leaf.env.items():
-                    term, snap = store[slot]
-                    if max(sel, default=-1) >= len(snap):
-                        break
-                    sub[name] = Closure(tuple(snap[k] for k in sel), term)
-                else:
-                    want = apply_subst(sub, leaf.rhs, leaf.binders)
-                    assert alpha_eq(instantiate(leaf, store), want)
-                    checked += 1
-    assert checked > 200
+# right-hand-side builders
 
 
 def test_builder_rejects_unbound_and_arity_mismatch():
-    from rwtree.patterns import SubstitutionError
-
     x = fresh_var("x")
     with pytest.raises(SubstitutionError):
-        Leaf(MetaApp("m", ()), {})
+        rhs_builder(Rule("f", (), MetaApp("m", ())), {})
     with pytest.raises(SubstitutionError):
-        Leaf(MetaApp("m", (x,)), {"m": (0, ())})
+        rhs_builder(Rule("f", (PatVar("m"),), MetaApp("m", (x,))), {"m": (0, ())})
 
 
 def test_builder_shares_closed_subterms():
     closed = App(symb("k1"), symb("a"))
-    leaf = Leaf(App(MetaApp("m", ()), closed), {"m": (0, ())})
-    out = instantiate(leaf, [(symb("b"), ())])
+    rule = Rule("f", (PatVar("m"),), App(MetaApp("m", ()), closed))
+    out = instantiate(Leaf(rule, {"m": (0, ())}), [(symb("b"), ())])
     assert out.arg is closed
-    assert instantiate(Leaf(closed, {}), []) is closed
+    assert instantiate(Leaf(Rule("f", (), closed), {}), []) is closed
 
 
 # ---------------------------------------------------------------------------
@@ -1039,27 +993,69 @@ def test_opening_a_binder_copies_nothing(engine, monkeypatch):
     assert [len(c) for c in calls] == [0] * len(calls)
 
 
-def _hol_rules():
+def _bench_workloads():
     import runpy
     from pathlib import Path
 
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    return runpy.run_path(str(path))["HOL_RULES"]
+    return runpy.run_path(str(path))
 
 
-def test_naive_instantiation_substitutes_only_real_bindings(monkeypatch):
+def _hol_rules():
+    return _bench_workloads()["HOL_RULES"]
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_instantiation_substitutes_only_real_bindings(engine, monkeypatch):
     # in d (\x, sin $u[x]) --> \x, * (cos $u[x]) (d (\x, $u[x]) x) each
     # binder is the subject's own, so every $u[x] passes its formal itself
-    # and is the matched term: apply_subst, like the tree's builder, makes
-    # no subst call for it
+    # and is the matched term: the rule's builder, which both engines run,
+    # makes no subst call for it
     import rwtree.patterns as pat
 
     rules = _hol_rules()
     t = term(r"d (\x, sin x)", rules)
     calls = counting(monkeypatch, pat, "subst")
-    out = snf(ctx_for(rules, engine="naive"), t, Steps(1000))
+    out = snf(ctx_for(rules, engine=engine), t, Steps(1000))
     assert print_term(out) == r"\x, * (cos x) (d (\x', x') x)"
     assert calls == []
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_binder_passed_to_another_variable_replaces_its_formal(engine):
+    # y is the subject's a, the first formal of $u; $w[y] must replace $w's
+    # own first formal b by it, although the two formals hold the same
+    # index in the closures of $u and $w
+    src = r"""symbol f; symbol g; symbol h;
+    rule f (\a, \b, g $u[a] $w[b]) --> \y, h $u[y] $w[y];"""
+    t = term(r"f (\a, \b, g a b)", src)
+    out = snf(ctx_for(src, engine=engine), t, Steps(100))
+    assert print_term(out) == r"\a, h a a"
+
+
+def test_naive_builder_is_compiled_once_per_rule_and_never_in_set_up(monkeypatch):
+    import rwtree.dtree as dtm
+    import rwtree.patterns as pat
+
+    source = _bench_workloads()["hol_workload"](1).source
+    tree_compiles = counting(monkeypatch, dtm, "rhs_builder")
+    naive_compiles = counting(monkeypatch, pat, "rhs_builder")
+    sf = parse_file(source)
+    trees = EvalContext.from_rules(sf.rules).trees
+    nodes = [n for tree in trees.values() for _, _, n in iter_tree(tree)]
+    assert len(tree_compiles) == sum(type(n) is Leaf for n in nodes) > 0
+    assert naive_compiles == []
+
+    ctx = EvalContext.from_rules(sf.rules, engine="naive")
+    terms = [item.term for item in sf.items if isinstance(item, Compute)]
+    per_pass = []
+    for _ in range(2):
+        before = len(naive_compiles)
+        for t in terms:
+            snf(ctx, t)
+        per_pass.append(len(naive_compiles) - before)
+    assert 0 < per_pass[0] <= len(sf.rules)
+    assert per_pass[1] == 0
 
 
 def test_every_rule_of_d_sees_one_body():

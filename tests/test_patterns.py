@@ -11,9 +11,11 @@ from rwtree.patterns import (
     PatVar,
     Rule,
     RuleSetError,
+    SubstitutionError,
     apply_subst,
     match_patterns,
     naive_rewrite_head,
+    rhs_builder,
     validate_rule,
 )
 from rwtree.terms import (
@@ -260,44 +262,46 @@ def test_each_rhs_binder_stands_for_a_subject_binder_when_it_can():
 
 
 # ---------------------------------------------------------------------------
-# apply_subst
+# rhs_builder, run by the naive engine as apply_subst
 
 
 def test_apply_subst_plain():
     s0 = App(symb("s"), symb("0"))
-    out = apply_subst({"m": Closure((), s0)}, MetaApp("m", ()), {})
-    assert out is s0
+    rule = Rule("f", (pvar("m"),), MetaApp("m", ()))
+    assert apply_subst({"m": Closure(s0, ())}, rule) is s0
 
 
 def test_apply_subst_constant_function_rhs():
-    # rhs \x, 0 with empty environment entry for v
+    # rhs \x, 0: no pattern variable, so the rule's own term
     x = fresh_var("x")
-    out = apply_subst({"v": Closure((), symb("c"))}, lam(x, symb("0")), {})
-    assert alpha_eq(out, lam(fresh_var("x"), symb("0")))
+    rule = Rule("f", (pvar("v"),), lam(x, symb("0")))
+    assert apply_subst({"v": Closure(symb("c"), ())}, rule) is rule.rhs
 
 
 def test_apply_subst_closure_under_binder():
-    # rhs diff (\x, $v[x]) * cos  with v bound to the identity closure
+    # f (\y, $v[y]) --> * (diff (\x, $v[x])) cos with v bound to the
+    # identity closure: x stands for the subject's y and is y
     y = fresh_var("y")
     x = fresh_var("x")
     rhs = build_app(
         symb("*"),
         [App(symb("diff"), lam(x, MetaApp("v", (x,)))), symb("cos")],
     )
-    out = apply_subst({"v": Closure((y,), y)}, rhs, {})
-    expected_x = fresh_var("x")
-    expected = build_app(
-        symb("*"),
-        [App(symb("diff"), lam(expected_x, expected_x)), symb("cos")],
+    rule = Rule("f", (PatAbst(y, pvar("v", y)),), rhs)
+    out = apply_subst({"v": Closure(y, (y,))}, rule)
+    assert alpha_eq(
+        out, build_app(symb("*"), [App(symb("diff"), lam(y, y)), symb("cos")])
     )
-    assert alpha_eq(out, expected)
+    assert out.fn.arg.arg.var is y
 
 
 def test_apply_subst_missing_variable_is_internal_error():
-    from rwtree.patterns import SubstitutionError
-
+    # raised when the builder is compiled, before any store is read
+    rule = Rule("f", (), MetaApp("nope", ()))
     with pytest.raises(SubstitutionError):
-        apply_subst({}, MetaApp("nope", ()), {})
+        rhs_builder(rule, {})
+    with pytest.raises(SubstitutionError):
+        apply_subst({}, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +396,10 @@ def test_round_trip_instantiation(rng):
         except _SkipPattern:
             continue
         hits += 1
-        rebuilt = [apply_subst(sub, view, {}) for view in rhs_views]
-        for got, want in zip(rebuilt, args):
+        # each view instantiated by its rule's naive builder, with the
+        # witness as its store
+        for view, want in zip(rhs_views, args):
+            got = apply_subst(sub, Rule(rule.head, rule.lhs_args, view))
             assert alpha_eq(got, want)
     assert hits > 100
 

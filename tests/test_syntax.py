@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -347,6 +349,26 @@ def test_print_deep_term_iteratively():
     s = print_term(t)
     assert s.startswith("s (s (s")
     assert s.endswith("0" + ")" * 29_999)
+
+
+def test_print_a_var_that_binds_two_nested_binders():
+    # the inner binder of x hides the outer name until it ends, so a binder
+    # inside it may take that name, and x prints by its outer name after
+    x, y, f = fresh_var("x"), fresh_var("x"), symb("f")
+    t = Abst(x, None, App(Abst(x, None, Abst(y, None, App(App(f, x), y))), x))
+    assert print_term(t) == "\\x, (\\x', \\x, f x' x) x"
+
+
+def test_print_many_nested_binders_in_linear_time():
+    # each binder used to copy the whole scope, which took 24 s here
+    t = symb("a")
+    for i in range(20_000):
+        v = fresh_var(f"v{i}")
+        t = Abst(v, None, App(t, v))
+    start = time.perf_counter()
+    s = print_term(t)
+    assert time.perf_counter() - start < 2
+    assert s.startswith("\\v19999, (\\v19998, ") and s.endswith(") v19999")
 
 
 @st.composite
