@@ -15,8 +15,8 @@ is never forced only to be stored.
 
 Compilation reduces a clause matrix step by step; ``choose_action`` picks
 each step by one fixed rule, which switches on the column with the most
-heads.  A Switch takes all of its symbol cases from one pass over the rows
-(``matrix.spec_symbols``).  The compiler says where something is only by
+heads.  A Switch takes all of its cases from one pass over the rows
+(``matrix.specialize``).  The compiler says where something is only by
 position: the matrix carries the position of each column, and the compile
 state maps each saved position to its store slot and each opened
 abstraction, named by its position, to its index in the binder snapshot.
@@ -37,15 +37,12 @@ from .matrix import (
     cond_fail,
     cond_succ,
     from_rules,
-    spec_default,
-    spec_lambda,
-    spec_symbols,
+    specialize,
     swap_columns,
 )
 from .patterns import (
     Builder,
     Occurrence,
-    PatAbst,
     PatVar,
     Rule,
     encloses,
@@ -142,51 +139,41 @@ Action = Union[
 ]
 
 
+def _key_positions(key: ConstraintKey) -> tuple[Position, ...]:
+    """The positions a constraint reads: both occurrences of a
+    repeated-variable key, or the one position of a closedness key."""
+    return tuple(pos for pos, _ in key) if type(key) is frozenset else key[:1]
+
+
 def _pending_positions(m: ClauseMatrix) -> set[Position]:
     """Positions that must be stored before a row can fire or be checked."""
     out: set[Position] = set()
     for row in m.rows:
-        for pair in row.nl:
-            out.update(pos for pos, _ in pair)
-        for pos, _ in row.cl:
-            out.add(pos)
-        for pos, _ in row.rule.env.values():
-            out.add(pos)
+        for key in row.constraints:
+            out.update(_key_positions(key))
+        out.update(pos for pos, _ in row.rule.env.values())
     return out
 
 
-def _solvable_keys(m: ClauseMatrix, st: CompileState) -> list[tuple[str, ConstraintKey]]:
-    done = st.slot_of
-    cl = {key for row in m.rows for key in row.cl if key[0] in done}
-    nl = {
-        pair
+def _key_order(key: ConstraintKey) -> tuple:
+    # closedness keys first; the abstractions of one closedness key all
+    # enclose its position, so sorting them by position sorts them in the
+    # order they were opened
+    return (1, sorted(key)) if type(key) is frozenset else (0, key[0], sorted(key[1]))
+
+
+def _decided_constraint(m: ClauseMatrix, st: CompileState) -> Optional[Action]:
+    """The first constraint whose positions are all stored, if any."""
+    decided = {
+        key
         for row in m.rows
-        for pair in row.nl
-        if all(pos in done for pos, _ in pair)
+        for key in row.constraints
+        if all(pos in st.slot_of for pos in _key_positions(key))
     }
-    # the abstractions of one cl key all enclose its position, so sorting
-    # them by position sorts them in the order they were opened
-    out: list[tuple[str, ConstraintKey]] = [
-        ("solve_cl", k) for k in sorted(cl, key=lambda k: (k[0], sorted(k[1])))
-    ]
-    out += [("solve_nl", k) for k in sorted(nl, key=sorted)]
-    return out
-
-
-def _column_heads(m: ClauseMatrix, i: int) -> int:
-    return sum(1 for row in m.rows if type(row.patterns[i]) is not PatVar)
-
-
-def _constraints_touching(m: ClauseMatrix, pos: Position) -> int:
-    n = len(pos)
-    count = 0
-    for row in m.rows:
-        for pair in row.nl:
-            count += sum(1 for p, _ in pair if p[:n] == pos)
-        for p, _ in row.cl:
-            if p[:n] == pos:
-                count += 1
-    return count
+    key = min(decided, key=_key_order, default=None)
+    if key is None:
+        return None
+    return ("solve_nl" if type(key) is frozenset else "solve_cl", key)
 
 
 def _unstored_column(
@@ -198,18 +185,15 @@ def _unstored_column(
     return None
 
 
-def _best_structural_column(m: ClauseMatrix) -> Optional[int]:
-    best = None
-    best_key = None
-    for i, pos in enumerate(m.positions):
-        heads = _column_heads(m, i)
-        if heads == 0:
-            continue
-        key = (-heads, _constraints_touching(m, pos), i)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = i + 1
-    return best
+def _structural_column(m: ClauseMatrix) -> Optional[Action]:
+    """Specialise the column with the most symbol or abstraction heads,
+    leftmost on ties; None when every column holds only variables."""
+    heads = [
+        sum(type(p) is not PatVar for p in column)
+        for column in zip(*(row.patterns for row in m.rows))
+    ]
+    most = max(heads, default=0)
+    return ("specialize", heads.index(most) + 1) if most else None
 
 
 def choose_action(m: ClauseMatrix, st: CompileState) -> Action:
@@ -218,23 +202,20 @@ def choose_action(m: ClauseMatrix, st: CompileState) -> Action:
     The first row that is all wildcards and unconstrained wins: store the
     leftmost of its right-hand-side positions that is not stored yet, or
     yield it once all are, without inspecting any column.  Otherwise work
-    on the column with the most symbol or abstraction heads (ties: fewer
-    constraints touching its position, then lower index); otherwise solve a
-    decided constraint; otherwise store a column whose position a
-    constraint still needs.
+    on the column with the most symbol or abstraction heads (the leftmost
+    on ties); otherwise solve a decided constraint, closedness first;
+    otherwise store a column whose position a constraint still needs.
     """
     for k, row in enumerate(m.rows):
-        if row.nl or row.cl or any(type(p) is not PatVar for p in row.patterns):
+        if row.constraints or any(type(p) is not PatVar for p in row.patterns):
             continue
         needed = {pos for pos, _ in row.rule.env.values()}
         return _unstored_column(m, st, needed) or ("yield", k)
-    col = _best_structural_column(m)
-    if col is not None:
-        return ("specialize", col)
-    solvable = _solvable_keys(m, st)
-    if solvable:
-        return solvable[0]
-    action = _unstored_column(m, st, _pending_positions(m))
+    action = (
+        _structural_column(m)
+        or _decided_constraint(m, st)
+        or _unstored_column(m, st, _pending_positions(m))
+    )
     if action is None:
         raise AssertionError("no action applies to a nonempty matrix")
     return action
@@ -301,14 +282,14 @@ def _compile_front(m: ClauseMatrix, st: CompileState) -> DTree:
     store = pos not in st.slot_of and pos in _pending_positions(m)
     if store:
         st = _stored(st, pos)
-
-    sym_cases = {key: _compile(sub, st) for key, sub in spec_symbols(m).items()}
+    cases, lam, default = specialize(m)
+    sym_cases = {key: _compile(sub, st) for key, sub in cases.items()}
     lam_case = default_case = None
-    if any(type(row.patterns[0]) is PatAbst for row in m.rows):
+    if lam is not None:
         opened = CompileState(st.slot_of, {**st.binder_of, pos: len(st.binder_of)})
-        lam_case = _compile(spec_lambda(m), opened)
-    if any(type(row.patterns[0]) is PatVar for row in m.rows):
-        default_case = _compile(spec_default(m), st)
+        lam_case = _compile(lam, opened)
+    if default is not None:
+        default_case = _compile(default, st)
     return Switch(sym_cases, lam_case, default_case, store)
 
 

@@ -3,27 +3,27 @@
 A matrix row keeps the rule's patterns; the compiler reads only their shape,
 so a pattern variable counts as a wildcard.  What the variables mean comes
 from the row's rule, whose left-hand side was analysed once when it was
-made (``patterns.analyse_lhs``), as three side structures keyed by
-position: repeated-variable constraints (a pair of occurrences),
-variable-occurrence constraints (a position plus the abstractions whose
-binders it may use), and the bindings needed to instantiate the right-hand
-side (``Rule.env``).  A binder is named by the position of its abstraction.
-Positions refer to the original left-hand-side argument sequence; the
-matrix carries the position of each of its columns, and the decomposition
-operators below move it with the column.  ``spec_symbols`` builds every
-symbol case of a column in one pass over the rows, so a Switch with k cases
-costs one visit per row plus one per padded variable row, not k visits per
-row.
+made (``patterns.analyse_lhs``): one set of constraints per row, keyed by
+position, and the bindings needed to instantiate the right-hand side
+(``Rule.env``).  A repeated-variable constraint pairs a later occurrence of
+a pattern variable with its first, as ``patterns.match_patterns`` compares
+each later occurrence with the first binding, so k occurrences make k-1
+constraints.  A variable-occurrence constraint is a position plus the
+abstractions whose binders may occur free there.  A binder is named by the
+position of its abstraction.  Positions refer to the original
+left-hand-side argument sequence; the matrix carries the position of each
+of its columns, and the operators below move it with the column.
+``specialize`` builds every case of a Switch in one pass over the rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .patterns import PatAbst, PatSymb, PatVar, Pattern, Rule, WILDCARD
+from .patterns import PatSymb, PatVar, Pattern, Rule, WILDCARD
 from .terms import Position
 
-NlKey = frozenset  # of two patterns.Occurrences
+NlKey = frozenset  # of two patterns.Occurrences: the first and a later one
 # a position and the abstractions whose binders may occur free there
 ClKey = tuple[Position, frozenset]
 ConstraintKey = Union[NlKey, ClKey]
@@ -32,8 +32,7 @@ ConstraintKey = Union[NlKey, ClKey]
 @dataclass(slots=True)
 class ClauseRow:
     patterns: tuple[Pattern, ...]
-    nl: frozenset[NlKey]
-    cl: frozenset[ClKey]
+    constraints: frozenset[ConstraintKey]
     rule: Rule
 
 
@@ -55,78 +54,66 @@ def from_rules(head: str, rules: Sequence[Rule]) -> ClauseMatrix:
             )
     rows = []
     for r in rules:
-        nl = frozenset(
-            frozenset((occs[i], occs[j]))
+        constraints = {
+            frozenset((occs[0], occ))
             for occs in r.occurrences.values()
-            for i in range(len(occs))
-            for j in range(i + 1, len(occs))
-        )
-        cl = frozenset((pos, frozenset(formals)) for pos, formals in r.restricted)
-        rows.append(ClauseRow(r.lhs_args, nl, cl, r))
+            for occ in occs[1:]
+        }
+        constraints.update((pos, frozenset(formals)) for pos, formals in r.restricted)
+        rows.append(ClauseRow(r.lhs_args, frozenset(constraints), r))
     return ClauseMatrix(tuple(rows), tuple((i,) for i in range(1, width + 1)))
 
 
 def _with_patterns(row: ClauseRow, patterns: tuple[Pattern, ...]) -> ClauseRow:
-    return ClauseRow(patterns, row.nl, row.cl, row.rule)
+    return ClauseRow(patterns, row.constraints, row.rule)
 
 
-def spec_symbols(m: ClauseMatrix) -> dict[tuple[str, int], ClauseMatrix]:
-    """Every symbol case of the first column, keyed by (symbol, argument
-    count) in sorted order.  A case keeps the rows compatible with the
-    column being that symbol applied to exactly that many arguments, and
-    replaces the column by the argument subpatterns.  Once the keys are
-    known, one pass over the rows fills every case in row order: a symbol
-    row goes to its own case, a variable row is padded into every case and
-    an abstraction row into none."""
-    keys = {
-        (p.symbol, len(p.args))
-        for row in m.rows
-        if type(p := row.patterns[0]) is PatSymb
-    }
-    cases: dict[tuple[str, int], list[ClauseRow]] = {key: [] for key in sorted(keys)}
+# the abstraction case, built as a one-argument case among the symbol cases
+_LAMBDA = (None, 1)
+
+
+def specialize(
+    m: ClauseMatrix,
+) -> tuple[
+    dict[tuple[str, int], ClauseMatrix], Optional[ClauseMatrix], Optional[ClauseMatrix]
+]:
+    """Every case of a Switch on the first column, from one pass over the
+    rows: the symbol cases keyed by (symbol, argument count) in sorted
+    order, the abstraction case (None if no row has an abstraction in the
+    column) and the default case (None if no row has a variable there).
+    A case replaces the column by the subpatterns under its head and keeps
+    the compatible rows in row order; a variable row is padded into every
+    case, and the default case drops the column."""
+    cases: dict[tuple, list[ClauseRow]] = {}
+    default: list[ClauseRow] = []
     for row in m.rows:
         p = row.patterns[0]
+        rest = row.patterns[1:]
         tp = type(p)
-        if tp is PatSymb:
-            cases[p.symbol, len(p.args)].append(
-                _with_patterns(row, p.args + row.patterns[1:])
-            )
-        elif tp is PatVar:
-            rest = row.patterns[1:]
+        if tp is PatVar:
             for (_, argc), rows in cases.items():
                 rows.append(_with_patterns(row, (WILDCARD,) * argc + rest))
-    pos = m.positions[0]
-    return {
-        (name, argc): ClauseMatrix(
-            tuple(rows),
-            tuple(pos + (j,) for j in range(1, argc + 1)) + m.positions[1:],
+            default.append(_with_patterns(row, rest))
+            continue
+        if tp is PatSymb:
+            key, sub = (p.symbol, len(p.args)), p.args
+        else:
+            key, sub = _LAMBDA, (p.body,)
+        if key not in cases:
+            # a new case starts with the variable rows seen so far
+            pad = (WILDCARD,) * key[1]
+            cases[key] = [_with_patterns(d, pad + d.patterns) for d in default]
+        cases[key].append(_with_patterns(row, sub + rest))
+    pos, after = m.positions[0], m.positions[1:]
+    built = {
+        key: ClauseMatrix(
+            tuple(rows), tuple(pos + (j,) for j in range(1, key[1] + 1)) + after
         )
-        for (name, argc), rows in cases.items()
+        for key, rows in cases.items()
     }
-
-
-def spec_lambda(m: ClauseMatrix) -> ClauseMatrix:
-    """Keep rows compatible with the first column being an abstraction;
-    the column is replaced by the abstraction body."""
-    rows = []
-    for row in m.rows:
-        p = row.patterns[0]
-        tp = type(p)
-        if tp is PatAbst:
-            rows.append(_with_patterns(row, (p.body,) + row.patterns[1:]))
-        elif tp is PatVar:
-            rows.append(_with_patterns(row, (WILDCARD,) + row.patterns[1:]))
-    return ClauseMatrix(tuple(rows), (m.positions[0] + (1,),) + m.positions[1:])
-
-
-def spec_default(m: ClauseMatrix) -> ClauseMatrix:
-    """Keep rows whose first column is a pattern variable, dropping it."""
-    rows = [
-        _with_patterns(row, row.patterns[1:])
-        for row in m.rows
-        if type(row.patterns[0]) is PatVar
-    ]
-    return ClauseMatrix(tuple(rows), m.positions[1:])
+    lam = built.pop(_LAMBDA, None)
+    default_case = ClauseMatrix(tuple(default), after) if default else None
+    return {key: built[key] for key in sorted(built)}, lam, default_case
 
 
 def swap_columns(m: ClauseMatrix, i: int) -> ClauseMatrix:
@@ -144,15 +131,16 @@ def swap_columns(m: ClauseMatrix, i: int) -> ClauseMatrix:
 
 def cond_succ(key: ConstraintKey, m: ClauseMatrix) -> ClauseMatrix:
     """Assume constraint ``key`` holds: drop it from every row."""
-    rows = []
-    for row in m.rows:
-        if key in row.nl or key in row.cl:
-            row = ClauseRow(row.patterns, row.nl - {key}, row.cl - {key}, row.rule)
-        rows.append(row)
-    return ClauseMatrix(tuple(rows), m.positions)
+    rows = tuple(
+        ClauseRow(row.patterns, row.constraints - {key}, row.rule)
+        if key in row.constraints
+        else row
+        for row in m.rows
+    )
+    return ClauseMatrix(rows, m.positions)
 
 
 def cond_fail(key: ConstraintKey, m: ClauseMatrix) -> ClauseMatrix:
     """Assume constraint ``key`` failed: drop the rows that require it."""
-    rows = tuple(row for row in m.rows if key not in row.nl and key not in row.cl)
+    rows = tuple(row for row in m.rows if key not in row.constraints)
     return ClauseMatrix(rows, m.positions)

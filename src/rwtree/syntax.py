@@ -46,7 +46,6 @@ from .terms import (
     Term,
     Var,
     fresh_var,
-    iter_nodes,
     spine,
     symb,
 )
@@ -443,17 +442,35 @@ def print_term(t: Term) -> str:
 
 
 def _reserved_names(t: Term) -> set[str]:
+    """Names no binder may print as: every symbol, and every variable
+    where it occurs free, even if it is bound at another place."""
     names: set[str] = set()
-    bound: set[int] = set()
-    for node in iter_nodes(t):
-        tn = type(node)
-        if tn is Symb:
-            names.add(node.name)
-        elif tn in (Abst, Prod):
-            bound.add(node.var.vid)
-    for node in iter_nodes(t):
-        if type(node) is Var and node.vid not in bound:
-            names.add(node.name)
+    # how many enclosing binders bind each vid; work items are terms, or
+    # (vid, 1) and (vid, -1) that enter and leave a binder's scope
+    bound: dict[int, int] = {}
+    work: list = [t]
+    while work:
+        x = work.pop()
+        tx = type(x)
+        if tx is tuple:
+            vid, step = x
+            bound[vid] = bound.get(vid, 0) + step
+        elif tx is Var:
+            if not bound.get(x.vid):
+                names.add(x.name)
+        elif tx is Symb:
+            names.add(x.name)
+        elif tx is App:
+            work.append(x.arg)
+            work.append(x.fn)
+        elif tx is Abst or tx is Prod:
+            work.append((x.var.vid, -1))
+            work.append(x.body if tx is Abst else x.codomain)
+            work.append((x.var.vid, 1))
+            if x.domain is not None:
+                work.append(x.domain)
+        elif tx is MetaApp:
+            work.extend(x.args)
     return names
 
 

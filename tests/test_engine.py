@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from rwtree.dtree import Fail, Leaf, Store, Switch, iter_tree, trees_of_ruleset
@@ -378,6 +380,36 @@ def test_nonlinear_variable_with_formals_is_compared_up_to_its_binders(
     # equal only once the body under the binder is reduced
     reduced = "yes" if equality == "convertible" else r"f (\x, c x) (\y, c y)"
     assert run(r"f (\x, c x) (\y, c (id y))") == reduced
+
+
+NONLINEAR_3 = r"""
+symbol a; symbol b; symbol c; symbol id; symbol f; symbol g; symbol h; symbol yes;
+rule id $x --> $x;
+rule f $x $x $x --> yes;
+rule h $x b $x $x --> yes;
+rule g (\x, $v[x]) (\y, $v[y]) (\z, $v[z]) --> yes;
+"""
+
+
+@pytest.mark.parametrize("equality", ["convertible", "alpha"])
+def test_a_variable_with_three_occurrences_agrees_across_engines(equality):
+    # one rule per head, so both engines must give the same result; every
+    # triple of arguments mixes equal, unequal and only convertible ones
+    firsts = list(itertools.product(["a", "b", "id a", "id b"], repeat=3))
+    lams = [r"\x, c x", r"\y, c y", r"\z, c (id z)", r"\w, c a"]
+    texts = [f"f ({p}) ({q}) ({r})" for p, q, r in firsts]
+    texts += [f"h ({p}) b ({q}) ({r})" for p, q, r in firsts]
+    texts += [f"g ({p}) ({q}) ({r})" for p, q, r in itertools.product(lams, repeat=3)]
+    tree = ctx_for(NONLINEAR_3, engine="tree", equality=equality)
+    naive = ctx_for(NONLINEAR_3, engine="naive", equality=equality)
+    fired = 0
+    for text in texts:
+        t = term(text, NONLINEAR_3)
+        out = snf(tree, t, Steps(1000))
+        assert alpha_eq(out, snf(naive, t, Steps(1000))), text
+        fired += out is symb("yes")
+    # convertible: 16 for f, 16 for h, 27 + 1 for g; alpha: 4, 4 and 8 + 1 + 1
+    assert fired == (60 if equality == "convertible" else 18)
 
 
 SHADOWING = r"""
@@ -776,6 +808,26 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+REPEATED = """
+symbol f; symbol a; symbol b; symbol ok;
+rule f $x $x $x $x --> ok;
+"""
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_each_repeated_occurrence_costs_one_equality_check(engine, monkeypatch):
+    # both engines compare each later occurrence of $x with the first, so
+    # four occurrences cost three checks whether the match succeeds or not
+    import rwtree.engine as eng
+
+    ctx = ctx_for(REPEATED, engine=engine)
+    calls = counting(monkeypatch, eng, "equal_terms")
+    for text, expected in [("f a a a a", "ok"), ("f a a a b", "f a a a b")]:
+        del calls[:]
+        out = snf(ctx, term(text, REPEATED), Steps(100))
+        assert (print_term(out), len(calls)) == (expected, 3)
 
 
 @pytest.mark.parametrize("depth", [4, 8, 12, 24])

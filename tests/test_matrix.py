@@ -6,9 +6,7 @@ from rwtree.matrix import (
     cond_fail,
     cond_succ,
     from_rules,
-    spec_default,
-    spec_lambda,
-    spec_symbols,
+    specialize,
     swap_columns,
 )
 from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule, WILDCARD
@@ -45,14 +43,21 @@ def test_from_rules_constraint_encoding():
     m = from_rules("f", rules)
     row1, row2, row3 = m.rows
     # $g[x] at 2.1.1 may use only the binder of the abstraction at 2
-    assert row1.cl == frozenset({((2, 1, 1), frozenset({(2,)}))})
-    assert row1.nl == frozenset()
-    assert row2.nl == frozenset({NL_12})
-    assert row2.cl == frozenset()
-    assert row3.nl == frozenset() and row3.cl == frozenset()
+    assert row1.constraints == frozenset({((2, 1, 1), frozenset({(2,)}))})
+    assert row2.constraints == frozenset({NL_12})
+    assert row3.constraints == frozenset()
     # rows keep the rule patterns; the compiler reads only their shape
     assert [row.patterns for row in m.rows] == [r.lhs_args for r in rules]
     assert m.positions == ((1,), (2,))
+
+
+def test_from_rules_pairs_each_later_occurrence_with_the_first():
+    # f $x $x $x $x --> ok: three constraints, as the naive matcher compares
+    # each later occurrence with the first binding, not six
+    rule = Rule("f", (pvar("x"),) * 4, symb("ok"), "r")
+    (row,) = from_rules("f", [rule]).rows
+    first = ((1,), ())
+    assert row.constraints == {frozenset({first, ((i,), ())}) for i in (2, 3, 4)}
 
 
 def test_from_rules_names_formals_by_abstraction_position():
@@ -63,7 +68,7 @@ def test_from_rules_names_formals_by_abstraction_position():
     rule = Rule("f", lhs, MetaApp("v", (symb("a"), symb("b"))), "r")
     (row,) = from_rules("f", [rule]).rows
     assert row.rule.env == {"v": ((1, 1, 1), ((1, 1), (1,)))}
-    assert row.cl == frozenset()
+    assert row.constraints == frozenset()
 
 
 def test_from_rules_example1_env():
@@ -72,8 +77,7 @@ def test_from_rules_example1_env():
     r2 = Rule("f", (pvar("x"), psym("b")), MetaApp("x", ()), "r2")
     m = from_rules("f", [r1, r2])
     row1, row2 = m.rows
-    assert row1.nl == row2.nl == frozenset()
-    assert row1.cl == row2.cl == frozenset()
+    assert row1.constraints == row2.constraints == frozenset()
     assert row1.rule.env == {"x": ((1, 1, 1), ())}
     assert row2.rule.env == {"x": ((1,), ())}
 
@@ -83,7 +87,7 @@ def test_from_rules_single_addition_rule():
     m = from_rules("+", [rule])
     (row,) = m.rows
     assert row.patterns == (psym("0"), pvar("m"))
-    assert row.nl == frozenset() and row.cl == frozenset()
+    assert row.constraints == frozenset()
     assert row.rule.env == {"m": ((2,), ())}
 
 
@@ -99,14 +103,14 @@ def test_from_rules_nonrestrictive_occurrence_has_no_constraint():
     x = fresh_var("x")
     rule = Rule("f", (PatAbst(x, pvar("v", x)),), symb("0"))
     m = from_rules("f", [rule])
-    assert m.rows[0].cl == frozenset()
+    assert m.rows[0].constraints == frozenset()
 
 
 def test_from_rules_wildcard_under_binder_unconstrained():
     x = fresh_var("x")
     rule = Rule("f", (PatAbst(x, PatVar(None, ())),), symb("0"))
     m = from_rules("f", [rule])
-    assert m.rows[0].cl == frozenset()
+    assert m.rows[0].constraints == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +120,7 @@ def test_from_rules_wildcard_under_binder_unconstrained():
 def clause_row(label, *patterns):
     """An unconstrained row for the rule ``f patterns --> r<label>``."""
     rule = Rule("f", patterns, symb("r" + label), label)
-    return ClauseRow(patterns, frozenset(), frozenset(), rule)
+    return ClauseRow(patterns, frozenset(), rule)
 
 
 def decomposition_matrix():
@@ -133,7 +137,7 @@ def decomposition_matrix():
 
 def test_specialise_golden():
     m, _ = decomposition_matrix()
-    cases = spec_symbols(m)
+    cases, _, _ = specialize(m)
     assert list(cases) == [("r", 0), ("r", 1)]
     out = cases["r", 1]
     assert [row.rule.label for row in out.rows] == ["1", "3"]
@@ -146,13 +150,13 @@ def test_specialise_golden():
     assert out.rows[1].patterns == (psym("r"),)
     assert out.positions == ((2,),)
     # a variable row keeps its place among the symbol rows
-    out = spec_symbols(ClauseMatrix(m.rows[::-1], m.positions))["r", 1]
+    out = specialize(ClauseMatrix(m.rows[::-1], m.positions))[0]["r", 1]
     assert [row.rule.label for row in out.rows] == ["3", "1"]
 
 
 def test_spec_lambda_golden():
     m, x4 = decomposition_matrix()
-    out = spec_lambda(m)
+    _, out, _ = specialize(m)
     assert [row.rule.label for row in out.rows] == ["3", "4"]
     assert out.rows[0].patterns == (WILDCARD, psym("r"))
     assert out.rows[1].patterns[0] == pvar("x", x4)
@@ -163,7 +167,7 @@ def test_spec_lambda_golden():
 
 def test_spec_default_golden():
     m, _ = decomposition_matrix()
-    out = spec_default(m)
+    _, _, out = specialize(m)
     assert [row.rule.label for row in out.rows] == ["3"]
     assert out.rows[0].patterns == (psym("r"),)
     assert out.positions == ((2,),)
@@ -171,17 +175,17 @@ def test_spec_default_golden():
 
 def test_specialise_no_matching_symbol():
     m, _ = decomposition_matrix()
-    assert ("zzz", 0) not in spec_symbols(m)
+    assert ("zzz", 0) not in specialize(m)[0]
     # only the wildcard and abstraction rows: no symbol case at all
-    assert spec_symbols(ClauseMatrix((m.rows[2], m.rows[3]), m.positions)) == {}
-    out2 = spec_default(ClauseMatrix((m.rows[0], m.rows[1]), m.positions))
-    assert out2.rows == ()
-    assert out2.positions == ((2,),)
+    assert specialize(ClauseMatrix((m.rows[2], m.rows[3]), m.positions))[0] == {}
+    # only symbol rows: neither an abstraction case nor a default case
+    _, lam, default = specialize(ClauseMatrix((m.rows[0], m.rows[1]), m.positions))
+    assert lam is None and default is None
 
 
 def test_specialise_unrolls_nested_application():
     row = clause_row("", psym("c", psym("c", WILDCARD)))
-    (out,) = spec_symbols(ClauseMatrix((row,), ((3, 2),))).values()
+    (out,) = specialize(ClauseMatrix((row,), ((3, 2),)))[0].values()
     assert out.rows[0].patterns == (psym("c", WILDCARD),)
     assert out.positions == ((3, 2, 1),)
 
@@ -194,7 +198,7 @@ def test_cond_succ_removes_pair():
     rules, _ = constraint_example_rules()
     m = from_rules("f", rules)
     out = cond_succ(NL_12, m)
-    assert out.rows[1].nl == frozenset()
+    assert out.rows[1].constraints == frozenset()
     assert [row.rule.label for row in out.rows] == ["r1", "r2", "r3"]
 
 
@@ -209,7 +213,11 @@ def test_cond_succ_and_fail_take_a_cl_key_the_same_way():
     rules, _ = constraint_example_rules()
     m = from_rules("f", rules)
     key = ((2, 1, 1), frozenset({(2,)}))
-    assert [row.cl for row in cond_succ(key, m).rows] == [frozenset()] * 3
+    assert [row.constraints for row in cond_succ(key, m).rows] == [
+        frozenset(),
+        frozenset({NL_12}),
+        frozenset(),
+    ]
     assert [row.rule.label for row in cond_fail(key, m).rows] == ["r2", "r3"]
 
 
@@ -218,17 +226,16 @@ def test_cond_succ_no_constraints_is_identity():
     m = from_rules("+", [rule])
     out = cond_succ(NL_12, m)
     assert [r.patterns for r in out.rows] == [r.patterns for r in m.rows]
-    assert [r.nl for r in out.rows] == [r.nl for r in m.rows]
+    assert [r.constraints for r in out.rows] == [r.constraints for r in m.rows]
 
 
 def test_cond_succ_idempotent():
     rules, _ = constraint_example_rules()
     m = from_rules("f", rules)
     once = cond_succ(NL_12, m)
-    assert once.rows[1].nl == frozenset()
+    assert once.rows[1].constraints == frozenset()
     twice = cond_succ(NL_12, once)
-    assert [r.nl for r in once.rows] == [r.nl for r in twice.rows]
-    assert [r.cl for r in once.rows] == [r.cl for r in twice.rows]
+    assert [r.constraints for r in once.rows] == [r.constraints for r in twice.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +244,11 @@ def test_cond_succ_idempotent():
 
 def test_row_partition():
     m, _ = decomposition_matrix()
-    cases = spec_symbols(m)
+    cases, lam, default = specialize(m)
     landed = {src: 0 for src in "1234"}
-    for case in cases.values():
+    for case in [*cases.values(), lam, default]:
         for row in case.rows:
             landed[row.rule.label] += 1
-    for row in spec_lambda(m).rows:
-        landed[row.rule.label] += 1
-    for row in spec_default(m).rows:
-        landed[row.rule.label] += 1
     # wildcard rows land everywhere: every symbol case, the lambda case and
     # the default; symbol and abstraction rows land exactly once
     assert landed["1"] == 1 and landed["2"] == 1 and landed["4"] == 1
@@ -256,16 +259,12 @@ def test_width_arithmetic():
     # one position per column after every operator; swap moves the
     # position with its column
     m, _ = decomposition_matrix()
-    outs = [
-        *spec_symbols(m).values(),
-        spec_lambda(m),
-        spec_default(m),
-        swap_columns(m, 2),
-    ]
+    cases, lam, default = specialize(m)
+    outs = [*cases.values(), lam, default, swap_columns(m, 2)]
     for out in outs:
         assert all(len(row.patterns) == len(out.positions) for row in out.rows)
     wide = clause_row("5", psym("r", pvar("x"), pvar("y")), psym("q"))
-    cases = spec_symbols(ClauseMatrix(m.rows + (wide,), m.positions))
+    cases, _, _ = specialize(ClauseMatrix(m.rows + (wide,), m.positions))
     assert cases["r", 2].positions == ((1, 1), (1, 2), (2,))
     assert cases["r", 0].positions == ((2,),)
     swapped = swap_columns(m, 2)

@@ -359,6 +359,14 @@ def test_print_a_var_that_binds_two_nested_binders():
     assert print_term(t) == "\\x, (\\x', \\x, f x' x) x"
 
 
+def test_print_a_var_bound_in_one_place_and_free_in_another():
+    # v occurs free somewhere, so no binder may print as its name there
+    v, w = fresh_var("s"), fresh_var("s")
+    assert print_term(App(Abst(v, None, v), Abst(w, None, v))) == "(\\s', s') (\\s', s)"
+    t = Abst(w, None, App(v, Abst(v, None, v)))
+    assert print_term(t) == "\\s', s (\\s'', s'')"
+
+
 def test_print_many_nested_binders_in_linear_time():
     # each binder used to copy the whole scope, which took 24 s here
     t = symb("a")
