@@ -2,8 +2,9 @@
 right-hand-side instantiation.
 
 The matcher here is the reference semantics: it walks a pattern vector over a
-term vector directly, with no compilation.  The compiled engine is checked
-against it, so this module must stay simple and obviously correct.
+term vector directly, with no compilation, in one loop over a work list.  The
+compiled engine is checked against it, so this module must stay simple and
+obviously correct.
 
 A right-hand side is instantiated in one place, ``rhs_builder``, which
 compiles it into a function of a store of ``(term, binders)`` entries.
@@ -30,7 +31,6 @@ from .terms import (
     build_app,
     free_vars,
     fresh_var,
-    spine,
     subst,
 )
 
@@ -388,6 +388,7 @@ def shared_formals(
 
 
 _NO_BINDERS: frozenset[int] = frozenset()
+_NO_BINDER_MAP: dict[int, Var] = {}  # never written: a binder makes a new map
 
 
 def match_patterns(
@@ -414,6 +415,11 @@ def match_patterns(
     this path already has its identity.  So every rule tried on the same
     arguments sees the same body objects.
 
+    The walk is one loop over a work list, in preorder from the left, so the
+    hooks see the same terms in the same order as a recursive walk would, and
+    none is called after the first failed test.  Pattern depth costs no
+    Python stack.
+
     Returns the substitution mapping each named pattern variable to a
     closure over its bound-variable arguments, or None on failure.
     """
@@ -422,12 +428,16 @@ def match_patterns(
     if equal is None:
         equal = alpha_eq
     sub: Substitution = {}
-
-    def go(p: Pattern, t: Term, vset: frozenset[int], bmap: dict[int, Var]) -> bool:
+    # (pattern, subject, vids of the binders opened above it, pattern binder
+    # vid -> subject binder), the next item last
+    todo = [(p, t, _NO_BINDERS, _NO_BINDER_MAP) for p, t in zip(pats, terms)]
+    todo.reverse()
+    while todo:
+        p, t, vset, bmap = todo.pop()
         tp = type(p)
         if tp is PatVar:
             if p.name is None:
-                return True
+                continue
             imgs = tuple(bmap[a.vid] for a in p.args)
             # the occurrence condition can only fail when some traversed
             # binder is outside the allowed arguments; do not normalize
@@ -439,37 +449,38 @@ def match_patterns(
                 if fv_normalize is not None:
                     t = fv_normalize(t)
                 if free_vars(t) & restricted:
-                    return False
+                    return None
             prev = sub.get(p.name)
-            if prev is not None:
-                if imgs:
-                    return equal(*shared_formals(prev.body, prev.formals, t, imgs))
-                return equal(prev.body, t)
-            sub[p.name] = Closure(t, imgs)
-            return True
+            if prev is None:
+                sub[p.name] = Closure(t, imgs)
+            elif imgs:
+                if not equal(*shared_formals(prev.body, prev.formals, t, imgs)):
+                    return None
+            elif not equal(prev.body, t):
+                return None
+            continue
         if whnf is not None:
             t = whnf(t)
         if tp is PatSymb:
-            head, args = spine(t)
-            if type(head) is not Symb or head.name != p.symbol:
-                return False
-            if len(args) != len(p.args):
-                return False
-            return all(go(q, u, vset, bmap) for q, u in zip(p.args, args))
+            # unwind one application per argument, pushing the last first
+            k = len(p.args)
+            while k and type(t) is App:
+                k -= 1
+                todo.append((p.args[k], t.arg, vset, bmap))
+                t = t.fn
+            if k or type(t) is not Symb or t.name != p.symbol:
+                return None
+            continue
         # PatAbst: the domain of the subject abstraction is ignored
         if type(t) is not Abst:
-            return False
+            return None
         var, body = t.var, t.body
         # shadowed: under a shared name the inner binder would pass for the
         # outer one in bmap and in the closedness check
         if var.vid in vset:
             var = fresh_var(var.name)
             body = subst(body, {t.var.vid: var})
-        return go(p.body, body, vset | {var.vid}, {**bmap, p.var.vid: var})
-
-    for p, t in zip(pats, terms):
-        if not go(p, t, _NO_BINDERS, {}):
-            return None
+        todo.append((p.body, body, vset | {var.vid}, {**bmap, p.var.vid: var}))
     return sub
 
 
@@ -615,12 +626,13 @@ def naive_rewrite_head(
 ) -> Optional[tuple[Rule, Term]]:
     """Try each rule in order against a prefix of the arguments.
 
-    Each rule walks its subjects again, which is exactly the cost the
-    compiled engine removes; the hooks are passed to ``match_patterns``
-    unchanged, so a ``whnf`` hook that should not normalise a subterm once
-    per rule has to remember its results itself.  Returns the first
-    applicable rule together with its instantiated right-hand side applied
-    to the leftover arguments.
+    Each rule tried is one call of ``match_patterns``, on ``args`` itself
+    when the rule takes all of them.  Each rule walks its subjects again,
+    which is exactly the cost the compiled engine removes; the hooks are
+    passed to ``match_patterns`` unchanged, so a ``whnf`` hook that should
+    not normalise a subterm once per rule has to remember its results
+    itself.  Returns the first applicable rule together with its
+    instantiated right-hand side applied to the leftover arguments.
     """
     for rule in rules:
         n = len(rule.lhs_args)
@@ -628,7 +640,7 @@ def naive_rewrite_head(
             continue
         sub = match_patterns(
             rule.lhs_args,
-            args[:n],
+            args if n == len(args) else args[:n],
             whnf=whnf,
             equal=equal,
             fv_normalize=fv_normalize,

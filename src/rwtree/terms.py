@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 TYPE = "TYPE"
 KIND = "KIND"
@@ -277,25 +277,3 @@ def alpha_eq(t: Term, u: Term) -> bool:
         else:
             raise TermError(f"unknown term node {ta!r}")
     return True
-
-
-def iter_nodes(t: Term) -> Iterator[Term]:
-    """Preorder walk over every node, ignoring binder structure.
-
-    A binder yields its domain, when it has one, before its body.  That holds
-    for a λ with a domain too, although the parser never builds one.
-    """
-    todo = [t]
-    while todo:
-        x = todo.pop()
-        yield x
-        tx = type(x)
-        if tx is App:
-            todo.append(x.arg)
-            todo.append(x.fn)
-        elif tx is Abst or tx is Prod:
-            todo.append(x.body if tx is Abst else x.codomain)
-            if x.domain is not None:
-                todo.append(x.domain)
-        elif tx is MetaApp:
-            todo.extend(reversed(x.args))

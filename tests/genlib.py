@@ -16,6 +16,7 @@ from rwtree.terms import (
     Abst,
     App,
     MetaApp,
+    Prod,
     Term,
     Var,
     build_app,
@@ -59,6 +60,25 @@ def numeral(k: int) -> Term:
     for _ in range(k):
         t = App(symb("s"), t)
     return t
+
+
+def preorder(t: Term) -> list[Term]:
+    """Every node of ``t`` in preorder; a binder's domain, when it has one,
+    comes before its body."""
+    out, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        out.append(x)
+        tx = type(x)
+        if tx is App:
+            todo += (x.arg, x.fn)
+        elif tx is Abst or tx is Prod:
+            todo.append(x.body if tx is Abst else x.codomain)
+            if x.domain is not None:
+                todo.append(x.domain)
+        elif tx is MetaApp:
+            todo.extend(reversed(x.args))
+    return out
 
 
 def nat_list(values: list[int]) -> Term:

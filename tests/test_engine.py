@@ -34,7 +34,6 @@ from rwtree.terms import (
     build_app,
     free_vars,
     fresh_var,
-    iter_nodes,
     spine,
     symb,
 )
@@ -48,6 +47,7 @@ from genlib import (
     nat_list,
     numeral,
     parse_term,
+    preorder,
 )
 
 
@@ -465,14 +465,14 @@ rule d (\x, sin $u[x]) --> \x, * (cos $u[x]) (d (\x, $u[x]) x);
 def test_free_vars_tracks_scope_when_binders_are_shared(engine):
     # both binders of the result are the subject's s, one Var object:
     # \s, * (cos s) (d (\s, s) s); the outer body still has s free, which
-    # "variables minus binders" over iter_nodes would lose
+    # "variables minus binders" over all its nodes would lose
     ctx = ctx_for(SHARED_BINDER, engine=engine)
     t = snf(ctx, term(r"d (\s, sin s)", SHARED_BINDER), Steps(100))
     assert print_term(t) == r"\s, * (cos s) (d (\s', s') s)"
     inner = spine(spine(t.body)[1][1])[1][0]
     assert inner.var is t.var
     assert free_vars(t.body) == {t.var.vid}
-    nodes = list(iter_nodes(t.body))
+    nodes = preorder(t.body)
     binders = {n.var.vid for n in nodes if type(n) is Abst}
     assert {n.vid for n in nodes if type(n) is Var} - binders == set()
 
@@ -828,6 +828,28 @@ def test_each_repeated_occurrence_costs_one_equality_check(engine, monkeypatch):
         del calls[:]
         out = snf(ctx, term(text, REPEATED), Steps(100))
         assert (print_term(out), len(calls)) == (expected, 3)
+
+
+DISPATCH = (
+    "symbol a; symbol b; symbol tt; symbol ff; symbol g;\n"
+    + "".join(f"symbol c{i};\n" for i in range(1, 201))
+    + "rule "
+    + "\nwith ".join([f"g c{i} a --> tt" for i in range(1, 201)] + ["g $x b --> ff"])
+    + ";\n"
+)
+
+
+def test_naive_engine_tries_the_rules_one_by_one(monkeypatch):
+    # the per-layer metrics of the naive engine count match_patterns under
+    # this name: one call per rule tried, in order, up to the first match
+    import rwtree.patterns as pat
+
+    ctx = ctx_for(DISPATCH, engine="naive")
+    calls = counting(monkeypatch, pat, "match_patterns")
+    for text, expected, tried in [("g c150 a", "tt", 150), ("g c7 b", "ff", 201)]:
+        del calls[:]
+        out = snf(ctx, term(text, DISPATCH), Steps(100))
+        assert (print_term(out), len(calls)) == (expected, tried)
 
 
 @pytest.mark.parametrize("depth", [4, 8, 12, 24])

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -26,13 +27,12 @@ from rwtree.terms import (
     build_app,
     free_vars,
     fresh_var,
-    iter_nodes,
     symb,
 )
 
 from rwtree.syntax import parse_file
 
-from genlib import FIB_RULES, RuleSampler
+from genlib import FIB_RULES, RuleSampler, numeral, preorder
 
 
 def lam(v, body):
@@ -225,6 +225,69 @@ def test_match_uses_whnf_hook():
     assert sub is not None
 
 
+def _recording_hooks(calls):
+    """whnf, equal and fv_normalize hooks that append each call to
+    ``calls`` and answer as the syntactic matcher does."""
+    return dict(
+        whnf=lambda t: calls.append(("whnf", t)) or t,
+        equal=lambda a, b: calls.append(("equal", a, b)) or alpha_eq(a, b),
+        fv_normalize=lambda t: calls.append(("fv", t)) or t,
+    )
+
+
+def test_match_calls_its_hooks_in_preorder_and_none_after_a_failure():
+    # c (d $x) e, \y, $w, $x: nested symbols, an abstraction whose body may
+    # not depend on its binder, and a repeated variable
+    y, z = fresh_var("y"), fresh_var("z")
+    pats = (
+        PatSymb("c", (PatSymb("d", (pvar("x"),)), PatSymb("e"))),
+        PatAbst(y, pvar("w")),
+        pvar("x"),
+    )
+    a, e, k = symb("a"), symb("e"), symb("k")
+    da = App(symb("d"), a)
+    first = build_app(symb("c"), [da, e])
+    third = symb("a")
+
+    calls = []
+    second = lam(z, k)
+    sub = match_patterns(pats, (first, second, third), **_recording_hooks(calls))
+    assert sub is not None and sub["w"].body is k
+    assert calls == [
+        ("whnf", first),
+        ("whnf", da),
+        ("whnf", e),
+        ("whnf", second),
+        ("fv", k),
+        ("equal", a, third),
+    ]
+
+    calls = []
+    kz = App(k, z)
+    second = lam(z, kz)
+    sub = match_patterns(pats, (first, second, third), **_recording_hooks(calls))
+    assert sub is None
+    assert calls == [
+        ("whnf", first),
+        ("whnf", da),
+        ("whnf", e),
+        ("whnf", second),
+        ("fv", kz),
+    ]
+
+
+def test_match_does_not_recurse_on_pattern_depth():
+    depth = 10_000
+    assert sys.getrecursionlimit() < depth
+    pattern = pvar("n")
+    for _ in range(depth):
+        pattern = PatSymb("s", (pattern,))
+    sub = match_patterns((pattern,), (numeral(depth),))
+    assert sub is not None and alpha_eq(sub["n"].body, symb("0"))
+    # the innermost s of the pattern meets 0
+    assert match_patterns((pattern,), (numeral(depth - 1),)) is None
+
+
 # ---------------------------------------------------------------------------
 # analyse_rhs
 
@@ -242,7 +305,7 @@ def _binders_in_preorder(rule):
     that keeps the rule's Var."""
     return [
         rule.binders.get(x.var.vid, "keep")
-        for x in iter_nodes(rule.rhs)
+        for x in preorder(rule.rhs)
         if type(x) is Abst
     ]
 
@@ -499,6 +562,4 @@ def _has_binders(pats):
 
 
 def _term_has_binders(t):
-    from rwtree.terms import iter_nodes, Abst as _A
-
-    return any(type(n) is _A for n in iter_nodes(t))
+    return any(type(n) is Abst for n in preorder(t))

@@ -12,7 +12,6 @@ from rwtree.terms import (
     build_app,
     free_vars,
     fresh_var,
-    iter_nodes,
     subst,
     symb,
 )
@@ -213,10 +212,3 @@ def test_iterative_traversals_handle_deep_terms():
     assert alpha_eq(t, t)
     assert subst(t, {}) is t
 
-
-def test_iter_nodes_yields_a_domain_before_its_body():
-    # terms compare by identity
-    x, a = fresh_var("x"), symb("a")
-    body = App(x, a)
-    t = Prod(x, a, body)
-    assert list(iter_nodes(t)) == [t, a, body, x, a]
