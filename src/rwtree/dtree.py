@@ -13,13 +13,14 @@ normalisation (its ``store`` flag), so right-hand sides are built from
 normalised subterms; otherwise a Store saves it unevaluated, and a column
 is never forced only to be stored.
 
-Compilation reduces a clause matrix step by step; ``choose_action`` picks
-each step by one fixed rule, which switches on the column with the most
-heads.  A Switch takes all of its cases from one pass over the rows
-(``matrix.specialize``).  The compiler says where something is only by
-position: the matrix carries the position of each column, and the compile
-state maps each saved position to its store slot and each opened
-abstraction, named by its position, to its index in the binder snapshot.
+Compilation reduces a clause matrix step by step in one work-list loop
+(``compile_matrix``), which takes each step by one fixed rule and switches
+on the column with the most heads.  A Switch takes all of its cases from
+one pass over the rows (``matrix.specialize``).  The compiler says where
+something is only by position: the matrix carries the position of each
+column, and each work item maps each saved position to its store slot and
+each opened abstraction, named by its position, to its index in the binder
+snapshot.
 
 A tree is walked in one place: ``iter_tree`` yields every node in preorder
 with its depth and edge label, taking a node's children from ``_edges``.
@@ -29,7 +30,7 @@ them recurses, and both renderings print the same text for a node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .matrix import (
     ClauseMatrix,
@@ -125,20 +126,6 @@ class BinCl(DTree):
     restricted: tuple[int, ...]
 
 
-@dataclass(slots=True)
-class CompileState:
-    # store slot of each saved position
-    slot_of: dict[Position, int] = field(default_factory=dict)
-    # snapshot index of each opened abstraction, named by its position
-    binder_of: dict[Position, int] = field(default_factory=dict)
-
-
-Action = Union[
-    tuple[str, int],  # ("yield", row) | ("specialize", column) | ("store", column)
-    tuple[str, ConstraintKey],  # ("solve_nl", key) | ("solve_cl", key)
-]
-
-
 def _key_positions(key: ConstraintKey) -> tuple[Position, ...]:
     """The positions a constraint reads: both occurrences of a
     repeated-variable key, or the one position of a closedness key."""
@@ -162,135 +149,129 @@ def _key_order(key: ConstraintKey) -> tuple:
     return (1, sorted(key)) if type(key) is frozenset else (0, key[0], sorted(key[1]))
 
 
-def _decided_constraint(m: ClauseMatrix, st: CompileState) -> Optional[Action]:
-    """The first constraint whose positions are all stored, if any."""
+def _decided_key(m: ClauseMatrix, slot_of: dict) -> Optional[ConstraintKey]:
+    """The first constraint, in ``_key_order``, whose positions are all
+    stored; None if there is none."""
     decided = {
         key
         for row in m.rows
         for key in row.constraints
-        if all(pos in st.slot_of for pos in _key_positions(key))
+        if all(pos in slot_of for pos in _key_positions(key))
     }
-    key = min(decided, key=_key_order, default=None)
-    if key is None:
-        return None
-    return ("solve_nl" if type(key) is frozenset else "solve_cl", key)
+    return min(decided, key=_key_order, default=None)
 
 
-def _unstored_column(
-    m: ClauseMatrix, st: CompileState, wanted: set[Position]
-) -> Optional[Action]:
-    for i, pos in enumerate(m.positions):
-        if pos in wanted and pos not in st.slot_of:
-            return ("store", i + 1)
-    return None
+def _unstored_column(m: ClauseMatrix, slot_of: dict, wanted: set[Position]) -> int:
+    """The leftmost column (1-based) whose position is wanted and not stored
+    yet; 0 if there is none."""
+    for i, pos in enumerate(m.positions, 1):
+        if pos in wanted and pos not in slot_of:
+            return i
+    return 0
 
 
-def _structural_column(m: ClauseMatrix) -> Optional[Action]:
-    """Specialise the column with the most symbol or abstraction heads,
-    leftmost on ties; None when every column holds only variables."""
+def _structural_column(m: ClauseMatrix) -> int:
+    """The column (1-based) with the most symbol or abstraction heads,
+    leftmost on ties; 0 when every column holds only variables."""
     heads = [
         sum(type(p) is not PatVar for p in column)
         for column in zip(*(row.patterns for row in m.rows))
     ]
     most = max(heads, default=0)
-    return ("specialize", heads.index(most) + 1) if most else None
+    return heads.index(most) + 1 if most else 0
 
 
-def choose_action(m: ClauseMatrix, st: CompileState) -> Action:
-    """Next compilation step for a nonempty matrix.
-
-    The first row that is all wildcards and unconstrained wins: store the
-    leftmost of its right-hand-side positions that is not stored yet, or
-    yield it once all are, without inspecting any column.  Otherwise work
-    on the column with the most symbol or abstraction heads (the leftmost
-    on ties); otherwise solve a decided constraint, closedness first;
-    otherwise store a column whose position a constraint still needs.
-    """
-    for k, row in enumerate(m.rows):
-        if row.constraints or any(type(p) is not PatVar for p in row.patterns):
-            continue
-        needed = {pos for pos, _ in row.rule.env.values()}
-        return _unstored_column(m, st, needed) or ("yield", k)
-    action = (
-        _structural_column(m)
-        or _decided_constraint(m, st)
-        or _unstored_column(m, st, _pending_positions(m))
-    )
-    if action is None:
-        raise AssertionError("no action applies to a nonempty matrix")
-    return action
-
-
-def _slot_selector(st: CompileState, occ: Occurrence) -> tuple[int, tuple[int, ...]]:
+def _selector(occ: Occurrence, slot_of: dict, binder_of: dict) -> tuple:
     """Store slot and snapshot selector of a pattern-variable occurrence."""
     pos, formals = occ
-    return st.slot_of[pos], tuple(st.binder_of[at] for at in formals)
+    return slot_of[pos], tuple(binder_of[at] for at in formals)
 
 
 def compile_matrix(m: ClauseMatrix) -> DTree:
     """Compile a clause matrix to a decision tree.
 
-    Total: an empty matrix compiles to Fail.  A position that a constraint
-    or a right-hand-side binding refers to is stored once: by the Switch
-    that consumes it, after head normalisation, or by a Store when no
-    Switch inspects it.
+    Total: an empty matrix compiles to Fail.  One loop over a work list, so
+    no pattern width or depth costs Python stack.  A work item is a matrix,
+    the store slot of each saved position, the snapshot index of each opened
+    abstraction (named by its position), and where its node goes: a field of
+    its parent or a case of a Switch.  Each pass builds the node of the first
+    step that applies and pushes the node's children:
+
+    1. the first all-wildcard unconstrained row stores the leftmost of its
+       right-hand-side positions not stored yet, or yields once all are;
+    2. otherwise switch on the column with the most symbol or abstraction
+       heads (leftmost on ties), behind a Swap unless it is column 1, and
+       save it there if a constraint or right-hand side needs its position;
+    3. otherwise decide a constraint whose positions are all stored,
+       closedness first;
+    4. otherwise store, unevaluated, a column whose position is needed.
     """
-    return _compile(m, CompileState())
-
-
-def _compile(m: ClauseMatrix, st: CompileState) -> DTree:
-    if not m.rows:
-        return FAIL
-    kind, arg = choose_action(m, st)
-    if kind == "yield":
-        rule = m.rows[arg].rule
-        return Leaf(rule, {n: _slot_selector(st, occ) for n, occ in rule.env.items()})
-    if kind == "solve_nl":
-        (i, sel_i), (j, sel_j) = sorted(_slot_selector(st, occ) for occ in arg)
-        succ, fail = _compile(cond_succ(arg, m), st), _compile(cond_fail(arg, m), st)
-        return BinNl(succ, (i, j), fail, (sel_i, sel_j))
-    if kind == "solve_cl":
-        pos, allowed = arg
-        restricted = sorted(
-            k
-            for at, k in st.binder_of.items()
-            if at not in allowed and encloses(at, pos)
+    top: dict = {}
+    todo: list[tuple] = [(m, {}, {}, top, None)]
+    while todo:
+        m, slot_of, binder_of, into, at = todo.pop()
+        below: list[tuple] = []  # the children's work items, in print order
+        store = 0  # the column that this node saves unevaluated, if a Store
+        wild = (r for r in m.rows if not r.constraints)
+        row = next(
+            (r for r in wild if all(type(p) is PatVar for p in r.patterns)), None
         )
-        return BinCl(
-            _compile(cond_succ(arg, m), st),
-            st.slot_of[pos],
-            tuple(sorted(st.binder_of[at] for at in allowed)),
-            _compile(cond_fail(arg, m), st),
-            tuple(restricted),
-        )
-    i = arg
-    if kind == "store":
-        return Store(_compile(m, _stored(st, m.positions[i - 1])), i)
-    # "specialize": bring column i to the front first
-    if i == 1:
-        return _compile_front(m, st)
-    return Swap(i, _compile_front(swap_columns(m, i), st))
-
-
-def _stored(st: CompileState, pos: Position) -> CompileState:
-    """State after saving ``pos`` in the next store slot."""
-    return CompileState({**st.slot_of, pos: len(st.slot_of)}, st.binder_of)
-
-
-def _compile_front(m: ClauseMatrix, st: CompileState) -> DTree:
-    pos = m.positions[0]
-    store = pos not in st.slot_of and pos in _pending_positions(m)
-    if store:
-        st = _stored(st, pos)
-    cases, lam, default = specialize(m)
-    sym_cases = {key: _compile(sub, st) for key, sub in cases.items()}
-    lam_case = default_case = None
-    if lam is not None:
-        opened = CompileState(st.slot_of, {**st.binder_of, pos: len(st.binder_of)})
-        lam_case = _compile(lam, opened)
-    if default is not None:
-        default_case = _compile(default, st)
-    return Switch(sym_cases, lam_case, default_case, store)
+        if not m.rows:
+            node = FAIL
+        elif row is not None:
+            env = row.rule.env
+            store = _unstored_column(m, slot_of, {pos for pos, _ in env.values()})
+            if not store:
+                sel = {n: _selector(occ, slot_of, binder_of) for n, occ in env.items()}
+                node = Leaf(row.rule, sel)
+        elif col := _structural_column(m):
+            if col > 1:
+                m = swap_columns(m, col)
+            pos = m.positions[0]
+            save = pos not in slot_of and pos in _pending_positions(m)
+            if save:
+                slot_of = {**slot_of, pos: len(slot_of)}
+            cases, lam, default = specialize(m)
+            switch = Switch(dict.fromkeys(cases), None, None, save)
+            node = Swap(col, switch) if col > 1 else switch
+            below = [
+                (sub, slot_of, binder_of, switch.sym_cases, key)
+                for key, sub in cases.items()
+            ]
+            if lam is not None:
+                opened = {**binder_of, pos: len(binder_of)}
+                below.append((lam, slot_of, opened, switch, "lam_case"))
+            if default is not None:
+                below.append(
+                    (default, slot_of, binder_of, switch, "default_case")
+                )
+        elif (key := _decided_key(m, slot_of)) is not None:
+            if type(key) is frozenset:
+                sels = sorted(_selector(occ, slot_of, binder_of) for occ in key)
+                (i, sel_i), (j, sel_j) = sels
+                node = BinNl(None, (i, j), None, (sel_i, sel_j))
+            else:
+                pos, allowed = key
+                within = tuple(sorted(binder_of[b] for b in allowed))
+                shut = (k for b, k in binder_of.items() if encloses(b, pos))
+                restricted = tuple(sorted(k for k in shut if k not in within))
+                node = BinCl(None, slot_of[pos], within, None, restricted)
+            below = [
+                (cond_succ(key, m), slot_of, binder_of, node, "succ"),
+                (cond_fail(key, m), slot_of, binder_of, node, "fail"),
+            ]
+        elif not (store := _unstored_column(m, slot_of, _pending_positions(m))):
+            raise AssertionError("no step applies to a nonempty matrix")
+        if store:
+            node = Store(None, store)
+            stored = {**slot_of, m.positions[store - 1]: len(slot_of)}
+            below = [(m, stored, binder_of, node, "child")]
+        if type(into) is dict:
+            into[at] = node
+        else:
+            setattr(into, at, node)
+        todo.extend(reversed(below))
+    return top[None]
 
 
 def trees_of_ruleset(rules: Sequence[Rule]) -> dict[tuple[str, int], DTree]:

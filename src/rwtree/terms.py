@@ -170,57 +170,73 @@ def free_vars(t: Term) -> set[int]:
     return out
 
 
+# the jobs of ``subst``'s work list: substitute in a term; rename or keep an
+# abstraction's binder once its domain is done, then do its body; rebuild an
+# application or an abstraction from the results of its parts
+_VISIT, _OPEN, _APP, _BIND = range(4)
+
+
 def subst(t: Term, bindings: dict[int, Term]) -> Term:
     """Simultaneous capture-avoiding substitution of variables by terms.
 
     Binders are renamed to fresh identities whenever a replacement term could
     be captured.  Unchanged subterms are returned as-is to preserve sharing.
+    One loop over a work list, so term depth costs no Python stack.  Raises
+    RhsOnlyError on pattern-variable applications, as ``free_vars`` does.
     """
     if not bindings:
         return t
-    # Union of replacement free variables, computed lazily: most
-    # substitutions never go under a binder.
-    fv_cell: list[Optional[set[int]]] = [None]
-
-    def value_fvs() -> set[int]:
-        if fv_cell[0] is None:
-            acc: set[int] = set()
-            for u in bindings.values():
-                acc |= free_vars(u)
-            fv_cell[0] = acc
-        return fv_cell[0]
-
-    def go(x: Term, m: dict[int, Term]) -> Term:
-        tx = type(x)
-        if tx is Var:
-            return m.get(x.vid, x)
-        if tx is App:
-            f2 = go(x.fn, m)
-            a2 = go(x.arg, m)
-            return x if (f2 is x.fn and a2 is x.arg) else App(f2, a2)
-        if tx is Abst or tx is Prod:
-            body = x.body if tx is Abst else x.codomain
-            d2 = go(x.domain, m) if x.domain is not None else None
-            m2 = m
-            if x.var.vid in m2:
-                m2 = {k: u for k, u in m2.items() if k != x.var.vid}
-            if not m2:
-                return x if d2 is x.domain else tx(x.var, d2, body)
-            if x.var.vid in value_fvs():
-                v2 = fresh_var(x.var.name)
-                return tx(v2, d2, go(body, {**m2, x.var.vid: v2}))
-            b2 = go(body, m2)
-            if b2 is body and d2 is x.domain:
-                return x
-            return tx(x.var, d2, b2)
-        if tx is MetaApp:
-            args2 = tuple(go(a, m) for a in x.args)
-            if all(a2 is a for a2, a in zip(args2, x.args)):
-                return x
-            return MetaApp(x.name, args2)
-        return x  # Symb, Sort
-
-    return go(t, bindings)
+    # union of the replacements' free variables, computed on first need:
+    # most substitutions never go under a binder
+    value_fvs: Optional[set[int]] = None
+    done: list[Term] = []  # results, the last one on top
+    # (job, term, the map to substitute, or for _BIND the binder to use)
+    todo: list[tuple] = [(_VISIT, t, bindings)]
+    while todo:
+        job, x, m = todo.pop()
+        if job == _VISIT:
+            tx = type(x)
+            if tx is Var:
+                done.append(m.get(x.vid, x))
+            elif tx is App:
+                todo += ((_APP, x, None), (_VISIT, x.arg, m), (_VISIT, x.fn, m))
+            elif tx is Abst or tx is Prod:
+                inner = m
+                if x.var.vid in m:
+                    inner = {k: u for k, u in m.items() if k != x.var.vid}
+                todo.append((_OPEN, x, inner))
+                if x.domain is not None:
+                    todo.append((_VISIT, x.domain, m))
+            elif tx is MetaApp:
+                raise RhsOnlyError("rhs-only construct: pattern variable in term")
+            else:  # Symb, Sort
+                done.append(x)
+        elif job == _OPEN:
+            var = x.var
+            if m and value_fvs is None:
+                value_fvs = set().union(*map(free_vars, bindings.values()))
+            if m and var.vid in value_fvs:
+                var = fresh_var(var.name)
+                m = {**m, x.var.vid: var}
+            todo.append((_BIND, x, var))
+            body = x.body if type(x) is Abst else x.codomain
+            if m:
+                todo.append((_VISIT, body, m))
+            else:
+                done.append(body)
+        elif job == _APP:
+            a2 = done.pop()
+            f2 = done.pop()
+            done.append(x if f2 is x.fn and a2 is x.arg else App(f2, a2))
+        else:  # _BIND, with the binder in m
+            b2 = done.pop()
+            d2 = done.pop() if x.domain is not None else None
+            body = x.body if type(x) is Abst else x.codomain
+            if m is x.var and d2 is x.domain and b2 is body:
+                done.append(x)
+            else:
+                done.append(type(x)(m, d2, b2))
+    return done[0]
 
 
 def alpha_eq(t: Term, u: Term) -> bool:

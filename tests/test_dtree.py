@@ -3,13 +3,11 @@ import pytest
 from rwtree.dtree import (
     BinCl,
     BinNl,
-    CompileState,
     Fail,
     Leaf,
     Store,
     Swap,
     Switch,
-    choose_action,
     compile_matrix,
     iter_tree,
     to_dot,
@@ -106,38 +104,41 @@ def test_compile_determinism():
 
 
 # ---------------------------------------------------------------------------
-# choose_action
+# the step rule of compile_matrix
 
 
-def test_choose_action_example1_picks_column_two():
+def test_compile_switches_on_the_column_with_most_heads_first():
+    # column 2 holds two heads and column 1 one, so the root moves column 2
+    # to the front and switches on it
     m = from_rules("f", example1_rules())
     assert m.positions == ((1,), (2,))
-    assert choose_action(m, CompileState()) == ("specialize", 2)
-
-
-def test_choose_action_yields_unconstrained_row():
-    rule = Rule("k", (pvar(None), pvar(None)), symb("0"), "k")
-    m = from_rules("k", [rule])
-    assert choose_action(m, CompileState()) == ("yield", 0)
-
-
-def test_choose_action_solves_nl_after_stores():
-    m = from_rules("eq", [nonlinear_rule()])
-    st = CompileState(slot_of={(1,): 0, (2,): 1})
-    kind, key = choose_action(m, st)
-    assert kind == "solve_nl"
-    # one (position, formals) occurrence per side
-    assert key == frozenset({((1,), ()), ((2,), ())})
-
-
-def test_choose_action_forces_store_for_env():
-    rule = Rule("id", (pvar("x"),), MetaApp("x", ()), "id")
-    m = from_rules("id", [rule])
-    assert choose_action(m, CompileState()) == ("store", 1)
-    st = CompileState(slot_of={(1,): 0})
-    assert choose_action(m, st) == ("yield", 0)
     tree = compile_matrix(m)
-    assert type(tree) is Store and type(tree.child) is Leaf
+    assert type(tree) is Swap and tree.index == 2
+    assert type(tree.child) is Switch
+    assert list(tree.child.sym_cases) == [("a", 0), ("b", 0)]
+
+
+def test_compile_yields_the_first_unconstrained_wildcard_row():
+    # a later row with heads does not make the tree inspect any column
+    first = Rule("k", (pvar(None), pvar(None)), symb("0"), "k")
+    later = Rule("k", (psym("a"), psym("b")), symb("1"), "kab")
+    tree = compile_matrix(from_rules("k", [first, later]))
+    assert type(tree) is Leaf and tree.rule is first and tree.env == {}
+
+
+def test_compile_stores_both_sides_before_the_nl_check():
+    tree = compile_matrix(from_rules("eq", [nonlinear_rule()]))
+    nodes = [n for _, _, n in iter_tree(tree)]
+    assert [type(n) for n in nodes] == [Store, Store, BinNl, Leaf, Fail]
+    assert [n.index for n in nodes[:2]] == [1, 2]
+    assert nodes[2].slots == (0, 1) and nodes[2].formals == ((), ())
+
+
+def test_compile_stores_a_rhs_variable_before_its_leaf():
+    rule = Rule("id", (pvar("x"),), MetaApp("x", ()), "id")
+    tree = compile_matrix(from_rules("id", [rule]))
+    assert type(tree) is Store and tree.index == 1
+    assert type(tree.child) is Leaf and tree.child.env == {"x": (0, ())}
 
 
 # ---------------------------------------------------------------------------

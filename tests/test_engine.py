@@ -307,6 +307,21 @@ def test_rev_of_a_deep_list_does_not_overflow(engine):
     assert alpha_eq(out, nat_list(values[::-1]))
 
 
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_pattern_3000_deep_compiles_and_matches(engine):
+    # f (s (… (s 0))) --> yes with 3,000 successors, built here because the
+    # parser would overflow first; neither the compiler nor either matcher
+    # recurses on pattern depth
+    pattern = PatSymb("0", ())
+    for _ in range(3000):
+        pattern = PatSymb("s", (pattern,))
+    rule = Rule("f", (pattern,), symb("yes"), "deep")
+    ctx = EvalContext.from_rules([rule], engine=engine)
+    assert snf(ctx, App(symb("f"), numeral(3000)), Steps(10)) is symb("yes")
+    stuck = App(symb("f"), numeral(2999))
+    assert alpha_eq(snf(ctx, stuck, Steps(10)), stuck)
+
+
 def test_divergence_budget():
     src = "symbol loop;\nrule loop --> loop;"
     ctx = ctx_for(src, max_steps=500)

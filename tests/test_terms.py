@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +90,39 @@ def test_subst_duplicates_argument():
     t = build_app(symb("plus"), [x, x])
     r = subst(t, {x.vid: s0})
     assert alpha_eq(r, build_app(symb("plus"), [s0, s0]))
+
+
+def test_subst_leaves_nothing_for_the_cycle_collector():
+    x, y = fresh_var("x"), fresh_var("y")
+    t = lam(y, App(x, y))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            subst(t, {x.vid: symb("a")})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_subst_on_a_term_10000_deep():
+    # binders and applications alternate, so the walk goes under every binder
+    x = fresh_var("x")
+    t = x
+    for _ in range(5000):
+        v = fresh_var("v")
+        t = lam(v, App(t, v))
+    r = subst(t, {x.vid: symb("a")})
+    for _ in range(5000):
+        assert type(r) is Abst and r.body.arg is r.var
+        r = r.body.fn
+    assert r is symb("a")
+
+
+def test_subst_rejects_a_pattern_variable_application():
+    x = fresh_var("x")
+    with pytest.raises(RhsOnlyError):
+        subst(App(x, MetaApp("u", (x,))), {x.vid: symb("a")})
 
 
 def test_subst_shadowed_binder_id_untouched():
