@@ -15,7 +15,9 @@ is never forced only to be stored.
 
 Compilation reduces a clause matrix step by step in one work-list loop
 (``compile_matrix``), which takes each step by one fixed rule and switches
-on the column with the most heads.  A Switch takes all of its cases from
+on the column with the most heads.  When several rules apply, the tree
+assumes confluence and may fire any of them, except that a first row of
+wildcards is decided before any other row fires.  A Switch takes all of its cases from
 one pass over the rows (``matrix.specialize``).  The compiler says where
 something is only by position: the matrix carries the position of each
 column, and each work item maps each saved position to its store slot and
@@ -197,8 +199,10 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
     its parent or a case of a Switch.  Each pass builds the node of the first
     step that applies and pushes the node's children:
 
-    1. the first all-wildcard unconstrained row stores the leftmost of its
-       right-hand-side positions not stored yet, or yields once all are;
+    1. a first row of wildcards is decided before any other row fires: it
+       stores what its constraints read and decides them, closedness first;
+       then it, or else the first all-wildcard unconstrained row, stores
+       the leftmost right-hand-side position not stored yet, or yields;
     2. otherwise switch on the column with the most symbol or abstraction
        heads (leftmost on ties), behind a Swap unless it is column 1, and
        save it there if a constraint or right-hand side needs its position;
@@ -212,16 +216,22 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
         m, slot_of, binder_of, into, at = todo.pop()
         below: list[tuple] = []  # the children's work items, in print order
         store = 0  # the column that this node saves unevaluated, if a Store
-        wild = (r for r in m.rows if not r.constraints)
+        key = None  # the constraint that this node decides, if a check
+        # a later row's checks might force what the rows above never inspect
+        wild = (r for i, r in enumerate(m.rows) if not (i and r.constraints))
         row = next(
             (r for r in wild if all(type(p) is PatVar for p in r.patterns)), None
         )
         if not m.rows:
             node = FAIL
         elif row is not None:
-            env = row.rule.env
-            store = _unstored_column(m, slot_of, {pos for pos, _ in env.values()})
-            if not store:
+            env, cons = row.rule.env, row.constraints
+            # what its constraints read, then what its right-hand side reads
+            read = {pos for k in cons for pos in _key_positions(k)}
+            store = _unstored_column(m, slot_of, read or {p for p, _ in env.values()})
+            if not store and cons:
+                key = min(cons, key=_key_order)
+            elif not store:
                 sel = {n: _selector(occ, slot_of, binder_of) for n, occ in env.items()}
                 node = Leaf(row.rule, sel)
         elif col := _structural_column(m):
@@ -235,8 +245,8 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
             switch = Switch(dict.fromkeys(cases), None, None, save)
             node = Swap(col, switch) if col > 1 else switch
             below = [
-                (sub, slot_of, binder_of, switch.sym_cases, key)
-                for key, sub in cases.items()
+                (sub, slot_of, binder_of, switch.sym_cases, case)
+                for case, sub in cases.items()
             ]
             if lam is not None:
                 opened = {**binder_of, pos: len(binder_of)}
@@ -245,7 +255,11 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
                 below.append(
                     (default, slot_of, binder_of, switch, "default_case")
                 )
-        elif (key := _decided_key(m, slot_of)) is not None:
+        elif (key := _decided_key(m, slot_of)) is None and not (
+            store := _unstored_column(m, slot_of, _pending_positions(m))
+        ):
+            raise AssertionError("no step applies to a nonempty matrix")
+        if key is not None:
             if type(key) is frozenset:
                 sels = sorted(_selector(occ, slot_of, binder_of) for occ in key)
                 (i, sel_i), (j, sel_j) = sels
@@ -260,8 +274,6 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
                 (cond_succ(key, m), slot_of, binder_of, node, "succ"),
                 (cond_fail(key, m), slot_of, binder_of, node, "fail"),
             ]
-        elif not (store := _unstored_column(m, slot_of, _pending_positions(m))):
-            raise AssertionError("no step applies to a nonempty matrix")
         if store:
             node = Store(None, store)
             stored = {**slot_of, m.positions[store - 1]: len(slot_of)}

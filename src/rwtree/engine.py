@@ -2,14 +2,15 @@
 
 The same normalization driver serves two interchangeable matching back ends:
 the compiled decision trees and the rule-by-rule declarative matcher.  Terms
-are matched modulo reduction.  Head normalisation runs on a head and an
-argument stack (``whnf_stk``), so a Switch and ``snf`` read the arguments
-off the stack instead of unwinding the term again, and a symbol that heads
-no rule is never offered to a matcher.  A Switch head-normalizes the stack
-top before it inspects it, and stores that normal form when the tree asks
-for it.  In convertibility mode the constraint checks compare or inspect
-fully normalized terms, and a right-hand side is built from the normal form
-a closedness check passed on.
+are matched modulo reduction.  Head normalisation (``whnf_stk``) pushes the
+arguments onto its caller's stack, so a Switch and ``snf`` read them off
+their own stacks instead of unwinding the term again, and a symbol that
+heads no rule is never offered to a matcher.  A Switch head-normalizes the
+stack top before it inspects it, and stores that normal form when the tree
+asks for it.  In convertibility mode the constraint checks compare or
+inspect fully normalized terms; a closedness check (``normalise``) stops at
+the first variable it rejects, and a right-hand side is built from the
+normal form a passed check made.
 
 Both engines build a right-hand side with the rule's builder
 (``patterns.rhs_builder``): a Leaf runs the one compiled with the tree, on
@@ -30,15 +31,16 @@ identity (shadowing).  So the naive engine's rules all see the same body
 objects, and so does the record below.
 
 A failed match keeps its work, and nothing else does.  Each evaluation's
-``Steps`` holds one record, ``hnf``, written only when a rewrite attempt
-fails: the term found stuck maps to itself, and every term the failed
-match head-normalised maps to its normal form.  ``whnf_stk`` reads it
-before it reduces a term, so a term whose match failed, and every term
-that match forced, is normalised at most once per evaluation under either
-engine; on ``+ (… (+ (+ a 0) a) …) a`` with ``+ 0 $p --> $p`` and
-``+ $p 0 --> $p`` both take 1 step at any depth.  A successful match
-records nothing, so the reduced terms of a long evaluation are not kept
-alive, and ``whnf`` returns a head-normal term as it is under either engine.
+``Steps`` holds one record, ``hnf``, written only when a rewrite attempt or
+a closedness check fails: the term found stuck maps to itself, and every
+term the failed match or check head-normalised maps to its normal form.
+``whnf_stk`` reads it before it reduces a term, so a term whose match
+failed, and every term that match forced, is normalised at most once per
+evaluation under either engine; on ``+ (… (+ (+ a 0) a) …) a`` with
+``+ 0 $p --> $p`` and ``+ $p 0 --> $p`` both take 1 step at any depth.  A
+successful match records only what its failed checks reduced, so the
+reduced terms of a long evaluation are mostly not kept alive, and ``whnf``
+returns a head-normal term as it is under either engine.
 """
 from __future__ import annotations
 
@@ -107,7 +109,7 @@ class EvalContext:
 
     trees: dict[tuple[str, int], DTree]
     rules_by_head: dict[str, list[Rule]]
-    tree_arities: dict[str, tuple[int, ...]]  # descending
+    trees_by_head: dict[str, list[tuple[int, DTree]]]  # largest arity first
     defined: frozenset[str]  # heads of rules, the same for both engines
     max_steps: int = 10**8
     equality: str = CONVERTIBLE
@@ -127,16 +129,14 @@ class EvalContext:
         for r in rules:
             by_head.setdefault(r.head, []).append(r)
         trees = trees_of_ruleset(rules)
-        arities: dict[str, list[int]] = {}
-        for head, arity in trees:
-            arities.setdefault(head, []).append(arity)
+        by_arity: dict[str, list[tuple[int, DTree]]] = {}
+        for (head, arity), tree in sorted(trees.items(), key=lambda kv: -kv[0][1]):
+            by_arity.setdefault(head, []).append((arity, tree))
         return cls(
             trees=trees,
             rules_by_head=by_head,
             defined=frozenset(by_head),
-            tree_arities={
-                h: tuple(sorted(a, reverse=True)) for h, a in arities.items()
-            },
+            trees_by_head=by_arity,
             max_steps=max_steps,
             equality=equality,
             engine=engine,
@@ -148,45 +148,47 @@ class EvalContext:
 
 
 def whnf_stk(
-    ctx: EvalContext, t: Term, steps: Steps
-) -> tuple[Term, list[Term], Term]:
-    """Weak-head normalise ``t`` on an argument stack.
+    ctx: EvalContext, t: Term, steps: Steps, stk: list[Term]
+) -> tuple[Term, int, Term]:
+    """Weak-head normalise ``t``, pushing the head's arguments onto the
+    caller's stack ``stk`` (first argument last) above the entries it keeps.
 
-    Returns the head, its arguments as a stack (first argument last) and
-    the term that head and stack spell, built only if it does not exist
-    yet.  The head is never an application, and it is an abstraction only
-    when the stack is empty.  Before it takes a beta step or offers a term
-    to ``rewrite_head``, it looks the term up in ``steps.hnf`` and goes on
-    from the recorded normal form instead.  Only symbols in ``ctx.defined``
-    reach ``rewrite_head``; when the attempt fails, the term is recorded as
-    its own head normal form.
+    Returns the head, the number of arguments pushed and the term that head
+    and arguments spell, built only if it does not exist yet.  The head is
+    never an application, and it is an abstraction only with no arguments.
+    Before it takes a beta step or offers a term to ``rewrite_head``, it
+    looks the term up in ``steps.hnf`` and goes on from the recorded normal
+    form instead.  Only symbols in ``ctx.defined`` reach ``rewrite_head``;
+    when the attempt fails, the term is recorded as its own head normal
+    form.
     """
     defined = ctx.defined
     hnf = steps.hnf
-    stk: list[Term] = []
-    whole: Optional[Term] = t  # what head and stk spell, when it exists
+    base = len(stk)
+    whole: Optional[Term] = t  # what head and arguments spell, when it exists
     while True:
         while type(t) is App:
             stk.append(t.arg)
             t = t.fn
         tt = type(t)
-        if not (tt is Abst and stk or tt is Symb and t.name in defined):
+        if not (tt is Abst and len(stk) > base or tt is Symb and t.name in defined):
             break
         if hnf and whole is not None and id(whole) in hnf:
             nf = hnf[id(whole)][1]
             if nf is whole:
                 break
             t = whole = nf
-            stk = []
+            del stk[base:]
             continue
         if tt is Abst:
             steps.tick()
             arg = stk.pop()
             # (\s, b) s is b: a result that reuses its subject's binder
             t = t.body if arg is t.var else subst(t.body, {t.var.vid: arg})
-            whole = None if stk else t
+            whole = None if len(stk) > base else t
             continue
-        args = stk[::-1]
+        args = stk[base:]
+        args.reverse()
         reduced = rewrite_head(ctx, t.name, args, steps)
         if reduced is None:
             if whole is None:
@@ -195,10 +197,10 @@ def whnf_stk(
             break
         steps.tick()
         t = whole = reduced
-        stk = []
+        del stk[base:]
     if whole is None:
-        whole = build_app(t, stk[::-1])
-    return t, stk, whole
+        whole = build_app(t, stk[: base - 1 : -1] if base else stk[::-1])
+    return t, len(stk) - base, whole
 
 
 def whnf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
@@ -207,48 +209,74 @@ def whnf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
     returned as it is."""
     if steps is None:
         steps = Steps(ctx.max_steps)
-    return whnf_stk(ctx, t, steps)[2]
+    return whnf_stk(ctx, t, steps, [])[2]
 
 
 def snf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
-    """Strong normal form: weak-head normalize, then recurse into the
-    arguments left on the stack, abstraction bodies and domains.
-    Iterative, so arbitrarily deep results (unary numerals, long lists)
-    are fine."""
+    """Strong normal form (see ``normalise``)."""
     if steps is None:
         steps = Steps(ctx.max_steps)
-    EXPAND, BUILD_APP, BUILD_BINDER = 0, 1, 2
-    work: list[tuple[int, object]] = [(EXPAND, t)]
+    return normalise(ctx, t, steps, None)
+
+
+def normalise(
+    ctx: EvalContext, t: Term, steps: Steps, restricted: Optional[set[int]]
+) -> Optional[Term]:
+    """Strong normal form: weak-head normalize, then normalize the
+    arguments, abstraction bodies and domains.  One loop over a work list,
+    onto which ``whnf_stk`` pushes the arguments, so arbitrarily deep
+    results (unary numerals, long lists) are fine.
+
+    With a set of vids it is the closedness check of both engines: it
+    returns None as soon as one of them, not rebound by an inner binder of
+    the same identity, heads a weak-head normal form, so it takes no more
+    steps than ``snf``.  It then records in ``steps.hnf`` every term it
+    head-normalised, which the match that goes on would reduce again."""
+    defined = ctx.defined
+    work: list = [t]  # terms, and jobs that build from the results in out
     out: list[Term] = []
+    # for a check, the record entry of each term it reduced
+    forced: Optional[dict[int, tuple[Term, Term]]] = {} if restricted else None
     while work:
-        tag, x = work.pop()
-        if tag == EXPAND:
-            x, stk, _ = whnf_stk(ctx, x, steps)
-            if stk:
-                work.append((BUILD_APP, len(stk) + 1))
-                work.extend([(EXPAND, a) for a in stk])
-            # the head is normal: the stack held every argument it could
-            # have been rewritten with
-            tx = type(x)
-            if tx is Abst or tx is Prod:
-                work.append((BUILD_BINDER, (tx, x.var, x.domain is not None)))
-                work.append((EXPAND, x.body if tx is Abst else x.codomain))
-                if x.domain is not None:
-                    work.append((EXPAND, x.domain))
-            elif tx is MetaApp:
-                raise TermError("rhs-only construct reached the evaluator")
-            else:
-                out.append(x)
-        elif tag == BUILD_APP:
-            n = x
-            parts = out[-n:]
-            del out[-n:]
+        x = work.pop()
+        tx = type(x)
+        if tx is int:  # an application, from out[x:]
+            parts = out[x:]
+            del out[x:]
             out.append(build_app(parts[0], parts[1:]))
-        else:  # BUILD_BINDER
-            binder, var, has_domain = x
-            body = out.pop()
-            domain = out.pop() if has_domain else None
-            out.append(binder(var, domain, body))
+            continue
+        if tx is tuple:  # (binder to build or None, the vids restricted next)
+            b, restricted = x
+            if b is not None:
+                body = out.pop()
+                domain = out.pop() if b.domain is not None else None
+                out.append(type(b)(b.var, domain, body))
+            continue
+        if tx is Var or tx is Symb and x.name not in defined:
+            head = x  # normal already
+        else:
+            head, n, whole = whnf_stk(ctx, x, steps, work)
+            if n:  # the head is normal: its arguments were all it could take
+                work.insert(len(work) - n, len(out))
+            if forced is not None and whole is not x:
+                forced[id(x)] = (x, whole)
+        th = type(head)
+        if th is Abst or th is Prod:
+            work.append((head, restricted))
+            body = head.body if th is Abst else head.codomain
+            if restricted and head.var.vid in restricted:
+                work += (body, (None, restricted - {head.var.vid}))
+            else:
+                work.append(body)
+            if head.domain is not None:
+                work.append(head.domain)
+        elif th is MetaApp:
+            raise TermError("rhs-only construct reached the evaluator")
+        elif restricted and th is Var and head.vid in restricted:
+            steps.hnf.update(forced)
+            return None
+        else:
+            out.append(head)
     return out[0]
 
 
@@ -293,20 +321,19 @@ def eval_tree(
 
     Returns the instantiated right-hand side, or None when matching fails.
     ``args`` is only read.  A Switch pops the stack top and weak-head
-    normalizes it on an argument stack; if its store flag is set it saves
-    that normal form before dispatching on the head, and a symbol case
-    pushes the arguments straight from the normalisation stack.  Store saves
-    a stack entry without popping or normalising it, as its recorded head
-    normal form when ``steps.hnf`` has one.  A lambda case opens the
-    abstraction in place: it pushes the body itself and records the
-    abstraction's own binder, renamed to a fresh variable only when a binder
-    opened on this path already has its identity.  Every saved term comes
+    normalizes it on the stack itself, which leaves the head's arguments
+    there for a symbol case; if its store flag is set it saves that normal
+    form before dispatching on the head.  Store saves a stack entry without
+    popping or normalising it, as its recorded head normal form when
+    ``steps.hnf`` has one.  A lambda case opens the abstraction in place: it
+    pushes the body itself and records the abstraction's own binder, renamed
+    to a fresh variable only when a binder opened on this path already has
+    its identity.  Every saved term comes
     with the binders opened so far.  When matching fails, every column a
     Switch normalised is recorded in ``steps.hnf`` with its normal form, so
     no later attempt in the evaluation reduces it again.
     """
-    stack: list[Term] = list(args)
-    stack.reverse()  # stack[-1] is the first column
+    stack: list[Term] = args[::-1]  # stack[-1] is the first column
     store: list[tuple[Term, tuple[Var, ...]]] = []
     binders: tuple[Var, ...] = ()  # opened so far, the snapshot of a save
     hnf = steps.hnf
@@ -316,7 +343,7 @@ def eval_tree(
         tn = type(node)
         if tn is dt.Switch:
             x = stack.pop()
-            head, hargs, top = whnf_stk(ctx, x, steps)
+            head, n, top = whnf_stk(ctx, x, steps, stack)
             if node.store:
                 if trace is not None:
                     trace.append(("store", len(store)))
@@ -325,11 +352,10 @@ def eval_tree(
                 forced = (x, top, forced)
             th = type(head)
             if th is Symb:
-                child = node.sym_cases.get((head.name, len(hargs)))
+                child = node.sym_cases.get((head.name, n))
                 if child is not None:
                     if trace is not None:
-                        trace.append(("switch", (head.name, len(hargs))))
-                    stack.extend(hargs)
+                        trace.append(("switch", (head.name, n)))
                     node = child
                     continue
             elif th is Abst and node.lam_case is not None:
@@ -348,6 +374,8 @@ def eval_tree(
             if node.default_case is not None:
                 if trace is not None:
                     trace.append(("switch", "*"))
+                if n:
+                    del stack[-n:]
                 node = node.default_case
                 continue
             if trace is not None:
@@ -388,13 +416,16 @@ def eval_tree(
             continue
         if tn is dt.BinCl:
             term, snapshot = store[node.slot]
+            shut = {snapshot[k].vid for k in node.restricted}
             if ctx.equality == CONVERTIBLE:
                 # build from the normal form the check passed on: the raw
                 # term may mention a binder that only reduction drops
-                term = snf(ctx, term, steps)
+                term = normalise(ctx, term, steps, shut)
+            elif free_vars(term) & shut:
+                term = None
+            ok = term is not None
+            if ok:
                 store[node.slot] = (term, snapshot)
-            fv = free_vars(term)
-            ok = not any(snapshot[k].vid in fv for k in node.restricted)
             if trace is not None:
                 trace.append(("cl", node.slot, ok))
             node = node.succ if ok else node.fail
@@ -422,17 +453,17 @@ def rewrite_head(
     evaluation start from those normal forms.  The naive matcher's ``whnf``
     hook keeps them in a memo for the attempt, so rules tried after the
     first do not reduce a subterm again; its reduced entries join the record
-    only when no rule applies."""
+    only when no rule applies.  A failed closedness check records its own."""
     if ctx.engine == TREE:
-        arities = ctx.tree_arities.get(head)
-        if arities is None:
+        cases = ctx.trees_by_head.get(head)
+        if cases is None:
             return None
         n = len(args)
-        for arity in arities:
+        for arity, tree in cases:
             if arity > n:
                 continue
             consumed = args if arity == n else args[:arity]
-            result = eval_tree(ctx, ctx.trees[(head, arity)], consumed, steps)
+            result = eval_tree(ctx, tree, consumed, steps)
             if result is not None:
                 return result if arity == n else build_app(result, args[arity:])
         return None
@@ -453,7 +484,9 @@ def rewrite_head(
         whnf=memo_whnf,
         equal=lambda a, b: equal_terms(ctx, a, b, steps),
         fv_normalize=(
-            (lambda u: snf(ctx, u, steps)) if ctx.equality == CONVERTIBLE else None
+            (lambda u, shut: normalise(ctx, u, steps, shut))
+            if ctx.equality == CONVERTIBLE
+            else None
         ),
     )
     if found is None:

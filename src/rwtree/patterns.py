@@ -397,7 +397,7 @@ def match_patterns(
     *,
     whnf: Optional[Callable[[Term], Term]] = None,
     equal: Optional[Callable[[Term, Term], bool]] = None,
-    fv_normalize: Optional[Callable[[Term], Term]] = None,
+    fv_normalize: Optional[Callable[[Term, set[int]], Optional[Term]]] = None,
 ) -> Optional[Substitution]:
     """Match a pattern vector against a term vector.
 
@@ -406,9 +406,10 @@ def match_patterns(
     reduction: ``whnf`` head-normalizes a subject before a structural
     pattern inspects it, ``equal`` decides the repeated-variable condition
     (on the two occurrences with their formals renamed alike, see
-    ``shared_formals``), and ``fv_normalize`` is applied before the
-    variable-occurrence check; a variable whose check normalised its term
-    is bound to that normal form.
+    ``shared_formals``), and ``fv_normalize(t, vids)`` decides the
+    variable-occurrence check in place of ``free_vars``: it returns the
+    normal form of ``t``, which the variable is bound to, or None, as soon
+    as it finds one of the binder identities ``vids`` free there.
 
     A subject abstraction is opened in place: its own body is matched under
     its own binder, renamed to a fresh variable only when a binder opened on
@@ -447,8 +448,10 @@ def match_patterns(
                 # keep the normal form the check passed on: the raw term
                 # may mention a binder that only reduction drops
                 if fv_normalize is not None:
-                    t = fv_normalize(t)
-                if free_vars(t) & restricted:
+                    t = fv_normalize(t, restricted)
+                    if t is None:
+                        return None
+                elif free_vars(t) & restricted:
                     return None
             prev = sub.get(p.name)
             if prev is None:
@@ -622,7 +625,7 @@ def naive_rewrite_head(
     *,
     whnf: Optional[Callable[[Term], Term]] = None,
     equal: Optional[Callable[[Term, Term], bool]] = None,
-    fv_normalize: Optional[Callable[[Term], Term]] = None,
+    fv_normalize: Optional[Callable[[Term, set[int]], Optional[Term]]] = None,
 ) -> Optional[tuple[Rule, Term]]:
     """Try each rule in order against a prefix of the arguments.
 

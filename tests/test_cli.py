@@ -234,6 +234,45 @@ def test_products_are_normalised_substituted_and_printed(
     assert capsys.readouterr().out.splitlines() == PI_PRINTED[strategy]
 
 
+# Semantics (a): a first row of wildcards is decided before any other row
+# fires, so a rule whose constraints hold wins over the rules below it
+FIRST_ROW = {
+    # switching on a first would fire the second rule
+    "non-linear": (
+        "symbol f; symbol a; symbol b;\n"
+        "rule f $x $x --> a with f a $y --> b;\n"
+        "compute f a a;\n",
+        ["a"],
+    ),
+    # switching on s first would fire the s rule on closed bodies too
+    "closed body": (
+        "symbol g; symbol k; symbol m; symbol s; symbol a;\n"
+        "rule g (\\x, $c) --> k with g (\\x, s $u[x]) --> m;\n"
+        "compute g (\\x, s a);\ncompute g (\\x, s x);\n",
+        ["k", "m"],
+    ),
+    # laziness: only the first row is decided first; the eq? check of the
+    # second row would force loop, which the first row never inspects
+    "later rows wait": (
+        "symbol loop; symbol f; symbol a; symbol b; symbol r1; symbol r2;\n"
+        "symbol r3;\nrule loop --> loop;\n"
+        "rule f a $y --> r1 with f $x $x --> r2 with f $x b --> r3;\n"
+        "compute f a loop;\n",
+        ["r1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_ROW)
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_first_row_of_wildcards_is_decided_first(engine, case, tmp_path, capsys):
+    source, printed = FIRST_ROW[case]
+    src = tmp_path / "first.rw"
+    src.write_text(source)
+    assert main(["run", str(src), "--engine", engine, "--max-steps", "10000"]) == 0
+    assert capsys.readouterr().out.splitlines() == printed
+
+
 @pytest.mark.parametrize(
     "source, extra, code, prefix",
     [

@@ -357,51 +357,51 @@ digraph dtree {
     ),
     ("hol", "d", 1): (
         r"""switch
-  lambda: switch store
-    */2: store
-      store 2
-        leaf \x, + (* (d (\x', $u[x']) x) $v[x]) (* $u[x] (d (\x', $v[x']) x)) {$u<-s1[0], $v<-s2[0]}
-    +/2: store
-      store 2
-        leaf \x, + (d (\x', $u[x']) x) (d (\x', $v[x']) x) {$u<-s1[0], $v<-s2[0]}
-    cos/1: store
-      leaf \x, * (neg (sin $u[x])) (d (\x', $u[x']) x) {$u<-s1[0]}
-    sin/1: store
-      leaf \x, * (cos $u[x]) (d (\x', $u[x']) x) {$u<-s1[0]}
-    *: closed? s0 within []
+  lambda: store
+    closed? s0 within []
       yes: leaf \x, 0
-      no: fail""",
+      no: switch
+        */2: store
+          store 2
+            leaf \x, + (* (d (\x', $u[x']) x) $v[x]) (* $u[x] (d (\x', $v[x']) x)) {$u<-s1[0], $v<-s2[0]}
+        +/2: store
+          store 2
+            leaf \x, + (d (\x', $u[x']) x) (d (\x', $v[x']) x) {$u<-s1[0], $v<-s2[0]}
+        cos/1: store
+          leaf \x, * (neg (sin $u[x])) (d (\x', $u[x']) x) {$u<-s1[0]}
+        sin/1: store
+          leaf \x, * (cos $u[x]) (d (\x', $u[x']) x) {$u<-s1[0]}""",
         r"""digraph dtree {
   node [shape=box, fontname=monospace];
   n0 [label="switch", shape=circle];
-  n1 [label="switch store", shape=circle];
-  n2 [label="store"];
-  n3 [label="store 2"];
-  n4 [label="leaf \\x, + (* (d (\\x', $u[x']) x) $v[x]) (* $u[x] (d (\\x', $v[x']) x)) {$u<-s1[0], $v<-s2[0]}", shape=ellipse];
-  n3 -> n4;
-  n2 -> n3;
-  n1 -> n2 [label="*/2"];
-  n5 [label="store"];
-  n6 [label="store 2"];
-  n7 [label="leaf \\x, + (d (\\x', $u[x']) x) (d (\\x', $v[x']) x) {$u<-s1[0], $v<-s2[0]}", shape=ellipse];
-  n6 -> n7;
-  n5 -> n6;
-  n1 -> n5 [label="+/2"];
-  n8 [label="store"];
-  n9 [label="leaf \\x, * (neg (sin $u[x])) (d (\\x', $u[x']) x) {$u<-s1[0]}", shape=ellipse];
-  n8 -> n9;
-  n1 -> n8 [label="cos/1"];
-  n10 [label="store"];
-  n11 [label="leaf \\x, * (cos $u[x]) (d (\\x', $u[x']) x) {$u<-s1[0]}", shape=ellipse];
-  n10 -> n11;
-  n1 -> n10 [label="sin/1"];
-  n12 [label="closed? s0 within []"];
-  n13 [label="leaf \\x, 0", shape=ellipse];
-  n14 [label="fail", shape=ellipse];
-  n12 -> n13 [label="yes"];
-  n12 -> n14 [label="no"];
-  n1 -> n12 [label="*"];
+  n1 [label="store"];
   n0 -> n1 [label="lambda"];
+  n2 [label="closed? s0 within []"];
+  n1 -> n2;
+  n3 [label="leaf \\x, 0", shape=ellipse];
+  n2 -> n3 [label="yes"];
+  n4 [label="switch", shape=circle];
+  n2 -> n4 [label="no"];
+  n5 [label="store"];
+  n4 -> n5 [label="*/2"];
+  n6 [label="store 2"];
+  n5 -> n6;
+  n7 [label="leaf \\x, + (* (d (\\x', $u[x']) x) $v[x]) (* $u[x] (d (\\x', $v[x']) x)) {$u<-s1[0], $v<-s2[0]}", shape=ellipse];
+  n6 -> n7;
+  n8 [label="store"];
+  n4 -> n8 [label="+/2"];
+  n9 [label="store 2"];
+  n8 -> n9;
+  n10 [label="leaf \\x, + (d (\\x', $u[x']) x) (d (\\x', $v[x']) x) {$u<-s1[0], $v<-s2[0]}", shape=ellipse];
+  n9 -> n10;
+  n11 [label="store"];
+  n4 -> n11 [label="cos/1"];
+  n12 [label="leaf \\x, * (neg (sin $u[x])) (d (\\x', $u[x']) x) {$u<-s1[0]}", shape=ellipse];
+  n11 -> n12;
+  n13 [label="store"];
+  n4 -> n13 [label="sin/1"];
+  n14 [label="leaf \\x, * (cos $u[x]) (d (\\x', $u[x']) x) {$u<-s1[0]}", shape=ellipse];
+  n13 -> n14;
 }""",
     ),
     ("hol", "sub", 2): (

@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwtree.dtree import Fail, Leaf, Store, Switch, iter_tree, trees_of_ruleset
 from rwtree.engine import (
@@ -10,6 +13,7 @@ from rwtree.engine import (
     convertible,
     eval_tree,
     instantiate,
+    normalise,
     rewrite_head,
     snf,
     whnf,
@@ -575,7 +579,9 @@ def oracle_candidates(ctx_naive, rules, head, args, steps):
             list(args[: rule.arity]),
             whnf=lambda u: whnf(ctx_naive, u, steps),
             equal=lambda a, b: convertible(ctx_naive, a, b, steps),
-            fv_normalize=lambda u: snf(ctx_naive, u, steps),
+            fv_normalize=lambda u, shut: (
+                None if free_vars(nf := snf(ctx_naive, u, steps)) & shut else nf
+            ),
         )
         if sub is not None:
             rhs = apply_subst(sub, rule)
@@ -1149,8 +1155,10 @@ def test_naive_builder_is_compiled_once_per_rule_and_never_in_set_up(monkeypatch
 
 def test_every_rule_of_d_sees_one_body():
     # each rule of d opens the same abstraction; with the body shared, the
-    # naive engine's whnf memo and the record of failed matches reduce + x 0
-    # once, not once per rule (11 steps when each rule matched its own copy)
+    # record that the failed closedness check of d (\x, $c) writes and the
+    # naive engine's whnf memo reduce + x 0 once, not once per rule (11
+    # steps when each rule matched its own copy, 6 for naive when a failed
+    # check recorded nothing)
     rules = _hol_rules()
     t = term(r"d (\x, * 1 (sin (+ x 0)))", rules)
     used, printed = {}, set()
@@ -1159,8 +1167,93 @@ def test_every_rule_of_d_sees_one_body():
         printed.add(print_term(snf(ctx_for(rules, engine=engine), t, steps)))
         used[engine] = steps.used
     assert printed == {r"\x, * (cos x) (d (\x', x') x)"}
-    assert used == {"tree": 3, "naive": 6}
+    assert used == {"tree": 3, "naive": 3}
     assert used["naive"] < 11
+
+
+def test_the_tree_takes_no_more_steps_than_naive_on_any_hol_op():
+    # the north star's step claim, per op: when the tree skipped the first
+    # rule of d, it fired the sin, cos, + or * rule on closed bodies, and
+    # 117, 104 and 112 ops took more tree steps than naive steps at seeds
+    # 1-3
+    hol_workload = _bench_workloads()["hol_workload"]
+    worse = []
+    for seed in (1, 2, 3):
+        sf = parse_file(hol_workload(seed).source)
+        ctxs = [EvalContext.from_rules(sf.rules, engine=e) for e in ("tree", "naive")]
+        ops = [item.term for item in sf.items if isinstance(item, Compute)]
+        assert len(ops) == 360
+        for i, t in enumerate(ops):
+            used = []
+            for ctx in ctxs:
+                steps = Steps(10**6)
+                snf(ctx, t, steps)
+                used.append(steps.used)
+            if used[0] > used[1]:
+                worse.append((seed, i, *used))
+    assert worse == []
+
+
+@st.composite
+def checks(draw):
+    """A genlib rule set, a subject over three free variables, in which an
+    abstraction may rebind one of them, and a nonempty set of them whose
+    identities the check restricts."""
+    sampler = RuleSampler(random.Random(draw(st.integers(0, 2**32 - 1))))
+    rules = sampler.ruleset()
+    free = tuple(fresh_var(n) for n in ("p", "q", "r"))
+    t = sampler.subject_term(3, free)
+    for v in draw(st.lists(st.sampled_from(free), max_size=2)):
+        inner = lam(v, sampler.subject_term(2, free))
+        # a sibling that binds v, or a beta redex that binds it
+        t = build_app(symb("k2"), [t, inner]) if draw(st.booleans()) else App(inner, t)
+    shut = {v.vid for v in draw(st.sets(st.sampled_from(free), min_size=1))}
+    return rules, t, shut
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+@given(checks())
+@settings(max_examples=150, deadline=None)
+def test_the_closedness_check_is_snf_then_free_vars(engine, check):
+    rules, t, shut = check
+    ctx = EvalContext.from_rules(rules, engine=engine, max_steps=10**6)
+    full_steps, check_steps = Steps(10**6), Steps(10**6)
+    full = snf(ctx, t, full_steps)
+    nf = normalise(ctx, t, check_steps, shut)
+    if free_vars(full) & shut:
+        assert nf is None
+        assert check_steps.used <= full_steps.used
+    else:
+        assert nf is not None and alpha_eq(nf, full)
+        assert check_steps.used == full_steps.used
+
+
+def test_a_failed_closedness_check_stops_and_records_what_it_reduced():
+    # the check stops at the x that id x reduces to, before id a, and
+    # records id x, so the match that goes on does not reduce it again
+    ids = "symbol id; symbol c; symbol a;\nrule id $p --> $p;\n"
+    ctx = ctx_for(ids, engine="tree")
+    x = fresh_var("x")
+    id_x = App(symb("id"), x)
+    body = build_app(symb("c"), [id_x, App(symb("id"), symb("a"))])
+    full = Steps(10)
+    assert print_term(snf(ctx, body, full)) == "c x a" and full.used == 2
+    steps = Steps(10)
+    assert normalise(ctx, body, steps, {x.vid}) is None
+    assert steps.used == 1
+    assert list(steps.hnf.values()) == [(id_x, x)]
+
+
+def test_an_inner_binder_of_the_same_identity_hides_a_restricted_variable():
+    x = fresh_var("x")
+    ctx = ctx_for(FIB_RULES, engine="tree")
+    shut = {x.vid}
+    inner = lam(x, App(symb("s"), x))
+    assert alpha_eq(normalise(ctx, inner, Steps(10), shut), inner)
+    assert normalise(ctx, build_app(symb("+"), [inner, x]), Steps(10), shut) is None
+    # the beta redex binds x; its argument 0 replaces it
+    out = normalise(ctx, App(inner, symb("0")), Steps(10), shut)
+    assert print_term(out) == "s 0"
 
 
 STORE_RENAMES = r"""
