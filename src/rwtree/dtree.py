@@ -151,18 +151,6 @@ def _key_order(key: ConstraintKey) -> tuple:
     return (1, sorted(key)) if type(key) is frozenset else (0, key[0], sorted(key[1]))
 
 
-def _decided_key(m: ClauseMatrix, slot_of: dict) -> Optional[ConstraintKey]:
-    """The first constraint, in ``_key_order``, whose positions are all
-    stored; None if there is none."""
-    decided = {
-        key
-        for row in m.rows
-        for key in row.constraints
-        if all(pos in slot_of for pos in _key_positions(key))
-    }
-    return min(decided, key=_key_order, default=None)
-
-
 def _unstored_column(m: ClauseMatrix, slot_of: dict, wanted: set[Position]) -> int:
     """The leftmost column (1-based) whose position is wanted and not stored
     yet; 0 if there is none."""
@@ -174,13 +162,12 @@ def _unstored_column(m: ClauseMatrix, slot_of: dict, wanted: set[Position]) -> i
 
 def _structural_column(m: ClauseMatrix) -> int:
     """The column (1-based) with the most symbol or abstraction heads,
-    leftmost on ties; 0 when every column holds only variables."""
+    leftmost on ties."""
     heads = [
         sum(type(p) is not PatVar for p in column)
         for column in zip(*(row.patterns for row in m.rows))
     ]
-    most = max(heads, default=0)
-    return heads.index(most) + 1 if most else 0
+    return heads.index(max(heads)) + 1
 
 
 def _selector(occ: Occurrence, slot_of: dict, binder_of: dict) -> tuple:
@@ -205,10 +192,10 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
        the leftmost right-hand-side position not stored yet, or yields;
     2. otherwise switch on the column with the most symbol or abstraction
        heads (leftmost on ties), behind a Swap unless it is column 1, and
-       save it there if a constraint or right-hand side needs its position;
-    3. otherwise decide a constraint whose positions are all stored,
-       closedness first;
-    4. otherwise store, unevaluated, a column whose position is needed.
+       save it there if a constraint or right-hand side needs its position.
+
+    A nonempty matrix with no such column is all wildcards, so its first
+    row takes step 1.
     """
     top: dict = {}
     todo: list[tuple] = [(m, {}, {}, top, None)]
@@ -234,7 +221,8 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
             elif not store:
                 sel = {n: _selector(occ, slot_of, binder_of) for n, occ in env.items()}
                 node = Leaf(row.rule, sel)
-        elif col := _structural_column(m):
+        else:
+            col = _structural_column(m)
             if col > 1:
                 m = swap_columns(m, col)
             pos = m.positions[0]
@@ -255,10 +243,6 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
                 below.append(
                     (default, slot_of, binder_of, switch, "default_case")
                 )
-        elif (key := _decided_key(m, slot_of)) is None and not (
-            store := _unstored_column(m, slot_of, _pending_positions(m))
-        ):
-            raise AssertionError("no step applies to a nonempty matrix")
         if key is not None:
             if type(key) is frozenset:
                 sels = sorted(_selector(occ, slot_of, binder_of) for occ in key)

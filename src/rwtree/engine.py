@@ -82,7 +82,9 @@ class Steps:
     It also carries the evaluation's record of head normal forms: ``hnf``
     maps ``id(t)`` to ``(t, head normal form of t)`` for every term that a
     failed rewrite attempt found stuck (it maps to itself) or forced
-    (normalised while a match was tried).  ``whnf_stk`` reads it before it
+    (normalised while a match was tried), and for every term that a failed
+    closedness check head-normalised, even when the rewrite attempt around
+    that check succeeds.  ``whnf_stk`` reads it before it
     reduces a term, so no such term is normalised twice.  The value keeps
     the term alive, so an id is never reused while the record exists.  The
     record lasts as long as this object: one ``whnf``/``snf``/``convertible``
