@@ -105,7 +105,7 @@ def cmd_check(path: str) -> int:
         counts = " ".join(f"{k}={v}" for k, v in sorted(stats["counts"].items()))
         print(
             f"  {head}/{arity}: depth={stats['depth']} "
-            f"store={stats['store_size']} {counts}"
+            f"slots={stats['store_size']} {counts}"
         )
     return OK
 

@@ -419,31 +419,42 @@ def match_patterns(
     The walk is one loop over a work list, in preorder from the left, so the
     hooks see the same terms in the same order as a recursive walk would, and
     none is called after the first failed test.  Pattern depth costs no
-    Python stack.
+    Python stack.  An argument is read only when the walk reaches it, and
+    no substitution is made before the first named variable binds.
 
     Returns the substitution mapping each named pattern variable to a
     closure over its bound-variable arguments, or None on failure.
     """
-    if len(pats) != len(terms):
+    n = len(pats)
+    if n != len(terms):
         return None
     if equal is None:
         equal = alpha_eq
-    sub: Substitution = {}
+    sub: Optional[Substitution] = None
     # (pattern, subject, vids of the binders opened above it, pattern binder
     # vid -> subject binder), the next item last
-    todo = [(p, t, _NO_BINDERS, _NO_BINDER_MAP) for p, t in zip(pats, terms)]
-    todo.reverse()
-    while todo:
-        p, t, vset, bmap = todo.pop()
+    todo: list[tuple[Pattern, Term, frozenset[int], dict[int, Var]]] = []
+    i = 0
+    while True:
+        if todo:
+            p, t, vset, bmap = todo.pop()
+        elif i < n:
+            p, t, vset, bmap = pats[i], terms[i], _NO_BINDERS, _NO_BINDER_MAP
+            i += 1
+        else:
+            return {} if sub is None else sub
         tp = type(p)
         if tp is PatVar:
             if p.name is None:
                 continue
-            imgs = tuple(bmap[a.vid] for a in p.args)
-            # the occurrence condition can only fail when some traversed
-            # binder is outside the allowed arguments; do not normalize
-            # otherwise
-            restricted = vset - {v.vid for v in imgs}
+            if p.args:
+                imgs = tuple(bmap[a.vid] for a in p.args)
+                # the occurrence condition can only fail when some traversed
+                # binder is outside the allowed arguments; do not normalize
+                # otherwise
+                restricted = vset - {v.vid for v in imgs}
+            else:
+                imgs, restricted = (), vset
             if restricted:
                 # keep the normal form the check passed on: the raw term
                 # may mention a binder that only reduction drops
@@ -453,6 +464,8 @@ def match_patterns(
                         return None
                 elif free_vars(t) & restricted:
                     return None
+            if sub is None:
+                sub = {}
             prev = sub.get(p.name)
             if prev is None:
                 sub[p.name] = Closure(t, imgs)
@@ -484,7 +497,6 @@ def match_patterns(
             var = fresh_var(var.name)
             body = subst(body, {t.var.vid: var})
         todo.append((p.body, body, vset | {var.vid}, {**bmap, p.var.vid: var}))
-    return sub
 
 
 class SubstitutionError(Exception):
@@ -630,12 +642,14 @@ def naive_rewrite_head(
     """Try each rule in order against a prefix of the arguments.
 
     Each rule tried is one call of ``match_patterns``, on ``args`` itself
-    when the rule takes all of them.  Each rule walks its subjects again,
-    which is exactly the cost the compiled engine removes; the hooks are
-    passed to ``match_patterns`` unchanged, so a ``whnf`` hook that should
-    not normalise a subterm once per rule has to remember its results
-    itself.  Returns the first applicable rule together with its
-    instantiated right-hand side applied to the leftover arguments.
+    when the rule takes all of them.  A try reads an argument only when its
+    walk reaches it and makes no substitution before a variable binds, so
+    the cost left is that each rule walks again what earlier rules walked:
+    exactly the cost the compiled engine removes.  The hooks are passed to
+    ``match_patterns`` unchanged, so a ``whnf`` hook that should not
+    normalise a subterm once per rule has to remember its results itself.
+    Returns the first applicable rule together with its instantiated
+    right-hand side applied to the leftover arguments.
     """
     for rule in rules:
         n = len(rule.lhs_args)

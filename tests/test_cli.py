@@ -307,7 +307,7 @@ def test_a_rule_with_600_arguments_compiles(tmp_path, capsys):
         f"symbol f; symbol a; symbol b;\nrule f {args} --> b;\ncompute f {args};\n"
     )
     assert main(["check", str(src)]) == 0
-    assert "f/600: depth=601 store=0 leaf=1 switch=600" in capsys.readouterr().out
+    assert "f/600: depth=601 slots=0 leaf=1 switch=600" in capsys.readouterr().out
     assert main(["tree", str(src), "f"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "f/600:" and len(lines) == 602
@@ -315,3 +315,12 @@ def test_a_rule_with_600_arguments_compiles(tmp_path, capsys):
     for engine in ("tree", "naive"):
         assert main(["run", str(src), "--engine", engine]) == 0
         assert capsys.readouterr().out == "b\n"
+
+
+def test_check_names_each_field_once(tmp_path, capsys):
+    # the store size and the count of Store nodes are different fields
+    src = tmp_path / "store.rw"
+    src.write_text("symbol f; symbol a;\nrule f $x a --> $x;\n")
+    assert main(["check", str(src)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "  f/2: depth=4 slots=1 leaf=1 store=1 swap=1 switch=1"

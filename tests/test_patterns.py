@@ -1,5 +1,6 @@
 import random
 import sys
+from collections.abc import Sequence
 
 import pytest
 
@@ -275,6 +276,34 @@ def test_match_calls_its_hooks_in_preorder_and_none_after_a_failure():
         ("whnf", second),
         ("fv", kz, {z.vid}),
     ]
+
+
+class _OnlyFirstReadable(Sequence):
+    """Subjects of which only the first may be read."""
+
+    def __init__(self, first, n):
+        self.first, self.n = first, n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        if i != 0:
+            raise AssertionError(f"argument {i} was read")
+        return self.first
+
+
+def test_a_rule_try_reads_an_argument_only_when_it_reaches_it():
+    a, b = symb("a"), symb("b")
+    calls = []
+    subjects = _OnlyFirstReadable(b, 3)
+    pats = (PatSymb("a"), pvar("x"), PatSymb("c", (pvar("y"),)))
+    assert match_patterns(pats, subjects, **_recording_hooks(calls)) is None
+    assert calls == [("whnf", b)]
+    assert match_patterns(pats, subjects) is None
+    # a match that binds no named variable still gives a substitution
+    sub = match_patterns((PatSymb("a"), PatVar(None, ())), (a, b))
+    assert sub == {} and sub is not match_patterns((PatSymb("a"),), (a,))
 
 
 def test_match_does_not_recurse_on_pattern_depth():
