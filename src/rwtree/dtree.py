@@ -13,13 +13,16 @@ normalisation (its ``store`` flag), so right-hand sides are built from
 normalised subterms; otherwise a Store saves it unevaluated, and a column
 is never forced only to be stored.
 
-Compilation reduces a clause matrix step by step in one work-list loop
-(``compile_matrix``), which takes each step by one fixed rule and switches
-on the column with the most heads.  When several rules apply, the tree
-assumes confluence and may fire any of them, except that a first row of
-wildcards is decided before any other row fires.  A Switch takes all of its cases from
-one pass over the rows (``matrix.specialize``).  The compiler says where
-something is only by position: the matrix carries the position of each
+A head has one tree for each arity k of its rules, compiled from all of its
+rules of arity at most k in text order (``trees_of_ruleset``), and a leaf
+reattaches the arguments past its own rule's arity.  Compilation reduces a
+clause matrix step by step in one work-list loop (``compile_matrix``), which
+takes each step by one fixed rule and switches on the column with the most
+heads.  When several rules apply, the tree assumes confluence and may fire
+any of them, except that a first row of wildcards is decided before any
+other row fires, whatever their arities.  A Switch takes all of its cases
+from one pass over the rows (``matrix.specialize``).  The compiler says
+where something is only by position: the matrix carries the position of each
 column, and each work item maps each saved position to its store slot and
 each opened abstraction, named by its position, to its index in the binder
 snapshot.
@@ -68,9 +71,12 @@ class Leaf(DTree):
     # build(store) -> the instantiated rhs; compiled from the rule and env
     # when the leaf is made (``patterns.rhs_builder``)
     build: Builder = field(init=False, repr=False, compare=False)
+    # the rule's arity: the arguments past it are reattached to the rhs
+    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.build = rhs_builder(self.rule, self.env)
+        self.arity = self.rule.arity
 
 
 @dataclass(slots=True)
@@ -272,14 +278,15 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
 
 def trees_of_ruleset(rules: Sequence[Rule]) -> dict[tuple[str, int], DTree]:
     """Validate the rules, raising RuleSetError, then compile one tree per
-    (head symbol, left-hand-side arity) group."""
+    head and arity k of its rules, from its rules of arity at most k."""
     validate_rules(rules)
-    groups: dict[tuple[str, int], list[Rule]] = {}
+    by_head: dict[str, list[Rule]] = {}
     for r in rules:
-        groups.setdefault((r.head, r.arity), []).append(r)
+        by_head.setdefault(r.head, []).append(r)
     return {
-        (head, arity): compile_matrix(from_rules(head, rs))
-        for (head, arity), rs in groups.items()
+        (head, k): compile_matrix(from_rules([r for r in rs if r.arity <= k]))
+        for head, rs in by_head.items()
+        for k in dict.fromkeys(r.arity for r in rs)
     }
 
 

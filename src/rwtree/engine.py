@@ -111,7 +111,8 @@ class EvalContext:
 
     trees: dict[tuple[str, int], DTree]
     rules_by_head: dict[str, list[Rule]]
-    trees_by_head: dict[str, list[tuple[int, DTree]]]  # largest arity first
+    # [n]: the tree for n arguments, or None; the last for more arguments
+    trees_by_head: dict[str, list[Optional[DTree]]]
     defined: frozenset[str]  # heads of rules, the same for both engines
     max_steps: int = 10**8
     equality: str = CONVERTIBLE
@@ -131,14 +132,15 @@ class EvalContext:
         for r in rules:
             by_head.setdefault(r.head, []).append(r)
         trees = trees_of_ruleset(rules)
-        by_arity: dict[str, list[tuple[int, DTree]]] = {}
-        for (head, arity), tree in sorted(trees.items(), key=lambda kv: -kv[0][1]):
-            by_arity.setdefault(head, []).append((arity, tree))
+        by_count: dict[str, list[Optional[DTree]]] = {}
+        for (head, arity), tree in sorted(trees.items()):
+            row = by_count.setdefault(head, [])
+            row += [row[-1] if row else None] * (arity - len(row)) + [tree]
         return cls(
             trees=trees,
             rules_by_head=by_head,
             defined=frozenset(by_head),
-            trees_by_head=by_arity,
+            trees_by_head=by_count,
             max_steps=max_steps,
             equality=equality,
             engine=engine,
@@ -321,19 +323,19 @@ def eval_tree(
 ) -> Optional[Term]:
     """Run a decision tree on an argument vector.
 
-    Returns the instantiated right-hand side, or None when matching fails.
-    ``args`` is only read.  A Switch pops the stack top and weak-head
-    normalizes it on the stack itself, which leaves the head's arguments
-    there for a symbol case; if its store flag is set it saves that normal
-    form before dispatching on the head.  Store saves a stack entry without
-    popping or normalising it, as its recorded head normal form when
-    ``steps.hnf`` has one.  A lambda case opens the abstraction in place: it
-    pushes the body itself and records the abstraction's own binder, renamed
-    to a fresh variable only when a binder opened on this path already has
-    its identity.  Every saved term comes
-    with the binders opened so far.  When matching fails, every column a
-    Switch normalised is recorded in ``steps.hnf`` with its normal form, so
-    no later attempt in the evaluation reduces it again.
+    Returns the instantiated right-hand side, applied to the arguments past
+    its rule's arity, or None when matching fails.  ``args`` is only read.
+    A Switch pops the stack top and weak-head normalizes it on the stack
+    itself, which leaves the head's arguments there for a symbol case; if
+    its store flag is set it saves that normal form before dispatching on
+    the head.  Store saves a stack entry without popping or normalising it,
+    as its recorded head normal form when ``steps.hnf`` has one.  A lambda
+    case opens the abstraction in place: it pushes the body itself and
+    records the abstraction's own binder, renamed to a fresh variable only
+    when a binder opened on this path already has its identity.  Every saved
+    term comes with the binders opened so far.  When matching fails, every
+    column a Switch normalised is recorded in ``steps.hnf`` with its normal
+    form, so no later attempt in the evaluation reduces it again.
     """
     stack: list[Term] = args[::-1]  # stack[-1] is the first column
     store: list[tuple[Term, tuple[Var, ...]]] = []
@@ -402,7 +404,9 @@ def eval_tree(
         if tn is dt.Leaf:
             if trace is not None:
                 trace.append(("leaf", len(store)))
-            return instantiate(node, store)
+            rhs = instantiate(node, store)
+            k = node.arity
+            return rhs if k == len(args) else build_app(rhs, args[k:])
         if tn is dt.BinNl:
             i, j = node.slots
             (a, snap_a), (b, snap_b) = store[i], store[j]
@@ -446,29 +450,22 @@ def eval_tree(
 def rewrite_head(
     ctx: EvalContext, head: str, args: list[Term], steps: Steps
 ) -> Optional[Term]:
-    """One rewrite attempt at a symbol head: largest consumable arity first,
-    leftover arguments reattached to the instantiated right-hand side.
-    ``args`` is only read.
+    """One rewrite attempt at a symbol head: the first rule in text order
+    that applies to a prefix of ``args`` fires, under the tree engine by
+    one run of the tree of the largest arity at most ``len(args)``, and the
+    arguments past its arity are reattached.  ``args`` is only read.
 
     A failed attempt records in ``steps.hnf`` every term its matches
-    head-normalised, so the next smaller arity and the rest of the
-    evaluation start from those normal forms.  The naive matcher's ``whnf``
-    hook keeps them in a memo for the attempt, so rules tried after the
-    first do not reduce a subterm again; its reduced entries join the record
-    only when no rule applies.  A failed closedness check records its own."""
+    head-normalised, so the rest of the evaluation starts from those normal
+    forms.  The naive matcher's ``whnf`` hook keeps them in a memo for the
+    attempt, so rules tried after the first do not reduce a subterm again;
+    its reduced entries join the record only when no rule applies.  A
+    failed closedness check records its own."""
     if ctx.engine == TREE:
-        cases = ctx.trees_by_head.get(head)
-        if cases is None:
-            return None
+        trees = ctx.trees_by_head.get(head, (None,))
         n = len(args)
-        for arity, tree in cases:
-            if arity > n:
-                continue
-            consumed = args if arity == n else args[:arity]
-            result = eval_tree(ctx, tree, consumed, steps)
-            if result is not None:
-                return result if arity == n else build_app(result, args[arity:])
-        return None
+        tree = trees[n] if n < len(trees) else trees[-1]
+        return None if tree is None else eval_tree(ctx, tree, args, steps)
     rules = ctx.rules_by_head.get(head)
     if not rules:
         return None

@@ -42,16 +42,10 @@ class ClauseMatrix:
     positions: tuple[Position, ...]  # one per column
 
 
-def from_rules(head: str, rules: Sequence[Rule]) -> ClauseMatrix:
-    """Encode rules with one head symbol and equal arity as a matrix."""
-    if not rules:
-        return ClauseMatrix((), ())
-    width = rules[0].arity
-    for r in rules:
-        if r.arity != width:
-            raise ValueError(
-                f"arity mismatch for {head}: {r.arity} vs {width} ({r.label})"
-            )
+def from_rules(rules: Sequence[Rule]) -> ClauseMatrix:
+    """Encode the rules of one head as a matrix, in their order, as wide as
+    the widest rule; a shorter rule's row ends in wildcards."""
+    width = max((r.arity for r in rules), default=0)
     rows = []
     for r in rules:
         constraints = {
@@ -60,7 +54,8 @@ def from_rules(head: str, rules: Sequence[Rule]) -> ClauseMatrix:
             for occ in occs[1:]
         }
         constraints.update((pos, frozenset(formals)) for pos, formals in r.restricted)
-        rows.append(ClauseRow(r.lhs_args, frozenset(constraints), r))
+        pad = (WILDCARD,) * (width - r.arity)
+        rows.append(ClauseRow(r.lhs_args + pad, frozenset(constraints), r))
     return ClauseMatrix(tuple(rows), tuple((i,) for i in range(1, width + 1)))
 
 

@@ -248,16 +248,3 @@ def loop_rule() -> Rule:
     """``loop --> loop``: a symbol whose head normalisation never ends."""
     return Rule("loop", (), symb("loop"), "loop")
 
-
-def linear_wildcard_arities(rules: list[Rule], head: str) -> set[int]:
-    """Arities of the rules for ``head`` whose arguments are distinct
-    pattern variables: such a rule applies without inspecting anything."""
-    out = set()
-    for r in rules:
-        if r.head != head or any(type(p) is not PatVar for p in r.lhs_args):
-            continue
-        names = [p.name for p in r.lhs_args if p.name is not None]
-        if len(names) == len(set(names)):
-            out.add(r.arity)
-    return out
-

@@ -260,6 +260,15 @@ FIRST_ROW = {
         "compute f a loop;\n",
         ["r1"],
     ),
+    # rules of every arity are tried in text order: the arity-1 rule comes
+    # first, so the arity-2 rule never forces loop
+    "shorter rule first": (
+        "symbol loop; symbol f; symbol k; symbol a; symbol b; symbol c;\n"
+        "symbol d;\nrule loop --> loop;\nrule k $y --> d;\n"
+        "rule f $x --> k with f $x b --> c;\n"
+        "compute f a loop;\n",
+        ["d"],
+    ),
 }
 
 
@@ -271,6 +280,21 @@ def test_a_first_row_of_wildcards_is_decided_first(engine, case, tmp_path, capsy
     src.write_text(source)
     assert main(["run", str(src), "--engine", engine, "--max-steps", "10000"]) == 0
     assert capsys.readouterr().out.splitlines() == printed
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_shorter_rule_first_in_text_leaves_later_arguments_alone(
+    engine, tmp_path, capsys
+):
+    src = tmp_path / "lazy.rw"
+    src.write_text(
+        "symbol loop; symbol f; symbol a; symbol b; symbol c;\n"
+        "rule loop --> loop;\nrule f $x --> a with f $x b --> c;\n"
+        "compute f a loop;\n"
+    )
+    argv = ["run", str(src), "--engine", engine, "--strategy", "whnf"]
+    assert main([*argv, "--max-steps", "10000"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["a loop"]
 
 
 @pytest.mark.parametrize(

@@ -53,13 +53,13 @@ def test_compile_empty_matrix_fails():
 def test_compile_example1_shape():
     # column two first; each right-hand side's $x is stored just before its
     # leaf (the golden text below, compiled here from hand-built rules)
-    tree = compile_matrix(from_rules("f", example1_rules()))
+    tree = compile_matrix(from_rules(example1_rules()))
     text, _dot = GOLDEN[("example1", "f", 2)]
     assert tree_text(tree, print_rhs=print_term) == text
 
 
 def test_compile_example1_stores_for_rhs():
-    tree = compile_matrix(from_rules("f", example1_rules()))
+    tree = compile_matrix(from_rules(example1_rules()))
     kinds = [type(n).__name__ for _, _, n in iter_tree(tree)]
     assert kinds.count("Store") == 2
     for _, _, node in iter_tree(tree):
@@ -68,7 +68,7 @@ def test_compile_example1_stores_for_rhs():
 
 
 def test_compile_nonlinear_rule():
-    tree = compile_matrix(from_rules("eq", [nonlinear_rule()]))
+    tree = compile_matrix(from_rules([nonlinear_rule()]))
     nodes = [n for _, _, n in iter_tree(tree)]
     stores = [n for n in nodes if type(n) is Store]
     nls = [n for n in nodes if type(n) is BinNl]
@@ -86,7 +86,7 @@ def test_compile_closedness_rule():
     from rwtree.terms import Abst
 
     rule = Rule("diff", (PatAbst(x, pvar("v")),), Abst(rx, None, symb("0")), "dconst")
-    tree = compile_matrix(from_rules("diff", [rule]))
+    tree = compile_matrix(from_rules([rule]))
     nodes = [n for _, _, n in iter_tree(tree)]
     cls = [n for n in nodes if type(n) is BinCl]
     assert len(cls) == 1
@@ -98,8 +98,8 @@ def test_compile_closedness_rule():
 
 def test_compile_determinism():
     rules = example1_rules()
-    t1 = compile_matrix(from_rules("f", rules))
-    t2 = compile_matrix(from_rules("f", rules))
+    t1 = compile_matrix(from_rules(rules))
+    t2 = compile_matrix(from_rules(rules))
     assert tree_text(t1) == tree_text(t2)
 
 
@@ -110,7 +110,7 @@ def test_compile_determinism():
 def test_compile_switches_on_the_column_with_most_heads_first():
     # column 2 holds two heads and column 1 one, so the root moves column 2
     # to the front and switches on it
-    m = from_rules("f", example1_rules())
+    m = from_rules(example1_rules())
     assert m.positions == ((1,), (2,))
     tree = compile_matrix(m)
     assert type(tree) is Swap and tree.index == 2
@@ -122,12 +122,12 @@ def test_compile_yields_the_first_unconstrained_wildcard_row():
     # a later row with heads does not make the tree inspect any column
     first = Rule("k", (pvar(None), pvar(None)), symb("0"), "k")
     later = Rule("k", (psym("a"), psym("b")), symb("1"), "kab")
-    tree = compile_matrix(from_rules("k", [first, later]))
+    tree = compile_matrix(from_rules([first, later]))
     assert type(tree) is Leaf and tree.rule is first and tree.env == {}
 
 
 def test_compile_stores_both_sides_before_the_nl_check():
-    tree = compile_matrix(from_rules("eq", [nonlinear_rule()]))
+    tree = compile_matrix(from_rules([nonlinear_rule()]))
     nodes = [n for _, _, n in iter_tree(tree)]
     assert [type(n) for n in nodes] == [Store, Store, BinNl, Leaf, Fail]
     assert [n.index for n in nodes[:2]] == [1, 2]
@@ -136,7 +136,7 @@ def test_compile_stores_both_sides_before_the_nl_check():
 
 def test_compile_stores_a_rhs_variable_before_its_leaf():
     rule = Rule("id", (pvar("x"),), MetaApp("x", ()), "id")
-    tree = compile_matrix(from_rules("id", [rule]))
+    tree = compile_matrix(from_rules([rule]))
     assert type(tree) is Store and tree.index == 1
     assert type(tree.child) is Leaf and tree.child.env == {"x": (0, ())}
 
@@ -247,26 +247,26 @@ def test_dot_fail_node():
 
 
 def test_dot_example1_edges():
-    tree = compile_matrix(from_rules("f", example1_rules()))
+    tree = compile_matrix(from_rules(example1_rules()))
     dot = to_dot(tree)
     assert dot.count('label="c/1"') == 2
     assert 'label="a/0"' in dot and 'label="b/0"' in dot
 
 
 def test_dot_deterministic():
-    tree = compile_matrix(from_rules("f", example1_rules()))
+    tree = compile_matrix(from_rules(example1_rules()))
     assert to_dot(tree) == to_dot(tree)
 
 
 def test_tree_text_mentions_swap_and_cases():
-    tree = compile_matrix(from_rules("f", example1_rules()))
+    tree = compile_matrix(from_rules(example1_rules()))
     text = tree_text(tree)
     assert text.splitlines()[0] == "swap 2"
     assert "a/0: " in text and "b/0: " in text
 
 
 def test_tree_stats():
-    tree = compile_matrix(from_rules("f", example1_rules()))
+    tree = compile_matrix(from_rules(example1_rules()))
     stats = tree_stats(tree)
     assert stats["counts"]["leaf"] == 2
     assert stats["counts"]["store"] == 2

@@ -46,7 +46,6 @@ from genlib import (
     FIB_RULES,
     REVNAT_RULES,
     RuleSampler,
-    linear_wildcard_arities,
     loop_rule,
     nat_list,
     numeral,
@@ -216,17 +215,20 @@ def test_rewrite_head_example1():
     assert alpha_eq(out, ce)
 
 
-def test_rewrite_head_largest_arity_first():
+def test_rewrite_head_takes_rules_in_text_order_across_arities():
+    # the first rule that fits fires, whatever its arity, and the arguments
+    # past its arity are reattached
     src = """
     symbol g; symbol a; symbol one; symbol two;
     rule g $x --> one;
     rule g $x $y --> two;
     """
-    ctx = ctx_for(src)
-    out = rewrite_head(ctx, "g", [symb("a"), symb("a")], Steps(10))
-    assert out is symb("two")
-    out = rewrite_head(ctx, "g", [symb("a")], Steps(10))
-    assert out is symb("one")
+    for engine in ("tree", "naive"):
+        ctx = ctx_for(src, engine=engine)
+        out = rewrite_head(ctx, "g", [symb("a"), symb("a")], Steps(10))
+        assert print_term(out) == "one a"
+        out = rewrite_head(ctx, "g", [symb("a")], Steps(10))
+        assert out is symb("one")
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +639,6 @@ def test_a_switch_binds_the_head_normal_form_of_its_column():
     src = """
     symbol f; symbol g; symbol a; symbol b; symbol k0; symbol k1; symbol k2;
     rule f b $y (k1 b) --> $y;
-    rule f $y _ --> b;
     rule f $x $y $y --> $x;
     rule g _ $z --> $z;
     """
@@ -647,10 +648,10 @@ def test_a_switch_binds_the_head_normal_form_of_its_column():
     ctx_n = ctx_for(src, engine="naive")
     res = rewrite_head(ctx_t, "f", args, Steps(100))
     assert print_term(res) == "k1 a (k2 a b)"
-    cands = [c for _, c in oracle_candidates(ctx_n, rules, "f", args, Steps(100))]
-    assert [print_term(c) for c in cands] == ["b f", "g (k1 k0) (k1 a) (k2 a b)"]
-    assert not any(alpha_eq(res, c) for c in cands)
-    assert convertible(ctx_n, res, cands[1], Steps(100))
+    ((_, cand),) = oracle_candidates(ctx_n, rules, "f", args, Steps(100))
+    assert print_term(cand) == "g (k1 k0) (k1 a) (k2 a b)"
+    assert not alpha_eq(res, cand)
+    assert convertible(ctx_n, res, cand, Steps(100))
 
 
 @pytest.mark.parametrize("engine", ["tree", "naive"])
@@ -695,16 +696,28 @@ def test_wildcard_row_does_not_force_other_column():
 
 
 def test_linear_wildcard_rule_never_forces_arguments(rng):
+    # rules are tried in text order across arities: when the first rule
+    # that n arguments fit has distinct pattern variables as its arguments,
+    # it fires without inspecting any of them
     sampler = RuleSampler(rng)
     loop = symb("loop")
     checked = 0
     for _ in range(300):
         rules = sampler.ruleset()
-        for arity in linear_wildcard_arities(rules, "f"):
-            ctx = EvalContext.from_rules(rules + [loop_rule()], max_steps=1000)
-            steps = Steps(1000)
-            assert rewrite_head(ctx, "f", [loop] * arity, steps) is not None
-            assert steps.used == 0
+        for n in range(4):
+            first = next((r for r in rules if r.head == "f" and r.arity <= n), None)
+            if first is None or any(type(p) is not PatVar for p in first.lhs_args):
+                continue
+            names = [p.name for p in first.lhs_args if p.name is not None]
+            if len(names) != len(set(names)):
+                continue
+            for engine in ("tree", "naive"):
+                ctx = EvalContext.from_rules(
+                    rules + [loop_rule()], engine=engine, max_steps=1000
+                )
+                steps = Steps(1000)
+                assert rewrite_head(ctx, "f", [loop] * n, steps) is not None
+                assert steps.used == 0
             checked += 1
     assert checked > 20
 
@@ -871,6 +884,42 @@ def test_naive_engine_tries_the_rules_one_by_one(monkeypatch):
         del calls[:]
         out = snf(ctx, term(text, DISPATCH), Steps(100))
         assert (print_term(out), len(calls)) == (expected, tried)
+
+
+def test_one_tree_per_rewrite_attempt(rng, monkeypatch):
+    # a head with rules of several arities still has one tree for each
+    # argument count, so an attempt runs at most one tree, also when the
+    # subject has arguments for more than one of those arities
+    import rwtree.engine as eng
+
+    open_attempts = []  # eval_tree calls of each rewrite_head call running
+    most = []  # eval_tree calls of each finished attempt of several arities
+    rewrite_head_, eval_tree_ = eng.rewrite_head, eng.eval_tree
+
+    def rewrite_head(ctx, head, args, steps):
+        open_attempts.append(0)
+        out = rewrite_head_(ctx, head, args, steps)
+        calls = open_attempts.pop()
+        fits = {r.arity for r in ctx.rules_by_head[head] if r.arity <= len(args)}
+        if len(fits) > 1:
+            most.append(calls)
+        return out
+
+    def eval_tree(ctx, tree, args, steps):
+        open_attempts[-1] += 1
+        return eval_tree_(ctx, tree, args, steps)
+
+    monkeypatch.setattr(eng, "rewrite_head", rewrite_head)
+    monkeypatch.setattr(eng, "eval_tree", eval_tree)
+    sampler = RuleSampler(rng)
+    for _ in range(300):
+        rules = sampler.ruleset()
+        if len({(r.head, r.arity) for r in rules}) == len({r.head for r in rules}):
+            continue  # no head has rules of two arities
+        ctx = EvalContext.from_rules(rules, max_steps=10**6)
+        head, args = sampler.subject_args(rules)
+        snf(ctx, build_app(symb(head), args), Steps(10**6))
+    assert len(most) > 20 and set(most) == {1}
 
 
 @pytest.mark.parametrize("depth", [4, 8, 12, 24])

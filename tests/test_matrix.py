@@ -1,5 +1,3 @@
-import pytest
-
 from rwtree.matrix import (
     ClauseMatrix,
     ClauseRow,
@@ -40,7 +38,7 @@ NL_12 = frozenset({((1,), ()), ((2,), ())})
 
 def test_from_rules_constraint_encoding():
     rules, x = constraint_example_rules()
-    m = from_rules("f", rules)
+    m = from_rules(rules)
     row1, row2, row3 = m.rows
     # $g[x] at 2.1.1 may use only the binder of the abstraction at 2
     assert row1.constraints == frozenset({((2, 1, 1), frozenset({(2,)}))})
@@ -55,7 +53,7 @@ def test_from_rules_pairs_each_later_occurrence_with_the_first():
     # f $x $x $x $x --> ok: three constraints, as the naive matcher compares
     # each later occurrence with the first binding, not six
     rule = Rule("f", (pvar("x"),) * 4, symb("ok"), "r")
-    (row,) = from_rules("f", [rule]).rows
+    (row,) = from_rules([rule]).rows
     first = ((1,), ())
     assert row.constraints == {frozenset({first, ((i,), ())}) for i in (2, 3, 4)}
 
@@ -66,7 +64,7 @@ def test_from_rules_names_formals_by_abstraction_position():
     x, y = fresh_var("x"), fresh_var("y")
     lhs = (PatAbst(x, PatAbst(y, pvar("v", y, x))), pvar("w"))
     rule = Rule("f", lhs, MetaApp("v", (symb("a"), symb("b"))), "r")
-    (row,) = from_rules("f", [rule]).rows
+    (row,) = from_rules([rule]).rows
     assert row.rule.env == {"v": ((1, 1, 1), ((1, 1), (1,)))}
     assert row.constraints == frozenset()
 
@@ -75,7 +73,7 @@ def test_from_rules_example1_env():
     c = lambda p: psym("c", p)
     r1 = Rule("f", (c(c(pvar("x"))), psym("a")), MetaApp("x", ()), "r1")
     r2 = Rule("f", (pvar("x"), psym("b")), MetaApp("x", ()), "r2")
-    m = from_rules("f", [r1, r2])
+    m = from_rules([r1, r2])
     row1, row2 = m.rows
     assert row1.constraints == row2.constraints == frozenset()
     assert row1.rule.env == {"x": ((1, 1, 1), ())}
@@ -84,32 +82,40 @@ def test_from_rules_example1_env():
 
 def test_from_rules_single_addition_rule():
     rule = Rule("+", (psym("0"), pvar("m")), MetaApp("m", ()), "add0")
-    m = from_rules("+", [rule])
+    m = from_rules([rule])
     (row,) = m.rows
     assert row.patterns == (psym("0"), pvar("m"))
     assert row.constraints == frozenset()
     assert row.rule.env == {"m": ((2,), ())}
 
 
-def test_from_rules_arity_mismatch():
-    r1 = Rule("f", (pvar("x"),), symb("0"))
-    r2 = Rule("f", (pvar("x"), pvar("y")), symb("0"))
-    with pytest.raises(ValueError):
-        from_rules("f", [r1, r2])
+def test_from_rules_pads_shorter_rows_with_wildcards():
+    r1 = Rule("f", (psym("a"),), symb("0"))
+    r2 = Rule("f", (pvar("x"), psym("b"), pvar("y")), symb("0"))
+    r3 = Rule("f", (pvar("x"), pvar("x")), symb("0"))
+    m = from_rules([r1, r2, r3])
+    assert m.positions == ((1,), (2,), (3,))
+    assert [row.patterns for row in m.rows] == [
+        (psym("a"), WILDCARD, WILDCARD),
+        r2.lhs_args,
+        (pvar("x"), pvar("x"), WILDCARD),
+    ]
+    assert [row.rule for row in m.rows] == [r1, r2, r3]
+    assert m.rows[2].constraints == frozenset({NL_12})
 
 
 def test_from_rules_nonrestrictive_occurrence_has_no_constraint():
     # $v applied to every binder in scope imposes nothing
     x = fresh_var("x")
     rule = Rule("f", (PatAbst(x, pvar("v", x)),), symb("0"))
-    m = from_rules("f", [rule])
+    m = from_rules([rule])
     assert m.rows[0].constraints == frozenset()
 
 
 def test_from_rules_wildcard_under_binder_unconstrained():
     x = fresh_var("x")
     rule = Rule("f", (PatAbst(x, PatVar(None, ())),), symb("0"))
-    m = from_rules("f", [rule])
+    m = from_rules([rule])
     assert m.rows[0].constraints == frozenset()
 
 
@@ -196,7 +202,7 @@ def test_specialise_unrolls_nested_application():
 
 def test_cond_succ_removes_pair():
     rules, _ = constraint_example_rules()
-    m = from_rules("f", rules)
+    m = from_rules(rules)
     out = cond_succ(NL_12, m)
     assert out.rows[1].constraints == frozenset()
     assert [row.rule.label for row in out.rows] == ["r1", "r2", "r3"]
@@ -204,14 +210,14 @@ def test_cond_succ_removes_pair():
 
 def test_cond_fail_drops_constrained_row():
     rules, _ = constraint_example_rules()
-    m = from_rules("f", rules)
+    m = from_rules(rules)
     out = cond_fail(NL_12, m)
     assert [row.rule.label for row in out.rows] == ["r1", "r3"]
 
 
 def test_cond_succ_and_fail_take_a_cl_key_the_same_way():
     rules, _ = constraint_example_rules()
-    m = from_rules("f", rules)
+    m = from_rules(rules)
     key = ((2, 1, 1), frozenset({(2,)}))
     assert [row.constraints for row in cond_succ(key, m).rows] == [
         frozenset(),
@@ -223,7 +229,7 @@ def test_cond_succ_and_fail_take_a_cl_key_the_same_way():
 
 def test_cond_succ_no_constraints_is_identity():
     rule = Rule("+", (psym("0"), pvar("m")), MetaApp("m", ()), "add0")
-    m = from_rules("+", [rule])
+    m = from_rules([rule])
     out = cond_succ(NL_12, m)
     assert [r.patterns for r in out.rows] == [r.patterns for r in m.rows]
     assert [r.constraints for r in out.rows] == [r.constraints for r in m.rows]
@@ -231,7 +237,7 @@ def test_cond_succ_no_constraints_is_identity():
 
 def test_cond_succ_idempotent():
     rules, _ = constraint_example_rules()
-    m = from_rules("f", rules)
+    m = from_rules(rules)
     once = cond_succ(NL_12, m)
     assert once.rows[1].constraints == frozenset()
     twice = cond_succ(NL_12, once)
