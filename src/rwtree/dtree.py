@@ -18,14 +18,14 @@ rules of arity at most k in text order (``trees_of_ruleset``), and a leaf
 reattaches the arguments past its own rule's arity.  Compilation reduces a
 clause matrix step by step in one work-list loop (``compile_matrix``), which
 takes each step by one fixed rule and switches on the column with the most
-heads.  When several rules apply, the tree assumes confluence and may fire
-any of them, except that a first row of wildcards is decided before any
-other row fires, whatever their arities.  A Switch takes all of its cases
-from one pass over the rows (``matrix.specialize``).  The compiler says
-where something is only by position: the matrix carries the position of each
-column, and each work item maps each saved position to its store slot and
-each opened abstraction, named by its position, to its index in the binder
-snapshot.
+heads among the rows of the first row's arity.  When several rules apply,
+the tree assumes confluence and may fire any of them, but a first row of
+wildcards is decided first, and no rule fires past a wider rule above it.
+A Switch takes all of its cases from one pass over the rows
+(``matrix.specialize``).  The compiler says where something is only by
+position: the matrix carries the position of each column, and each work
+item maps each saved position to its store slot and each opened
+abstraction, named by its position, to its index in the binder snapshot.
 
 A tree is walked in one place: ``iter_tree`` yields every node in preorder
 with its depth and edge label, taking a node's children from ``_edges``.
@@ -167,11 +167,12 @@ def _unstored_column(m: ClauseMatrix, slot_of: dict, wanted: set[Position]) -> i
 
 
 def _structural_column(m: ClauseMatrix) -> int:
-    """The column (1-based) with the most symbol or abstraction heads,
-    leftmost on ties."""
+    """The column (1-based) with the most symbol or abstraction heads among
+    the rows of the first row's arity (which has one), leftmost on ties."""
+    arity = m.rows[0].rule.arity
     heads = [
         sum(type(p) is not PatVar for p in column)
-        for column in zip(*(row.patterns for row in m.rows))
+        for column in zip(*(r.patterns for r in m.rows if r.rule.arity == arity))
     ]
     return heads.index(max(heads)) + 1
 
@@ -194,14 +195,13 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
 
     1. a first row of wildcards is decided before any other row fires: it
        stores what its constraints read and decides them, closedness first;
-       then it, or else the first all-wildcard unconstrained row, stores
-       the leftmost right-hand-side position not stored yet, or yields;
+       then it, or else the first all-wildcard unconstrained row with no
+       wider row above it, stores the leftmost right-hand-side position not
+       stored yet, or yields;
     2. otherwise switch on the column with the most symbol or abstraction
-       heads (leftmost on ties), behind a Swap unless it is column 1, and
-       save it there if a constraint or right-hand side needs its position.
-
-    A nonempty matrix with no such column is all wildcards, so its first
-    row takes step 1.
+       heads in the rows of the first row's arity (leftmost on ties),
+       behind a Swap unless it is column 1, and save it there if a
+       constraint or right-hand side needs its position.
     """
     top: dict = {}
     todo: list[tuple] = [(m, {}, {}, top, None)]
@@ -210,11 +210,16 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
         below: list[tuple] = []  # the children's work items, in print order
         store = 0  # the column that this node saves unevaluated, if a Store
         key = None  # the constraint that this node decides, if a check
-        # a later row's checks might force what the rows above never inspect
-        wild = (r for i, r in enumerate(m.rows) if not (i and r.constraints))
-        row = next(
-            (r for r in wild if all(type(p) is PatVar for p in r.patterns)), None
-        )
+        # a later row's checks might force what the rows above never inspect,
+        # and it fires first only past rows of no greater arity
+        row, wide = None, 0
+        for i, r in enumerate(m.rows):
+            if (not i or not r.constraints and r.rule.arity >= wide) and all(
+                type(p) is PatVar for p in r.patterns
+            ):
+                row = r
+                break
+            wide = max(wide, r.rule.arity)
         if not m.rows:
             node = FAIL
         elif row is not None:

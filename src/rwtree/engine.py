@@ -450,10 +450,10 @@ def eval_tree(
 def rewrite_head(
     ctx: EvalContext, head: str, args: list[Term], steps: Steps
 ) -> Optional[Term]:
-    """One rewrite attempt at a symbol head: the first rule in text order
-    that applies to a prefix of ``args`` fires, under the tree engine by
-    one run of the tree of the largest arity at most ``len(args)``, and the
-    arguments past its arity are reattached.  ``args`` is only read.
+    """One rewrite attempt at a symbol head: one run of the tree of the
+    largest arity at most ``len(args)``, or under naive the first rule in
+    text order that applies; the arguments past the rule's arity are
+    reattached to its right-hand side.  ``args`` is only read.
 
     A failed attempt records in ``steps.hnf`` every term its matches
     head-normalised, so the rest of the evaluation starts from those normal

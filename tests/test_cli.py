@@ -297,6 +297,35 @@ def test_a_shorter_rule_first_in_text_leaves_later_arguments_alone(
     assert capsys.readouterr().out.splitlines() == ["a loop"]
 
 
+ACROSS_ARITIES = {
+    # the arity-1 rule's head must not make the tree switch on loop first
+    "column": (
+        "symbol loop; symbol f; symbol a; symbol b; symbol c; symbol k0;\n"
+        "rule loop --> loop;\nrule f $x k0 --> b;\nrule f a --> c;\n"
+        "compute f loop k0;\n",
+        ["b"],
+    ),
+    # a later row of wildcards may not fire before a wider rule above it
+    "order": (
+        "symbol f; symbol a; symbol b; symbol x; symbol y;\n"
+        "rule f a b --> x;\nrule f $y --> y;\ncompute f a b;\n",
+        ["x"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ACROSS_ARITIES)
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_shorter_rule_after_a_wider_one_changes_no_choice(
+    engine, case, tmp_path, capsys
+):
+    source, printed = ACROSS_ARITIES[case]
+    src = tmp_path / "wider.rw"
+    src.write_text(source)
+    assert main(["run", str(src), "--engine", engine, "--max-steps", "10000"]) == 0
+    assert capsys.readouterr().out.splitlines() == printed
+
+
 @pytest.mark.parametrize(
     "source, extra, code, prefix",
     [
