@@ -17,8 +17,9 @@ A head has one tree for each arity k of its rules, compiled from all of its
 rules of arity at most k in text order (``trees_of_ruleset``), and a leaf
 reattaches the arguments past its own rule's arity.  Compilation reduces a
 clause matrix step by step in one work-list loop (``compile_matrix``), which
-takes each step by one fixed rule and switches on the column with the most
-heads among the rows of the first row's arity.  When several rules apply,
+takes each step by one fixed rule and switches, among the columns that the
+first row inspects, on the one with the most heads among the rows of the
+first row's arity.  When several rules apply,
 the tree assumes confluence and may fire any of them, but a first row of
 wildcards is decided first, and no rule fires past a wider rule above it.
 A Switch takes all of its cases from one pass over the rows
@@ -167,11 +168,14 @@ def _unstored_column(m: ClauseMatrix, slot_of: dict, wanted: set[Position]) -> i
 
 
 def _structural_column(m: ClauseMatrix) -> int:
-    """The column (1-based) with the most symbol or abstraction heads among
-    the rows of the first row's arity (which has one), leftmost on ties."""
+    """Among the columns (1-based) where the first row has a symbol or
+    abstraction head (it has one), the one with the most such heads among
+    the rows of the first row's arity, leftmost on ties.  So the tree
+    forces only a column that the first row inspects, as naive does when
+    it tries that row."""
     arity = m.rows[0].rule.arity
     heads = [
-        sum(type(p) is not PatVar for p in column)
+        type(column[0]) is not PatVar and sum(type(p) is not PatVar for p in column)
         for column in zip(*(r.patterns for r in m.rows if r.rule.arity == arity))
     ]
     return heads.index(max(heads)) + 1
@@ -198,10 +202,11 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
        then it, or else the first all-wildcard unconstrained row with no
        wider row above it, stores the leftmost right-hand-side position not
        stored yet, or yields;
-    2. otherwise switch on the column with the most symbol or abstraction
-       heads in the rows of the first row's arity (leftmost on ties),
-       behind a Swap unless it is column 1, and save it there if a
-       constraint or right-hand side needs its position.
+    2. otherwise switch, among the columns where the first row has a
+       symbol or abstraction head, on the one with the most such heads in
+       the rows of the first row's arity (leftmost on ties), behind a Swap
+       unless it is column 1, and save it there if a constraint or
+       right-hand side needs its position.
     """
     top: dict = {}
     todo: list[tuple] = [(m, {}, {}, top, None)]

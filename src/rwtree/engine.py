@@ -7,10 +7,13 @@ arguments onto its caller's stack, so a Switch and ``snf`` read them off
 their own stacks instead of unwinding the term again, and a symbol that
 heads no rule is never offered to a matcher.  A Switch head-normalizes the
 stack top before it inspects it, and stores that normal form when the tree
-asks for it.  In convertibility mode the constraint checks compare or
-inspect fully normalized terms; a closedness check (``normalise``) stops at
-the first variable it rejects, and a right-hand side is built from the
-normal form a passed check made.
+asks for it.  In convertibility mode a non-linearity check
+(``convertible``) compares before it reduces: it skips a pair of subterms
+that are equal as they are, head-normalises the others and stops at the
+first pair of heads that differ, so neither side is normalised further than
+the comparison needs.  A closedness check (``normalise``) stops at the
+first variable it rejects, and a right-hand side is built from the normal
+form a passed check made.
 
 Both engines build a right-hand side with the rule's builder
 (``patterns.rhs_builder``): a Leaf runs the one compiled with the tree, on
@@ -45,6 +48,7 @@ returns a head-normal term as it is under either engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 from . import dtree as dt
@@ -53,13 +57,16 @@ from .patterns import Rule, StoreEntries, naive_rewrite_head, shared_formals
 from .terms import (
     Abst,
     App,
+    Env,
     MetaApp,
     Prod,
+    Sort,
     Symb,
     Term,
     TermError,
     Var,
     alpha_eq,
+    alpha_walk,
     build_app,
     free_vars,
     fresh_var,
@@ -284,13 +291,82 @@ def normalise(
     return out[0]
 
 
+# the node pairs that each pair a conversion check decomposes adds to what
+# its syntactic pre-checks may visit
+PRECHECK_NODES = 32
+
+
 def convertible(
     ctx: EvalContext, t: Term, u: Term, steps: Optional[Steps] = None
 ) -> bool:
-    """Equality modulo beta and the rule set: compare strong normal forms."""
+    """Equality modulo beta and the rule set, decided lazily as Dedukti
+    does, in one loop over pairs of terms with their binder environments.
+
+    A pair whose left head is a defined symbol or a beta redex is first
+    compared as it is (``alpha_walk``), and is done if that passes.  Any
+    other pair is weak-head normalised, both sides onto one stack; its heads
+    and argument counts are compared as ``alpha_eq`` compares those of two
+    strong normal forms, and its arguments, bodies and domains become pairs,
+    the first argument next.  The first difference answers False.  As
+    ``normalise`` never retries a rule at a head it found stuck, the answer
+    is ``alpha_eq(snf(t), snf(u))`` whenever that finishes; but a subterm
+    that diverges may go unreduced.
+
+    A failed pre-check pays the node pairs it visited out of an allowance
+    that starts at ``PRECHECK_NODES`` and grows by as much per decomposed
+    pair; a passed one is free, as nothing it covered is visited again.  So
+    the pre-checks visit at most a constant per decomposed pair, plus the
+    pairs they pass.
+    """
     if steps is None:
         steps = Steps(ctx.max_steps)
-    return alpha_eq(snf(ctx, t, steps), snf(ctx, u, steps))
+    defined = ctx.defined
+    work: list[tuple[Term, Term, Env, Env]] = [(t, u, {}, {})]
+    stk: list[Term] = []  # both sides' arguments: the left's, then the right's
+    allowance = PRECHECK_NODES
+    while work:
+        a, b, envl, envr = work.pop()
+        h = a
+        while type(h) is App:
+            h = h.fn
+        # only reducing a defined head or a beta redex costs what a passed
+        # pre-check would save
+        if type(h) is Symb and h.name in defined or type(h) is Abst and h is not a:
+            spent = alpha_walk(a, b, envl, envr, allowance)
+            if spent is None:
+                continue
+            allowance -= spent
+        allowance += PRECHECK_NODES
+        ha, n, _ = whnf_stk(ctx, a, steps, stk)
+        hb, m, _ = whnf_stk(ctx, b, steps, stk)
+        th = type(ha)
+        if th is not type(hb) or n != m:
+            return False
+        if th is Var:
+            dl = envl.get(ha.vid)
+            dr = envr.get(hb.vid)
+            if dl is not dr or dl is None and ha.vid != hb.vid:
+                return False
+        elif th is Symb:
+            if ha.name != hb.name:
+                return False
+        elif th is Abst or th is Prod:
+            if (ha.domain is None) != (hb.domain is None):
+                return False
+            if ha.domain is not None:
+                work.append((ha.domain, hb.domain, envl, envr))
+            k = object()
+            bodies = (ha.body, hb.body) if th is Abst else (ha.codomain, hb.codomain)
+            work.append((*bodies, {**envl, ha.var.vid: k}, {**envr, hb.var.vid: k}))
+        elif th is Sort:
+            if ha.kind != hb.kind:
+                return False
+        else:
+            raise TermError("rhs-only construct reached the evaluator")
+        if n:
+            work += zip(stk[:n], stk[n:], repeat(envl, n), repeat(envr, n))
+            stk.clear()
+    return True
 
 
 def equal_terms(ctx: EvalContext, t: Term, u: Term, steps: Steps) -> bool:

@@ -246,50 +246,69 @@ def alpha_eq(t: Term, u: Term) -> bool:
     alpha-equivalent arguments.  Abstraction domains compare when both are
     present; a term with a domain never equals one without.
     """
-    todo: list[tuple[Term, Term, dict[int, int], dict[int, int]]] = [
-        (t, u, {}, {})
-    ]
+    return alpha_walk(t, u, {}, {}, None) is None
+
+
+# the binder environments of a comparison: each variable bound so far, by
+# identity, mapped to the level of the binder pair that bound it
+Env = dict[int, object]
+
+
+def alpha_walk(
+    t: Term, u: Term, envl: Env, envr: Env, limit: Optional[int]
+) -> Optional[int]:
+    """``alpha_eq`` of ``t`` and ``u`` under binder environments, which
+    stops after ``limit`` node pairs (None: no limit).
+
+    Returns None when the terms are equal, and otherwise the number of node
+    pairs it visited before it met a difference or its limit.  A variable
+    bound in one environment equals only the variable bound at the same
+    level in the other; two unbound ones compare by identity.  Each binder
+    pair gets a level object of its own, so a binder that shadows one of
+    the same identity never shares a level with another.
+    """
+    todo: list[tuple[Term, Term, Env, Env]] = [(t, u, envl, envr)]
+    n = 0
     while todo:
         a, b, envl, envr = todo.pop()
-        ta = type(a)
-        if ta is not type(b):
-            return False
-        if ta is Var:
-            dl = envl.get(a.vid)
-            dr = envr.get(b.vid)
-            if dl is None and dr is None:
-                if a.vid != b.vid:
-                    return False
-            elif dl != dr:
-                return False
-        elif ta is App:
-            todo.append((a.fn, b.fn, envl, envr))
-            todo.append((a.arg, b.arg, envl, envr))
-        elif ta is Symb:
-            if a.name != b.name:
-                return False
-        elif ta is Sort:
-            if a.kind != b.kind:
-                return False
-        elif ta is Abst or ta is Prod:
-            if (a.domain is None) != (b.domain is None):
-                return False
-            if a.domain is not None:
-                todo.append((a.domain, b.domain, envl, envr))
-            k = len(envl)
-            el = dict(envl)
-            el[a.var.vid] = k
-            er = dict(envr)
-            er[b.var.vid] = k
-            if ta is Abst:
-                todo.append((a.body, b.body, el, er))
+        while True:  # go on with an application's function and a binder's body
+            if n == limit:
+                return n
+            n += 1
+            ta = type(a)
+            if ta is not type(b):
+                return n
+            if ta is App:
+                todo.append((a.arg, b.arg, envl, envr))
+                a, b = a.fn, b.fn
+                continue
+            if ta is Symb:
+                if a.name != b.name:
+                    return n
+            elif ta is Var:
+                dl = envl.get(a.vid)
+                dr = envr.get(b.vid)
+                if dl is not dr or dl is None and a.vid != b.vid:
+                    return n
+            elif ta is Abst or ta is Prod:
+                if (a.domain is None) != (b.domain is None):
+                    return n
+                if a.domain is not None:
+                    todo.append((a.domain, b.domain, envl, envr))
+                k = object()
+                envl = {**envl, a.var.vid: k}
+                envr = {**envr, b.var.vid: k}
+                a, b = (a.body, b.body) if ta is Abst else (a.codomain, b.codomain)
+                continue
+            elif ta is Sort:
+                if a.kind != b.kind:
+                    return n
+            elif ta is MetaApp:
+                if a.name != b.name or len(a.args) != len(b.args):
+                    return n
+                for x, y in zip(a.args, b.args):
+                    todo.append((x, y, envl, envr))
             else:
-                todo.append((a.codomain, b.codomain, el, er))
-        elif ta is MetaApp:
-            if a.name != b.name or len(a.args) != len(b.args):
-                return False
-            for x, y in zip(a.args, b.args):
-                todo.append((x, y, envl, envr))
-        else:
-            raise TermError(f"unknown term node {ta!r}")
-    return True
+                raise TermError(f"unknown term node {ta!r}")
+            break
+    return None

@@ -8,6 +8,7 @@ import pytest
 from rwtree.cli import (
     ASSERTION,
     DIVERGENCE,
+    OK,
     PARSE,
     TOO_DEEP,
     USAGE,
@@ -350,6 +351,30 @@ def test_each_failure_exits_with_its_documented_code(
     assert main(["run", str(src), *extra]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and "Traceback" not in err
+
+
+# conversion compares before it reduces, so neither assert reduces loop
+LAZY_ASSERTS = {
+    # the two copies of loop are equal as they are
+    "equal": ("assert c loop == c loop;\n", OK, ""),
+    # the heads differ, so the arguments are never compared
+    "unequal": (
+        "assert c loop == d loop;\n",
+        ASSERTION,
+        "assertion failed at line 3: c loop != d loop\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LAZY_ASSERTS)
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_an_assert_compares_before_it_reduces(engine, case, tmp_path, capsys):
+    directive, code, err = LAZY_ASSERTS[case]
+    src = tmp_path / "lazy_assert.rw"
+    src.write_text("symbol loop; symbol c; symbol d;\nrule loop --> loop;\n" + directive)
+    argv = ["run", str(src), "--engine", engine, "--max-steps", "1000"]
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
 
 
 def test_a_rule_with_600_arguments_compiles(tmp_path, capsys):

@@ -35,6 +35,7 @@ from rwtree.terms import (
     MetaApp,
     Var,
     alpha_eq,
+    alpha_walk,
     build_app,
     free_vars,
     fresh_var,
@@ -346,6 +347,170 @@ def test_convertible_examples():
     x, y = fresh_var("x"), fresh_var("y")
     assert convertible(ctx, lam(x, x), lam(y, y), Steps(100))
     assert not convertible(ctx, numeral(1), symb("0"), Steps(100))
+
+
+def test_conversion_reduces_no_argument_both_sides_share():
+    # each id pair is equal as it is, so it is never reduced; comparing
+    # strong normal forms took 4 steps
+    ctx = ctx_for("symbol id; symbol k; symbol a; symbol b;\nrule id $x --> $x;")
+    left, right = (
+        build_app(symb("k"), [App(symb("id"), symb("a")), App(symb("id"), symb("b"))])
+        for _ in range(2)
+    )
+    steps = Steps(100)
+    assert convertible(ctx, left, right, steps)
+    assert steps.used == 0
+
+
+def _converts_as_strong_normal_forms(ctx, pairs, budget=10**4):
+    """Check ``convertible`` against comparing strong normal forms on each
+    pair whose normal forms are computed within ``budget``; return how many
+    of those pairs were unequal and how many equal."""
+    counts = [0, 0]
+    for t, u in pairs:
+        steps = Steps(budget)
+        try:
+            want = alpha_eq(snf(ctx, t, steps), snf(ctx, u, steps))
+        except DivergenceError:
+            continue
+        assert convertible(ctx, t, u, Steps(budget)) == want, (t, u)
+        counts[want] += 1
+    return counts
+
+
+def _genlib_pairs(seed):
+    """The same subject twice (with other binders), an unrelated subject,
+    and the subject with one argument replaced."""
+    sampler = RuleSampler(random.Random(seed))
+    rules = sampler.ruleset()
+    state = sampler.rng.getstate()
+    head, args = sampler.subject_args(rules)
+    sampler.rng.setstate(state)
+    _, same = sampler.subject_args(rules)
+    sampler.rng.setstate(state)
+    _, replaced = sampler.subject_args(rules)
+    other_head, other = sampler.subject_args(rules)
+    if replaced:
+        replaced[sampler.rng.randrange(len(replaced))] = sampler.subject_term(2)
+    t = build_app(symb(head), args)
+    return rules, [
+        (t, build_app(symb(head), same)),
+        (t, build_app(symb(other_head), other)),
+        (t, build_app(symb(head), replaced)),
+    ]
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_convertible_agrees_with_comparing_strong_normal_forms(engine):
+    equal = unequal = 0
+    for seed in range(1000):
+        rules, pairs = _genlib_pairs(seed)
+        ctx = EvalContext.from_rules(rules, engine=engine)
+        no, yes = _converts_as_strong_normal_forms(ctx, pairs)
+        equal += yes
+        unequal += no
+    assert equal >= 1000 and unequal >= 1000
+
+
+HOL = r"""symbol d; symbol sin; symbol cos; symbol +; symbol *; symbol neg;
+symbol 0; symbol 1; symbol a; symbol b;
+rule d (\x, $c) --> \x, 0
+with d (\x, sin $u[x]) --> \x, * (cos $u[x]) (d (\x, $u[x]) x)
+with d (\x, cos $u[x]) --> \x, * (neg (sin $u[x])) (d (\x, $u[x]) x)
+with d (\x, + $u[x] $v[x]) --> \x, + (d (\x, $u[x]) x) (d (\x, $v[x]) x)
+with d (\x, * $u[x] $v[x]) --> \x, + (* (d (\x, $u[x]) x) $v[x]) (* $u[x] (d (\x, $v[x]) x));
+rule * $p 0 --> 0 with * 0 $p --> 0 with * 1 $p --> $p with * $p 1 --> $p;
+rule + 0 $p --> $p with + $p 0 --> $p;
+rule neg 0 --> 0;
+"""
+
+
+def _hol_function(rng, depth):
+    """A random body over x, a and b with the operators of HOL."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return rng.choice(["x", "x", "a", "b"])
+    if roll < 0.5:
+        return (rng.choice(["sin", "cos"]), _hol_function(rng, depth - 1))
+    op = rng.choice(["*", "+"])
+    return (op, _hol_function(rng, depth - 1), _hol_function(rng, depth - 1))
+
+
+def _with_unit(rng, e):
+    """``e`` with one subterm u replaced by ``* 1 u`` or ``+ u 0``."""
+    if isinstance(e, str) or rng.random() < 0.3:
+        return ("*", "1", e) if rng.random() < 0.5 else ("+", e, "0")
+    i = rng.randrange(1, len(e))
+    return e[:i] + (_with_unit(rng, e[i]),) + e[i + 1 :]
+
+
+def _render(e):
+    return e if isinstance(e, str) else "(" + " ".join(map(_render, e)) + ")"
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_convertible_agrees_on_derivatives_with_inserted_units(engine):
+    # d (\x, f) against d (\x, f') where f' has one inserted * 1 u or + u 0,
+    # and against an unrelated function
+    rng = random.Random(23)
+    ctx = ctx_for(HOL, engine=engine)
+    units, unrelated = [], []
+    for _ in range(60):
+        f, g = _hol_function(rng, 3), _hol_function(rng, 3)
+        derivative = term(rf"d (\x, {_render(f)})", HOL)
+        for pairs, other in ((units, _with_unit(rng, f)), (unrelated, g)):
+            pairs.append((derivative, term(rf"d (\x, {_render(other)})", HOL)))
+    assert _converts_as_strong_normal_forms(ctx, units) == [0, 60]
+    assert _converts_as_strong_normal_forms(ctx, unrelated)[0] >= 40
+
+
+LINEAR = """symbol s; symbol a; symbol b; symbol f; symbol g; symbol c; symbol d;
+rule f $x --> $x;
+rule g c $x --> $x;
+"""
+
+
+def _chain(shape, depth, end):
+    """A pair side ``depth`` levels deep that ends in ``end``: rigid
+    ``s (s …)``, ``f (s (f (s …)))`` with a redex at every level, or the
+    stuck ``g d (g d …)``."""
+    t = symb(end)
+    for _ in range(depth):
+        if shape == "rigid":
+            t = App(symb("s"), t)
+        elif shape == "wrapped":
+            t = App(symb("f"), App(symb("s"), t))
+        else:
+            t = build_app(symb("g"), [symb("d"), t])
+    return t
+
+
+@pytest.mark.parametrize("shape", ["rigid", "wrapped", "stuck"])
+def test_the_precheck_visits_grow_linearly_with_depth(shape, monkeypatch):
+    # every level's pre-check fails, since the sides differ only at the
+    # bottom; an unbounded pre-check walks the rest of the spine each time
+    import rwtree.engine as eng
+
+    visits = [0]
+
+    def counted(a, b, envl, envr, limit):
+        spent = alpha_walk(a, b, envl, envr, limit)
+        visits[0] += len(preorder(a)) if spent is None else spent
+        return spent
+
+    monkeypatch.setattr(eng, "alpha_walk", counted)
+    ctx = ctx_for(LINEAR)
+    seen = {}
+    for depth in (1000, 4000):
+        visits[0] = 0
+        left, right = _chain(shape, depth, "a"), _chain(shape, depth, "b")
+        assert not convertible(ctx, left, right, Steps(10**5))
+        assert convertible(ctx, left, _chain(shape, depth, "a"), Steps(10**5))
+        seen[depth] = visits[0]
+    assert seen[4000] <= 4.5 * seen[1000]
+    # no pre-check on a rigid head; otherwise a bounded number per level
+    assert (seen[1000] == 0) == (shape == "rigid")
+    assert seen[4000] <= 4 * eng.PRECHECK_NODES * 4000
 
 
 def test_nonlinear_convertible_mode():
@@ -792,12 +957,9 @@ def test_rewrite_head_sees_only_defined_heads(engine, monkeypatch):
     assert hits[0] == steps.used
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the tree switches on the column with most heads, not on one the "
-    "first row needs, so it forces an argument naive never inspects",
-)
 def test_tree_does_not_force_column_first_row_ignores():
+    # the tree switches only on a column the first row inspects, so it never
+    # forces loop, which naive does not inspect either
     src = """
     symbol f; symbol a; symbol b; symbol c; symbol r1; symbol r2; symbol r3;
     symbol loop;

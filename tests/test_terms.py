@@ -11,6 +11,7 @@ from rwtree.terms import (
     Prod,
     RhsOnlyError,
     alpha_eq,
+    alpha_walk,
     build_app,
     free_vars,
     fresh_var,
@@ -157,6 +158,26 @@ def test_alpha_eq_products():
 
 def test_alpha_eq_symbols():
     assert not alpha_eq(App(symb("f"), symb("a")), App(symb("f"), symb("b")))
+
+
+def test_alpha_eq_tells_a_shadowed_binder_from_the_next_one():
+    # in \s, \s, \y, s y the inner s shadows the outer one: s is bound by
+    # the second binder and y by the third, while c c reads the third twice
+    s, y, a, c = (fresh_var(n) for n in "syac")
+    left = lam(s, lam(s, lam(y, App(s, y))))
+    assert not alpha_eq(left, lam(a, lam(a, lam(c, App(c, c)))))
+    assert alpha_eq(left, lam(c, lam(a, lam(y, App(a, y)))))
+
+
+def test_alpha_walk_stops_at_its_limit_and_reads_the_environments():
+    x, y = fresh_var("x"), fresh_var("y")
+    level = object()
+    t = App(App(symb("f"), x), symb("a"))
+    u = App(App(symb("f"), y), symb("a"))
+    assert alpha_walk(t, u, {}, {}, None) == 4  # x and y are not the same
+    assert alpha_walk(t, u, {x.vid: level}, {y.vid: level}, None) is None
+    assert alpha_walk(t, u, {x.vid: level}, {y.vid: level}, 3) == 3
+    assert alpha_walk(t, u, {x.vid: level}, {y.vid: object()}, None) == 4
 
 
 def test_alpha_eq_meta():
