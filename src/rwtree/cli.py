@@ -2,8 +2,11 @@
 
 Exit codes: 0 ok, 1 usage (bad arguments, or a missing or unreadable input
 file), 2 parse error, 3 validation or unknown symbol, 4 assertion failure,
-5 rewrite budget exhausted, 6 input too deep (nesting beyond the Python
-recursion limit).
+5 rewrite budget exhausted, 6 input too deep for the Python recursion limit.
+The parser reads any depth; what still reaches exit 6 is a rule right-hand
+side nested thousands deep, which the right-hand-side builders walk
+recursively, and evaluation that recurses once per level, such as
+normalising a long list.
 """
 from __future__ import annotations
 

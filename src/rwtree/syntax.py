@@ -25,6 +25,10 @@ are never names.
 The tokenizer keeps token texts only.  The parser records where each line's
 tokens start, so a token's line is one bisection; its column is found only
 when an error is raised, by scanning that one line again.
+
+The parser is one loop per term, with its own stack of open binders,
+product domains and parentheses, and one loop per rule's patterns; nothing
+in it recurses, so no nesting depth costs Python stack.
 """
 from __future__ import annotations
 
@@ -139,18 +143,20 @@ class SourceFile:
         return out
 
 
+# frames of the term loop (see ``_Parser.term``): a binder whose body is being
+# read, a product whose domain is being read, and an open parenthesis
+_BODY, _DOMAIN_OF, _PARENS = range(3)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.toks, self.line_starts = _scan(text)
         self.pos = 0
-        self.scope: dict[str, Term] = {}  # declared symbols by name
-
-    def peek(self) -> str:
-        return self.toks[self.pos]
-
-    def kind(self) -> str:
-        return _KIND.get(self.toks[self.pos], "word")
+        # the names in scope: the declared symbols, shadowed by the binders
+        # open in the term being read (each binder restores its name's entry
+        # when it closes)
+        self.names: dict[str, Term] = {}
 
     def line(self, i: int) -> int:
         """Line of token ``i``: the last line starting at or before it (a
@@ -165,182 +171,263 @@ class _Parser:
         cols = [m.start() + 1 for m in _TOKEN.finditer(code)] + [len(code) + 1]
         return line, cols[i - self.line_starts[line - 1]]
 
-    def expect(self, kind: str, what: str) -> None:
-        if self.kind() != kind:
-            self.fail(f"expected {what}, found {self.peek()!r}")
-        self.pos += 1
+    def expect(self, i: int, kind: str, what: str) -> int:
+        """The index after token ``i``, which must be of ``kind``."""
+        text = self.toks[i]
+        if _KIND.get(text, "word") != kind:
+            self.fail(f"expected {what}, found {text!r}", i)
+        return i + 1
 
-    def fail(self, msg: str, at: Optional[int] = None) -> NoReturn:
-        raise ParseError(*self.where(self.pos if at is None else at), msg)
+    def fail(self, msg: str, at: int) -> NoReturn:
+        raise ParseError(*self.where(at), msg)
+
+    def ident(self, i: int, what: str) -> str:
+        """The name that token ``i`` must be."""
+        text = self.toks[i]
+        if text in _KIND or text in _RESERVED:
+            self.fail(f"expected {what}", i)
+        return text
 
     # -- terms -------------------------------------------------------------
 
-    def term(self, binders: dict[str, Var], meta: bool) -> Term:
-        kind = self.kind()
-        if kind == "lam":
-            self.pos += 1
-            name = self.ident("binder name")
-            if self.kind() not in (",", "."):
-                self.fail("expected ',' or '.' after binder")
-            self.pos += 1
-            v = fresh_var(name)
-            body = self.term({**binders, name: v}, meta)
-            return Abst(v, None, body)
-        if kind == "pi":
-            self.pos += 1
-            name = self.ident("binder name")
-            self.expect(":", "':' after product binder")
-            domain = self.app({**binders}, meta)
-            self.expect(",", "',' after product domain")
-            v = fresh_var(name)
-            codomain = self.term({**binders, name: v}, meta)
-            return Prod(v, domain, codomain)
-        return self.app(binders, meta)
+    def term(self, meta: bool) -> Term:
+        """The term that starts at ``self.pos``, read by one loop.
 
-    def app(self, binders: dict[str, Var], meta: bool) -> Term:
-        t = self.atom(binders, meta)
-        if t is None:
-            self.fail("expected a term")
+        Nesting costs no Python stack: ``stack`` holds a frame for each open
+        binder, product domain and parenthesis, and ``t`` is the application
+        read so far inside the innermost one.  A frame closes when its
+        application ends, at the first token that cannot start an atom.
+        """
+        toks = self.toks
+        names = self.names
+        pos = self.pos
+        stack: list[tuple] = []
+        t: Optional[Term] = None  # None where a term starts at pos
+        opening = True  # binders, not only an application, may start at pos
         while True:
-            a = self.atom(binders, meta)
-            if a is None:
-                return t
-            t = App(t, a)
-
-    def atom(self, binders: dict[str, Var], meta: bool) -> Optional[Term]:
-        text = self.peek()
-        kind = _KIND.get(text, "word")
-        if kind == "word":
-            # reserved names are never bound or declared
-            found = binders.get(text)
-            if found is None:
-                found = self.scope.get(text)
-            if found is None:
-                if text in _KEYWORDS:
-                    return None
-                if text == "_":
-                    if not meta:
-                        self.fail("wildcard outside a rule")
-                    found = MetaApp(None, ())
-                elif text == TYPE or text == KIND:
-                    found = Sort(text)
+            while opening:
+                kind = _KIND.get(toks[pos])
+                if kind == "lam":
+                    name = self.ident(pos + 1, "binder name")
+                    if toks[pos + 2] not in (",", "."):
+                        self.fail("expected ',' or '.' after binder", pos + 2)
+                    pos += 3
+                    v = fresh_var(name)
+                    stack.append((_BODY, Abst, v, None, name, names.get(name)))
+                    names[name] = v
+                    continue
+                opening = False
+                if kind == "pi":
+                    name = self.ident(pos + 1, "binder name")
+                    pos = self.expect(pos + 2, ":", "':' after product binder")
+                    stack.append((_DOMAIN_OF, name))
+            # the atoms of an application, up to an open parenthesis or the
+            # first token that cannot start an atom
+            while True:
+                text = toks[pos]
+                a = names.get(text)
+                if a is None:
+                    kind = _KIND.get(text, "word")
+                    if kind == "word":
+                        # reserved names are never bound or declared
+                        if text == "_":
+                            if not meta:
+                                self.fail("wildcard outside a rule", pos)
+                            a = MetaApp(None, ())
+                        elif text == TYPE or text == KIND:
+                            a = Sort(text)
+                        elif text in _KEYWORDS:
+                            break
+                        else:
+                            raise ScopeError(*self.where(pos), text)
+                    elif kind == "$":
+                        if not meta:
+                            self.fail("pattern variables are only allowed in rules", pos)
+                        a, pos = self.pattern_var(pos + 1)
+                        t = a if t is None else App(t, a)
+                        continue
+                    else:
+                        # a binder starts a term, not an atom: as the whole
+                        # remaining argument chain it would be ambiguous
+                        break
+                pos += 1
+                t = a if t is None else App(t, a)
+            if text == "(":
+                stack.append((_PARENS, t))
+                t = None
+                opening = True
+                pos += 1
+                continue
+            # the application ends: close frames up to the next open one
+            if t is None:
+                self.fail("expected a term", pos)
+            while stack:
+                frame = stack.pop()
+                kind = frame[0]
+                if kind == _BODY:
+                    _, cls, v, domain, name, shadowed = frame
+                    t = cls(v, domain, t)
+                    if shadowed is None:
+                        del names[name]
+                    else:
+                        names[name] = shadowed
+                    continue
+                if kind == _PARENS:
+                    # text is still the token that ended the application;
+                    # checked in place, as parentheses close often
+                    if text != ")":
+                        self.fail(f"expected ')', found {text!r}", pos)
+                    pos += 1
+                    if frame[1] is not None:
+                        t = App(frame[1], t)
                 else:
-                    raise ScopeError(*self.where(self.pos), text)
-            self.pos += 1
-            return found
-        if kind == "(":
-            self.pos += 1
-            inner = self.term(binders, meta)
-            self.expect(")", "')'")
-            return inner
-        if kind == "$":
-            if not meta:
-                self.fail("pattern variables are only allowed in rules")
-            self.pos += 1
-            name = self.ident("pattern-variable name")
-            args: list[Term] = []
-            if self.kind() == "[":
-                self.pos += 1
-                args.append(self.bound_ref(binders))
-                while self.kind() == ",":
-                    self.pos += 1
-                    args.append(self.bound_ref(binders))
-                self.expect("]", "']'")
-            return MetaApp(name, tuple(args))
-        # a binder starts a term, not an atom: as the whole remaining
-        # argument chain it would be ambiguous
-        return None
+                    pos = self.expect(pos, ",", "',' after product domain")
+                    name = frame[1]
+                    v = fresh_var(name)
+                    stack.append((_BODY, Prod, v, t, name, names.get(name)))
+                    names[name] = v
+                    t = None
+                    opening = True
+                break
+            else:
+                self.pos = pos
+                return t
 
-    def bound_ref(self, binders: dict[str, Var]) -> Var:
-        name = self.ident("bound variable name")
-        v = binders.get(name)
-        if v is None:
-            raise ScopeError(*self.where(self.pos - 1), name)
+    def pattern_var(self, i: int) -> tuple[MetaApp, int]:
+        """The pattern-variable application whose name is token ``i``, and
+        the index of the token after it."""
+        toks = self.toks
+        name = self.ident(i, "pattern-variable name")
+        args: list[Var] = []
+        i += 1
+        if toks[i] == "[":
+            args.append(self.bound_ref(i + 1))
+            i += 2
+            while toks[i] == ",":
+                args.append(self.bound_ref(i + 1))
+                i += 2
+            i = self.expect(i, "]", "']'")
+        return MetaApp(name, tuple(args)), i
+
+    def bound_ref(self, i: int) -> Var:
+        name = self.ident(i, "bound variable name")
+        v = self.names.get(name)
+        if type(v) is not Var:
+            raise ScopeError(*self.where(i), name)
         return v
-
-    def ident(self, what: str) -> str:
-        text = self.peek()
-        if self.kind() != "word" or text in _RESERVED:
-            self.fail(f"expected {what}")
-        self.pos += 1
-        return text
 
     # -- items -------------------------------------------------------------
 
     def file(self) -> SourceFile:
+        toks = self.toks
         items: list[Item] = []
-        while self.kind() != "eof":
-            items.append(self.item())
-        return SourceFile(items)
+        while True:
+            text = toks[self.pos]
+            # the commonest item, read without the dispatch of ``item``
+            if text == "compute":
+                start = self.pos
+                self.pos += 1
+                term = self.term(False)
+                if toks[self.pos] != ";":
+                    self.fail(f"expected ';', found {toks[self.pos]!r}", self.pos)
+                self.pos += 1
+                items.append(Compute(term, self.line(start)))
+            elif text:
+                items.append(self.item())
+            else:
+                return SourceFile(items)
 
     def item(self) -> Item:
         start = self.pos
-        text = self.peek()
+        text = self.toks[start]
+        self.pos += 1
         if text == "symbol":
+            name = self.ident(self.pos, "symbol name")
             self.pos += 1
-            name = self.ident("symbol name")
-            if self.kind() == ":":
+            if self.toks[self.pos] == ":":
                 self.pos += 1
-                self.term({}, meta=False)
-            self.expect(";", "';'")
-            if name in self.scope:
+                self.term(False)
+            self.pos = self.expect(self.pos, ";", "';'")
+            if name in self.names:
                 self.fail(f"symbol {name!r} redeclared", start)
-            self.scope[name] = symb(name)
+            self.names[name] = symb(name)
             return Declaration(name)
         if text == "rule":
-            self.pos += 1
             rules = [self.rule()]
-            while self.peek() == "with":
+            while self.toks[self.pos] == "with":
                 self.pos += 1
                 rules.append(self.rule())
-            self.expect(";", "';'")
+            self.pos = self.expect(self.pos, ";", "';'")
             return RuleBlock(rules)
-        if text == "compute":
-            self.pos += 1
-            term = self.term({}, meta=False)
-            self.expect(";", "';'")
-            return Compute(term, self.line(start))
         if text == "assert":
-            self.pos += 1
-            lhs = self.term({}, meta=False)
-            self.expect("eqeq", "'=='")
-            rhs = self.term({}, meta=False)
-            self.expect(";", "';'")
+            lhs = self.term(False)
+            self.pos = self.expect(self.pos, "eqeq", "'=='")
+            rhs = self.term(False)
+            self.pos = self.expect(self.pos, ";", "';'")
             return Assert(lhs, rhs, self.line(start))
-        if self.kind() != "word":
-            self.fail("expected a declaration, rule or directive")
-        self.fail(f"unknown item {text!r}")
+        if text in _KIND:
+            self.fail("expected a declaration, rule or directive", start)
+        self.fail(f"unknown item {text!r}", start)
 
     def rule(self) -> Rule:
         start = self.pos
-        lhs = self.term({}, meta=True)
-        self.expect("arrow", "rule arrow")
-        rhs = self.term({}, meta=True)
+        lhs = self.term(True)
+        self.pos = self.expect(self.pos, "arrow", "rule arrow")
+        rhs = self.term(True)
         head, args = spine(lhs)
         if type(head) is not Symb:
             self.fail("rule left-hand side must apply a symbol", start)
-        pats = tuple(self.pattern(a, start) for a in args)
+        pats = self.patterns(args, start)
         return Rule(head.name, pats, rhs, label=f"{head.name}@{self.line(start)}")
 
-    def pattern(self, t: Term, start: int) -> Pattern:
-        """The pattern that the term ``t`` spells; errors point at ``start``,
-        the first token of its rule."""
-        tt = type(t)
-        if tt is MetaApp:
-            # bound_ref made every argument a binder's Var
-            return PatVar(t.name, t.args)
-        if tt is Abst:
-            return PatAbst(t.var, self.pattern(t.body, start))
-        if tt is Var:
-            self.fail(
-                f"bare bound variable {t.name!r} in a pattern; "
-                "apply a pattern variable to it instead",
-                start,
-            )
-        head, args = spine(t)
-        if type(head) is not Symb:
-            self.fail("unsupported pattern shape", start)
-        return PatSymb(head.name, tuple(self.pattern(a, start) for a in args))
+    def patterns(self, args: list[Term], start: int) -> tuple[Pattern, ...]:
+        """The patterns that the terms ``args`` spell; errors point at
+        ``start``, the first token of their rule.
+
+        One loop checks the subterms in preorder, so the error raised is the
+        leftmost; a second builds the patterns bottom-up from that order.
+        """
+        # per subterm in preorder: a leaf's pattern, an abstraction's binder,
+        # or an applied symbol's name and argument count
+        order: list = []
+        todo = args[::-1]
+        while todo:
+            x = todo.pop()
+            tx = type(x)
+            if tx is Symb:
+                order.append(PatSymb(x.name))
+            elif tx is MetaApp:
+                # bound_ref made every argument a binder's Var
+                order.append(PatVar(x.name, x.args))
+            elif tx is Abst:
+                order.append(x.var)
+                todo.append(x.body)
+            elif tx is Var:
+                self.fail(
+                    f"bare bound variable {x.name!r} in a pattern; "
+                    "apply a pattern variable to it instead",
+                    start,
+                )
+            else:
+                head, xargs = spine(x)
+                if type(head) is not Symb:
+                    self.fail("unsupported pattern shape", start)
+                order.append((head.name, len(xargs)))
+                todo.extend(reversed(xargs))
+        # the patterns built so far, the leftmost on top
+        built: list[Pattern] = []
+        for x in reversed(order):
+            tx = type(x)
+            if tx is tuple:
+                name, n = x
+                sub = tuple(built[: -n - 1 : -1])
+                del built[-n:]
+                built.append(PatSymb(name, sub))
+            elif tx is Var:
+                built.append(PatAbst(x, built.pop()))
+            else:
+                built.append(x)
+        return tuple(reversed(built))
 
 
 def parse_file(text: str) -> SourceFile:

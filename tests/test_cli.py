@@ -21,13 +21,89 @@ from test_dtree import GOLDEN
 
 
 def test_too_deep_input_exits_6_without_traceback(tmp_path, capsys):
+    # the parser reads any depth; the right-hand-side builder still recurses
     depth = 3000
     src = tmp_path / "deep.rw"
-    src.write_text("symbol a;\ncompute " + "(" * depth + "a" + ")" * depth + ";\n")
+    src.write_text(
+        "symbol s; symbol 0; symbol k;\n"
+        "rule k --> " + "(s " * depth + "0" + ")" * depth + ";\n"
+    )
     assert main(["run", str(src)]) == TOO_DEEP
     err = capsys.readouterr().err
     assert err.startswith("input too deep")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+DEPTH = 10_000
+BINDER_CHAIN = "".join(f"\\x{i}, " for i in range(DEPTH)) + "x0"
+NUMERAL = "s (" * (DEPTH - 1) + "s 0" + ")" * (DEPTH - 1)
+# the parser is one loop, so none of these costs Python stack
+DEEP_INPUTS = {
+    "parentheses": ("symbol a;\ncompute " + "(" * DEPTH + "a" + ")" * DEPTH + ";\n", "a"),
+    "beta-body": (
+        "symbol s; symbol 0;\ncompute (\\x, " + NUMERAL.replace("s 0", "s x") + ") 0;\n",
+        NUMERAL,
+    ),
+    "binder-chain": ("symbol a;\ncompute " + BINDER_CHAIN + ";\n", BINDER_CHAIN),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_INPUTS)
+def test_deep_input_runs_at_the_default_recursion_limit(case, tmp_path, capsys):
+    source, printed = DEEP_INPUTS[case]
+    src = tmp_path / "deep.rw"
+    src.write_text(source)
+    assert main(["run", str(src)]) == OK
+    assert capsys.readouterr().out == printed + "\n"
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_deep_pattern_matches(engine, tmp_path, capsys):
+    numeral = "(" + "s (" * 2999 + "s 0" + ")" * 2999 + ")"
+    src = tmp_path / "deep_pattern.rw"
+    src.write_text(
+        "symbol s; symbol 0; symbol f; symbol yes;\n"
+        f"rule f {numeral} --> yes;\ncompute f {numeral};\n"
+    )
+    assert main(["run", str(src), "--engine", engine]) == OK
+    assert capsys.readouterr().out == "yes\n"
+
+
+# the parser keeps one map of the names in scope, and a binder puts back the
+# entry it shadowed when it closes
+BINDER_SCOPES = {
+    "inner-binder-closes": ("compute (\\x, (\\x, x) b x) a;\n", OK, "b a\n", ""),
+    "closed-by-parenthesis": (
+        "compute (\\x, a) x;\n",
+        VALIDATION,
+        "",
+        "scope error: 2:17: undeclared identifier 'x'\n",
+    ),
+    "product-in-body": ("compute (\\y, Πx : y, x) T;\n", OK, "Πx : T, x\n", ""),
+    "shadowed-symbol-comes-back": ("symbol x;\ncompute (\\x, a) x;\n", OK, "a\n", ""),
+    "formal-out-of-scope": (
+        "rule f (\\x, a) $u[x] --> a;\n",
+        VALIDATION,
+        "",
+        "scope error: 2:19: undeclared identifier 'x'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BINDER_SCOPES)
+def test_a_binder_is_in_scope_only_in_its_body(case, tmp_path, capsys):
+    line, code, out, err = BINDER_SCOPES[case]
+    src = tmp_path / "scopes.rw"
+    src.write_text("symbol a; symbol b; symbol f; symbol T;\n" + line)
+    assert main(["run", str(src)]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_unbalanced_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    src = tmp_path / "unbalanced.rw"
+    src.write_text("symbol a;\ncompute " + "(" * 5000 + "a;\n")
+    assert main(["run", str(src)]) == PARSE
+    assert capsys.readouterr().err == "parse error: 2:5010: expected ')', found ';'\n"
 
 
 def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path):

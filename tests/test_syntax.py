@@ -1,9 +1,12 @@
+import ast
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwtree import syntax
 from rwtree.dtree import trees_of_ruleset
 from rwtree.patterns import PatAbst, PatSymb, PatVar, RuleSetError
 from rwtree.syntax import (
@@ -85,6 +88,42 @@ def test_parse_unicode_identifiers():
     assert isinstance(t, App)
 
 
+def _calls(path: Path) -> dict[str, set[str]]:
+    """For each function and method defined in the module at ``path``, the
+    names of the module's own functions and methods that it calls (by name,
+    so a method counts as called wherever an attribute of its name is)."""
+    defs = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name != "__init__"
+    ]
+    names = {d.name for d in defs}
+    calls: dict[str, set[str]] = {name: set() for name in names}
+    for d in defs:
+        for node in ast.walk(d):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if callee in names:
+                    calls[d.name].add(callee)
+    return calls
+
+
+def test_nothing_in_the_syntax_module_recurses():
+    # so no input depth reaches the Python recursion limit in the parser or
+    # the printer: no function is on a cycle of calls
+    calls = _calls(Path(syntax.__file__))
+    assert {"parse_file", "term", "patterns", "file", "print_term"} <= set(calls)
+    for start in calls:
+        seen, todo = set(), list(calls[start])
+        while todo:
+            name = todo.pop()
+            assert name != start, f"{start} can call itself"
+            if name not in seen:
+                seen.add(name)
+                todo.extend(calls[name])
+
+
 # ---------------------------------------------------------------------------
 # tokens and error positions
 
@@ -112,6 +151,7 @@ def test_tokenize_golden():
             ParseError,
             "2:13: expected ')', found ';'",
         ),
+        ("symbol a;\ncompute ((a;", ParseError, "2:12: expected ')', found ';'"),
         (
             "// header\nsymbol f;\ncompute f zz;",
             ScopeError,
@@ -148,6 +188,7 @@ def test_tokenize_golden():
     ],
     ids=[
         "missing-paren",
+        "missing-parens",
         "after-comment-line",
         "after-tabs",
         "after-crlf-and-nbsp",
