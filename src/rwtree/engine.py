@@ -51,8 +51,17 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence
 
-from . import dtree as dt
-from .dtree import DTree, trees_of_ruleset
+from .dtree import (
+    BinCl,
+    BinNl,
+    DTree,
+    Fail,
+    Leaf,
+    Store,
+    Swap,
+    Switch,
+    trees_of_ruleset,
+)
 from .patterns import Rule, StoreEntries, naive_rewrite_head, shared_formals
 from .terms import (
     Abst,
@@ -104,11 +113,6 @@ class Steps:
         self.budget = budget
         self.used = 0
         self.hnf: dict[int, tuple[Term, Term]] = {}
-
-    def tick(self):
-        self.used += 1
-        if self.used > self.budget:
-            raise DivergenceError(self.budget)
 
 
 @dataclass(slots=True)
@@ -192,21 +196,24 @@ def whnf_stk(
             del stk[base:]
             continue
         if tt is Abst:
-            steps.tick()
+            steps.used += 1
+            if steps.used > steps.budget:
+                raise DivergenceError(steps.budget)
             arg = stk.pop()
             # (\s, b) s is b: a result that reuses its subject's binder
             t = t.body if arg is t.var else subst(t.body, {t.var.vid: arg})
             whole = None if len(stk) > base else t
             continue
-        args = stk[base:]
-        args.reverse()
+        args = stk[: base - 1 : -1] if base else stk[::-1]
         reduced = rewrite_head(ctx, t.name, args, steps)
         if reduced is None:
             if whole is None:
                 whole = build_app(t, args)
             hnf[id(whole)] = (whole, whole)
             break
-        steps.tick()
+        steps.used += 1
+        if steps.used > steps.budget:
+            raise DivergenceError(steps.budget)
         t = whole = reduced
         del stk[base:]
     if whole is None:
@@ -252,9 +259,13 @@ def normalise(
         x = work.pop()
         tx = type(x)
         if tx is int:  # an application, from out[x:]
-            parts = out[x:]
-            del out[x:]
-            out.append(build_app(parts[0], parts[1:]))
+            if len(out) - x == 2:  # one argument: rebuild in place
+                a = out.pop()
+                out[-1] = App(out[-1], a)
+            else:
+                parts = out[x:]
+                del out[x:]
+                out.append(build_app(parts[0], parts[1:]))
             continue
         if tx is tuple:  # (binder to build or None, the vids restricted next)
             b, restricted = x
@@ -379,7 +390,7 @@ def equal_terms(ctx: EvalContext, t: Term, u: Term, steps: Steps) -> bool:
 # Tree evaluation
 
 
-def instantiate(leaf: dt.Leaf, store: StoreEntries) -> Term:
+def instantiate(leaf: Leaf, store: StoreEntries) -> Term:
     """Build the right-hand side of a matched rule from the stored subterms
     with the leaf's compiled builder: the tree engine's counterpart of
     ``patterns.apply_subst``.
@@ -421,7 +432,7 @@ def eval_tree(
     node = tree
     while True:
         tn = type(node)
-        if tn is dt.Switch:
+        if tn is Switch:
             x = stack.pop()
             head, n, top = whnf_stk(ctx, x, steps, stack)
             if node.store:
@@ -461,7 +472,7 @@ def eval_tree(
             if trace is not None:
                 trace.append(("no-case",))
             break
-        if tn is dt.Store:
+        if tn is Store:
             if trace is not None:
                 trace.append(("store", len(store)))
             x = stack[-node.index]
@@ -470,20 +481,20 @@ def eval_tree(
             store.append((x, binders))
             node = node.child
             continue
-        if tn is dt.Swap:
+        if tn is Swap:
             i = node.index
             stack[-1], stack[-i] = stack[-i], stack[-1]
             if trace is not None:
                 trace.append(("swap", i))
             node = node.child
             continue
-        if tn is dt.Leaf:
+        if tn is Leaf:
             if trace is not None:
                 trace.append(("leaf", len(store)))
             rhs = instantiate(node, store)
             k = node.arity
             return rhs if k == len(args) else build_app(rhs, args[k:])
-        if tn is dt.BinNl:
+        if tn is BinNl:
             i, j = node.slots
             (a, snap_a), (b, snap_b) = store[i], store[j]
             sel_a, sel_b = node.formals
@@ -496,9 +507,13 @@ def eval_tree(
                 trace.append(("nl", (i, j), ok))
             node = node.succ if ok else node.fail
             continue
-        if tn is dt.BinCl:
+        if tn is BinCl:
             term, snapshot = store[node.slot]
-            shut = {snapshot[k].vid for k in node.restricted}
+            restricted = node.restricted
+            if len(restricted) == 1:
+                shut = {snapshot[restricted[0]].vid}
+            else:
+                shut = {snapshot[k].vid for k in restricted}
             if ctx.equality == CONVERTIBLE:
                 # build from the normal form the check passed on: the raw
                 # term may mention a binder that only reduction drops
@@ -512,7 +527,7 @@ def eval_tree(
                 trace.append(("cl", node.slot, ok))
             node = node.succ if ok else node.fail
             continue
-        if tn is dt.Fail:
+        if tn is Fail:
             if trace is not None:
                 trace.append(("fail",))
             break

@@ -554,15 +554,13 @@ def _builder(t: Term, rule: Rule, env: BuilderEnv, bound) -> Optional[Builder]:
                 f"arity mismatch for ${t.name}: "
                 f"{len(selector)} formals, {len(t.args)} arguments"
             )
-        pairs = []
-        for k, at, a in zip(selector, rule.env[t.name][1], t.args):
-            if type(a) is Var and a.vid in bound and bound[a.vid][0] == at:
-                continue  # the formal is passed the binder that is itself
-            part = _builder(a, rule, env, bound)
-            pairs.append((k, part or (lambda store, a=a: a)))
+        pairs = tuple(
+            (k, _builder(a, rule, env, bound) or (lambda store, a=a: a))
+            for k, at, a in zip(selector, rule.env[t.name][1], t.args)
+            if not _passed_itself(a, at, bound)
+        )
         if not pairs:
             return lambda store: store[slot][0]
-        pairs = tuple(pairs)
 
         def build_meta(store):
             term, snapshot = store[slot]
@@ -570,15 +568,26 @@ def _builder(t: Term, rule: Rule, env: BuilderEnv, bound) -> Optional[Builder]:
 
         return build_meta
     if tt is App:
-        fn = _builder(t.fn, rule, env, bound)
-        arg = _builder(t.arg, rule, env, bound)
+        # a side that is its stored term is read in place, with no call
+        head, last = t.fn, t.arg
+        i, j = _stored_key(head, rule, env, bound), _stored_key(last, rule, env, bound)
+        fn = _builder(head, rule, env, bound) if i is None else None
+        arg = _builder(last, rule, env, bound) if j is None else None
+        if i is not None:
+            if j is not None:
+                return lambda store: App(store[i][0], store[j][0])
+            if arg is None:
+                return lambda store: App(store[i][0], last)
+            return lambda store: App(store[i][0], arg(store))
+        if j is not None:
+            if fn is None:
+                return lambda store: App(head, store[j][0])
+            return lambda store: App(fn(store), store[j][0])
         if fn is None and arg is None:
             return None
         if fn is None:
-            head = t.fn
             return lambda store: App(head, arg(store))
         if arg is None:
-            last = t.arg
             return lambda store: App(fn(store), last)
         return lambda store: App(fn(store), arg(store))
     if tt is Abst or tt is Prod:
@@ -614,6 +623,27 @@ def _builder(t: Term, rule: Rule, env: BuilderEnv, bound) -> Optional[Builder]:
         inner = _builder(body, rule, env, scope) or (lambda store: body)
         return lambda store: tt(store[slot][1][k], dom(store), inner(store))
     return None  # Symb, Sort, or an absent Abst domain
+
+
+def _passed_itself(a: Term, at: Optional[Position], bound) -> bool:
+    """Whether ``a``, passed to a formal opened at the left-hand-side
+    abstraction ``at``, is the binder that is that formal itself."""
+    entry = bound.get(a.vid) if type(a) is Var else None
+    return entry is not None and entry[0] == at
+
+
+def _stored_key(t: Term, rule: Rule, env: BuilderEnv, bound):
+    """The store key of the entry whose term ``t`` is built as, when ``t``
+    is a pattern variable passed each of its formals itself; else None."""
+    if type(t) is not MetaApp or t.name not in env:
+        return None
+    slot, selector = env[t.name]
+    if len(selector) != len(t.args):
+        return None  # the builder reports it
+    formals = rule.env[t.name][1]
+    if all(_passed_itself(a, at, bound) for a, at in zip(t.args, formals)):
+        return slot
+    return None
 
 
 def apply_subst(sub: Substitution, rule: Rule) -> Term:

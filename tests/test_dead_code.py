@@ -1,13 +1,18 @@
 """Dead code in the package, found with the standard ``ast`` module.
 
-Two rules keep ``src/rwtree`` free of code that nothing uses:
+Three rules keep ``src/rwtree`` free of code that nothing uses:
 
 - a module uses every name it imports;
 - every top-level function and class is referred to somewhere in
-  ``src/rwtree`` or ``bench/`` outside its own body.  A reference is a
-  name, an attribute, an imported name, or a string that is the name (the
-  benchmark traces functions by their names).  Tests do not count, so code
-  whose only caller is a test fails here.
+  ``src/rwtree`` or ``bench/`` outside its own body;
+- so is every method that is not a dunder.  Methods are matched by name
+  only, so a library's hook that the package overrides counts as referred
+  to when anything in those directories names it (``cli._Parser.error``
+  is named by the benchmark's own ``ap.error``).
+
+A reference is a name, an attribute, an imported name, or a string that is
+the name (the benchmark traces functions by their names).  Tests do not
+count, so code whose only caller is a test fails here.
 """
 import ast
 from collections import Counter
@@ -18,24 +23,25 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rwtree"
 MODULES = sorted(PACKAGE.glob("*.py"))
+SOURCES = MODULES + sorted((ROOT / "bench").glob("*.py"))
 
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _referred(tree: ast.AST) -> set[str]:
-    """Every name that ``tree`` refers to."""
-    out: set[str] = set()
+def _references(tree: ast.AST) -> Counter[str]:
+    """How often ``tree`` refers to each name."""
+    out: Counter[str] = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
+            out[node.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(node, ast.Constant) and type(node.value) is str:
-            out.add(node.value)
+            out[node.value] += 1
     return out
 
 
@@ -70,13 +76,12 @@ def test_every_import_is_used(path):
 
 
 def test_every_top_level_definition_is_referred_to():
-    sources = MODULES + sorted((ROOT / "bench").glob("*.py"))
     # how many top-level statements refer to each name
     count: Counter[str] = Counter()
     defined = []  # (module, definition, the names its own body refers to)
-    for path in sources:
+    for path in SOURCES:
         for stmt in _parse(path).body:
-            names = _referred(stmt)
+            names = set(_references(stmt))
             count.update(names)
             if path.parent == PACKAGE and isinstance(
                 stmt, (ast.FunctionDef, ast.ClassDef)
@@ -88,3 +93,27 @@ def test_every_top_level_definition_is_referred_to():
         if count[name] == (name in own)
     ]
     assert not unreferred, f"defined but referred to nowhere: {unreferred}"
+
+
+def test_every_method_is_referred_to():
+    count: Counter[str] = Counter()  # references to each name, all sources
+    methods = []  # (module, class, method, its own body's references)
+    for path in SOURCES:
+        tree = _parse(path)
+        count += _references(tree)
+        if path.parent != PACKAGE:
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and not (
+                    fn.name.startswith("__") and fn.name.endswith("__")
+                ):
+                    methods.append((path.name, cls.name, fn.name, _references(fn)))
+    unreferred = [
+        f"{module}: {cls}.{name}"
+        for module, cls, name, own in methods
+        if count[name] == own[name]
+    ]
+    assert not unreferred, f"methods referred to nowhere: {unreferred}"

@@ -19,6 +19,7 @@ from rwtree.engine import (
     whnf,
 )
 from rwtree.patterns import (
+    Closure,
     PatAbst,
     PatSymb,
     PatVar,
@@ -334,6 +335,41 @@ def test_divergence_budget():
     ctx = ctx_for(src, max_steps=500)
     with pytest.raises(DivergenceError):
         whnf(ctx, symb("loop"), Steps(500))
+
+
+def _identity_tower(n):
+    """``(\\x, x) ((\\x, x) (... a))``, n deep: n beta steps and no rule."""
+    t = symb("a")
+    for _ in range(n):
+        x = fresh_var("x")
+        t = App(lam(x, x), t)
+    return t
+
+
+BUDGET_CASES = {
+    "beta": ("symbol a;", _identity_tower(5), 5),
+    # f peels the five s, then f 0 fires: six rule steps and no beta
+    "rule": (
+        "symbol 0; symbol s; symbol f; symbol done;\n"
+        "rule f (s $n) --> f $n with f 0 --> done;",
+        App(symb("f"), numeral(5)),
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+@pytest.mark.parametrize("case", BUDGET_CASES)
+def test_the_budget_is_exact(engine, case):
+    # semantics (c): a term that needs exactly n steps finishes on a
+    # budget of n and exhausts a budget of n - 1
+    src, t, n = BUDGET_CASES[case]
+    ctx = ctx_for(src, engine=engine)
+    steps = Steps(n)
+    snf(ctx, t, steps)
+    assert steps.used == n
+    with pytest.raises(DivergenceError):
+        snf(ctx, t, Steps(n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -914,6 +950,30 @@ def test_builder_shares_closed_subterms():
     out = instantiate(Leaf(rule, {"m": (0, ())}), [(symb("b"), ())])
     assert out.arg is closed
     assert instantiate(Leaf(Rule("f", (), closed), {}), []) is closed
+
+
+_X, _Y, _C = MetaApp("x", ()), MetaApp("y", ()), symb("c")
+
+
+@pytest.mark.parametrize(
+    "fn, arg", [(_X, _C), (_C, _X), (_X, _Y)], ids=["$x c", "c $x", "$x $y"]
+)
+def test_an_application_holds_the_stored_terms_themselves(fn, arg):
+    # a side that is a bare pattern variable is its stored term, under a
+    # tree leaf and under the naive builder
+    rule = Rule("f", (PatVar("x"), PatVar("y")), App(fn, arg))
+    tx, ty = App(symb("g"), symb("a")), App(symb("h"), symb("b"))
+
+    def image(part):
+        return {"x": tx, "y": ty}[part.name] if type(part) is MetaApp else part
+
+    leaf = Leaf(rule, {"x": (0, ()), "y": (1, ())})
+    for out in (
+        instantiate(leaf, [(tx, ()), (ty, ())]),
+        apply_subst({"x": Closure(tx, ()), "y": Closure(ty, ())}, rule),
+    ):
+        assert out.fn is image(fn)
+        assert out.arg is image(arg)
 
 
 # ---------------------------------------------------------------------------
