@@ -16,13 +16,12 @@ is never forced only to be stored.
 A head has one tree for each arity k of its rules, compiled from all of its
 rules of arity at most k in text order (``trees_of_ruleset``), and a leaf
 reattaches the arguments past its own rule's arity.  Compilation reduces a
-clause matrix step by step in one work-list loop (``compile_matrix``), which
-takes each step by one fixed rule and switches, among the columns that the
-first row inspects, on the one with the most heads among the rows of the
-first row's arity.  When several rules apply,
-the tree assumes confluence and may fire any of them, but a first row of
-wildcards is decided first, and no rule fires past a wider rule above it.
-A Switch takes all of its cases from one pass over the rows
+clause matrix step by step in one work-list loop (``compile_matrix``), and
+each step decides the first head or check that naive meets in the first
+row, so the tree forces nothing that the declarative matcher would not.
+When several rules apply, the tree assumes confluence and may fire any of
+them, but no rule fires past a wider rule above it.  A Switch takes all of
+its cases from one pass over the rows
 (``matrix.specialize``).  The compiler says where something is only by
 position: the matrix carries the position of each column, and each work
 item maps each saved position to its store slot and each opened
@@ -40,6 +39,7 @@ from typing import Iterator, Optional, Sequence
 
 from .matrix import (
     ClauseMatrix,
+    ClauseRow,
     ConstraintKey,
     cond_fail,
     cond_succ,
@@ -151,34 +151,40 @@ def _pending_positions(m: ClauseMatrix) -> set[Position]:
     return out
 
 
-def _key_order(key: ConstraintKey) -> tuple:
-    # closedness keys first; the abstractions of one closedness key all
-    # enclose its position, so sorting them by position sorts them in the
-    # order they were opened
-    return (1, sorted(key)) if type(key) is frozenset else (0, key[0], sorted(key[1]))
+def _first_item(row: ClauseRow, positions: tuple) -> int | ConstraintKey | None:
+    """The first head or check that naive meets when it tries ``row``, in
+    preorder: a head as its column (1-based), a check as its constraint,
+    None if the row has neither.  A check is met at its last position, and
+    a closedness check before an equality at the same position."""
+    item, first = None, None
+    for i, p in enumerate(row.patterns):
+        if type(p) is not PatVar and (first is None or positions[i] < first[0]):
+            item, first = i + 1, (positions[i],)
+    for key in row.constraints:
+        at = (max(_key_positions(key)), type(key) is frozenset)
+        if first is None or at < first:
+            item, first = key, at
+    return item
 
 
-def _unstored_column(m: ClauseMatrix, slot_of: dict, wanted: set[Position]) -> int:
-    """The leftmost column (1-based) whose position is wanted and not stored
-    yet; 0 if there is none."""
-    for i, pos in enumerate(m.positions, 1):
-        if pos in wanted and pos not in slot_of:
-            return i
-    return 0
-
-
-def _structural_column(m: ClauseMatrix) -> int:
-    """Among the columns (1-based) where the first row has a symbol or
-    abstraction head (it has one), the one with the most such heads among
-    the rows of the first row's arity, leftmost on ties.  So the tree
-    forces only a column that the first row inspects, as naive does when
-    it tries that row."""
-    arity = m.rows[0].rule.arity
-    heads = [
-        type(column[0]) is not PatVar and sum(type(p) is not PatVar for p in column)
-        for column in zip(*(r.patterns for r in m.rows if r.rule.arity == arity))
-    ]
-    return heads.index(max(heads)) + 1
+def _switch_column(m: ClauseMatrix, first: int) -> int:
+    """Among the columns that naive forces whenever it finishes, the one with
+    the most heads, leftmost on ties.  These are the columns where some
+    row's first item is a head and every row above it has a head too, so
+    ``first``, the first row's first item, is one.  Rows are read only while
+    they can still add a column."""
+    rows, positions = m.rows, m.positions
+    found = {first}
+    common = {i for i, p in enumerate(rows[0].patterns, 1) if type(p) is not PatVar}
+    for r in rows[1:]:
+        if common <= found:
+            break
+        item = _first_item(r, positions)
+        if item in common:
+            found.add(item)
+        common = {i for i in common if type(r.patterns[i - 1]) is not PatVar}
+    heads = {i: sum(type(r.patterns[i - 1]) is not PatVar for r in rows) for i in found}
+    return max(sorted(found), key=heads.get)
 
 
 def _selector(occ: Occurrence, slot_of: dict, binder_of: dict) -> tuple:
@@ -194,51 +200,51 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
     no pattern width or depth costs Python stack.  A work item is a matrix,
     the store slot of each saved position, the snapshot index of each opened
     abstraction (named by its position), and where its node goes: a field of
-    its parent or a case of a Switch.  Each pass builds the node of the first
-    step that applies and pushes the node's children:
+    its parent or a case of a Switch.  Each pass takes the first row's first
+    item (``_first_item``), builds one node and pushes the node's children:
 
-    1. a first row of wildcards is decided before any other row fires: it
-       stores what its constraints read and decides them, closedness first;
-       then it, or else the first all-wildcard unconstrained row with no
-       wider row above it, stores the leftmost right-hand-side position not
-       stored yet, or yields;
-    2. otherwise switch, among the columns where the first row has a
-       symbol or abstraction head, on the one with the most such heads in
-       the rows of the first row's arity (leftmost on ties), behind a Swap
-       unless it is column 1, and save it there if a constraint or
-       right-hand side needs its position.
+    - no item: the row yields;
+    - a check: decide it;
+    - a head: the first later row of wildcards with no checks and no wider
+      row above it yields, if there is one; otherwise switch on the column
+      that ``_switch_column`` picks, behind a Swap unless it is column 1,
+      and save it there if a constraint or right-hand side needs it.
+
+    A row yields, and a check is decided, only once every column that it
+    reads is stored: before that, a Store saves the leftmost one.
     """
     top: dict = {}
     todo: list[tuple] = [(m, {}, {}, top, None)]
     while todo:
         m, slot_of, binder_of, into, at = todo.pop()
         below: list[tuple] = []  # the children's work items, in print order
-        store = 0  # the column that this node saves unevaluated, if a Store
-        key = None  # the constraint that this node decides, if a check
-        # a later row's checks might force what the rows above never inspect,
-        # and it fires first only past rows of no greater arity
+        rows = m.rows
+        item = _first_item(rows[0], m.positions) if rows else None
+        check = type(item) is frozenset or type(item) is tuple
+        read = _key_positions(item) if check else ()
+        # the row that yields; one with checks might force what rows above skip
         row, wide = None, 0
-        for i, r in enumerate(m.rows):
-            if (not i or not r.constraints and r.rule.arity >= wide) and all(
+        for r in () if check else rows:
+            if r.rule.arity >= wide and not r.constraints and all(
                 type(p) is PatVar for p in r.patterns
             ):
-                row = r
+                row, read = r, {pos for pos, _ in r.rule.env.values()}
                 break
             wide = max(wide, r.rule.arity)
-        if not m.rows:
+        unstored = (p in read and p not in slot_of for p in m.positions)
+        store = next((i for i, u in enumerate(unstored, 1) if u), 0) if read else 0
+        if not rows:
             node = FAIL
+        elif store:
+            node = Store(None, store)
+            stored = {**slot_of, m.positions[store - 1]: len(slot_of)}
+            below = [(m, stored, binder_of, node, "child")]
         elif row is not None:
-            env, cons = row.rule.env, row.constraints
-            # what its constraints read, then what its right-hand side reads
-            read = {pos for k in cons for pos in _key_positions(k)}
-            store = _unstored_column(m, slot_of, read or {p for p, _ in env.values()})
-            if not store and cons:
-                key = min(cons, key=_key_order)
-            elif not store:
-                sel = {n: _selector(occ, slot_of, binder_of) for n, occ in env.items()}
-                node = Leaf(row.rule, sel)
-        else:
-            col = _structural_column(m)
+            env = row.rule.env
+            sel = {n: _selector(occ, slot_of, binder_of) for n, occ in env.items()}
+            node = Leaf(row.rule, sel)
+        elif not check:
+            col = _switch_column(m, item)
             if col > 1:
                 m = swap_columns(m, col)
             pos = m.positions[0]
@@ -256,28 +262,22 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
                 opened = {**binder_of, pos: len(binder_of)}
                 below.append((lam, slot_of, opened, switch, "lam_case"))
             if default is not None:
-                below.append(
-                    (default, slot_of, binder_of, switch, "default_case")
-                )
-        if key is not None:
-            if type(key) is frozenset:
-                sels = sorted(_selector(occ, slot_of, binder_of) for occ in key)
+                below.append((default, slot_of, binder_of, switch, "default_case"))
+        else:
+            if type(item) is frozenset:
+                sels = sorted(_selector(occ, slot_of, binder_of) for occ in item)
                 (i, sel_i), (j, sel_j) = sels
                 node = BinNl(None, (i, j), None, (sel_i, sel_j))
             else:
-                pos, allowed = key
+                pos, allowed = item
                 within = tuple(sorted(binder_of[b] for b in allowed))
                 shut = (k for b, k in binder_of.items() if encloses(b, pos))
                 restricted = tuple(sorted(k for k in shut if k not in within))
                 node = BinCl(None, slot_of[pos], within, None, restricted)
             below = [
-                (cond_succ(key, m), slot_of, binder_of, node, "succ"),
-                (cond_fail(key, m), slot_of, binder_of, node, "fail"),
+                (cond_succ(item, m), slot_of, binder_of, node, "succ"),
+                (cond_fail(item, m), slot_of, binder_of, node, "fail"),
             ]
-        if store:
-            node = Store(None, store)
-            stored = {**slot_of, m.positions[store - 1]: len(slot_of)}
-            below = [(m, stored, binder_of, node, "child")]
         if type(into) is dict:
             into[at] = node
         else:

@@ -9,7 +9,10 @@ back ends can be compared without budget races.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from typing import Iterator
 
+from rwtree import engine
 from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule, validate_rule
 from rwtree.syntax import parse_file
 from rwtree.terms import (
@@ -248,3 +251,39 @@ def loop_rule() -> Rule:
     """``loop --> loop``: a symbol whose head normalisation never ends."""
     return Rule("loop", (), symb("loop"), "loop")
 
+
+@contextmanager
+def recorded_reads(read: set[int]) -> Iterator[set[int]]:
+    """While open, add to ``read`` the id of every term that a naive rewrite
+    attempt reads: each term passed to ``engine.whnf``, which is how the
+    naive matcher head-normalises before it inspects a head, and every
+    subterm of the terms passed to ``engine.equal_terms`` or to a
+    closedness ``engine.normalise``.  Reads of nested attempts are added
+    too.  A top-level argument that contains none of these is one that the
+    attempt never looked at.  The three functions of the engine module are
+    replaced while the context is open, so use it from one thread."""
+    saved = engine.whnf, engine.equal_terms, engine.normalise
+    whnf, equal_terms, normalise = saved
+
+    def reading_whnf(ctx, t, steps=None):
+        read.add(id(t))
+        return whnf(ctx, t, steps)
+
+    def reading_equal_terms(ctx, t, u, steps):
+        read.update(map(id, preorder(t) + preorder(u)))
+        return equal_terms(ctx, t, u, steps)
+
+    def reading_normalise(ctx, t, steps, restricted):
+        if restricted:
+            read.update(map(id, preorder(t)))
+        return normalise(ctx, t, steps, restricted)
+
+    engine.whnf, engine.equal_terms, engine.normalise = (
+        reading_whnf,
+        reading_equal_terms,
+        reading_normalise,
+    )
+    try:
+        yield read
+    finally:
+        engine.whnf, engine.equal_terms, engine.normalise = saved

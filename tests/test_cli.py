@@ -403,6 +403,39 @@ def test_a_shorter_rule_after_a_wider_one_changes_no_choice(
     assert capsys.readouterr().out.splitlines() == printed
 
 
+NAIVE_ORDER = {
+    # naive fails the first rule at column 1 and the second at column 2, so
+    # it never forces loop, although column 3 holds the most heads
+    "most heads": (
+        "symbol a; symbol b; symbol k0; symbol k1; symbol k2; symbol f;\n"
+        "symbol loop;\nrule loop --> loop;\n"
+        "rule f a $x (\\u, \\v, $z[v]) --> $x;\nrule f $y k0 b --> b;\n"
+        "compute f k0 a loop;\n",
+        "f k0 a loop",
+    ),
+    # naive compares the two $x before it reaches the head k1
+    "check before head": (
+        "symbol a; symbol b; symbol k1; symbol r; symbol f; symbol loop;\n"
+        "rule loop --> loop;\nrule f $x $x (k1 $z) --> r;\n"
+        "compute f a b loop;\n",
+        "f a b loop",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NAIVE_ORDER)
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_the_tree_forces_no_argument_before_naive_does(
+    engine, case, tmp_path, capsys
+):
+    source, printed = NAIVE_ORDER[case]
+    src = tmp_path / "order.rw"
+    src.write_text(source)
+    argv = ["run", str(src), "--engine", engine, "--strategy", "whnf"]
+    assert main([*argv, "--max-steps", "1000"]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
 @pytest.mark.parametrize(
     "source, extra, code, prefix",
     [

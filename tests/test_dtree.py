@@ -107,15 +107,28 @@ def test_compile_determinism():
 # the step rule of compile_matrix
 
 
+STATE = r"""symbol a; symbol b; symbol k0; symbol f;
+rule f a $x (\u, \v, $z[v]) --> $x;
+rule f $y k0 b --> b;
+"""
+
+
 def test_compile_switches_on_the_column_with_most_heads_first():
     # column 2 holds two heads and column 1 one, so the root moves column 2
-    # to the front and switches on it
+    # to the front and switches on it: naive forces column 2 whenever it
+    # finishes, since both rows inspect it and the second starts there
     m = from_rules(example1_rules())
     assert m.positions == ((1,), (2,))
     tree = compile_matrix(m)
     assert type(tree) is Swap and tree.index == 2
     assert type(tree.child) is Switch
     assert list(tree.child.sym_cases) == [("a", 0), ("b", 0)]
+    # column 3 holds two heads, but naive never reaches it when the first
+    # row fails at column 1, and the second row starts at column 2; so only
+    # column 1 qualifies
+    tree = trees_of_ruleset(parse_file(STATE).rules)[("f", 3)]
+    assert type(tree) is Switch
+    assert list(tree.sym_cases) == [("a", 0)] and tree.default_case is not None
 
 
 def test_compile_yields_the_first_unconstrained_wildcard_row():

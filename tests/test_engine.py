@@ -53,6 +53,7 @@ from genlib import (
     numeral,
     parse_term,
     preorder,
+    recorded_reads,
 )
 
 
@@ -921,6 +922,34 @@ def test_linear_wildcard_rule_never_forces_arguments(rng):
                 assert steps.used == 0
             checked += 1
     assert checked > 20
+
+
+def test_the_tree_forces_no_argument_that_naive_leaves_unread():
+    # semantics (b): run one naive attempt, make each argument that it never
+    # read diverge, and the tree must still finish on the same budget
+    loop = symb("loop")
+    poisoned, diverged = 0, []
+    for seed in range(2000):
+        sampler = RuleSampler(random.Random(seed))
+        rules = sampler.ruleset()
+        head, args = sampler.subject_args(rules)
+        rules.append(loop_rule())
+        naive = EvalContext.from_rules(rules, engine="naive", max_steps=1000)
+        with recorded_reads(set()) as read:
+            found = rewrite_head(naive, head, args, Steps(1000))
+        lazy = [a if any(id(x) in read for x in preorder(a)) else loop for a in args]
+        if all(a is b for a, b in zip(lazy, args)):
+            continue
+        poisoned += 1
+        # the recorder missed no read: naive decides as before
+        again = rewrite_head(naive, head, lazy, Steps(1000))
+        assert (again is None) == (found is None), seed
+        tree = EvalContext.from_rules(rules, max_steps=1000)
+        try:
+            rewrite_head(tree, head, lazy, Steps(1000))
+        except DivergenceError:
+            diverged.append(seed)
+    assert diverged == [] and poisoned > 1000
 
 
 def test_every_switch_inspects_a_head(rng):
