@@ -63,10 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--engine", choices=["tree", "naive"], default="tree")
     r.add_argument("--max-steps", type=int, default=10**8)
 
-    t = sub.add_parser("tree", help="print the decision tree for a symbol")
+    t = sub.add_parser("tree", help="print the one decision tree of a symbol")
     t.add_argument("file")
     t.add_argument("symbol")
-    t.add_argument("--arity", type=int, default=None)
     t.add_argument("--dot", action="store_true")
     return p
 
@@ -79,7 +78,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args.file, args.strategy, args.engine, args.max_steps)
         if args.command == "tree":
-            return cmd_tree(args.file, args.symbol, args.arity, args.dot)
+            return cmd_tree(args.file, args.symbol, args.dot)
     except tuple(cls for cls, _, _ in _FAILURES) as e:
         prefix, code = next((p, c) for cls, p, c in _FAILURES if isinstance(e, cls))
         detail = e
@@ -103,13 +102,10 @@ def cmd_check(path: str) -> int:
     source = parse_file(_read(path))
     trees = trees_of_ruleset(source.rules)
     print(f"{path}: ok, {len(source.rules)} rules, {len(trees)} trees")
-    for (head, arity), tree in sorted(trees.items()):
+    for head, tree in sorted(trees.items()):
         stats = tree_stats(tree)
         counts = " ".join(f"{k}={v}" for k, v in sorted(stats["counts"].items()))
-        print(
-            f"  {head}/{arity}: depth={stats['depth']} "
-            f"slots={stats['store_size']} {counts}"
-        )
+        print(f"  {head}: depth={stats['depth']} slots={stats['store_size']} {counts}")
     return OK
 
 
@@ -134,22 +130,10 @@ def cmd_run(path: str, strategy: str, engine: str, max_steps: int) -> int:
     return OK
 
 
-def cmd_tree(path: str, symbol: str, arity, dot: bool) -> int:
-    source = parse_file(_read(path))
-    trees = trees_of_ruleset(source.rules)
-    keys = [
-        key
-        for key in sorted(trees)
-        if key[0] == symbol and (arity is None or key[1] == arity)
-    ]
-    if not keys:
-        wanted = symbol if arity is None else f"{symbol}/{arity}"
-        print(f"no rules for {wanted}", file=sys.stderr)
+def cmd_tree(path: str, symbol: str, dot: bool) -> int:
+    trees = trees_of_ruleset(parse_file(_read(path)).rules)
+    if symbol not in trees:
+        print(f"no rules for {symbol}", file=sys.stderr)
         return VALIDATION
-    for key in keys:
-        if dot:
-            print(to_dot(trees[key], print_rhs=print_term))
-        else:
-            print(f"{key[0]}/{key[1]}:")
-            print(tree_text(trees[key], print_rhs=print_term))
+    print((to_dot if dot else tree_text)(trees[symbol], print_rhs=print_term))
     return OK

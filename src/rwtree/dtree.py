@@ -4,8 +4,9 @@ A tree is a small program over a stack of subject terms and a store of saved
 subterms: Switch head-normalises the stack top and dispatches on its head,
 Swap reorders the stack, Store saves a stack entry without inspecting it, BinNl
 and BinCl decide the repeated-variable and variable-occurrence constraints,
-and Leaf yields its rule's right-hand side, built from the store by the
-builder that ``patterns.rhs_builder`` compiles when the leaf is made.
+Eos tests whether the subject has enough arguments for a rule, and Leaf
+yields its rule's right-hand side, built from the store by the builder that
+``patterns.rhs_builder`` compiles when the leaf is made.
 
 A position that a constraint or a right-hand side needs is saved exactly
 once.  If some Switch inspects it, that Switch saves it after head
@@ -13,15 +14,15 @@ normalisation (its ``store`` flag), so right-hand sides are built from
 normalised subterms; otherwise a Store saves it unevaluated, and a column
 is never forced only to be stored.
 
-A head has one tree for each arity k of its rules, compiled from all of its
-rules of arity at most k in text order (``trees_of_ruleset``), and a leaf
-reattaches the arguments past its own rule's arity.  Compilation reduces a
-clause matrix step by step in one work-list loop (``compile_matrix``), and
-each step decides the first head or check that naive meets in the first
-row, so the tree forces nothing that the declarative matcher would not.
-When several rules apply, the tree assumes confluence and may fire any of
-them, but no rule fires past a wider rule above it.  A Switch takes all of
-its cases from one pass over the rows
+As in Lambdapi, a head has one tree for all of its rules in text order
+(``trees_of_ruleset``): an Eos decides whether the subject is wide enough
+before a wider rule is tried, and a leaf reattaches the arguments past its
+own rule's arity.  Compilation reduces a clause matrix step by step in one
+work-list loop (``compile_matrix``), and each step decides the first head
+or check that naive meets in the first row, so the tree forces nothing that
+the declarative matcher would not.  When several rules apply, the tree
+assumes confluence and may fire any of them, but no rule fires past a wider
+rule above it.  A Switch takes all of its cases from one pass over the rows
 (``matrix.specialize``).  The compiler says where something is only by
 position: the matrix carries the position of each column, and each work
 item maps each saved position to its store slot and each opened
@@ -34,7 +35,7 @@ them recurses, and both renderings print the same text for a node.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
 from .matrix import (
@@ -72,12 +73,9 @@ class Leaf(DTree):
     # build(store) -> the instantiated rhs; compiled from the rule and env
     # when the leaf is made (``patterns.rhs_builder``)
     build: Builder = field(init=False, repr=False, compare=False)
-    # the rule's arity: the arguments past it are reattached to the rhs
-    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.build = rhs_builder(self.rule, self.env)
-        self.arity = self.rule.arity
 
 
 @dataclass(slots=True)
@@ -135,6 +133,13 @@ class BinCl(DTree):
     restricted: tuple[int, ...]
 
 
+@dataclass(slots=True)
+class Eos(DTree):
+    succ: DTree
+    arity: int  # succ when the subject has at least this many arguments
+    fail: DTree
+
+
 def _key_positions(key: ConstraintKey) -> tuple[Position, ...]:
     """The positions a constraint reads: both occurrences of a
     repeated-variable key, or the one position of a closedness key."""
@@ -167,19 +172,20 @@ def _first_item(row: ClauseRow, positions: tuple) -> int | ConstraintKey | None:
     return item
 
 
-def _switch_column(m: ClauseMatrix, first: int) -> int:
+def _switch_column(m: ClauseMatrix, first: int, have: int) -> int:
     """Among the columns that naive forces whenever it finishes, the one with
     the most heads, leftmost on ties.  These are the columns where some
     row's first item is a head and every row above it has a head too, so
-    ``first``, the first row's first item, is one.  Rows are read only while
-    they can still add a column."""
+    ``first``, the first row's first item, is one.  A row wider than the
+    ``have`` arguments known to be present adds no column, since naive may
+    skip it.  Rows are read only while they can still add a column."""
     rows, positions = m.rows, m.positions
     found = {first}
     common = {i for i, p in enumerate(rows[0].patterns, 1) if type(p) is not PatVar}
     for r in rows[1:]:
         if common <= found:
             break
-        item = _first_item(r, positions)
+        item = _first_item(r, positions) if r.rule.arity <= have else None
         if item in common:
             found.add(item)
         common = {i for i in common if type(r.patterns[i - 1]) is not PatVar}
@@ -198,25 +204,31 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
 
     Total: an empty matrix compiles to Fail.  One loop over a work list, so
     no pattern width or depth costs Python stack.  A work item is a matrix,
-    the store slot of each saved position, the snapshot index of each opened
-    abstraction (named by its position), and where its node goes: a field of
-    its parent or a case of a Switch.  Each pass takes the first row's first
-    item (``_first_item``), builds one node and pushes the node's children:
+    how many arguments the subject is known to have (at first the smallest
+    arity of the rows), the store slot of each saved position, the snapshot
+    index of each opened abstraction (named by its position), and where its
+    node goes: a field of its parent or a case of a Switch.  Each pass takes
+    the first row's first item (``_first_item``), builds one node and pushes
+    the node's children:
 
+    - a first row wider than that: an Eos tests its arity, as naive skips
+      the rule without reading anything; the "no" child keeps narrower rows;
     - no item: the row yields;
     - a check: decide it;
     - a head: the first later row of wildcards with no checks and no wider
-      row above it yields, if there is one; otherwise switch on the column
-      that ``_switch_column`` picks, behind a Swap unless it is column 1,
-      and save it there if a constraint or right-hand side needs it.
+      row above it yields, if there is one, behind an Eos if it is wider
+      than the arguments known; otherwise switch on the column that
+      ``_switch_column`` picks, behind a Swap unless it is column 1, and
+      save it there if a constraint or right-hand side needs it.
 
     A row yields, and a check is decided, only once every column that it
     reads is stored: before that, a Store saves the leftmost one.
     """
     top: dict = {}
-    todo: list[tuple] = [(m, {}, {}, top, None)]
+    least = min((r.rule.arity for r in m.rows), default=0)
+    todo: list[tuple] = [(m, least, {}, {}, top, None)]
     while todo:
-        m, slot_of, binder_of, into, at = todo.pop()
+        m, have, slot_of, binder_of, into, at = todo.pop()
         below: list[tuple] = []  # the children's work items, in print order
         rows = m.rows
         item = _first_item(rows[0], m.positions) if rows else None
@@ -231,20 +243,30 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
                 row, read = r, {pos for pos, _ in r.rule.env.values()}
                 break
             wide = max(wide, r.rule.arity)
+        need = rows[0].rule.arity if rows else 0
+        if need <= have and row is not None:
+            need = row.rule.arity
         unstored = (p in read and p not in slot_of for p in m.positions)
         store = next((i for i, u in enumerate(unstored, 1) if u), 0) if read else 0
         if not rows:
             node = FAIL
+        elif need > have:
+            node = Eos(None, need, None)
+            few = tuple(r for r in rows if r.rule.arity < need)
+            below = [
+                (m, need, slot_of, binder_of, node, "succ"),
+                (replace(m, rows=few), have, slot_of, binder_of, node, "fail"),
+            ]
         elif store:
             node = Store(None, store)
             stored = {**slot_of, m.positions[store - 1]: len(slot_of)}
-            below = [(m, stored, binder_of, node, "child")]
+            below = [(m, have, stored, binder_of, node, "child")]
         elif row is not None:
             env = row.rule.env
             sel = {n: _selector(occ, slot_of, binder_of) for n, occ in env.items()}
             node = Leaf(row.rule, sel)
         elif not check:
-            col = _switch_column(m, item)
+            col = _switch_column(m, item, have)
             if col > 1:
                 m = swap_columns(m, col)
             pos = m.positions[0]
@@ -255,14 +277,14 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
             switch = Switch(dict.fromkeys(cases), None, None, save)
             node = Swap(col, switch) if col > 1 else switch
             below = [
-                (sub, slot_of, binder_of, switch.sym_cases, case)
+                (sub, have, slot_of, binder_of, switch.sym_cases, case)
                 for case, sub in cases.items()
             ]
             if lam is not None:
                 opened = {**binder_of, pos: len(binder_of)}
-                below.append((lam, slot_of, opened, switch, "lam_case"))
+                below += [(lam, have, slot_of, opened, switch, "lam_case")]
             if default is not None:
-                below.append((default, slot_of, binder_of, switch, "default_case"))
+                below += [(default, have, slot_of, binder_of, switch, "default_case")]
         else:
             if type(item) is frozenset:
                 sels = sorted(_selector(occ, slot_of, binder_of) for occ in item)
@@ -275,8 +297,8 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
                 restricted = tuple(sorted(k for k in shut if k not in within))
                 node = BinCl(None, slot_of[pos], within, None, restricted)
             below = [
-                (cond_succ(item, m), slot_of, binder_of, node, "succ"),
-                (cond_fail(item, m), slot_of, binder_of, node, "fail"),
+                (cond_succ(item, m), have, slot_of, binder_of, node, "succ"),
+                (cond_fail(item, m), have, slot_of, binder_of, node, "fail"),
             ]
         if type(into) is dict:
             into[at] = node
@@ -286,18 +308,14 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
     return top[None]
 
 
-def trees_of_ruleset(rules: Sequence[Rule]) -> dict[tuple[str, int], DTree]:
+def trees_of_ruleset(rules: Sequence[Rule]) -> dict[str, DTree]:
     """Validate the rules, raising RuleSetError, then compile one tree per
-    head and arity k of its rules, from its rules of arity at most k."""
+    head from all of its rules, of every arity, in text order."""
     validate_rules(rules)
     by_head: dict[str, list[Rule]] = {}
     for r in rules:
         by_head.setdefault(r.head, []).append(r)
-    return {
-        (head, k): compile_matrix(from_rules([r for r in rs if r.arity <= k]))
-        for head, rs in by_head.items()
-        for k in dict.fromkeys(r.arity for r in rs)
-    }
+    return {head: compile_matrix(from_rules(rs)) for head, rs in by_head.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +324,7 @@ def trees_of_ruleset(rules: Sequence[Rule]) -> dict[tuple[str, int], DTree]:
 
 def _edges(node: DTree) -> list[tuple[Optional[str], DTree]]:
     """Children in print order, each with its edge label: none below Swap
-    and Store, the case below Switch, yes or no below BinNl and BinCl."""
+    and Store, the case below Switch, yes or no below BinNl, BinCl and Eos."""
     t = type(node)
     if t is Swap or t is Store:
         return [(None, node.child)]
@@ -317,7 +335,7 @@ def _edges(node: DTree) -> list[tuple[Optional[str], DTree]]:
         if node.default_case is not None:
             out.append(("*", node.default_case))
         return out
-    if t is BinNl or t is BinCl:
+    if t is BinNl or t is BinCl or t is Eos:
         return [("yes", node.succ), ("no", node.fail)]
     return []
 
@@ -372,6 +390,8 @@ def _node_text(node: DTree, print_rhs) -> str:
         return "eq? {} {}".format(*map(_saved_text, node.slots, node.formals))
     if t is BinCl:
         return f"closed? s{node.slot} within [{','.join(map(str, node.allowed))}]"
+    if t is Eos:
+        return f"args >= {node.arity}?"
     if t is Swap:
         return f"swap {node.index}"
     if t is Store:

@@ -55,6 +55,7 @@ from .dtree import (
     BinCl,
     BinNl,
     DTree,
+    Eos,
     Fail,
     Leaf,
     Store,
@@ -117,14 +118,13 @@ class Steps:
 
 @dataclass(slots=True)
 class EvalContext:
-    """Immutable evaluation setup: compiled trees, rules, budget, equality
-    and engine."""
+    """Immutable evaluation setup: one compiled tree per head, rules,
+    budget, equality and engine.  ``defined`` maps each head of a rule to
+    the smallest arity of its rules, the same for both engines."""
 
-    trees: dict[tuple[str, int], DTree]
+    trees: dict[str, DTree]
     rules_by_head: dict[str, list[Rule]]
-    # [n]: the tree for n arguments, or None; the last for more arguments
-    trees_by_head: dict[str, list[Optional[DTree]]]
-    defined: frozenset[str]  # heads of rules, the same for both engines
+    defined: dict[str, int]
     max_steps: int = 10**8
     equality: str = CONVERTIBLE
     engine: str = TREE
@@ -142,16 +142,10 @@ class EvalContext:
         by_head: dict[str, list[Rule]] = {}
         for r in rules:
             by_head.setdefault(r.head, []).append(r)
-        trees = trees_of_ruleset(rules)
-        by_count: dict[str, list[Optional[DTree]]] = {}
-        for (head, arity), tree in sorted(trees.items()):
-            row = by_count.setdefault(head, [])
-            row += [row[-1] if row else None] * (arity - len(row)) + [tree]
         return cls(
-            trees=trees,
+            trees=trees_of_ruleset(rules),
             rules_by_head=by_head,
-            defined=frozenset(by_head),
-            trees_by_head=by_count,
+            defined={h: min(r.arity for r in rs) for h, rs in by_head.items()},
             max_steps=max_steps,
             equality=equality,
             engine=engine,
@@ -411,7 +405,8 @@ def eval_tree(
     """Run a decision tree on an argument vector.
 
     Returns the instantiated right-hand side, applied to the arguments past
-    its rule's arity, or None when matching fails.  ``args`` is only read.
+    its rule's arity, or None when matching fails.  ``args`` is only read;
+    an Eos takes its yes child when ``args`` has at least the node's arity.
     A Switch pops the stack top and weak-head normalizes it on the stack
     itself, which leaves the head's arguments there for a symbol case; if
     its store flag is set it saves that normal form before dispatching on
@@ -492,7 +487,7 @@ def eval_tree(
             if trace is not None:
                 trace.append(("leaf", len(store)))
             rhs = instantiate(node, store)
-            k = node.arity
+            k = node.rule.arity
             return rhs if k == len(args) else build_app(rhs, args[k:])
         if tn is BinNl:
             i, j = node.slots
@@ -527,6 +522,9 @@ def eval_tree(
                 trace.append(("cl", node.slot, ok))
             node = node.succ if ok else node.fail
             continue
+        if tn is Eos:
+            node = node.succ if len(args) >= node.arity else node.fail
+            continue
         if tn is Fail:
             if trace is not None:
                 trace.append(("fail",))
@@ -541,10 +539,10 @@ def eval_tree(
 def rewrite_head(
     ctx: EvalContext, head: str, args: list[Term], steps: Steps
 ) -> Optional[Term]:
-    """One rewrite attempt at a symbol head: one run of the tree of the
-    largest arity at most ``len(args)``, or under naive the first rule in
-    text order that applies; the arguments past the rule's arity are
-    reattached to its right-hand side.  ``args`` is only read.
+    """One rewrite attempt at a symbol head: none below the smallest arity
+    of its rules, else one run of the head's tree, or under naive the first
+    rule in text order that applies; the arguments past the rule's arity
+    are reattached to its right-hand side.  ``args`` is only read.
 
     A failed attempt records in ``steps.hnf`` every term its matches
     head-normalised, so the rest of the evaluation starts from those normal
@@ -553,10 +551,10 @@ def rewrite_head(
     its reduced entries join the record only when no rule applies.  A
     failed closedness check records its own."""
     if ctx.engine == TREE:
-        trees = ctx.trees_by_head.get(head, (None,))
-        n = len(args)
-        tree = trees[n] if n < len(trees) else trees[-1]
-        return None if tree is None else eval_tree(ctx, tree, args, steps)
+        least = ctx.defined.get(head)
+        if least is None or len(args) < least:
+            return None
+        return eval_tree(ctx, ctx.trees[head], args, steps)
     rules = ctx.rules_by_head.get(head)
     if not rules:
         return None

@@ -117,7 +117,7 @@ class Rule:
     # variable's occurrences and those some enclosing binder may not reach
     # (``analyse_lhs``); the rhs's pattern-variable applications in preorder,
     # the first occurrence of each name it uses, and the rhs binders that
-    # change per firing (``analyse_rhs``)
+    # change per firing (``analyse_rhs``); and the arity, ``len(lhs_args)``
     occurrences: dict[str, list[Occurrence]] = field(
         init=False, repr=False, compare=False
     )
@@ -125,6 +125,7 @@ class Rule:
     rhs_metas: tuple[MetaApp, ...] = field(init=False, repr=False, compare=False)
     env: dict[str, Occurrence] = field(init=False, repr=False, compare=False)
     binders: BinderSources = field(init=False, repr=False, compare=False)
+    arity: int = field(init=False, repr=False, compare=False)
     # the naive engine's builder, compiled on the rule's first naive firing
     # (``apply_subst``), so that set-up compiles none
     naive_build: Optional[Builder] = field(
@@ -132,12 +133,9 @@ class Rule:
     )
 
     def __post_init__(self):
+        self.arity = len(self.lhs_args)
         self.occurrences, self.restricted = analyse_lhs(self.lhs_args)
         self.rhs_metas, self.env, self.binders = analyse_rhs(self)
-
-    @property
-    def arity(self) -> int:
-        return len(self.lhs_args)
 
     def __repr__(self):
         lhs = " ".join([self.head] + [repr(p) for p in self.lhs_args])

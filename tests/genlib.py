@@ -12,7 +12,7 @@ import random
 from contextlib import contextmanager
 from typing import Iterator
 
-from rwtree import engine
+from rwtree import engine, patterns
 from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule, validate_rule
 from rwtree.syntax import parse_file
 from rwtree.terms import (
@@ -48,6 +48,22 @@ with append (cons $x $k) $l --> cons $x (append $k $l);
 rule rev nil --> nil
 with rev (cons $x $k) --> append (rev $k) (cons $x nil);
 """
+
+
+def mixed_arity_source() -> str:
+    """200 rules of one head ``f`` over 20 arities, rule i of arity
+    ``1 + i % 20``: a constant first argument, and each later one a pattern
+    variable with probability 0.15, else a constant; every right-hand side
+    is ``c0``.  Seeded, so the rules are the same at every call."""
+    rng = random.Random(7)
+    consts = [f"c{i}" for i in range(10)]
+    lines = ["symbol f; " + " ".join(f"symbol {c};" for c in consts)]
+    for i in range(200):
+        args = [rng.choice(consts)]
+        for j in range(1, 1 + i % 20):
+            args.append(f"$x{j}" if rng.random() < 0.15 else rng.choice(consts))
+        lines.append(f"rule f {' '.join(args)} --> c0;")
+    return "\n".join(lines) + "\n"
 
 
 def parse_term(text: str, scope: dict[str, Term]) -> Term:
@@ -287,3 +303,40 @@ def recorded_reads(read: set[int]) -> Iterator[set[int]]:
         yield read
     finally:
         engine.whnf, engine.equal_terms, engine.normalise = saved
+
+
+@contextmanager
+def counted_inspections() -> Iterator[dict[str, int]]:
+    """While open, count in the dict it yields the head inspections of
+    rewrite attempts, nested ones included.  Under ``"tree"``: each Switch visit in
+    the trace of ``engine.eval_tree``, whether it took a case or found none.
+    Under ``"naive"``: each call of the ``whnf`` hook that
+    ``patterns.match_patterns`` receives, which the matcher makes before it
+    checks a symbol or abstraction pattern.  Both functions are replaced
+    while the context is open, so use it from one thread."""
+    counts = {"tree": 0, "naive": 0}
+    saved = engine.eval_tree, patterns.match_patterns
+    eval_tree, match_patterns = saved
+
+    def counting_eval_tree(ctx, tree, args, steps):
+        trace: list = []
+        try:
+            return eval_tree(ctx, tree, args, steps, trace=trace)
+        finally:
+            counts["tree"] += sum(e[0] in ("switch", "no-case") for e in trace)
+
+    def counting_match_patterns(pats, terms, *, whnf, **hooks):
+        def counting_whnf(t):
+            counts["naive"] += 1
+            return whnf(t)
+
+        return match_patterns(pats, terms, whnf=counting_whnf, **hooks)
+
+    engine.eval_tree, patterns.match_patterns = (
+        counting_eval_tree,
+        counting_match_patterns,
+    )
+    try:
+        yield counts
+    finally:
+        engine.eval_tree, patterns.match_patterns = saved

@@ -3,6 +3,7 @@ import pytest
 from rwtree.dtree import (
     BinCl,
     BinNl,
+    Eos,
     Fail,
     Leaf,
     Store,
@@ -20,7 +21,7 @@ from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule
 from rwtree.syntax import parse_file, print_term
 from rwtree.terms import MetaApp, fresh_var, symb
 
-from genlib import FIB_RULES, RuleSampler
+from genlib import FIB_RULES, RuleSampler, mixed_arity_source
 
 
 def pvar(name, *args):
@@ -54,7 +55,7 @@ def test_compile_example1_shape():
     # column two first; each right-hand side's $x is stored just before its
     # leaf (the golden text below, compiled here from hand-built rules)
     tree = compile_matrix(from_rules(example1_rules()))
-    text, _dot = GOLDEN[("example1", "f", 2)]
+    text, _dot = GOLDEN[("example1", "f")]
     assert tree_text(tree, print_rhs=print_term) == text
 
 
@@ -126,7 +127,7 @@ def test_compile_switches_on_the_column_with_most_heads_first():
     # column 3 holds two heads, but naive never reaches it when the first
     # row fails at column 1, and the second row starts at column 2; so only
     # column 1 qualifies
-    tree = trees_of_ruleset(parse_file(STATE).rules)[("f", 3)]
+    tree = trees_of_ruleset(parse_file(STATE).rules)["f"]
     assert type(tree) is Switch
     assert list(tree.sym_cases) == [("a", 0)] and tree.default_case is not None
 
@@ -158,7 +159,9 @@ def test_compile_stores_a_rhs_variable_before_its_leaf():
 # trees_of_ruleset
 
 
-def test_trees_grouped_by_arity():
+def test_trees_grouped_by_head():
+    # the rules of both arities share one tree; the subject's second
+    # argument is tested for only below s, where the wider rule is next
     r1 = Rule("plus", (psym("0"),), symb("id"), "p0")
     r2 = Rule(
         "plus",
@@ -167,7 +170,12 @@ def test_trees_grouped_by_arity():
         "ps",
     )
     trees = trees_of_ruleset([r1, r2])
-    assert set(trees) == {("plus", 1), ("plus", 2)}
+    assert set(trees) == {"plus"}
+    root = trees["plus"]
+    assert type(root) is Switch and type(root.sym_cases[("0", 0)]) is Leaf
+    below_s = root.sym_cases[("s", 1)]
+    assert type(below_s) is Eos and below_s.arity == 2
+    assert type(below_s.fail) is Fail
 
 
 def test_trees_empty_ruleset():
@@ -176,7 +184,24 @@ def test_trees_empty_ruleset():
 
 def test_trees_example1_single_group():
     trees = trees_of_ruleset(example1_rules())
-    assert set(trees) == {("f", 2)}
+    assert set(trees) == {"f"}
+
+
+def test_a_head_of_many_arities_compiles_its_rules_once():
+    # 200 rules over 20 arities: one tree per arity held 32,911 nodes in
+    # all, since each compiled every shorter rule again
+    trees = trees_of_ruleset(parse_file(mixed_arity_source()).rules)
+    assert list(trees) == ["f"]
+    assert sum(1 for _ in iter_tree(trees["f"])) < 16_000
+
+
+def test_a_single_arity_head_tests_no_argument_count(rng):
+    sampler = RuleSampler(rng)
+    for _ in range(100):
+        rules = sampler.ruleset()
+        for head, tree in trees_of_ruleset(rules).items():
+            if len({r.arity for r in rules if r.head == head}) == 1:
+                assert all(type(n) is not Eos for _, _, n in iter_tree(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +233,9 @@ def test_store_indices_bounded_on_random_rulesets(rng):
                 elif t is BinNl:
                     assert max(node.slots) < stores
                     assert all(k < lambdas for sel in node.formals for k in sel)
+                    todo.append((node.succ, stores, lambdas))
+                    todo.append((node.fail, stores, lambdas))
+                elif t is Eos:
                     todo.append((node.succ, stores, lambdas))
                     todo.append((node.fail, stores, lambdas))
                 elif t is BinCl:
@@ -307,15 +335,16 @@ def test_a_deep_chain_is_rendered_and_measured_without_recursion():
 
 def test_dot_escapes_quotes_in_node_and_edge_labels():
     source = 'symbol f; symbol q";\nrule f q" --> q";\n'
-    tree = trees_of_ruleset(parse_file(source).rules)[("f", 1)]
+    tree = trees_of_ruleset(parse_file(source).rules)["f"]
     dot = to_dot(tree, print_rhs=print_term)
     assert '  n0 -> n1 [label="q\\"/0"];' in dot.splitlines()
     assert '  n1 [label="leaf q\\"", shape=ellipse];' in dot.splitlines()
 
 
-# Golden renderings.  Together these four trees reach every node kind: fib's
+# Golden renderings.  Together these five trees reach every node kind: fib's
 # + a storing Switch and a Store of entry 2, hol's d a lambda case, BinCl
-# and Fail, hol's sub BinNl, example 1's f a Swap.
+# and Fail, hol's sub BinNl, example 1's f a Swap, and mixed's f, whose
+# rules have two arities, an Eos.
 
 HOL_RULES = r"""symbol d; symbol sin; symbol cos; symbol +; symbol *; symbol neg;
 symbol sub; symbol 0;
@@ -331,8 +360,14 @@ EXAMPLE1 = "symbol f; symbol c; symbol a; symbol b;\n" + (
     "rule f (c (c $x)) a --> $x with f $x b --> $x;\n"
 )
 
+# a wider rule first: naive skips it on one argument without reading any,
+# so the tree tests the argument count before it inspects the first
+MIXED = "symbol f; symbol a; symbol b; symbol x;\n" + (
+    "rule f a b --> x with f $y --> $y;\n"
+)
+
 GOLDEN = {
-    ("fib", "+", 2): (
+    ("fib", "+"): (
         """\
 switch store
   0/0: store
@@ -368,7 +403,7 @@ digraph dtree {
   n0 -> n6 [label="*"];
 }""",
     ),
-    ("hol", "d", 1): (
+    ("hol", "d"): (
         r"""switch
   lambda: store
     closed? s0 within []
@@ -417,7 +452,7 @@ digraph dtree {
   n13 -> n14;
 }""",
     ),
-    ("hol", "sub", 2): (
+    ("hol", "sub"): (
         """\
 store
   store 2
@@ -438,7 +473,7 @@ digraph dtree {
   n0 -> n1;
 }""",
     ),
-    ("example1", "f", 2): (
+    ("example1", "f"): (
         """\
 swap 2
   switch
@@ -468,19 +503,54 @@ digraph dtree {
   n0 -> n1;
 }""",
     ),
+    ("mixed", "f"): (
+        """\
+args >= 2?
+  yes: switch store
+    a/0: switch
+      b/0: leaf x
+      *: leaf $y {$y<-s0}
+    *: leaf $y {$y<-s0}
+  no: store
+    leaf $y {$y<-s0}""",
+        """\
+digraph dtree {
+  node [shape=box, fontname=monospace];
+  n0 [label="args >= 2?"];
+  n1 [label="switch store", shape=circle];
+  n0 -> n1 [label="yes"];
+  n2 [label="switch", shape=circle];
+  n1 -> n2 [label="a/0"];
+  n3 [label="leaf x", shape=ellipse];
+  n2 -> n3 [label="b/0"];
+  n4 [label="leaf $y {$y<-s0}", shape=ellipse];
+  n2 -> n4 [label="*"];
+  n5 [label="leaf $y {$y<-s0}", shape=ellipse];
+  n1 -> n5 [label="*"];
+  n6 [label="store"];
+  n0 -> n6 [label="no"];
+  n7 [label="leaf $y {$y<-s0}", shape=ellipse];
+  n6 -> n7;
+}""",
+    ),
 }
 
-GOLDEN_SOURCES = {"fib": FIB_RULES, "hol": HOL_RULES, "example1": EXAMPLE1}
+GOLDEN_SOURCES = {
+    "fib": FIB_RULES,
+    "hol": HOL_RULES,
+    "example1": EXAMPLE1,
+    "mixed": MIXED,
+}
 
 
-def _golden_tree(source, head, arity):
-    return trees_of_ruleset(parse_file(GOLDEN_SOURCES[source]).rules)[(head, arity)]
+def _golden_tree(source, head):
+    return trees_of_ruleset(parse_file(GOLDEN_SOURCES[source]).rules)[head]
 
 
-@pytest.mark.parametrize("source,head,arity", sorted(GOLDEN))
-def test_rendering_golden(source, head, arity):
-    tree = _golden_tree(source, head, arity)
-    text, dot = GOLDEN[(source, head, arity)]
+@pytest.mark.parametrize("source,head", sorted(GOLDEN))
+def test_rendering_golden(source, head):
+    tree = _golden_tree(source, head)
+    text, dot = GOLDEN[(source, head)]
     assert tree_text(tree, print_rhs=print_term) == text
     # node ids are preorder; only the order of the edge lines may vary
     assert sorted(to_dot(tree, print_rhs=print_term).splitlines()) == sorted(
@@ -490,6 +560,7 @@ def test_rendering_golden(source, head, arity):
 
 def test_golden_trees_reach_every_node_kind():
     nodes = [n for key in GOLDEN for _, _, n in iter_tree(_golden_tree(*key))]
-    assert {type(n) for n in nodes} == {Switch, Swap, Store, BinNl, BinCl, Leaf, Fail}
+    kinds = {Switch, Swap, Store, BinNl, BinCl, Eos, Leaf, Fail}
+    assert {type(n) for n in nodes} == kinds
     assert any(type(n) is Switch and n.store for n in nodes)
     assert any(type(n) is Store and n.index > 1 for n in nodes)

@@ -48,6 +48,7 @@ from genlib import (
     FIB_RULES,
     REVNAT_RULES,
     RuleSampler,
+    counted_inspections,
     loop_rule,
     nat_list,
     numeral,
@@ -116,7 +117,7 @@ def term(text, ctx_text):
 def test_eval_trace_swap_then_leaf():
     # stack (f a, b): swap, take the b case, reach the leaf; store untouched
     ctx = ctx_for(EXAMPLE1)
-    tree = ctx.trees[("f", 2)]
+    tree = ctx.trees["f"]
     fa = App(symb("f"), symb("a"))
     trace = []
     result = eval_tree(ctx, tree, [fa, symb("b")], Steps(100), trace=trace)
@@ -130,7 +131,7 @@ def test_eval_trace_swap_then_leaf():
 
 def test_eval_tree_rule_one_binds_innermost():
     ctx = ctx_for(EXAMPLE1)
-    tree = ctx.trees[("f", 2)]
+    tree = ctx.trees["f"]
     cce = App(symb("c"), App(symb("c"), symb("e")))
     result = eval_tree(ctx, tree, [cce, symb("a")], Steps(100))
     assert result is not None
@@ -144,7 +145,7 @@ def test_eval_tree_fail_node():
 
 def test_eval_tree_no_case_no_default():
     ctx = ctx_for(EXAMPLE1)
-    tree = ctx.trees[("f", 2)]
+    tree = ctx.trees["f"]
     # second argument e matches neither a nor b and there is no default
     out = eval_tree(ctx, tree, [symb("e"), symb("e")], Steps(100))
     assert out is None
@@ -952,6 +953,33 @@ def test_the_tree_forces_no_argument_that_naive_leaves_unread():
     assert diverged == [] and poisoned > 1000
 
 
+def test_the_tree_inspects_no_more_heads_than_naive():
+    # the paper's claim, per attempt: on arguments that need no nested step,
+    # so that neither confluence nor budgets can blur it, the tree's Switch
+    # visits are at most the heads that naive checks
+    attempts, total, worse = 0, {"tree": 0, "naive": 0}, []
+    for seed in range(2000):
+        sampler = RuleSampler(random.Random(seed))
+        rules = sampler.ruleset()
+        head, args = sampler.subject_args(rules)
+        counts, used = {}, {}
+        for engine in ("tree", "naive"):
+            ctx = EvalContext.from_rules(rules, engine=engine, max_steps=10**6)
+            steps = Steps(10**6)
+            with counted_inspections() as counted:
+                rewrite_head(ctx, head, args, steps)
+            counts[engine], used[engine] = counted[engine], steps.used
+        if used["tree"] or used["naive"]:
+            continue
+        attempts += 1
+        for engine in total:
+            total[engine] += counts[engine]
+        if counts["tree"] > counts["naive"]:
+            worse.append(seed)
+    assert worse == [] and attempts > 1900
+    assert total["tree"] < total["naive"]
+
+
 def test_every_switch_inspects_a_head(rng):
     sampler = RuleSampler(rng)
     for _ in range(150):
@@ -1042,7 +1070,7 @@ def test_rewrite_head_sees_only_defined_heads(engine, monkeypatch):
     steps = Steps(10**6)
     out = snf(ctx, App(symb("fib"), numeral(8)), steps)
     assert alpha_eq(out, numeral(21))
-    assert seen and set(seen) <= ctx.defined
+    assert seen and set(seen) <= ctx.defined.keys()
     assert hits[0] == steps.used
 
 
@@ -1138,9 +1166,9 @@ def test_naive_engine_tries_the_rules_one_by_one(monkeypatch):
 
 
 def test_one_tree_per_rewrite_attempt(rng, monkeypatch):
-    # a head with rules of several arities still has one tree for each
-    # argument count, so an attempt runs at most one tree, also when the
-    # subject has arguments for more than one of those arities
+    # a head with rules of several arities has one tree, so an attempt runs
+    # at most one tree, also when the subject has arguments for more than
+    # one of those arities
     import rwtree.engine as eng
 
     open_attempts = []  # eval_tree calls of each rewrite_head call running
