@@ -146,14 +146,17 @@ def _key_positions(key: ConstraintKey) -> tuple[Position, ...]:
     return tuple(pos for pos, _ in key) if type(key) is frozenset else key[:1]
 
 
-def _pending_positions(m: ClauseMatrix) -> set[Position]:
-    """Positions that must be stored before a row can fire or be checked."""
-    out: set[Position] = set()
-    for row in m.rows:
-        for key in row.constraints:
-            out.update(_key_positions(key))
-        out.update(pos for pos, _ in row.rule.env.values())
-    return out
+def _pending_positions(m: ClauseMatrix) -> dict[int, set[Position]]:
+    """The positions that each row's rule, keyed by its id, needs stored
+    before it can fire or be checked: those that its right-hand side and its
+    constraints read.  Made once per compile, as a constraint leaves a row
+    only when it is decided, and its positions are stored by then."""
+    return {
+        id(row.rule): {pos for pos, _ in row.rule.env.values()}.union(
+            *map(_key_positions, row.constraints)
+        )
+        for row in m.rows
+    }
 
 
 def _first_item(row: ClauseRow, positions: tuple) -> int | ConstraintKey | None:
@@ -180,6 +183,8 @@ def _switch_column(m: ClauseMatrix, first: int, have: int) -> int:
     ``have`` arguments known to be present adds no column, since naive may
     skip it.  Rows are read only while they can still add a column."""
     rows, positions = m.rows, m.positions
+    if len(rows) == 1:
+        return first
     found = {first}
     common = {i for i, p in enumerate(rows[0].patterns, 1) if type(p) is not PatVar}
     for r in rows[1:]:
@@ -226,6 +231,7 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
     """
     top: dict = {}
     least = min((r.rule.arity for r in m.rows), default=0)
+    pending = _pending_positions(m)
     todo: list[tuple] = [(m, least, {}, {}, top, None)]
     while todo:
         m, have, slot_of, binder_of, into, at = todo.pop()
@@ -237,17 +243,22 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
         # the row that yields; one with checks might force what rows above skip
         row, wide = None, 0
         for r in () if check else rows:
-            if r.rule.arity >= wide and not r.constraints and all(
-                type(p) is PatVar for p in r.patterns
-            ):
-                row, read = r, {pos for pos, _ in r.rule.env.values()}
-                break
+            if r.rule.arity >= wide and not r.constraints:
+                for p in r.patterns:
+                    if type(p) is not PatVar:
+                        break
+                else:
+                    row, read = r, pending[id(r.rule)]
+                    break
             wide = max(wide, r.rule.arity)
         need = rows[0].rule.arity if rows else 0
         if need <= have and row is not None:
             need = row.rule.arity
-        unstored = (p in read and p not in slot_of for p in m.positions)
-        store = next((i for i, u in enumerate(unstored, 1) if u), 0) if read else 0
+        store = 0
+        for i, p in enumerate(m.positions if read else (), 1):
+            if p in read and p not in slot_of:
+                store = i
+                break
         if not rows:
             node = FAIL
         elif need > have:
@@ -262,15 +273,16 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
             stored = {**slot_of, m.positions[store - 1]: len(slot_of)}
             below = [(m, have, stored, binder_of, node, "child")]
         elif row is not None:
-            env = row.rule.env
-            sel = {n: _selector(occ, slot_of, binder_of) for n, occ in env.items()}
+            sel = {}
+            for n, occ in row.rule.env.items():
+                sel[n] = _selector(occ, slot_of, binder_of)
             node = Leaf(row.rule, sel)
         elif not check:
             col = _switch_column(m, item, have)
             if col > 1:
                 m = swap_columns(m, col)
             pos = m.positions[0]
-            save = pos not in slot_of and pos in _pending_positions(m)
+            save = pos not in slot_of and any(pos in pending[id(r.rule)] for r in rows)
             if save:
                 slot_of = {**slot_of, pos: len(slot_of)}
             cases, lam, default = specialize(m)

@@ -59,10 +59,6 @@ def from_rules(rules: Sequence[Rule]) -> ClauseMatrix:
     return ClauseMatrix(tuple(rows), tuple((i,) for i in range(1, width + 1)))
 
 
-def _with_patterns(row: ClauseRow, patterns: tuple[Pattern, ...]) -> ClauseRow:
-    return ClauseRow(patterns, row.constraints, row.rule)
-
-
 # the abstraction case, built as a one-argument case among the symbol cases
 _LAMBDA = (None, 1)
 
@@ -87,8 +83,9 @@ def specialize(
         tp = type(p)
         if tp is PatVar:
             for (_, argc), rows in cases.items():
-                rows.append(_with_patterns(row, (WILDCARD,) * argc + rest))
-            default.append(_with_patterns(row, rest))
+                pad = (WILDCARD,) * argc
+                rows.append(ClauseRow(pad + rest, row.constraints, row.rule))
+            default.append(ClauseRow(rest, row.constraints, row.rule))
             continue
         if tp is PatSymb:
             key, sub = (p.symbol, len(p.args)), p.args
@@ -97,8 +94,10 @@ def specialize(
         if key not in cases:
             # a new case starts with the variable rows seen so far
             pad = (WILDCARD,) * key[1]
-            cases[key] = [_with_patterns(d, pad + d.patterns) for d in default]
-        cases[key].append(_with_patterns(row, sub + rest))
+            cases[key] = [
+                ClauseRow(pad + d.patterns, d.constraints, d.rule) for d in default
+            ]
+        cases[key].append(ClauseRow(sub + rest, row.constraints, row.rule))
     pos, after = m.positions[0], m.positions[1:]
     built = {
         key: ClauseMatrix(
@@ -120,7 +119,7 @@ def swap_columns(m: ClauseMatrix, i: int) -> ClauseMatrix:
         xs[0], xs[k] = xs[k], xs[0]
         return tuple(xs)
 
-    rows = tuple(_with_patterns(row, swapped(row.patterns)) for row in m.rows)
+    rows = tuple(ClauseRow(swapped(r.patterns), r.constraints, r.rule) for r in m.rows)
     return ClauseMatrix(rows, swapped(m.positions))
 
 

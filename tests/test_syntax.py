@@ -232,16 +232,21 @@ EXAMPLE1 = """
 symbol f; symbol c; symbol a; symbol b; symbol e;
 rule f (c (c $x)) a --> $x
 with f $x       b --> $x;
-compute f (c (c e)) b;
+compute f (c (c e)) b; // a comment in mid-line: rule f --> ; compute
+rule f e e --> e;
+assert f e e == e;//
 """
 
 
 def test_parse_file_example1():
     source = parse_file(EXAMPLE1)
     kinds = [type(i).__name__ for i in source.items]
-    assert kinds == ["Declaration"] * 5 + ["RuleBlock", "Compute"]
+    assert kinds[:5] == ["Declaration"] * 5
+    assert kinds[5:] == ["RuleBlock", "Compute", "RuleBlock", "Assert"]
+    assert (source.items[6].line, source.items[8].line) == (6, 8)
     rules = source.rules
-    assert len(rules) == 2
+    assert [r.label for r in rules] == ["f@4", "f@5", "f@7"]
+    assert rules == source.items[5].rules + source.items[7].rules
     assert rules[0].head == "f"
     assert rules[0].arity == 2
     assert isinstance(rules[0].lhs_args[0], PatSymb)
