@@ -320,13 +320,17 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
     return top[None]
 
 
-def trees_of_ruleset(rules: Sequence[Rule]) -> dict[str, DTree]:
+def trees_of_ruleset(
+    rules: Sequence[Rule], *, by_head: Optional[dict[str, list[Rule]]] = None
+) -> dict[str, DTree]:
     """Validate the rules, raising RuleSetError, then compile one tree per
-    head from all of its rules, of every arity, in text order."""
+    head from all of its rules, of every arity, in text order.  A caller
+    that has grouped ``rules`` by head already passes that as ``by_head``."""
     validate_rules(rules)
-    by_head: dict[str, list[Rule]] = {}
-    for r in rules:
-        by_head.setdefault(r.head, []).append(r)
+    if by_head is None:
+        by_head = {}
+        for r in rules:
+            by_head.setdefault(r.head, []).append(r)
     return {head: compile_matrix(from_rules(rs)) for head, rs in by_head.items()}
 
 

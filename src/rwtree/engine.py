@@ -143,7 +143,7 @@ class EvalContext:
         for r in rules:
             by_head.setdefault(r.head, []).append(r)
         return cls(
-            trees=trees_of_ruleset(rules),
+            trees=trees_of_ruleset(rules, by_head=by_head),
             rules_by_head=by_head,
             defined={h: min(r.arity for r in rs) for h, rs in by_head.items()},
             max_steps=max_steps,

@@ -23,9 +23,9 @@ extends maximally to the right.  ``TYPE``, ``KIND``, ``_`` and the keywords
 are never names.
 
 The tokenizer keeps token texts only.  It cuts the comments out in one regex
-pass and records where each line's tokens start, so a token's line is one
-bisection; its column is found only when an error is raised, by scanning
-that line of the original text again.
+pass, pads each delimiter with spaces and splits each line at whitespace with
+``str.split()``.  A token's line is one bisection of where each line's tokens
+start; its column is found only for an error, in that line's text.
 
 The parser is one loop per term, with its own stack of open binders,
 product domains and parentheses, and one loop per rule's patterns; nothing
@@ -58,8 +58,8 @@ from .terms import (
 # the kind of every token that is not a word: first the one-character
 # delimiters, which a token is made of or stops at; "" ends the token list
 _KIND = {c: c for c in "()[],;:.$"} | {"\\": "lam", "λ": "lam", "Π": "pi", "↪": "arrow"}
-_DELIMITERS = re.escape("".join(_KIND))
-_TOKEN = re.compile(f"[{_DELIMITERS}]|[^\\s{_DELIMITERS}]+")
+# each delimiter padded with spaces, so that str.split cuts the text there
+_PADDED = [(c, f" {c} ") for c in _KIND]
 _KIND |= {"-->": "arrow", "==": "eqeq", "": "eof"}
 _COMMENT = re.compile("//.*")
 _KEYWORDS = {"symbol", "rule", "with", "compute", "assert"}
@@ -83,12 +83,17 @@ class ScopeError(Exception):
 
 def _scan(text: str) -> tuple[list[str], list[int]]:
     """Token texts, ending with ``""``, and the index of each line's first
-    token.  ``//`` never occurs inside a token, so cutting there is exact."""
+    token, or of the next line's if it has none: token ``i`` is on line
+    ``bisect_right(line_starts, i)``.  Comments go first: no token has ``//``."""
+    text = _COMMENT.sub("", text)
+    for c, padded in _PADDED:
+        if c in text:  # far cheaper than a replace that finds nothing
+            text = text.replace(c, padded)
     toks: list[str] = []
     line_starts = []
-    for line in _COMMENT.sub("", text).split("\n"):
+    for line in text.split("\n"):
         line_starts.append(len(toks))
-        toks += _TOKEN.findall(line)
+        toks += line.split()
     toks.append("")
     return toks, line_starts
 
@@ -151,18 +156,16 @@ class _Parser:
         # when it closes)
         self.names: dict[str, Term] = {}
 
-    def line(self, i: int) -> int:
-        """Line of token ``i``: the last line starting at or before it (a
-        line without tokens starts where the next line does)."""
-        return bisect_right(self.line_starts, i)
-
     def where(self, i: int) -> tuple[int, int]:
-        """Line and column of token ``i``, found by scanning its line again."""
-        line = self.line(i)
+        """Line and column of token ``i``.  The line's tokens are found in
+        turn in its text, as only whitespace lies between them."""
+        line = bisect_right(self.line_starts, i)
         code = _COMMENT.sub("", self.text.split("\n")[line - 1])
-        # the end of file is one column past the code, where a comment starts
-        cols = [m.start() + 1 for m in _TOKEN.finditer(code)] + [len(code) + 1]
-        return line, cols[i - self.line_starts[line - 1]]
+        end = 0
+        for tok in self.toks[self.line_starts[line - 1] : i + 1]:
+            # the end of file is at the end of the code, where a comment starts
+            end = code.find(tok, end) + len(tok) if tok else len(code)
+        return line, end - len(tok) + 1
 
     def expect(self, i: int, kind: str, what: str) -> int:
         """The index after token ``i``, which must be of ``kind``."""
@@ -315,57 +318,49 @@ class _Parser:
         toks = self.toks
         items: list[Item] = []
         rules: list[Rule] = []
-        append, term, line = items.append, self.term, self.line
+        append, term, line_starts = items.append, self.term, self.line_starts
         while True:
-            text = toks[self.pos]
-            # the commonest item, read without the dispatch of ``item``
+            start = self.pos
+            text = toks[start]
+            self.pos += 1
+            # the commonest item first
             if text == "compute":
-                start = self.pos
-                self.pos += 1
                 t = term(False)
                 if toks[self.pos] != ";":
                     self.fail(f"expected ';', found {toks[self.pos]!r}", self.pos)
                 self.pos += 1
-                append(Compute(t, line(start)))
-            elif text:
-                item = self.item()
-                append(item)
-                if type(item) is RuleBlock:
-                    rules += item.rules
-            else:
+                append(Compute(t, bisect_right(line_starts, start)))
+            elif text == "symbol":
+                name = self.ident(self.pos, "symbol name")
+                self.pos += 1
+                if toks[self.pos] == ":":
+                    self.pos += 1
+                    term(False)
+                self.pos = self.expect(self.pos, ";", "';'")
+                if name in self.names:
+                    self.fail(f"symbol {name!r} redeclared", start)
+                self.names[name] = symb(name)
+                append(Declaration(name))
+            elif text == "rule":
+                block = [self.rule()]
+                while toks[self.pos] == "with":
+                    self.pos += 1
+                    block.append(self.rule())
+                self.pos = self.expect(self.pos, ";", "';'")
+                append(RuleBlock(block))
+                rules += block
+            elif text == "assert":
+                lhs = term(False)
+                self.pos = self.expect(self.pos, "eqeq", "'=='")
+                rhs = term(False)
+                self.pos = self.expect(self.pos, ";", "';'")
+                append(Assert(lhs, rhs, bisect_right(line_starts, start)))
+            elif not text:
                 return SourceFile(items, rules)
-
-    def item(self) -> Item:
-        start = self.pos
-        text = self.toks[start]
-        self.pos += 1
-        if text == "symbol":
-            name = self.ident(self.pos, "symbol name")
-            self.pos += 1
-            if self.toks[self.pos] == ":":
-                self.pos += 1
-                self.term(False)
-            self.pos = self.expect(self.pos, ";", "';'")
-            if name in self.names:
-                self.fail(f"symbol {name!r} redeclared", start)
-            self.names[name] = symb(name)
-            return Declaration(name)
-        if text == "rule":
-            rules = [self.rule()]
-            while self.toks[self.pos] == "with":
-                self.pos += 1
-                rules.append(self.rule())
-            self.pos = self.expect(self.pos, ";", "';'")
-            return RuleBlock(rules)
-        if text == "assert":
-            lhs = self.term(False)
-            self.pos = self.expect(self.pos, "eqeq", "'=='")
-            rhs = self.term(False)
-            self.pos = self.expect(self.pos, ";", "';'")
-            return Assert(lhs, rhs, self.line(start))
-        if text in _KIND:
-            self.fail("expected a declaration, rule or directive", start)
-        self.fail(f"unknown item {text!r}", start)
+            elif text in _KIND:
+                self.fail("expected a declaration, rule or directive", start)
+            else:
+                self.fail(f"unknown item {text!r}", start)
 
     def rule(self) -> Rule:
         start = self.pos
@@ -376,7 +371,8 @@ class _Parser:
         if type(head) is not Symb:
             self.fail("rule left-hand side must apply a symbol", start)
         pats = self.patterns(args, start)
-        return Rule(head.name, pats, rhs, label=f"{head.name}@{self.line(start)}")
+        line = bisect_right(self.line_starts, start)
+        return Rule(head.name, pats, rhs, label=f"{head.name}@{line}")
 
     def patterns(self, args: list[Term], start: int) -> tuple[Pattern, ...]:
         """The patterns that the terms ``args`` spell; errors point at

@@ -1,4 +1,5 @@
 import ast
+import re
 import time
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from rwtree.dtree import trees_of_ruleset
 from rwtree.patterns import PatAbst, PatSymb, PatVar, RuleSetError
 from rwtree.syntax import (
     Assert,
+    Compute,
     Declaration,
     ParseError,
     ScopeError,
@@ -141,6 +143,83 @@ def test_tokenize_golden():
         "x", "(", "y", ")", "[", "z", "]", ",", ";", ":", ".", "$", "w",
         "k", "m-->n", "a", "↪", "b", "",
     ]  # fmt: skip
+
+
+# the regex tokenizer that the str.split scanner replaced, kept as the
+# reference: a token is a delimiter or a run of other non-whitespace
+# characters, ``//`` starts a comment, and lines end at "\n" only
+_REF_DELIMITERS = re.escape("()[],;:.$\\λΠ↪")
+_REF_TOKEN = re.compile(f"[{_REF_DELIMITERS}]|[^\\s{_REF_DELIMITERS}]+")
+
+
+def reference_scan(text):
+    """Tokens, each line's first token index, and each token's line and
+    column, the end-of-file sentinel last."""
+    toks, line_starts, places = [], [], []
+    for n, line in enumerate(text.split("\n"), start=1):
+        code = re.sub("//.*", "", line)
+        line_starts.append(len(toks))
+        for m in _REF_TOKEN.finditer(code):
+            toks.append(m.group())
+            places.append((n, m.start() + 1))
+    return toks + [""], line_starts, places + [(n, len(code) + 1)]
+
+
+# every delimiter, names, both multi-character words, comments, and line
+# ends and whitespace that a space-only split or a "\r"-aware line split
+# would get wrong
+TOKEN_PIECES = [
+    *"()[],;:.$\\λΠ↪", "f", "ab", "+", "/", "-", "=", "-->", "==", "//", "// x",
+    " ", "\n", "\r\n", "\t", "\xa0", "\x0c", "\x1c", "\u2028",
+]  # fmt: skip
+
+
+@given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=40).map("".join))
+@settings(max_examples=400)
+def test_scan_agrees_with_the_regex_tokenizer(text):
+    toks, line_starts, places = reference_scan(text)
+    assert tokenize(text) == toks
+    assert syntax._scan(text)[1] == line_starts
+    parser = syntax._Parser(text)
+    assert [parser.where(i) for i in range(len(toks))] == places
+
+
+@pytest.mark.parametrize(
+    "src, lines, labels",
+    [
+        (
+            "symbol f; symbol a;\r\nrule f a --> a;\r\ncompute f a;\r\n"
+            "assert f a == a;\r\n",
+            [3, 4],
+            ["f@2"],
+        ),
+        (
+            "// header\n\nsymbol f; symbol a;\n  \t\n// rule f a --> a;\n"
+            "compute\n  f a;\n\n//\nassert a\n== a;\n",
+            [6, 10],
+            [],
+        ),
+        (
+            "symbol f; symbol a;\nrule f\n  a\n  --> a\nwith\n  f (f a)\n"
+            "  --> a;\ncompute f a;",
+            [8],
+            ["f@2", "f@6"],
+        ),
+        (
+            "symbol f; symbol a; symbol b;\nrule f(a)b↪a;compute f(a)b;\n"
+            "assert(f a)== a;rule f(b)a --> b;",
+            [2, 3],
+            ["f@2", "f@3"],
+        ),
+        ("symbol f; symbol a;\ncompute f a;\nrule f a --> a;", [2], ["f@3"]),
+    ],
+    ids=["crlf", "blank-and-comment-lines", "block-over-lines", "glued", "no-final-newline"],
+)
+def test_item_lines_and_rule_labels(src, lines, labels):
+    source = parse_file(src)
+    items = [i for i in source.items if type(i) in (Compute, Assert)]
+    assert [i.line for i in items] == lines
+    assert [r.label for r in source.rules] == labels
 
 
 @pytest.mark.parametrize(
