@@ -6,14 +6,14 @@ are matched modulo reduction.  Head normalisation (``whnf_stk``) pushes the
 arguments onto its caller's stack, so a Switch and ``snf`` read them off
 their own stacks instead of unwinding the term again, and a symbol that
 heads no rule is never offered to a matcher.  A Switch head-normalizes the
-stack top before it inspects it, and stores that normal form when the tree
-asks for it.  In convertibility mode a non-linearity check
-(``convertible``) compares before it reduces: it skips a pair of subterms
-that are equal as they are, head-normalises the others and stops at the
-first pair of heads that differ, so neither side is normalised further than
-the comparison needs.  A closedness check (``normalise``) stops at the
-first variable it rejects, and a right-hand side is built from the normal
-form a passed check made.
+stack top, if it is an application or a symbol that heads a rule, before it
+inspects it, and stores that normal form when the tree asks for it.  In
+convertibility mode a non-linearity check (``convertible``) compares before
+it reduces: it skips a pair of subterms that are equal as they are,
+head-normalises the others and stops at the first pair of heads that differ,
+so neither side is normalised further than the comparison needs.  A
+closedness check (``normalise``) stops at the first variable it rejects, and
+a right-hand side is built from the normal form a passed check made.
 
 Both engines build a right-hand side with the rule's builder
 (``patterns.rhs_builder``): a Leaf runs the one compiled with the tree, on
@@ -64,6 +64,7 @@ from .dtree import (
     trees_of_ruleset,
 )
 from .patterns import Rule, StoreEntries, naive_rewrite_head, shared_formals
+from .patterns import validate_rules
 from .terms import (
     Abst,
     App,
@@ -118,7 +119,8 @@ class Steps:
 
 @dataclass(slots=True)
 class EvalContext:
-    """Immutable evaluation setup: one compiled tree per head, rules,
+    """Immutable evaluation setup: one compiled tree per head (none under
+    the naive engine, which validates the rules and reads no tree), rules,
     budget, equality and engine.  ``defined`` maps each head of a rule to
     the smallest arity of its rules, the same for both engines."""
 
@@ -142,8 +144,10 @@ class EvalContext:
         by_head: dict[str, list[Rule]] = {}
         for r in rules:
             by_head.setdefault(r.head, []).append(r)
+        if engine != TREE:
+            validate_rules(rules)
         return cls(
-            trees=trees_of_ruleset(rules, by_head=by_head),
+            trees=trees_of_ruleset(rules, by_head=by_head) if engine == TREE else {},
             rules_by_head=by_head,
             defined={h: min(r.arity for r in rs) for h, rs in by_head.items()},
             max_steps=max_steps,
@@ -407,29 +411,35 @@ def eval_tree(
     Returns the instantiated right-hand side, applied to the arguments past
     its rule's arity, or None when matching fails.  ``args`` is only read;
     an Eos takes its yes child when ``args`` has at least the node's arity.
-    A Switch pops the stack top and weak-head normalizes it on the stack
-    itself, which leaves the head's arguments there for a symbol case; if
-    its store flag is set it saves that normal form before dispatching on
-    the head.  Store saves a stack entry without popping or normalising it,
-    as its recorded head normal form when ``steps.hnf`` has one.  A lambda
-    case opens the abstraction in place: it pushes the body itself and
-    records the abstraction's own binder, renamed to a fresh variable only
-    when a binder opened on this path already has its identity.  Every saved
-    term comes with the binders opened so far.  When matching fails, every
-    column a Switch normalised is recorded in ``steps.hnf`` with its normal
-    form, so no later attempt in the evaluation reduces it again.
+    A Switch pops the stack top and, if it is an application or a symbol
+    that heads a rule, weak-head normalizes it on the stack itself, which
+    leaves the head's arguments there for a symbol case; if its store flag
+    is set it saves that normal form before dispatching on the head.  Store
+    saves a stack entry without popping or normalising it, as its recorded
+    head normal form when ``steps.hnf`` has one.  A lambda case opens the
+    abstraction in place: it pushes the body itself and records the
+    abstraction's own binder, renamed to a fresh variable only when a binder
+    opened on this path already has its identity.  Every saved term comes
+    with the binders opened so far.  When matching fails, every column a
+    Switch normalised is recorded in ``steps.hnf`` with its normal form, so
+    no later attempt in the evaluation reduces it again.
     """
     stack: list[Term] = args[::-1]  # stack[-1] is the first column
     store: list[tuple[Term, tuple[Var, ...]]] = []
     binders: tuple[Var, ...] = ()  # opened so far, the snapshot of a save
     hnf = steps.hnf
+    defined = ctx.defined
     forced = None  # (column, normal form, next) for each column a Switch reduced
     node = tree
     while True:
         tn = type(node)
         if tn is Switch:
             x = stack.pop()
-            head, n, top = whnf_stk(ctx, x, steps, stack)
+            tx = type(x)
+            if tx is App or tx is Symb and x.name in defined:
+                head, n, top = whnf_stk(ctx, x, steps, stack)
+            else:  # head-normal: whnf_stk would return it at its first test
+                head, n, top = x, 0, x
             if node.store:
                 if trace is not None:
                     trace.append(("store", len(store)))

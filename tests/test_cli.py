@@ -453,12 +453,39 @@ def test_the_tree_forces_no_argument_before_naive_does(
     assert capsys.readouterr().out == printed + "\n"
 
 
+# a Switch column that is a symbol heading a rule is head-normalised, also
+# when the symbol takes no argument; one whose rules need arguments is stuck
+DEFINED_COLUMNS = {
+    "nullary rule": ("compute f k;\n", "yes"),
+    "rules need arguments": ("compute f g;\n", "f g"),
+}
+
+
+@pytest.mark.parametrize("case", DEFINED_COLUMNS)
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_switch_reduces_a_symbol_that_heads_a_rule(engine, case, tmp_path, capsys):
+    directive, printed = DEFINED_COLUMNS[case]
+    src = tmp_path / "defined.rw"
+    src.write_text(
+        "symbol a; symbol k; symbol f; symbol g; symbol yes;\n"
+        "rule k --> a;\nrule f a --> yes;\nrule g $x --> a;\n" + directive
+    )
+    assert main(["run", str(src), "--engine", engine]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
 @pytest.mark.parametrize(
     "source, extra, code, prefix",
     [
         ("symbol a;\ncompute (a;\n", [], PARSE, "parse error: "),
         ("symbol a;\ncompute b;\n", [], VALIDATION, "scope error: "),
         ("symbol f;\nrule f $x --> $y;\n", [], VALIDATION, "validation error: "),
+        (
+            "symbol f;\nrule f $x --> $y;\n",
+            ["--engine", "naive"],
+            VALIDATION,
+            "validation error: ",
+        ),
         ("symbol a; symbol b;\nassert a == b;\n", [], ASSERTION, "assertion failed"),
         (
             "symbol loop;\nrule loop --> loop;\ncompute loop;\n",
@@ -467,7 +494,7 @@ def test_the_tree_forces_no_argument_before_naive_does(
             "divergence: ",
         ),
     ],
-    ids=["parse", "scope", "validation", "assertion", "divergence"],
+    ids=["parse", "scope", "validation", "validation-naive", "assertion", "divergence"],
 )
 def test_each_failure_exits_with_its_documented_code(
     source, extra, code, prefix, tmp_path, capsys

@@ -1165,6 +1165,18 @@ def test_naive_engine_tries_the_rules_one_by_one(monkeypatch):
         assert (print_term(out), len(calls)) == (expected, tried)
 
 
+def test_a_switch_reads_a_head_normal_atom_in_place(monkeypatch):
+    # both columns of g c7 a are symbols that head no rule, so neither
+    # Switch calls whnf_stk, which would return each at its first test
+    import rwtree.engine as eng
+
+    ctx = ctx_for(DISPATCH)
+    args = [term("c7", DISPATCH), term("a", DISPATCH)]
+    calls = counting(monkeypatch, eng, "whnf_stk")
+    out = rewrite_head(ctx, "g", args, Steps(10))
+    assert (print_term(out), len(calls)) == ("tt", 0)
+
+
 def test_one_tree_per_rewrite_attempt(rng, monkeypatch):
     # a head with rules of several arities has one tree, so an attempt runs
     # at most one tree, also when the subject has arguments for more than
