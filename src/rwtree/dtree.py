@@ -20,9 +20,10 @@ before a wider rule is tried, and a leaf reattaches the arguments past its
 own rule's arity.  Compilation reduces a clause matrix step by step in one
 work-list loop (``compile_matrix``), and each step decides the first head
 or check that naive meets in the first row, so the tree forces nothing that
-the declarative matcher would not.  When several rules apply, the tree
-assumes confluence and may fire any of them, but no rule fires past a wider
-rule above it.  A Switch takes all of its cases from one pass over the rows
+the declarative matcher would not.  Only the first row yields, so when
+several rules apply the tree fires the first in text order, as the
+declarative matcher does (first-match order, as in Maranget's trees).  A
+Switch takes all of its cases from one pass over the rows
 (``matrix.specialize``).  The compiler says where something is only by
 position: the matrix carries the position of each column, and each work
 item maps each saved position to its store slot and each opened
@@ -220,11 +221,12 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
       the rule without reading anything; the "no" child keeps narrower rows;
     - no item: the row yields;
     - a check: decide it;
-    - a head: the first later row of wildcards with no checks and no wider
-      row above it yields, if there is one, behind an Eos if it is wider
-      than the arguments known; otherwise switch on the column that
-      ``_switch_column`` picks, behind a Swap unless it is column 1, and
-      save it there if a constraint or right-hand side needs it.
+    - a head: switch on the column that ``_switch_column`` picks, behind a
+      Swap unless it is column 1, and save it there if a constraint or
+      right-hand side needs it.
+
+    So the tree fires the first rule in text order that applies, as naive
+    does, and no later row yields before the rows above it are ruled out.
 
     A row yields, and a check is decided, only once every column that it
     reads is stored: before that, a Store saves the leftmost one.
@@ -239,21 +241,10 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
         rows = m.rows
         item = _first_item(rows[0], m.positions) if rows else None
         check = type(item) is frozenset or type(item) is tuple
-        read = _key_positions(item) if check else ()
-        # the row that yields; one with checks might force what rows above skip
-        row, wide = None, 0
-        for r in () if check else rows:
-            if r.rule.arity >= wide and not r.constraints:
-                for p in r.patterns:
-                    if type(p) is not PatVar:
-                        break
-                else:
-                    row, read = r, pending[id(r.rule)]
-                    break
-            wide = max(wide, r.rule.arity)
+        # only the first row yields: naive fires no later row before it
+        row = rows[0] if rows and item is None else None
+        read = _key_positions(item) if check else pending[id(row.rule)] if row else ()
         need = rows[0].rule.arity if rows else 0
-        if need <= have and row is not None:
-            need = row.rule.arity
         store = 0
         for i, p in enumerate(m.positions if read else (), 1):
             if p in read and p not in slot_of:

@@ -37,13 +37,14 @@ A failed match keeps its work, and nothing else does.  Each evaluation's
 ``Steps`` holds one record, ``hnf``, written only when a rewrite attempt or
 a closedness check fails: the term found stuck maps to itself, and every
 term the failed match or check head-normalised maps to its normal form.
-``whnf_stk`` reads it before it reduces a term, so a term whose match
-failed, and every term that match forced, is normalised at most once per
-evaluation under either engine; on ``+ (… (+ (+ a 0) a) …) a`` with
-``+ 0 $p --> $p`` and ``+ $p 0 --> $p`` both take 1 step at any depth.  A
-successful match records only what its failed checks reduced, so the
-reduced terms of a long evaluation are mostly not kept alive, and ``whnf``
-returns a head-normal term as it is under either engine.
+Terms hash by identity, so the key is the term object itself, as in a
+naive attempt's memo.  ``whnf_stk`` reads the record before it reduces a
+term, so a term whose match failed, and every term that match forced, is
+normalised at most once per evaluation under either engine; on ``+ (… (+ (+
+a 0) a) …) a`` with ``+ 0 $p --> $p`` and ``+ $p 0 --> $p`` both take 1 step
+at any depth.  A successful match records only what its failed checks
+reduced, so the reduced terms of a long evaluation are mostly not kept
+alive, and ``whnf`` returns a head-normal term as it is under either engine.
 """
 from __future__ import annotations
 
@@ -98,23 +99,22 @@ class Steps:
     """Per-evaluation rewrite-step budget; counts beta and rule steps.
 
     It also carries the evaluation's record of head normal forms: ``hnf``
-    maps ``id(t)`` to ``(t, head normal form of t)`` for every term that a
-    failed rewrite attempt found stuck (it maps to itself) or forced
-    (normalised while a match was tried), and for every term that a failed
-    closedness check head-normalised, even when the rewrite attempt around
-    that check succeeds.  ``whnf_stk`` reads it before it
-    reduces a term, so no such term is normalised twice.  The value keeps
-    the term alive, so an id is never reused while the record exists.  The
-    record lasts as long as this object: one ``whnf``/``snf``/``convertible``
-    call and the calls it makes, under one ``EvalContext``.  Do not share a
-    ``Steps`` between contexts."""
+    maps a term object, by identity, to its head normal form, for every
+    term that a failed rewrite attempt found stuck (it maps to itself) or
+    forced (normalised while a match was tried), and for every term that a
+    failed closedness check head-normalised, even when the rewrite attempt
+    around that check succeeds.  ``whnf_stk`` reads it before it reduces a
+    term, so no such term is normalised twice.  The record lasts as long as
+    this object: one ``whnf``/``snf``/``convertible`` call and the calls it
+    makes, under one ``EvalContext``.  Do not share a ``Steps`` between
+    contexts."""
 
     __slots__ = ("used", "budget", "hnf")
 
     def __init__(self, budget: int):
         self.budget = budget
         self.used = 0
-        self.hnf: dict[int, tuple[Term, Term]] = {}
+        self.hnf: dict[Term, Term] = {}
 
 
 @dataclass(slots=True)
@@ -170,10 +170,10 @@ def whnf_stk(
     and arguments spell, built only if it does not exist yet.  The head is
     never an application, and it is an abstraction only with no arguments.
     Before it takes a beta step or offers a term to ``rewrite_head``, it
-    looks the term up in ``steps.hnf`` and goes on from the recorded normal
-    form instead.  Only symbols in ``ctx.defined`` reach ``rewrite_head``;
-    when the attempt fails, the term is recorded as its own head normal
-    form.
+    looks the term object up in ``steps.hnf`` and goes on from the recorded
+    normal form instead.  Only symbols in ``ctx.defined`` reach
+    ``rewrite_head``; when the attempt fails, the term is recorded as its
+    own head normal form.
     """
     defined = ctx.defined
     hnf = steps.hnf
@@ -186,8 +186,8 @@ def whnf_stk(
         tt = type(t)
         if not (tt is Abst and len(stk) > base or tt is Symb and t.name in defined):
             break
-        if hnf and whole is not None and id(whole) in hnf:
-            nf = hnf[id(whole)][1]
+        if hnf and whole in hnf:
+            nf = hnf[whole]
             if nf is whole:
                 break
             t = whole = nf
@@ -207,7 +207,7 @@ def whnf_stk(
         if reduced is None:
             if whole is None:
                 whole = build_app(t, args)
-            hnf[id(whole)] = (whole, whole)
+            hnf[whole] = whole
             break
         steps.used += 1
         if steps.used > steps.budget:
@@ -252,7 +252,7 @@ def normalise(
     work: list = [t]  # terms, and jobs that build from the results in out
     out: list[Term] = []
     # for a check, the record entry of each term it reduced
-    forced: Optional[dict[int, tuple[Term, Term]]] = {} if restricted else None
+    forced: Optional[dict[Term, Term]] = {} if restricted else None
     while work:
         x = work.pop()
         tx = type(x)
@@ -279,7 +279,7 @@ def normalise(
             if n:  # the head is normal: its arguments were all it could take
                 work.insert(len(work) - n, len(out))
             if forced is not None and whole is not x:
-                forced[id(x)] = (x, whole)
+                forced[x] = whole
         th = type(head)
         if th is Abst or th is Prod:
             work.append((head, restricted))
@@ -481,8 +481,8 @@ def eval_tree(
             if trace is not None:
                 trace.append(("store", len(store)))
             x = stack[-node.index]
-            if hnf and id(x) in hnf:
-                x = hnf[id(x)][1]
+            if hnf:
+                x = hnf.get(x, x)
             store.append((x, binders))
             node = node.child
             continue
@@ -542,8 +542,20 @@ def eval_tree(
         raise TermError(f"malformed tree node {tn!r}")
     while forced is not None:
         x, nf, forced = forced
-        hnf[id(x)] = (x, nf)
+        hnf[x] = nf
     return None
+
+
+class WhnfMemo(dict):
+    """One naive rewrite attempt's head normal forms, keyed by the term
+    itself; a missing term is normalised with ``whnf`` under the attempt's
+    ``ctx`` and ``steps`` and kept."""
+
+    __slots__ = ("ctx", "steps")
+
+    def __missing__(self, u: Term) -> Term:
+        nf = self[u] = whnf(self.ctx, u, self.steps)
+        return nf
 
 
 def rewrite_head(
@@ -556,10 +568,11 @@ def rewrite_head(
 
     A failed attempt records in ``steps.hnf`` every term its matches
     head-normalised, so the rest of the evaluation starts from those normal
-    forms.  The naive matcher's ``whnf`` hook keeps them in a memo for the
-    attempt, so rules tried after the first do not reduce a subterm again;
-    its reduced entries join the record only when no rule applies.  A
-    failed closedness check records its own."""
+    forms.  The naive matcher's ``whnf`` hook is a ``WhnfMemo``'s bound
+    ``__getitem__``, so rules tried after the first do not reduce a subterm
+    again and a hit runs no Python code; its reduced entries join the
+    record only when no rule applies.  A failed closedness check records
+    its own."""
     if ctx.engine == TREE:
         least = ctx.defined.get(head)
         if least is None or len(args) < least:
@@ -568,18 +581,12 @@ def rewrite_head(
     rules = ctx.rules_by_head.get(head)
     if not rules:
         return None
-    memo: dict[int, tuple[Term, Term]] = {}
-
-    def memo_whnf(u: Term) -> Term:
-        hit = memo.get(id(u))
-        if hit is None:
-            hit = memo[id(u)] = (u, whnf(ctx, u, steps))
-        return hit[1]
-
+    memo = WhnfMemo()  # set without an __init__, which costs a Python call
+    memo.ctx, memo.steps = ctx, steps
     found = naive_rewrite_head(
         rules,
         args,
-        whnf=memo_whnf,
+        whnf=memo.__getitem__,
         equal=lambda a, b: equal_terms(ctx, a, b, steps),
         fv_normalize=(
             (lambda u, shut: normalise(ctx, u, steps, shut))
@@ -590,6 +597,6 @@ def rewrite_head(
     if found is None:
         # like a tree match, keep what was reduced; whnf_stk has recorded
         # each stuck term itself
-        steps.hnf.update({k: v for k, v in memo.items() if v[1] is not v[0]})
+        steps.hnf.update({u: nf for u, nf in memo.items() if nf is not u})
         return None
     return found[1]

@@ -340,3 +340,37 @@ def counted_inspections() -> Iterator[dict[str, int]]:
         yield counts
     finally:
         engine.eval_tree, patterns.match_patterns = saved
+
+
+@contextmanager
+def fired_rules() -> Iterator[list[Rule]]:
+    """While open, append to the list it yields every rule that a rewrite
+    attempt fires, nested attempts included, in the order they fire: under
+    the tree engine the rule of each leaf that ``engine.instantiate``
+    builds, under naive each rule that ``patterns.naive_rewrite_head``
+    returns.  An attempt that fires a rule fires it last, after every
+    nested attempt its matching made.  Both functions are replaced in the
+    engine module while the context is open, so use it from one thread."""
+    fired: list[Rule] = []
+    saved = engine.instantiate, engine.naive_rewrite_head
+    instantiate, naive_rewrite_head = saved
+
+    def recording_instantiate(leaf, store):
+        out = instantiate(leaf, store)
+        fired.append(leaf.rule)
+        return out
+
+    def recording_naive_rewrite_head(rules, args, **hooks):
+        found = naive_rewrite_head(rules, args, **hooks)
+        if found is not None:
+            fired.append(found[0])
+        return found
+
+    engine.instantiate, engine.naive_rewrite_head = (
+        recording_instantiate,
+        recording_naive_rewrite_head,
+    )
+    try:
+        yield fired
+    finally:
+        engine.instantiate, engine.naive_rewrite_head = saved

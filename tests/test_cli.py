@@ -411,6 +411,35 @@ def test_a_shorter_rule_after_a_wider_one_changes_no_choice(
     assert capsys.readouterr().out.splitlines() == printed
 
 
+# both engines fire the first rule in text order that applies, so a specific
+# case written before a catch-all is decided before the catch-all fires
+FIRST_MATCH = {
+    "catch-all after a constant": (
+        "symbol f; symbol k0; symbol a; symbol b;\n"
+        "rule f k0 --> a;\nrule f $x --> b;\ncompute f k0;\n",
+        ["a"],
+    ),
+    "leq": (
+        "symbol leq; symbol 0; symbol s; symbol tt; symbol ff;\n"
+        "rule leq 0 $n --> tt;\nrule leq (s $m) (s $n) --> leq $m $n;\n"
+        "rule leq $m $n --> ff;\ncompute leq (s 0) (s (s 0));\n",
+        ["tt"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_MATCH)
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_catch_all_fires_only_after_the_rules_above_it(
+    engine, case, tmp_path, capsys
+):
+    source, printed = FIRST_MATCH[case]
+    src = tmp_path / "first_match.rw"
+    src.write_text(source)
+    assert main(["run", str(src), "--engine", engine]) == 0
+    assert capsys.readouterr().out.splitlines() == printed
+
+
 NAIVE_ORDER = {
     # naive fails the first rule at column 1 and the second at column 2, so
     # it never forces loop, although column 3 holds the most heads

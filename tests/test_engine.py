@@ -34,6 +34,10 @@ from rwtree.terms import (
     Abst,
     App,
     MetaApp,
+    Prod,
+    Sort,
+    Symb,
+    Term,
     Var,
     alpha_eq,
     alpha_walk,
@@ -49,6 +53,7 @@ from genlib import (
     REVNAT_RULES,
     RuleSampler,
     counted_inspections,
+    fired_rules,
     loop_rule,
     nat_list,
     numeral,
@@ -794,7 +799,16 @@ def oracle_candidates(ctx_naive, rules, head, args, steps):
     return out
 
 
+def fired_at_top(ctx, head, args, steps):
+    """One rewrite attempt: its result and the label of the rule it fired,
+    or None when none applies."""
+    with fired_rules() as fired:
+        res = rewrite_head(ctx, head, args, steps)
+    return res, None if res is None else fired[-1].label
+
+
 def test_oracle_agreement_sample(rng):
+    # the tree fires the first rule in text order that the oracle matches
     sampler = RuleSampler(rng)
     applied = 0
     for _ in range(300):
@@ -802,37 +816,63 @@ def test_oracle_agreement_sample(rng):
         ctx_t = EvalContext.from_rules(rules, engine="tree", max_steps=10**6)
         ctx_n = EvalContext.from_rules(rules, engine="naive", max_steps=10**6)
         head, args = sampler.subject_args(rules)
-        steps = Steps(10**6)
-        res = rewrite_head(ctx_t, head, args, steps)
+        res, label = fired_at_top(ctx_t, head, args, Steps(10**6))
         cands = oracle_candidates(ctx_n, rules, head, args, Steps(10**6))
         if res is None:
             assert not cands, f"tree missed a match: {cands[0][0]}"
         else:
             applied += 1
+            assert cands, f"tree fired {label}, which the oracle does not match"
+            rule, cand = cands[0]
+            assert label == rule.label
             # a storing Switch binds its column's head normal form where the
             # oracle binds the raw argument, so the tree's result may be
             # only convertible to the rule's (see
             # test_a_switch_binds_the_head_normal_form_of_its_column)
-            assert any(
-                alpha_eq(res, cand) or convertible(ctx_n, res, cand, Steps(10**6))
-                for _, cand in cands
-            ), "tree result not produced by any rule"
+            assert alpha_eq(res, cand) or convertible(
+                ctx_n, res, cand, Steps(10**6)
+            ), "tree result not produced by the first rule that applies"
     assert applied > 60
 
 
 def test_engines_agree_on_applicability(rng):
-    # overlapping random rule sets are not confluent, so the engines may
-    # legitimately pick different rules; what must agree is whether any
-    # rule applies at all, at every head position reached
+    # both engines fire the first rule in text order that applies, also on
+    # overlapping rule sets that are not confluent
     sampler = RuleSampler(rng)
     for _ in range(80):
         rules = sampler.ruleset()
         ctx_t = EvalContext.from_rules(rules, engine="tree", max_steps=10**6)
         ctx_n = EvalContext.from_rules(rules, engine="naive", max_steps=10**6)
         head, args = sampler.subject_args(rules)
-        rt = rewrite_head(ctx_t, head, args, Steps(10**6))
-        rn = rewrite_head(ctx_n, head, args, Steps(10**6))
-        assert (rt is None) == (rn is None)
+        _, rt = fired_at_top(ctx_t, head, args, Steps(10**6))
+        _, rn = fired_at_top(ctx_n, head, args, Steps(10**6))
+        assert rt == rn
+
+
+def test_both_engines_fire_the_same_rule_at_the_top():
+    # semantics (a): on every genlib rule set, one attempt fires the same
+    # rule, or none, under both engines; nested attempts may differ, as
+    # naive may repeat a step that the tree's record of head normal forms
+    # saves
+    differ = []
+    fired = 0
+    for seed in range(2000):
+        sampler = RuleSampler(random.Random(seed))
+        rules = sampler.ruleset()
+        head, args = sampler.subject_args(rules)
+        labels = [
+            fired_at_top(
+                EvalContext.from_rules(rules, engine=engine, max_steps=10**6),
+                head,
+                args,
+                Steps(10**6),
+            )[1]
+            for engine in ("tree", "naive")
+        ]
+        if labels[0] != labels[1]:
+            differ.append(seed)
+        fired += labels[1] is not None
+    assert differ == [] and fired > 1000
 
 
 def test_a_switch_binds_the_head_normal_form_of_its_column():
@@ -1165,6 +1205,20 @@ def test_naive_engine_tries_the_rules_one_by_one(monkeypatch):
         assert (print_term(out), len(calls)) == (expected, tried)
 
 
+def test_a_naive_attempt_head_normalises_each_argument_once(monkeypatch):
+    # g c200 b is tried against all 201 rules; the whnf hook keeps what it
+    # normalised for the attempt, so whnf runs once per argument
+    import rwtree.engine as eng
+    import rwtree.patterns as pat
+
+    ctx = ctx_for(DISPATCH, engine="naive")
+    args = [term("c200", DISPATCH), term("b", DISPATCH)]
+    calls = counting(monkeypatch, eng, "whnf")
+    tried = counting(monkeypatch, pat, "match_patterns")
+    out = rewrite_head(ctx, "g", args, Steps(10))
+    assert (print_term(out), len(tried), len(calls)) == ("ff", 201, 2)
+
+
 def test_a_switch_reads_a_head_normal_atom_in_place(monkeypatch):
     # both columns of g c7 a are symbols that head no rule, so neither
     # Switch calls whnf_stk, which would return each at its first test
@@ -1267,10 +1321,9 @@ def test_failed_matches_leave_head_normal_arguments(rng):
                     continue
                 used = steps.used
                 for old in args:
-                    if id(old) not in steps.hnf:
+                    if old not in steps.hnf:
                         continue
-                    x, new = steps.hnf[id(old)]
-                    assert x is old
+                    new = steps.hnf[old]
                     if new is not old:
                         changed += 1
                         assert whnf(ctx, old, steps) is new
@@ -1306,7 +1359,7 @@ def test_stuck_marks_are_head_normal(engine, rng):
                 steps = Steps(10**6)
                 snf(ctx, t, steps)
                 used = steps.used
-                for x, m in list(steps.hnf.values()):
+                for x, m in list(steps.hnf.items()):
                     if m is not x:
                         continue
                     assert whnf(ctx, m, Steps(10**6)) is m
@@ -1344,7 +1397,7 @@ def test_recorded_normal_forms_are_head_normal(rng):
                 again = snf(ctx, whnf(ctx, t, Steps(10**6)), Steps(10**6))
                 assert alpha_eq(again, full)
                 used = steps.used
-                for x, nf in list(steps.hnf.values()):
+                for x, nf in list(steps.hnf.items()):
                     assert whnf(ctx, x, steps) is nf
                     assert steps.used == used
                     assert whnf(ctx, nf, Steps(10**6)) is nf
@@ -1360,6 +1413,27 @@ def test_the_record_keeps_nothing_from_successful_matches():
         assert alpha_eq(snf(ctx_for(FIB_RULES, engine=engine), t, steps), numeral(144))
         assert steps.used == 1441
         assert steps.hnf == {}
+
+
+def test_the_record_keys_each_term_by_identity():
+    # Steps.hnf and a naive attempt's memo map a term object itself to its
+    # head normal form: every term class must hash and compare as object
+    # does, so that a structurally equal copy is another key
+    import rwtree.terms as terms
+
+    classes = [
+        c for c in vars(terms).values() if isinstance(c, type) and issubclass(c, Term)
+    ]
+    assert {Sort, Var, Symb, App, Abst, Prod, MetaApp} < set(classes)
+    for cls in classes:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+    for engine in ("tree", "naive"):
+        ctx = ctx_for(UNITS, engine=engine)
+        t, copy = term("+ (+ a a) a", UNITS), term("+ (+ a a) a", UNITS)
+        steps = Steps(100)
+        assert whnf(ctx, t, steps) is t
+        assert t in steps.hnf and copy not in steps.hnf
+        assert steps.hnf.get(copy) is None
 
 
 @pytest.mark.parametrize("engine", ["tree", "naive"])
@@ -1397,7 +1471,7 @@ def test_stuck_mark_belongs_to_one_context(engine):
     ctx_b = ctx_for(b_rules, engine=engine)
     steps = Steps(100)
     assert alpha_eq(snf(ctx_a, t, steps), t)
-    assert id(t) in steps.hnf and id(t.fn.arg) in steps.hnf
+    assert t in steps.hnf and t.fn.arg in steps.hnf
     assert whnf(ctx_a, t, Steps(100)) is t
     assert snf(ctx_b, t, Steps(100)) == symb("a")
     assert whnf(ctx_b, t, Steps(100)) == symb("a")
@@ -1581,7 +1655,7 @@ def test_a_failed_closedness_check_stops_and_records_what_it_reduced():
     steps = Steps(10)
     assert normalise(ctx, body, steps, {x.vid}) is None
     assert steps.used == 1
-    assert list(steps.hnf.values()) == [(id_x, x)]
+    assert list(steps.hnf.items()) == [(id_x, x)]
 
 
 def test_an_inner_binder_of_the_same_identity_hides_a_restricted_variable():
