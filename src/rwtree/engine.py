@@ -45,6 +45,9 @@ a 0) a) …) a`` with ``+ 0 $p --> $p`` and ``+ $p 0 --> $p`` both take 1 step
 at any depth.  A successful match records only what its failed checks
 reduced, so the reduced terms of a long evaluation are mostly not kept
 alive, and ``whnf`` returns a head-normal term as it is under either engine.
+A pattern variable binds the head normal form its engine already has for
+its subject (a Switch's stored column, a Store's record, ``WhnfMemo.known``),
+so with the ``hol`` rules ``* (+ a 0) 1`` takes 2 steps under both.
 """
 from __future__ import annotations
 
@@ -549,13 +552,30 @@ def eval_tree(
 class WhnfMemo(dict):
     """One naive rewrite attempt's head normal forms, keyed by the term
     itself; a missing term is normalised with ``whnf`` under the attempt's
-    ``ctx`` and ``steps`` and kept."""
+    ``ctx`` and ``steps`` and kept.  It carries the attempt's four matcher
+    hooks: its ``__getitem__`` is ``whnf``, and ``equal``, ``fv_normalize``
+    and ``known`` (the normal form that the memo or ``steps.hnf`` has for a
+    subject, else the subject) are methods, so an attempt builds no
+    closure."""
 
     __slots__ = ("ctx", "steps")
 
     def __missing__(self, u: Term) -> Term:
         nf = self[u] = whnf(self.ctx, u, self.steps)
         return nf
+
+    def equal(self, a: Term, b: Term) -> bool:
+        return equal_terms(self.ctx, a, b, self.steps)
+
+    def fv_normalize(self, u: Term, shut: set[int]) -> Optional[Term]:
+        return normalise(self.ctx, u, self.steps, shut)
+
+    def known(self, u: Term) -> Term:
+        nf = self.get(u)
+        if nf is not None:
+            return nf
+        hnf = self.steps.hnf
+        return hnf.get(u, u) if hnf else u
 
 
 def rewrite_head(
@@ -568,11 +588,12 @@ def rewrite_head(
 
     A failed attempt records in ``steps.hnf`` every term its matches
     head-normalised, so the rest of the evaluation starts from those normal
-    forms.  The naive matcher's ``whnf`` hook is a ``WhnfMemo``'s bound
-    ``__getitem__``, so rules tried after the first do not reduce a subterm
-    again and a hit runs no Python code; its reduced entries join the
-    record only when no rule applies.  A failed closedness check records
-    its own."""
+    forms.  The naive matcher's hooks are one ``WhnfMemo``'s, passed by
+    position: rules tried after the first do not reduce a subterm again, a
+    hit runs no Python code, and a pattern variable binds the head normal
+    form that the memo or the record has for its subject.  The memo's
+    reduced entries join the record only when no rule applies.  A failed
+    closedness check records its own."""
     if ctx.engine == TREE:
         least = ctx.defined.get(head)
         if least is None or len(args) < least:
@@ -586,13 +607,10 @@ def rewrite_head(
     found = naive_rewrite_head(
         rules,
         args,
-        whnf=memo.__getitem__,
-        equal=lambda a, b: equal_terms(ctx, a, b, steps),
-        fv_normalize=(
-            (lambda u, shut: normalise(ctx, u, steps, shut))
-            if ctx.equality == CONVERTIBLE
-            else None
-        ),
+        memo.__getitem__,
+        memo.equal,
+        memo.fv_normalize if ctx.equality == CONVERTIBLE else None,
+        memo.known,
     )
     if found is None:
         # like a tree match, keep what was reduced; whnf_stk has recorded

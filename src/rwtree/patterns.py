@@ -392,10 +392,10 @@ _NO_BINDER_MAP: dict[int, Var] = {}  # never written: a binder makes a new map
 def match_patterns(
     pats: Sequence[Pattern],
     terms: Sequence[Term],
-    *,
     whnf: Optional[Callable[[Term], Term]] = None,
     equal: Optional[Callable[[Term, Term], bool]] = None,
     fv_normalize: Optional[Callable[[Term, set[int]], Optional[Term]]] = None,
+    known: Optional[Callable[[Term], Term]] = None,
 ) -> Optional[Substitution]:
     """Match a pattern vector against a term vector.
 
@@ -407,7 +407,11 @@ def match_patterns(
     ``shared_formals``), and ``fv_normalize(t, vids)`` decides the
     variable-occurrence check in place of ``free_vars``: it returns the
     normal form of ``t``, which the variable is bound to, or None, as soon
-    as it finds one of the binder identities ``vids`` free there.
+    as it finds one of the binder identities ``vids`` free there.  ``known``
+    gives the term that a named variable binds for its subject, before
+    either check sees it: an engine passes the head normal form it already
+    has, as a tree Switch stores the one it made.  With no hook the subject
+    is bound as it is.
 
     A subject abstraction is opened in place: its own body is matched under
     its own binder, renamed to a fresh variable only when a binder opened on
@@ -445,6 +449,8 @@ def match_patterns(
         if tp is PatVar:
             if p.name is None:
                 continue
+            if known is not None:
+                t = known(t)
             if p.args:
                 imgs = tuple(bmap[a.vid] for a in p.args)
                 # the occurrence condition can only fail when some traversed
@@ -662,10 +668,10 @@ def apply_subst(sub: Substitution, rule: Rule) -> Term:
 def naive_rewrite_head(
     rules: Sequence[Rule],
     args: Sequence[Term],
-    *,
     whnf: Optional[Callable[[Term], Term]] = None,
     equal: Optional[Callable[[Term, Term], bool]] = None,
     fv_normalize: Optional[Callable[[Term, set[int]], Optional[Term]]] = None,
+    known: Optional[Callable[[Term], Term]] = None,
 ) -> Optional[tuple[Rule, Term]]:
     """Try each rule in order against a prefix of the arguments.
 
@@ -674,10 +680,9 @@ def naive_rewrite_head(
     walk reaches it and makes no substitution before a variable binds, so
     the cost left is that each rule walks again what earlier rules walked:
     exactly the cost the compiled engine removes.  The hooks are passed to
-    ``match_patterns`` unchanged, so a ``whnf`` hook that should not
-    normalise a subterm once per rule has to remember its results itself.
-    Returns the first applicable rule together with its instantiated
-    right-hand side applied to the leftover arguments.
+    ``match_patterns`` as they are, by position.  Returns the first
+    applicable rule together with its instantiated right-hand side applied
+    to the leftover arguments.
     """
     for rule in rules:
         n = len(rule.lhs_args)
@@ -686,9 +691,10 @@ def naive_rewrite_head(
         sub = match_patterns(
             rule.lhs_args,
             args if n == len(args) else args[:n],
-            whnf=whnf,
-            equal=equal,
-            fv_normalize=fv_normalize,
+            whnf,
+            equal,
+            fv_normalize,
+            known,
         )
         if sub is not None:
             rhs = apply_subst(sub, rule)

@@ -325,12 +325,12 @@ def counted_inspections() -> Iterator[dict[str, int]]:
         finally:
             counts["tree"] += sum(e[0] in ("switch", "no-case") for e in trace)
 
-    def counting_match_patterns(pats, terms, *, whnf, **hooks):
+    def counting_match_patterns(pats, terms, whnf, *hooks):
         def counting_whnf(t):
             counts["naive"] += 1
             return whnf(t)
 
-        return match_patterns(pats, terms, whnf=counting_whnf, **hooks)
+        return match_patterns(pats, terms, counting_whnf, *hooks)
 
     engine.eval_tree, patterns.match_patterns = (
         counting_eval_tree,
@@ -360,8 +360,8 @@ def fired_rules() -> Iterator[list[Rule]]:
         fired.append(leaf.rule)
         return out
 
-    def recording_naive_rewrite_head(rules, args, **hooks):
-        found = naive_rewrite_head(rules, args, **hooks)
+    def recording_naive_rewrite_head(rules, args, *hooks):
+        found = naive_rewrite_head(rules, args, *hooks)
         if found is not None:
             fired.append(found[0])
         return found

@@ -353,6 +353,19 @@ def _identity_tower(n):
     return t
 
 
+HOL = r"""symbol d; symbol sin; symbol cos; symbol +; symbol *; symbol neg;
+symbol 0; symbol 1; symbol a; symbol b;
+rule d (\x, $c) --> \x, 0
+with d (\x, sin $u[x]) --> \x, * (cos $u[x]) (d (\x, $u[x]) x)
+with d (\x, cos $u[x]) --> \x, * (neg (sin $u[x])) (d (\x, $u[x]) x)
+with d (\x, + $u[x] $v[x]) --> \x, + (d (\x, $u[x]) x) (d (\x, $v[x]) x)
+with d (\x, * $u[x] $v[x]) --> \x, + (* (d (\x, $u[x]) x) $v[x]) (* $u[x] (d (\x, $v[x]) x));
+rule * $p 0 --> 0 with * 0 $p --> 0 with * 1 $p --> $p with * $p 1 --> $p;
+rule + 0 $p --> $p with + $p 0 --> $p;
+rule neg 0 --> 0;
+"""
+
+
 BUDGET_CASES = {
     "beta": ("symbol a;", _identity_tower(5), 5),
     # f peels the five s, then f 0 fires: six rule steps and no beta
@@ -362,6 +375,9 @@ BUDGET_CASES = {
         App(symb("f"), numeral(5)),
         6,
     ),
+    # * 0 $p forces + a 0 to a, and * $p 1 binds that a: two rule steps,
+    # where binding the raw + a 0 would reduce it again
+    "bound-hnf": (HOL, term("* (+ a 0) 1", HOL), 2),
 }
 
 
@@ -455,19 +471,6 @@ def test_convertible_agrees_with_comparing_strong_normal_forms(engine):
     assert equal >= 1000 and unequal >= 1000
 
 
-HOL = r"""symbol d; symbol sin; symbol cos; symbol +; symbol *; symbol neg;
-symbol 0; symbol 1; symbol a; symbol b;
-rule d (\x, $c) --> \x, 0
-with d (\x, sin $u[x]) --> \x, * (cos $u[x]) (d (\x, $u[x]) x)
-with d (\x, cos $u[x]) --> \x, * (neg (sin $u[x])) (d (\x, $u[x]) x)
-with d (\x, + $u[x] $v[x]) --> \x, + (d (\x, $u[x]) x) (d (\x, $v[x]) x)
-with d (\x, * $u[x] $v[x]) --> \x, + (* (d (\x, $u[x]) x) $v[x]) (* $u[x] (d (\x, $v[x]) x));
-rule * $p 0 --> 0 with * 0 $p --> 0 with * 1 $p --> $p with * $p 1 --> $p;
-rule + 0 $p --> $p with + $p 0 --> $p;
-rule neg 0 --> 0;
-"""
-
-
 def _hol_function(rng, depth):
     """A random body over x, a and b with the operators of HOL."""
     roll = rng.random()
@@ -491,20 +494,52 @@ def _render(e):
     return e if isinstance(e, str) else "(" + " ".join(map(_render, e)) + ")"
 
 
+def _hol_functions(seed):
+    """60 triples of random HOL bodies: f, f with one inserted unit, and an
+    unrelated g."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(60):
+        f, g = _hol_function(rng, 3), _hol_function(rng, 3)
+        out.append((f, _with_unit(rng, f), g))
+    return out
+
+
+def _derivative(body):
+    return term(rf"d (\x, {_render(body)})", HOL)
+
+
 @pytest.mark.parametrize("engine", ["tree", "naive"])
 def test_convertible_agrees_on_derivatives_with_inserted_units(engine):
     # d (\x, f) against d (\x, f') where f' has one inserted * 1 u or + u 0,
     # and against an unrelated function
-    rng = random.Random(23)
     ctx = ctx_for(HOL, engine=engine)
     units, unrelated = [], []
-    for _ in range(60):
-        f, g = _hol_function(rng, 3), _hol_function(rng, 3)
-        derivative = term(rf"d (\x, {_render(f)})", HOL)
-        for pairs, other in ((units, _with_unit(rng, f)), (unrelated, g)):
-            pairs.append((derivative, term(rf"d (\x, {_render(other)})", HOL)))
+    for f, with_unit, g in _hol_functions(23):
+        derivative = _derivative(f)
+        for pairs, other in ((units, with_unit), (unrelated, g)):
+            pairs.append((derivative, _derivative(other)))
     assert _converts_as_strong_normal_forms(ctx, units) == [0, 60]
     assert _converts_as_strong_normal_forms(ctx, unrelated)[0] >= 40
+
+
+def test_both_engines_take_the_same_steps_on_derivatives():
+    # semantics (e): a naive pattern variable binds the head normal form
+    # that an earlier rule of its attempt or a failed attempt made, so naive
+    # reduces no bound term twice and takes the tree's steps
+    tree, naive = ctx_for(HOL, engine="tree"), ctx_for(HOL, engine="naive")
+    differ = []
+    for f, with_unit, _ in _hol_functions(23):
+        for body in (f, with_unit):
+            t = _derivative(body)
+            used, nfs = [], []
+            for ctx in (tree, naive):
+                steps = Steps(10**6)
+                nfs.append(snf(ctx, t, steps))
+                used.append(steps.used)
+            if used[0] != used[1] or not alpha_eq(*nfs):
+                differ.append((_render(body), used))
+    assert differ == []
 
 
 LINEAR = """symbol s; symbol a; symbol b; symbol f; symbol g; symbol c; symbol d;
@@ -850,28 +885,26 @@ def test_engines_agree_on_applicability(rng):
 
 
 def test_both_engines_fire_the_same_rule_at_the_top():
-    # semantics (a): on every genlib rule set, one attempt fires the same
-    # rule, or none, under both engines; nested attempts may differ, as
-    # naive may repeat a step that the tree's record of head normal forms
-    # saves
+    # semantics (a) and (e): on every genlib rule set, one attempt fires the
+    # same rule, or none, under both engines, and so do its nested attempts,
+    # in the same order and with the same steps, as a pattern variable binds
+    # the head normal form its engine already has
     differ = []
     fired = 0
     for seed in range(2000):
         sampler = RuleSampler(random.Random(seed))
         rules = sampler.ruleset()
         head, args = sampler.subject_args(rules)
-        labels = [
-            fired_at_top(
-                EvalContext.from_rules(rules, engine=engine, max_steps=10**6),
-                head,
-                args,
-                Steps(10**6),
-            )[1]
-            for engine in ("tree", "naive")
-        ]
-        if labels[0] != labels[1]:
+        runs = []
+        for engine in ("tree", "naive"):
+            ctx = EvalContext.from_rules(rules, engine=engine, max_steps=10**6)
+            steps = Steps(10**6)
+            with fired_rules() as every:
+                res = rewrite_head(ctx, head, args, steps)
+            runs.append((res is not None, [r.label for r in every], steps.used))
+        if runs[0] != runs[1]:
             differ.append(seed)
-        fired += labels[1] is not None
+        fired += runs[1][0]
     assert differ == [] and fired > 1000
 
 

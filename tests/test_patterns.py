@@ -278,6 +278,72 @@ def test_match_calls_its_hooks_in_preorder_and_none_after_a_failure():
     ]
 
 
+def test_known_is_called_once_per_named_occurrence_in_preorder():
+    # c $x _, \y, $w, $x: the known hook sees each named occurrence's
+    # subject right after the walk reaches it, before any check on it, and
+    # is never called for the wildcard
+    y, z = fresh_var("y"), fresh_var("z")
+    pats = (
+        PatSymb("c", (pvar("x"), PatVar(None, ()))),
+        PatAbst(y, pvar("w")),
+        pvar("x"),
+    )
+    a, b, k = symb("a"), symb("b"), symb("k")
+    first = build_app(symb("c"), [a, b])
+    second = lam(z, k)
+    calls = []
+    hooks = _recording_hooks(calls)
+    hooks["known"] = lambda t: calls.append(("known", t)) or t
+    sub = match_patterns(pats, (first, second, a), **hooks)
+    assert sub is not None
+    assert calls == [
+        ("whnf", first),
+        ("known", a),
+        ("whnf", second),
+        ("known", k),
+        ("fv", k, {z.vid}),
+        ("known", a),
+        ("equal", a, a),
+    ]
+
+
+def test_the_closedness_check_sees_what_known_gives():
+    # \y, $w against \z, r z: the raw body mentions z, but the known hook
+    # gives k for it, which both checks accept and the variable binds
+    y, z = fresh_var("y"), fresh_var("z")
+    rz, k = App(symb("r"), z), symb("k")
+    pats = (PatAbst(y, pvar("w")),)
+    subjects = (lam(z, rz),)
+    known = {rz: k}.get
+    calls = []
+    hooks = _recording_hooks(calls)
+    sub = match_patterns(pats, subjects, hooks["whnf"], None, hooks["fv_normalize"])
+    assert sub is None and calls[-1] == ("fv", rz, {z.vid})
+    sub = match_patterns(
+        pats, subjects, hooks["whnf"], None, hooks["fv_normalize"], known
+    )
+    assert sub is not None and sub["w"].body is k
+    assert calls[-1] == ("fv", k, {z.vid})
+    # under alpha equality the check is free_vars, on the same term
+    assert match_patterns(pats, subjects) is None
+    sub = match_patterns(pats, subjects, None, None, None, known)
+    assert sub is not None and sub["w"].body is k
+
+
+def test_with_no_known_hook_the_raw_subject_is_bound():
+    # whnf reduces the subject only where a structural pattern reads it: a
+    # variable binds what it is given, or what known gives for it
+    redex, nf = App(symb("id"), symb("a")), symb("a")
+    whnf = {redex: nf}.get
+    sub = match_patterns((pvar("x"),), (redex,), lambda t: whnf(t, t))
+    assert sub["x"].body is redex
+    sub = match_patterns((pvar("x"),), (redex,), None, None, None, whnf)
+    assert sub["x"].body is nf
+    rule = Rule("f", (pvar("x"),), MetaApp("x", ()))
+    assert naive_rewrite_head([rule], [redex])[1] is redex
+    assert naive_rewrite_head([rule], [redex], None, None, None, whnf)[1] is nf
+
+
 class _OnlyFirstReadable(Sequence):
     """Subjects of which only the first may be read."""
 
