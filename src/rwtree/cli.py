@@ -3,10 +3,10 @@
 Exit codes: 0 ok, 1 usage (bad arguments, or a missing or unreadable input
 file), 2 parse error, 3 validation or unknown symbol, 4 assertion failure,
 5 rewrite budget exhausted, 6 input too deep for the Python recursion limit.
-The parser reads any depth; what still reaches exit 6 is a rule right-hand
-side nested thousands deep, which the right-hand-side builders walk
-recursively, and evaluation that recurses once per level, such as
-normalising a long list.
+The parser and set-up read any depth.  Exit 6 is still reached, under either
+engine, when a rule whose right-hand side is thousands deep and holds a
+pattern variable first fires (its builder is compiled recursively), and by
+evaluation that recurses once per level, such as normalising a long list.
 """
 from __future__ import annotations
 

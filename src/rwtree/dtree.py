@@ -6,7 +6,7 @@ Swap reorders the stack, Store saves a stack entry without inspecting it, BinNl
 and BinCl decide the repeated-variable and variable-occurrence constraints,
 Eos tests whether the subject has enough arguments for a rule, and Leaf
 yields its rule's right-hand side, built from the store by the builder that
-``patterns.rhs_builder`` compiles when the leaf is made.
+``engine.instantiate`` compiles on the leaf's first firing.
 
 A position that a constraint or a right-hand side needs is saved exactly
 once.  If some Switch inspects it, that Switch saves it after head
@@ -55,7 +55,6 @@ from .patterns import (
     PatVar,
     Rule,
     encloses,
-    rhs_builder,
     validate_rules,
 )
 from .terms import Position
@@ -72,11 +71,10 @@ class Leaf(DTree):
     # binder snapshot selecting the closure formals)
     env: dict[str, tuple[int, tuple[int, ...]]]
     # build(store) -> the instantiated rhs; compiled from the rule and env
-    # when the leaf is made (``patterns.rhs_builder``)
-    build: Builder = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.build = rhs_builder(self.rule, self.env)
+    # on the leaf's first firing (``engine.instantiate``), then kept
+    build: Optional[Builder] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(slots=True)
@@ -311,17 +309,13 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
     return top[None]
 
 
-def trees_of_ruleset(
-    rules: Sequence[Rule], *, by_head: Optional[dict[str, list[Rule]]] = None
-) -> dict[str, DTree]:
+def trees_of_ruleset(rules: Sequence[Rule]) -> dict[str, DTree]:
     """Validate the rules, raising RuleSetError, then compile one tree per
-    head from all of its rules, of every arity, in text order.  A caller
-    that has grouped ``rules`` by head already passes that as ``by_head``."""
+    head from all of its rules, of every arity, in text order."""
     validate_rules(rules)
-    if by_head is None:
-        by_head = {}
-        for r in rules:
-            by_head.setdefault(r.head, []).append(r)
+    by_head: dict[str, list[Rule]] = {}
+    for r in rules:
+        by_head.setdefault(r.head, []).append(r)
     return {head: compile_matrix(from_rules(rs)) for head, rs in by_head.items()}
 
 

@@ -16,16 +16,16 @@ closedness check (``normalise``) stops at the first variable it rejects, and
 a right-hand side is built from the normal form a passed check made.
 
 Both engines build a right-hand side with the rule's builder
-(``patterns.rhs_builder``): a Leaf runs the one compiled with the tree, on
-the tree's store, and the naive engine the one compiled on the rule's first
-naive firing, on the match witness.  Neither renames to build it.  A rule's
-``binders`` (``patterns.analyse_rhs``) say which subject binder each
-right-hand-side binder stands for, and the result reuses that binder, name
-included; a binder that stands for none is fresh at every firing, so
-instantiation never captures.  So in ``d (\\x, sin $u[x]) --> \\x, * (cos
-$u[x]) (d (\\x, $u[x]) x)`` both binders are the subject's ``s``, ``$u[x]``
-is the matched term itself, and the beta step ``(\\s, b) s`` is ``b``, all
-with no walk.
+(``patterns.rhs_builder``), compiled on first use and kept: a Leaf's on its
+first firing, run on the tree's store, and a rule's on its first naive
+firing, run on the match witness, so set-up compiles none.  Neither renames
+to build it.  A rule's ``binders`` (``patterns.analyse_rhs``) say which
+subject binder each right-hand-side binder stands for, and the result
+reuses that binder, name included; a binder that stands for none is fresh
+at every firing, so instantiation never captures.  So in ``d (\\x, sin
+$u[x]) --> \\x, * (cos $u[x]) (d (\\x, $u[x]) x)`` both binders are the
+subject's ``s``, ``$u[x]`` is the matched term itself, and the beta step
+``(\\s, b) s`` is ``b``, all with no walk.
 
 Both matchers open a subject abstraction in place: they go on with its own
 body and record its own binder, and rename it to a fresh variable, with a
@@ -67,8 +67,8 @@ from .dtree import (
     Switch,
     trees_of_ruleset,
 )
-from .patterns import Rule, StoreEntries, naive_rewrite_head, shared_formals
-from .patterns import validate_rules
+from .patterns import Rule, StoreEntries, naive_rewrite_head, rhs_builder
+from .patterns import shared_formals, validate_rules
 from .terms import (
     Abst,
     App,
@@ -150,7 +150,7 @@ class EvalContext:
         if engine != TREE:
             validate_rules(rules)
         return cls(
-            trees=trees_of_ruleset(rules, by_head=by_head) if engine == TREE else {},
+            trees=trees_of_ruleset(rules) if engine == TREE else {},
             rules_by_head=by_head,
             defined={h: min(r.arity for r in rs) for h, rs in by_head.items()},
             max_steps=max_steps,
@@ -393,13 +393,16 @@ def equal_terms(ctx: EvalContext, t: Term, u: Term, steps: Steps) -> bool:
 
 def instantiate(leaf: Leaf, store: StoreEntries) -> Term:
     """Build the right-hand side of a matched rule from the stored subterms
-    with the leaf's compiled builder: the tree engine's counterpart of
-    ``patterns.apply_subst``.
+    with the leaf's builder, compiled on its first firing and kept: the tree
+    engine's counterpart of ``patterns.apply_subst``.
 
     Each pattern variable stands for its stored term, abstracted over the
     selected binders of that entry's snapshot (see ``patterns.rhs_builder``).
     """
-    return leaf.build(store)
+    build = leaf.build
+    if build is None:
+        build = leaf.build = rhs_builder(leaf.rule, leaf.env)
+    return build(store)
 
 
 def eval_tree(

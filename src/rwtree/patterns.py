@@ -8,9 +8,9 @@ obviously correct.
 
 A right-hand side is instantiated in one place, ``rhs_builder``, which
 compiles it into a function of a store of ``(term, binders)`` entries.
-Both engines run it: a tree Leaf compiles one over the tree's store slots,
-and ``apply_subst`` compiles one per rule over the match witness, which is
-a store keyed by name.
+Both engines compile it when a rule first fires, and keep it: a tree Leaf
+one over the tree's store slots (``engine.instantiate``), and
+``apply_subst`` one per rule over the match witness, a store keyed by name.
 """
 from __future__ import annotations
 
@@ -527,12 +527,14 @@ def rhs_builder(rule: Rule, env: BuilderEnv) -> Builder:
     (``rule.binders``) is read from the entry of its pattern variable, so
     ``$u[x]`` with ``x`` that binder is the stored term itself.  A binder
     that is fresh at every firing is built as a placeholder Var made here,
-    which no term holds, and the firing renames it in the built body.
+    which no term holds, and the firing renames it in the built body.  A
+    right-hand side with no pattern variable is built as itself, unwalked.
     Raises SubstitutionError on an unbound name or an arity mismatch.
     """
     rhs = rule.rhs
-    build = _builder(rhs, rule, env, {})
-    return build if build is not None else lambda store: rhs
+    if not rule.rhs_metas:
+        return lambda store: rhs
+    return _builder(rhs, rule, env, {})
 
 
 def _builder(t: Term, rule: Rule, env: BuilderEnv, bound) -> Optional[Builder]:

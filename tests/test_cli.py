@@ -20,18 +20,55 @@ from genlib import FIB_RULES
 from test_dtree import GOLDEN
 
 
-def test_too_deep_input_exits_6_without_traceback(tmp_path, capsys):
-    # the parser reads any depth; the right-hand-side builder still recurses
-    depth = 3000
-    src = tmp_path / "deep.rw"
-    src.write_text(
+def _deep_rhs(lhs: str, leaf: str, directive: str) -> str:
+    """The rule ``lhs --> s (s … leaf)``, 3,000 deep, then ``directive``."""
+    return (
         "symbol s; symbol 0; symbol k;\n"
-        "rule k --> " + "(s " * depth + "0" + ")" * depth + ";\n"
+        f"rule {lhs} --> " + "(s " * 3000 + leaf + ")" * 3000 + ";\n" + directive
     )
-    assert main(["run", str(src)]) == TOO_DEEP
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_too_deep_input_exits_6_without_traceback(engine, tmp_path, capsys):
+    # the parser and set-up read any depth; a right-hand side with a pattern
+    # variable is walked recursively when its rule first fires
+    src = tmp_path / "deep.rw"
+    src.write_text(_deep_rhs("k $x", "$x", "compute k 0;\n"))
+    assert main(["run", str(src), "--engine", engine]) == TOO_DEEP
     err = capsys.readouterr().err
     assert err.startswith("input too deep")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+# set-up compiles no right-hand side, and one with no pattern variable is
+# built as itself, so only the firing of k $x walks its deep right-hand side
+DEEP_RHS = {
+    "closed": ("k", "0", ""),
+    "closed-fired": ("k", "0", "compute k;\n"),
+    "open": ("k $x", "$x", ""),
+    "open-fired": ("k $x", "$x", "compute k 0;\n"),
+}
+TOO_DEEP_ERR = "input too deep: nesting exceeds the recursion limit\n"
+DEEP_RHS_COMMANDS = {
+    "run-tree": ("run", "--engine", "tree"),
+    "run-naive": ("run", "--engine", "naive"),
+    "check": ("check",),
+    "tree": ("tree", "k"),
+}
+
+
+@pytest.mark.parametrize("command", DEEP_RHS_COMMANDS)
+@pytest.mark.parametrize("case", DEEP_RHS)
+def test_only_firing_a_deep_right_hand_side_exits_6(case, command, tmp_path, capsys):
+    src = tmp_path / "deep.rw"
+    src.write_text(_deep_rhs(*DEEP_RHS[case]))
+    name, *extra = DEEP_RHS_COMMANDS[command]
+    too_deep = case == "open-fired" and name == "run"
+    assert main([name, str(src), *extra]) == (TOO_DEEP if too_deep else OK)
+    out, err = capsys.readouterr()
+    assert err == (TOO_DEEP_ERR if too_deep else "")
+    if case == "closed-fired" and name == "run":
+        assert out == "s (" * 2999 + "s 0" + ")" * 2999 + "\n"
 
 
 DEPTH = 10_000
@@ -258,6 +295,17 @@ def test_instantiation_never_captures(engine, case, tmp_path, capsys):
     src.write_text(source)
     assert main(["run", str(src), "--engine", engine, "--strategy", "snf"]) == 0
     assert capsys.readouterr().out.strip() == printed
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_stored_head_is_applied_to_a_built_argument(engine, tmp_path, capsys):
+    src = tmp_path / "ap.rw"
+    src.write_text(
+        "symbol ap; symbol f; symbol s; symbol 0;\n"
+        "rule ap $g $x --> $g (s $x);\ncompute ap f 0;\n"
+    )
+    assert main(["run", str(src), "--engine", engine]) == OK
+    assert capsys.readouterr().out == "f (s 0)\n"
 
 
 # Π is inert: no rule matches it and no step reduces it, but every walk that
@@ -533,6 +581,24 @@ def test_each_failure_exits_with_its_documented_code(
     assert main(["run", str(src), *extra]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "--engine", "naive"], ["check"]])
+def test_a_right_hand_side_must_apply_a_variable_to_its_arity(argv, tmp_path, capsys):
+    src = tmp_path / "arity.rw"
+    src.write_text("symbol f;\nrule f (\\x, $u[x]) --> $u;\n")
+    assert main([argv[0], str(src), *argv[1:]]) == VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: invalid rules:\nf@2: rhs arity mismatch for $u: 1 vs 0\n"
+    )
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_two_different_sorts_are_not_convertible(engine, tmp_path, capsys):
+    src = tmp_path / "sorts.rw"
+    src.write_text("symbol a;\nassert TYPE == KIND;\n")
+    assert main(["run", str(src), "--engine", engine]) == ASSERTION
+    assert capsys.readouterr().err == "assertion failed at line 2: TYPE != KIND\n"
 
 
 # conversion compares before it reduces, so neither assert reduces loop

@@ -31,6 +31,8 @@ from rwtree.patterns import (
 )
 from rwtree.syntax import Compute, Declaration, parse_file, print_term
 from rwtree.terms import (
+    KIND,
+    TYPE,
     Abst,
     App,
     MetaApp,
@@ -406,6 +408,15 @@ def test_convertible_examples():
     x, y = fresh_var("x"), fresh_var("y")
     assert convertible(ctx, lam(x, x), lam(y, y), Steps(100))
     assert not convertible(ctx, numeral(1), symb("0"), Steps(100))
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_two_sorts_are_equal_only_when_they_are_one_sort(engine):
+    ctx = ctx_for(ADDITION, engine=engine)
+    for a, b in itertools.product((TYPE, KIND), repeat=2):
+        same = a == b
+        assert convertible(ctx, Sort(a), Sort(b), Steps(100)) is same
+        assert alpha_eq(Sort(a), Sort(b)) is same
 
 
 def test_conversion_reduces_no_argument_both_sides_share():
@@ -1575,28 +1586,34 @@ def test_a_binder_passed_to_another_variable_replaces_its_formal(engine):
     assert print_term(out) == r"\a, h a a"
 
 
-def test_naive_builder_is_compiled_once_per_rule_and_never_in_set_up(monkeypatch):
-    import rwtree.dtree as dtm
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_builder_is_compiled_on_first_firing_and_never_in_set_up(
+    engine, monkeypatch
+):
+    # a Leaf's builder (engine.instantiate) and a rule's naive builder
+    # (patterns.apply_subst) are compiled when it first fires, then kept
+    import rwtree.engine as eng
     import rwtree.patterns as pat
 
-    source = _bench_workloads()["hol_workload"](1).source
-    tree_compiles = counting(monkeypatch, dtm, "rhs_builder")
-    naive_compiles = counting(monkeypatch, pat, "rhs_builder")
-    sf = parse_file(source)
-    trees = EvalContext.from_rules(sf.rules).trees
-    nodes = [n for tree in trees.values() for _, _, n in iter_tree(tree)]
-    assert len(tree_compiles) == sum(type(n) is Leaf for n in nodes) > 0
-    assert naive_compiles == []
-
-    ctx = EvalContext.from_rules(sf.rules, engine="naive")
+    sf = parse_file(_bench_workloads()["hol_workload"](1).source)
+    compiles = [counting(monkeypatch, m, "rhs_builder") for m in (eng, pat)]
+    ctx = EvalContext.from_rules(sf.rules, engine=engine)
+    if engine == "tree":
+        nodes = [n for tree in ctx.trees.values() for _, _, n in iter_tree(tree)]
+        kept = lambda: [n.build for n in nodes if type(n) is Leaf]
+    else:
+        kept = lambda: [r.naive_build for r in sf.rules]
+    assert compiles == [[], []] and set(kept()) == {None}
     terms = [item.term for item in sf.items if isinstance(item, Compute)]
     per_pass = []
     for _ in range(2):
-        before = len(naive_compiles)
+        before = sum(map(len, compiles))
         for t in terms:
             snf(ctx, t)
-        per_pass.append(len(naive_compiles) - before)
-    assert 0 < per_pass[0] <= len(sf.rules)
+        per_pass.append(sum(map(len, compiles)) - before)
+    # each compile is kept on its Leaf or rule, so none compiles twice
+    built = kept()
+    assert 0 < per_pass[0] == sum(b is not None for b in built) <= len(built)
     assert per_pass[1] == 0
 
 
