@@ -27,7 +27,7 @@ Switch takes all of its cases from one pass over the rows
 (``matrix.specialize``).  The compiler says where something is only by
 position: the matrix carries the position of each column, and each work
 item maps each saved position to its store slot and each opened
-abstraction, named by its position, to its index in the binder snapshot.
+abstraction, named by its position, to its index among the opened binders.
 
 A tree is walked in one place: ``iter_tree`` yields every node in preorder
 with its depth and edge label, taking a node's children from ``_edges``.
@@ -67,8 +67,8 @@ class DTree:
 @dataclass(slots=True)
 class Leaf(DTree):
     rule: Rule
-    # pattern-variable name -> (store slot, indices into that slot's
-    # binder snapshot selecting the closure formals)
+    # pattern-variable name -> (store slot, indices into the binders opened
+    # on the path to the leaf selecting the closure formals)
     env: dict[str, tuple[int, tuple[int, ...]]]
     # build(store) -> the instantiated rhs; compiled from the rule and env
     # on the leaf's first firing (``engine.instantiate``), then kept
@@ -115,7 +115,7 @@ class BinNl(DTree):
     succ: DTree
     slots: tuple[int, int]
     fail: DTree
-    # per slot, indices into its binder snapshot selecting the formals; the
+    # per slot, indices into the opened binders selecting the formals; the
     # k-th formals of the two are renamed to one variable before comparing
     formals: tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -124,9 +124,9 @@ class BinNl(DTree):
 class BinCl(DTree):
     succ: DTree
     slot: int
-    allowed: tuple[int, ...]  # snapshot indices
+    allowed: tuple[int, ...]  # indices into the opened binders
     fail: DTree
-    # snapshot indices of the binders that enclose the slot's position and
+    # indices of the opened binders that enclose the slot's position and
     # are not allowed; only these are rejected, since the binder of a
     # sibling abstraction may occur free in the saved term
     restricted: tuple[int, ...]
@@ -198,7 +198,7 @@ def _switch_column(m: ClauseMatrix, first: int, have: int) -> int:
 
 
 def _selector(occ: Occurrence, slot_of: dict, binder_of: dict) -> tuple:
-    """Store slot and snapshot selector of a pattern-variable occurrence."""
+    """Store slot and binder selector of a pattern-variable occurrence."""
     pos, formals = occ
     return slot_of[pos], tuple(binder_of[at] for at in formals)
 
@@ -209,7 +209,7 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
     Total: an empty matrix compiles to Fail.  One loop over a work list, so
     no pattern width or depth costs Python stack.  A work item is a matrix,
     how many arguments the subject is known to have (at first the smallest
-    arity of the rows), the store slot of each saved position, the snapshot
+    arity of the rows), the store slot of each saved position, the binder
     index of each opened abstraction (named by its position), and where its
     node goes: a field of its parent or a case of a Switch.  Each pass takes
     the first row's first item (``_first_item``), builds one node and pushes
@@ -372,7 +372,7 @@ def tree_stats(tree: DTree) -> dict:
 
 
 def _saved_text(slot: int, selector: tuple[int, ...]) -> str:
-    """A store slot, with the snapshot indices of its formals if any."""
+    """A store slot, with the binder indices of its formals if any."""
     return f"s{slot}[{','.join(map(str, selector))}]" if selector else f"s{slot}"
 
 

@@ -15,14 +15,15 @@ so neither side is normalised further than the comparison needs.  A
 closedness check (``normalise``) stops at the first variable it rejects, and
 a right-hand side is built from the normal form a passed check made.
 
-Both engines build a right-hand side with the rule's builder
-(``patterns.rhs_builder``), compiled on first use and kept: a Leaf's on its
-first firing, run on the tree's store, and a rule's on its first naive
-firing, run on the match witness, so set-up compiles none.  Neither renames
-to build it.  A rule's ``binders`` (``patterns.analyse_rhs``) say which
-subject binder each right-hand-side binder stands for, and the result
-reuses that binder, name included; a binder that stands for none is fresh
-at every firing, so instantiation never captures.  So in ``d (\\x, sin
+Both engines build a right-hand side with the rule's builder, one
+straight-line function that ``patterns.rhs_builder`` generates on first use
+and keeps: a Leaf's on its first firing, run on the tree's store and the
+binders opened on the path, and a rule's on its first naive firing, run on
+the match witness, so set-up compiles none.  Neither renames to build it.
+A rule's ``binders`` (``patterns.analyse_rhs``) say which subject binder
+each right-hand-side binder stands for, and the result reuses that binder,
+name included; a binder that stands for none is fresh at every firing, so
+instantiation never captures.  So in ``d (\\x, sin
 $u[x]) --> \\x, * (cos $u[x]) (d (\\x, $u[x]) x)`` both binders are the
 subject's ``s``, ``$u[x]`` is the matched term itself, and the beta step
 ``(\\s, b) s`` is ``b``, all with no walk.
@@ -67,7 +68,7 @@ from .dtree import (
     Switch,
     trees_of_ruleset,
 )
-from .patterns import Rule, StoreEntries, naive_rewrite_head, rhs_builder
+from .patterns import Rule, naive_rewrite_head, rhs_builder
 from .patterns import shared_formals, validate_rules
 from .terms import (
     Abst,
@@ -391,18 +392,19 @@ def equal_terms(ctx: EvalContext, t: Term, u: Term, steps: Steps) -> bool:
 # Tree evaluation
 
 
-def instantiate(leaf: Leaf, store: StoreEntries) -> Term:
+def instantiate(leaf: Leaf, store: list[Term], binders: tuple[Var, ...]) -> Term:
     """Build the right-hand side of a matched rule from the stored subterms
     with the leaf's builder, compiled on its first firing and kept: the tree
     engine's counterpart of ``patterns.apply_subst``.
 
     Each pattern variable stands for its stored term, abstracted over the
-    selected binders of that entry's snapshot (see ``patterns.rhs_builder``).
+    binders that the leaf's env selects among ``binders``, those opened on
+    the path to the leaf (see ``patterns.rhs_builder``).
     """
     build = leaf.build
     if build is None:
         build = leaf.build = rhs_builder(leaf.rule, leaf.env)
-    return build(store)
+    return build(store, binders)
 
 
 def eval_tree(
@@ -425,14 +427,17 @@ def eval_tree(
     head normal form when ``steps.hnf`` has one.  A lambda case opens the
     abstraction in place: it pushes the body itself and records the
     abstraction's own binder, renamed to a fresh variable only when a binder
-    opened on this path already has its identity.  Every saved term comes
-    with the binders opened so far.  When matching fails, every column a
-    Switch normalised is recorded in ``steps.hnf`` with its normal form, so
-    no later attempt in the evaluation reduces it again.
+    opened on this path already has its identity.  The store holds terms
+    only: the binders opened on the path only grow, so those opened when a
+    term was saved are a prefix of those at the Leaf, which passes them once
+    to its builder, and BinNl and BinCl read them by index.  When matching
+    fails, every column a Switch normalised is recorded in ``steps.hnf``
+    with its normal form, so no later attempt in the evaluation reduces it
+    again.
     """
     stack: list[Term] = args[::-1]  # stack[-1] is the first column
-    store: list[tuple[Term, tuple[Var, ...]]] = []
-    binders: tuple[Var, ...] = ()  # opened so far, the snapshot of a save
+    store: list[Term] = []
+    binders: tuple[Var, ...] = ()  # opened so far; only ever grows
     hnf = steps.hnf
     defined = ctx.defined
     forced = None  # (column, normal form, next) for each column a Switch reduced
@@ -449,7 +454,7 @@ def eval_tree(
             if node.store:
                 if trace is not None:
                     trace.append(("store", len(store)))
-                store.append((top, binders))
+                store.append(top)
             if top is not x:
                 forced = (x, top, forced)
             th = type(head)
@@ -489,7 +494,7 @@ def eval_tree(
             x = stack[-node.index]
             if hnf:
                 x = hnf.get(x, x)
-            store.append((x, binders))
+            store.append(x)
             node = node.child
             continue
         if tn is Swap:
@@ -502,16 +507,16 @@ def eval_tree(
         if tn is Leaf:
             if trace is not None:
                 trace.append(("leaf", len(store)))
-            rhs = instantiate(node, store)
+            rhs = instantiate(node, store, binders)
             k = node.rule.arity
             return rhs if k == len(args) else build_app(rhs, args[k:])
         if tn is BinNl:
             i, j = node.slots
-            (a, snap_a), (b, snap_b) = store[i], store[j]
+            a, b = store[i], store[j]
             sel_a, sel_b = node.formals
             if sel_a:
                 a, b = shared_formals(
-                    a, [snap_a[k] for k in sel_a], b, [snap_b[k] for k in sel_b]
+                    a, [binders[k] for k in sel_a], b, [binders[k] for k in sel_b]
                 )
             ok = equal_terms(ctx, a, b, steps)
             if trace is not None:
@@ -519,12 +524,12 @@ def eval_tree(
             node = node.succ if ok else node.fail
             continue
         if tn is BinCl:
-            term, snapshot = store[node.slot]
+            term = store[node.slot]
             restricted = node.restricted
             if len(restricted) == 1:
-                shut = {snapshot[restricted[0]].vid}
+                shut = {binders[restricted[0]].vid}
             else:
-                shut = {snapshot[k].vid for k in restricted}
+                shut = {binders[k].vid for k in restricted}
             if ctx.equality == CONVERTIBLE:
                 # build from the normal form the check passed on: the raw
                 # term may mention a binder that only reduction drops
@@ -533,7 +538,7 @@ def eval_tree(
                 term = None
             ok = term is not None
             if ok:
-                store[node.slot] = (term, snapshot)
+                store[node.slot] = term
             if trace is not None:
                 trace.append(("cl", node.slot, ok))
             node = node.succ if ok else node.fail

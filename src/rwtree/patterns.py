@@ -7,10 +7,11 @@ compiled engine is checked against it, so this module must stay simple and
 obviously correct.
 
 A right-hand side is instantiated in one place, ``rhs_builder``, which
-compiles it into a function of a store of ``(term, binders)`` entries.
-Both engines compile it when a rule first fires, and keep it: a tree Leaf
-one over the tree's store slots (``engine.instantiate``), and
-``apply_subst`` one per rule over the match witness, a store keyed by name.
+generates one straight-line function of a store and binders for it.  Both
+engines compile it when a rule first fires, and keep it: a tree Leaf one
+over the tree's store slots and the binders opened on the path to the Leaf
+(``engine.instantiate``), and ``apply_subst`` one per rule over the match
+witness, a store keyed by name whose closures carry their own formals.
 """
 from __future__ import annotations
 
@@ -144,9 +145,10 @@ class Rule:
 
 class Closure(NamedTuple):
     """Match witness for one pattern variable: a term abstracted over the
-    traversed binders the variable was applied to.  It has the shape of a
-    store entry ``(term, binders)``, so a Substitution is a store keyed by
-    name (see ``rhs_builder``)."""
+    traversed binders the variable was applied to.  A Substitution is a
+    store keyed by name: a builder reads the body of an entry where a tree
+    Leaf's reads a slot, and its formals where a Leaf's reads the binders
+    opened on the path (see ``rhs_builder``)."""
 
     body: Term
     formals: tuple[Var, ...]
@@ -507,128 +509,142 @@ class SubstitutionError(Exception):
     """Internal invariant failure: unbound or arity-mismatched variable."""
 
 
-# A store of saved subterms, each as ``(term, binders)``.  The tree
-# evaluator's store is a list, each entry with the binders opened when it
-# was saved; a match witness is a store keyed by name.
-StoreEntries = Union[Sequence[tuple[Term, tuple[Var, ...]]], Substitution]
-Builder = Callable[[StoreEntries], Term]
-# pattern-variable name -> (store key, indices into that entry's binders
-# selecting the closure formals)
+# A store of saved subterms.  The tree evaluator's store is a list of
+# terms, read with the binders opened on the path to its Leaf; a match
+# witness is a store keyed by name, each entry a closure with its formals.
+StoreEntries = Union[Sequence[Term], Substitution]
+Builder = Callable[[StoreEntries, Sequence[Var]], Term]
+# pattern-variable name -> (store key, indices selecting the closure
+# formals: into the Leaf's binders for a slot, into a closure's formals for
+# a name)
 BuilderEnv = dict[str, tuple[Union[int, str], tuple[int, ...]]]
 
 
 def rhs_builder(rule: Rule, env: BuilderEnv) -> Builder:
-    """Compile the rule's right-hand side into a function of a store.
+    """Compile the rule's right-hand side into one function ``build(store,
+    binders)`` of straight-line Python code.
 
-    Subterms without pattern variables or changing binders are the shared
-    rhs objects, a bare ``$x`` is its stored term, ``$u[a...]`` substitutes
-    the built arguments for the selected binders of its entry, and the
-    nodes above are rebuilt.  A binder that stands for a subject binder
-    (``rule.binders``) is read from the entry of its pattern variable, so
-    ``$u[x]`` with ``x`` that binder is the stored term itself.  A binder
-    that is fresh at every firing is built as a placeholder Var made here,
-    which no term holds, and the firing renames it in the built body.  A
-    right-hand side with no pattern variable is built as itself, unwalked.
-    Raises SubstitutionError on an unbound name or an arity mismatch.
+    A work list walks the right-hand side in postorder and emits one
+    assignment per rebuilt node, so neither compiling nor running a builder
+    recurses.  Subterms without pattern variables or changing binders are
+    the shared rhs objects, a bare ``$x`` is its stored term, and
+    ``$u[a...]`` is one ``subst`` of the built arguments for the selected
+    binders of ``$u``.  A binder that stands for a subject binder
+    (``rule.binders``) is read in place: ``binders[k]`` under a tree Leaf,
+    the k-th formal of the closure in a match witness.  So ``$u[x]`` with
+    ``x`` that binder is the stored term itself.  A binder that is fresh at
+    every firing is made with ``fresh_var`` before its body, which is built
+    with it.  Constants, names included, reach the code as bound values,
+    never as its text; ``App``, ``subst`` and ``fresh_var`` are this
+    module's globals.  A right-hand side with no pattern variable is built
+    as itself, unwalked.  Raises SubstitutionError on an unbound name or an
+    arity mismatch.
     """
     rhs = rule.rhs
     if not rule.rhs_metas:
-        return lambda store: rhs
-    return _builder(rhs, rule, env, {})
+        return lambda store, binders: rhs
+    values: list = []  # the constants, bound to c0, c1, ...
+    const_of: dict[int, str] = {}
+    lines: list[str] = []
+    vals: list[Optional[str]] = []  # each built node's code; None: itself
 
+    def const(x) -> str:
+        name = const_of.get(id(x))
+        if name is None:
+            name = const_of[id(x)] = f"c{len(values)}"
+            values.append(x)
+        return name
 
-def _builder(t: Term, rule: Rule, env: BuilderEnv, bound) -> Optional[Builder]:
-    """Builder for ``t``, or None when ``t`` is built as itself.  ``bound``
-    maps the vid of each enclosing changing binder to the position of the
-    left-hand-side abstraction whose subject binder it is (its placeholder
-    when it is fresh) and to the builder of its variable; a formal opened
-    at that abstraction is passed itself.  The position, not the index
-    into an entry's binders, names that binder: an index means one binder
-    in every slot of the tree's store, but another in each closure of a
-    match witness."""
-    tt = type(t)
-    if tt is Var:
-        entry = bound.get(t.vid)
-        return entry[1] if entry is not None else None
-    if tt is MetaApp:
-        entry = env.get(t.name)
-        if entry is None:
-            raise SubstitutionError(f"unbound pattern variable ${t.name}")
-        slot, selector = entry
-        if len(selector) != len(t.args):
-            raise SubstitutionError(
-                f"arity mismatch for ${t.name}: "
-                f"{len(selector)} formals, {len(t.args)} arguments"
-            )
-        pairs = tuple(
-            (k, _builder(a, rule, env, bound) or (lambda store, a=a: a))
-            for k, at, a in zip(selector, rule.env[t.name][1], t.args)
-            if not _passed_itself(a, at, bound)
-        )
-        if not pairs:
-            return lambda store: store[slot][0]
+    def read(key, k: Optional[int] = None) -> str:
+        # a slot's term or the Leaf's binder k; a closure's body or formal k
+        if type(key) is int:
+            return f"s[{key}]" if k is None else f"b[{k}]"
+        return f"s[{const(key)}]" + ("[0]" if k is None else f"[1][{k}]")
 
-        def build_meta(store):
-            term, snapshot = store[slot]
-            return subst(term, {snapshot[k].vid: arg(store) for k, arg in pairs})
+    def emit(expr: str) -> str:
+        lines.append(f"t{len(lines)} = {expr}")
+        return f"t{len(lines) - 1}"
 
-        return build_meta
-    if tt is App:
-        # a side that is its stored term is read in place, with no call
-        head, last = t.fn, t.arg
-        i, j = _stored_key(head, rule, env, bound), _stored_key(last, rule, env, bound)
-        fn = _builder(head, rule, env, bound) if i is None else None
-        arg = _builder(last, rule, env, bound) if j is None else None
-        if i is not None:
-            if j is not None:
-                return lambda store: App(store[i][0], store[j][0])
-            if arg is None:
-                return lambda store: App(store[i][0], last)
-            return lambda store: App(store[i][0], arg(store))
-        if j is not None:
-            if fn is None:
-                return lambda store: App(head, store[j][0])
-            return lambda store: App(fn(store), store[j][0])
-        if fn is None and arg is None:
-            return None
-        if fn is None:
-            return lambda store: App(head, arg(store))
-        if arg is None:
-            return lambda store: App(fn(store), last)
-        return lambda store: App(fn(store), arg(store))
-    if tt is Abst or tt is Prod:
-        body = t.body if tt is Abst else t.codomain
-        var, domain = t.var, t.domain
-        dom = _builder(domain, rule, env, bound)
-        if var.vid not in rule.binders:  # the rule's Var
-            if var.vid in bound:  # it shadows a changing binder
-                bound = {k: e for k, e in bound.items() if k != var.vid}
-            inner = _builder(body, rule, env, bound)
-            if dom is None and inner is None:
-                return None
-            dom = dom or (lambda store: domain)
-            inner = inner or (lambda store: body)
-            return lambda store: tt(var, dom(store), inner(store))
-        dom = dom or (lambda store: domain)
-        source = rule.binders[var.vid]
-        if source is None:  # fresh
-            hole = fresh_var(var.name)
-            scope = {**bound, var.vid: (hole, lambda store: hole)}
-            inner = _builder(body, rule, env, scope) or (lambda store: body)
-
-            def build_fresh(store):
-                v = fresh_var(var.name)
-                return tt(v, dom(store), subst(inner(store), {hole.vid: v}))
-
-            return build_fresh
-        name, j = source
-        slot, selector = env[name]
-        k = selector[j]
-        at = rule.env[name][1][j]
-        scope = {**bound, var.vid: (at, lambda store: store[slot][1][k])}
-        inner = _builder(body, rule, env, scope) or (lambda store: body)
-        return lambda store: tt(store[slot][1][k], dom(store), inner(store))
-    return None  # Symb, Sort, or an absent Abst domain
+    # (leaving, term, info): entering, info maps the vid of each enclosing
+    # changing binder to the position of the left-hand-side abstraction
+    # whose subject binder it is (for a fresh one, its code, which is no
+    # position) and to its code; leaving, info is what rebuilding needs.
+    # The position, not an index, names that binder: an index means one
+    # binder under a tree Leaf, but another in each closure of a witness.
+    todo: list = [(False, rhs, {})]
+    while todo:
+        leaving, t, info = todo.pop()
+        tt = type(t)
+        if leaving:
+            if tt is MetaApp:  # info: the (formal index, argument) pairs
+                args = vals[len(vals) - len(info) :]
+                del vals[len(vals) - len(info) :]
+                key = env[t.name][0]
+                pairs = ", ".join(
+                    f"{read(key, k)}.vid: {code or const(a)}"
+                    for (k, a), code in zip(info, args)
+                )
+                vals.append(emit(f"subst({read(key)}, {{{pairs}}})"))
+                continue
+            last, first = vals.pop(), vals.pop()
+            if not (first or last or info):
+                vals.append(None)  # built as itself
+            elif tt is App:
+                fn, arg = first or const(t.fn), last or const(t.arg)
+                vals.append(emit(f"App({fn}, {arg})"))
+            else:  # Abst or Prod, info: the binder's code, None if constant
+                body = t.body if tt is Abst else t.codomain
+                parts = (info or const(t.var), first or const(t.domain))
+                parts += (last or const(body),)
+                vals.append(emit(f"{tt.__name__}({', '.join(parts)})"))
+        elif tt is Var:
+            vals.append(info[t.vid][1] if t.vid in info else None)
+        elif tt is MetaApp:
+            entry = env.get(t.name)
+            if entry is None:
+                raise SubstitutionError(f"unbound pattern variable ${t.name}")
+            key, selector = entry
+            if len(selector) != len(t.args):
+                raise SubstitutionError(
+                    f"arity mismatch for ${t.name}: "
+                    f"{len(selector)} formals, {len(t.args)} arguments"
+                )
+            pairs = [
+                (k, a)
+                for k, at, a in zip(selector, rule.env[t.name][1], t.args)
+                if not _passed_itself(a, at, info)
+            ]
+            if not pairs:
+                vals.append(read(key))
+                continue
+            todo.append((True, t, pairs))
+            todo += ((False, a, info) for _, a in reversed(pairs))
+        elif tt is App:
+            todo += ((True, t, None), (False, t.arg, info), (False, t.fn, info))
+        elif tt is Abst or tt is Prod:
+            var, scope = t.var, info
+            if var.vid not in rule.binders:  # the rule's Var
+                code = None
+                if var.vid in info:  # it shadows a changing binder
+                    scope = {k: e for k, e in info.items() if k != var.vid}
+            elif rule.binders[var.vid] is None:  # fresh
+                code = emit(f"fresh_var({const(var.name)})")
+                scope = {**info, var.vid: (code, code)}
+            else:
+                name, j = rule.binders[var.vid]
+                key, selector = env[name]
+                code = read(key, selector[j])
+                scope = {**info, var.vid: (rule.env[name][1][j], code)}
+            body = t.body if tt is Abst else t.codomain
+            todo += ((True, t, code), (False, body, scope), (False, t.domain, info))
+        else:  # Symb, Sort, or an absent Abst domain
+            vals.append(None)
+    params = ", ".join(f"c{i}" for i in range(len(values)))
+    src = "".join(f"  {line}\n" for line in lines) + f"  return {vals[0]}\n"
+    src = f"def make({params}):\n def build(s, b):\n{src} return build\n"
+    made: dict = {}
+    exec(src, globals(), made)
+    return made["make"](*values)
 
 
 def _passed_itself(a: Term, at: Optional[Position], bound) -> bool:
@@ -636,20 +652,6 @@ def _passed_itself(a: Term, at: Optional[Position], bound) -> bool:
     abstraction ``at``, is the binder that is that formal itself."""
     entry = bound.get(a.vid) if type(a) is Var else None
     return entry is not None and entry[0] == at
-
-
-def _stored_key(t: Term, rule: Rule, env: BuilderEnv, bound):
-    """The store key of the entry whose term ``t`` is built as, when ``t``
-    is a pattern variable passed each of its formals itself; else None."""
-    if type(t) is not MetaApp or t.name not in env:
-        return None
-    slot, selector = env[t.name]
-    if len(selector) != len(t.args):
-        return None  # the builder reports it
-    formals = rule.env[t.name][1]
-    if all(_passed_itself(a, at, bound) for a, at in zip(t.args, formals)):
-        return slot
-    return None
 
 
 def apply_subst(sub: Substitution, rule: Rule) -> Term:
@@ -664,7 +666,7 @@ def apply_subst(sub: Substitution, rule: Rule) -> Term:
     if build is None:
         env = {name: (name, tuple(range(len(f)))) for name, (_, f) in rule.env.items()}
         build = rule.naive_build = rhs_builder(rule, env)
-    return build(sub)
+    return build(sub, ())
 
 
 def naive_rewrite_head(

@@ -355,8 +355,8 @@ def fired_rules() -> Iterator[list[Rule]]:
     saved = engine.instantiate, engine.naive_rewrite_head
     instantiate, naive_rewrite_head = saved
 
-    def recording_instantiate(leaf, store):
-        out = instantiate(leaf, store)
+    def recording_instantiate(leaf, store, binders):
+        out = instantiate(leaf, store, binders)
         fired.append(leaf.rule)
         return out
 

@@ -174,19 +174,19 @@ def test_store_does_not_pop():
 def test_instantiate_plain_slot():
     s0 = App(symb("s"), symb("0"))
     leaf = Leaf(Rule("f", (PatVar("m"),), MetaApp("m", ())), {"m": (0, ())})
-    assert instantiate(leaf, [(s0, ())]) is s0
+    assert instantiate(leaf, [s0], ()) is s0
 
 
 def test_instantiate_closure_with_snapshot():
     # leaf of f (\y, $v[y]) --> * (diff (\x, $v[x])) cos, store holds the
-    # body y over y: x stands for the subject's y and is y
+    # body y, and the Leaf's binders y: x stands for the subject's y and is y
     y = fresh_var("y")
     x = fresh_var("x")
     rhs = build_app(
         symb("*"), [App(symb("diff"), lam(x, MetaApp("v", (x,)))), symb("cos")]
     )
     rule = Rule("f", (PatAbst(y, PatVar("v", (y,))),), rhs)
-    out = instantiate(Leaf(rule, {"v": (0, (0,))}), [(y, (y,))])
+    out = instantiate(Leaf(rule, {"v": (0, (0,))}), [y], (y,))
     want = build_app(symb("*"), [App(symb("diff"), lam(y, y)), symb("cos")])
     assert alpha_eq(out, want)
     assert out.fn.arg.arg.var is y
@@ -195,7 +195,7 @@ def test_instantiate_closure_with_snapshot():
 def test_instantiate_empty_env():
     x = fresh_var("x")
     leaf = Leaf(Rule("f", (), lam(x, symb("0"))), {})
-    out = instantiate(leaf, [])
+    out = instantiate(leaf, [], ())
     assert alpha_eq(out, lam(fresh_var("y"), symb("0")))
 
 
@@ -1088,9 +1088,9 @@ def test_builder_rejects_unbound_and_arity_mismatch():
 def test_builder_shares_closed_subterms():
     closed = App(symb("k1"), symb("a"))
     rule = Rule("f", (PatVar("m"),), App(MetaApp("m", ()), closed))
-    out = instantiate(Leaf(rule, {"m": (0, ())}), [(symb("b"), ())])
+    out = instantiate(Leaf(rule, {"m": (0, ())}), [symb("b")], ())
     assert out.arg is closed
-    assert instantiate(Leaf(Rule("f", (), closed), {}), []) is closed
+    assert instantiate(Leaf(Rule("f", (), closed), {}), [], ()) is closed
 
 
 _X, _Y, _C = MetaApp("x", ()), MetaApp("y", ()), symb("c")
@@ -1110,11 +1110,76 @@ def test_an_application_holds_the_stored_terms_themselves(fn, arg):
 
     leaf = Leaf(rule, {"x": (0, ()), "y": (1, ())})
     for out in (
-        instantiate(leaf, [(tx, ()), (ty, ())]),
+        instantiate(leaf, [tx, ty], ()),
         apply_subst({"x": Closure(tx, ()), "y": Closure(ty, ())}, rule),
     ):
         assert out.fn is image(fn)
         assert out.arg is image(arg)
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_generated_code_holds_no_user_text(engine):
+    # names and symbols reach a generated builder as values, so quotes and
+    # braces in them are never code
+    src = r"""symbol f; symbol g; symbol a;
+    rule f $x"+1 (\y, $u{0}[y]) --> g $x"+1 (\z, $u{0}[z]) $x"+1;"""
+    out = snf(ctx_for(src, engine=engine), term(r"f a (\w, w)", src))
+    assert print_term(out) == r"g a (\w, w) a"
+
+
+FRESH = r"""symbol f; symbol s; symbol 0; symbol p; symbol a;
+rule f (s $n) $w --> \x, f $n (p x $w) with f 0 $w --> $w;"""
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_fresh_binder_is_built_with_no_subst(engine, monkeypatch):
+    # the body is built with the fresh variable itself, not renamed after
+    import rwtree.patterns as pat
+
+    calls = counting(monkeypatch, pat, "subst")
+    out = snf(ctx_for(FRESH, engine=engine), term("f (s (s 0)) a", FRESH))
+    assert print_term(out) == r"\x, \x', p x' (p x a)"
+    assert calls == []
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_formal_given_another_argument_costs_one_subst_per_firing(
+    engine, monkeypatch
+):
+    # y is fresh, as $w is not under the abstraction of $u's formal, so
+    # $u[y] substitutes it for that formal: once at each of two firings
+    import rwtree.patterns as pat
+
+    src = r"""symbol f; symbol g; symbol k; symbol c; symbol a; symbol b;
+    rule f $w (\x, $u[x]) --> \y, g $w $u[y];"""
+    calls = counting(monkeypatch, pat, "subst")
+    t = term(r"k (f a (\x, c x)) (f b (\x, c x))", src)
+    out = snf(ctx_for(src, engine=engine), t)
+    assert print_term(out) == r"k (\y, g a (c y)) (\y, g b (c y))"
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_right_hand_side_10000_deep_fires(engine):
+    # k (\y, $u[y]) $w --> \x, s (s (… $u[g x $w])), 10,000 deep: x is
+    # fresh at every firing and $u is applied to a built argument, which
+    # the parser cannot write; neither compiling nor running the builder
+    # recurses, at the default recursion limit
+    y, x, z = fresh_var("y"), fresh_var("x"), fresh_var("z")
+    s, g = symb("s"), symb("g")
+    rhs = MetaApp("u", (build_app(g, [x, MetaApp("w", ())]),))
+    want = App(symb("c"), build_app(g, [x, symb("a")]))
+    for _ in range(10_000):
+        rhs, want = App(s, rhs), App(s, want)
+    rule = Rule("k", (PatAbst(y, PatVar("u", (y,))), PatVar("w")), lam(x, rhs))
+    assert rule.binders == {x.vid: None}
+    ctx = EvalContext.from_rules([rule], engine=engine)
+    subject = build_app(symb("k"), [lam(z, App(symb("c"), z)), symb("a")])
+    steps = Steps(10)
+    out = snf(ctx, subject, steps)
+    assert steps.used == 1
+    assert alpha_eq(out, lam(x, want))
+    assert out.var is not x
 
 
 # ---------------------------------------------------------------------------
