@@ -3,10 +3,9 @@
 Exit codes: 0 ok, 1 usage (bad arguments, or a missing or unreadable input
 file), 2 parse error, 3 validation or unknown symbol, 4 assertion failure,
 5 rewrite budget exhausted, 6 input too deep for the Python recursion limit.
-The parser and set-up read any depth.  Exit 6 is still reached, under either
-engine, when a rule whose right-hand side is thousands deep and holds a
-pattern variable first fires (its builder is compiled recursively), and by
-evaluation that recurses once per level, such as normalising a long list.
+The parser, set-up and right-hand-side builders read any depth.  Exit 6 is
+still reached, under either engine, by evaluation that recurses once per
+level, such as normalising a long list.
 """
 from __future__ import annotations
 
@@ -135,5 +134,5 @@ def cmd_tree(path: str, symbol: str, dot: bool) -> int:
     if symbol not in trees:
         print(f"no rules for {symbol}", file=sys.stderr)
         return VALIDATION
-    print((to_dot if dot else tree_text)(trees[symbol], print_rhs=print_term))
+    print((to_dot if dot else tree_text)(trees[symbol]))
     return OK

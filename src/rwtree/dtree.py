@@ -57,6 +57,7 @@ from .patterns import (
     encloses,
     validate_rules,
 )
+from .syntax import print_term
 from .terms import Position
 
 
@@ -70,8 +71,8 @@ class Leaf(DTree):
     # pattern-variable name -> (store slot, indices into the binders opened
     # on the path to the leaf selecting the closure formals)
     env: dict[str, tuple[int, tuple[int, ...]]]
-    # build(store) -> the instantiated rhs; compiled from the rule and env
-    # on the leaf's first firing (``engine.instantiate``), then kept
+    # build(store, binders) -> the instantiated rhs; compiled from the rule
+    # and env on the leaf's first firing (``engine.instantiate``), then kept
     build: Optional[Builder] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -376,7 +377,7 @@ def _saved_text(slot: int, selector: tuple[int, ...]) -> str:
     return f"s{slot}[{','.join(map(str, selector))}]" if selector else f"s{slot}"
 
 
-def _node_text(node: DTree, print_rhs) -> str:
+def _node_text(node: DTree) -> str:
     """One node's text, the same in both renderings."""
     t = type(node)
     if t is Leaf:
@@ -384,7 +385,7 @@ def _node_text(node: DTree, print_rhs) -> str:
             f"${n}<-{_saved_text(slot, sel)}"
             for n, (slot, sel) in sorted(node.env.items())
         )
-        return f"leaf {print_rhs(node.rule.rhs)}" + (f" {{{binds}}}" if binds else "")
+        return f"leaf {print_term(node.rule.rhs)}" + (f" {{{binds}}}" if binds else "")
     if t is Fail:
         return "fail"
     if t is BinNl:
@@ -400,10 +401,10 @@ def _node_text(node: DTree, print_rhs) -> str:
     return "switch store" if node.store else "switch"
 
 
-def tree_text(tree: DTree, print_rhs=repr) -> str:
+def tree_text(tree: DTree) -> str:
     """Indented text rendering, deterministic."""
     return "\n".join(
-        "  " * depth + (f"{label}: " if label else "") + _node_text(node, print_rhs)
+        "  " * depth + (f"{label}: " if label else "") + _node_text(node)
         for depth, label, node in iter_tree(tree)
     )
 
@@ -416,12 +417,12 @@ def _esc(s: str) -> str:
 _SHAPES = {Leaf: ", shape=ellipse", Fail: ", shape=ellipse", Switch: ", shape=circle"}
 
 
-def to_dot(tree: DTree, print_rhs=repr) -> str:
+def to_dot(tree: DTree) -> str:
     """Graphviz rendering; node ``n<k>`` is the k-th node of ``iter_tree``."""
     lines = ["digraph dtree {", "  node [shape=box, fontname=monospace];"]
     path: list[int] = []  # ids of the nodes above the current one
     for nid, (depth, label, node) in enumerate(iter_tree(tree)):
-        text = _esc(_node_text(node, print_rhs))
+        text = _esc(_node_text(node))
         lines.append(f'  n{nid} [label="{text}"{_SHAPES.get(type(node), "")}];')
         del path[depth:]
         if path:

@@ -68,7 +68,7 @@ from .dtree import (
     Switch,
     trees_of_ruleset,
 )
-from .patterns import Rule, naive_rewrite_head, rhs_builder
+from .patterns import Hooks, Rule, naive_rewrite_head, rhs_builder
 from .patterns import shared_formals, validate_rules
 from .terms import (
     Abst,
@@ -557,14 +557,14 @@ def eval_tree(
     return None
 
 
-class WhnfMemo(dict):
-    """One naive rewrite attempt's head normal forms, keyed by the term
-    itself; a missing term is normalised with ``whnf`` under the attempt's
-    ``ctx`` and ``steps`` and kept.  It carries the attempt's four matcher
-    hooks: its ``__getitem__`` is ``whnf``, and ``equal``, ``fv_normalize``
-    and ``known`` (the normal form that the memo or ``steps.hnf`` has for a
-    subject, else the subject) are methods, so an attempt builds no
-    closure."""
+class WhnfMemo(Hooks):
+    """The matcher's hooks for one naive rewrite attempt, under the
+    attempt's ``ctx`` and ``steps``.  The dict is the attempt's memo of head
+    normal forms, keyed by the term itself: a missing term is normalised
+    with ``whnf`` and kept.  ``known`` gives the normal form that the memo
+    or ``steps.hnf`` has for a subject, else the subject; ``equal`` is
+    ``equal_terms``; ``closed`` is the closedness check of ``normalise``
+    in convertibility mode, and the syntactic one otherwise."""
 
     __slots__ = ("ctx", "steps")
 
@@ -575,8 +575,10 @@ class WhnfMemo(dict):
     def equal(self, a: Term, b: Term) -> bool:
         return equal_terms(self.ctx, a, b, self.steps)
 
-    def fv_normalize(self, u: Term, shut: set[int]) -> Optional[Term]:
-        return normalise(self.ctx, u, self.steps, shut)
+    def closed(self, u: Term, shut: frozenset[int]) -> Optional[Term]:
+        if self.ctx.equality == CONVERTIBLE:
+            return normalise(self.ctx, u, self.steps, shut)
+        return Hooks.closed(self, u, shut)
 
     def known(self, u: Term) -> Term:
         nf = self.get(u)
@@ -596,9 +598,9 @@ def rewrite_head(
 
     A failed attempt records in ``steps.hnf`` every term its matches
     head-normalised, so the rest of the evaluation starts from those normal
-    forms.  The naive matcher's hooks are one ``WhnfMemo``'s, passed by
-    position: rules tried after the first do not reduce a subterm again, a
-    hit runs no Python code, and a pattern variable binds the head normal
+    forms.  Every rule the naive engine tries is matched under one
+    ``WhnfMemo``: rules tried after the first do not reduce a subterm again,
+    a hit runs no Python code, and a pattern variable binds the head normal
     form that the memo or the record has for its subject.  The memo's
     reduced entries join the record only when no rule applies.  A failed
     closedness check records its own."""
@@ -612,14 +614,7 @@ def rewrite_head(
         return None
     memo = WhnfMemo()  # set without an __init__, which costs a Python call
     memo.ctx, memo.steps = ctx, steps
-    found = naive_rewrite_head(
-        rules,
-        args,
-        memo.__getitem__,
-        memo.equal,
-        memo.fv_normalize if ctx.equality == CONVERTIBLE else None,
-        memo.known,
-    )
+    found = naive_rewrite_head(rules, args, memo)
     if found is None:
         # like a tree match, keep what was reduced; whnf_stk has recorded
         # each stuck term itself

@@ -391,29 +391,48 @@ _NO_BINDERS: frozenset[int] = frozenset()
 _NO_BINDER_MAP: dict[int, Var] = {}  # never written: a binder makes a new map
 
 
-def match_patterns(
-    pats: Sequence[Pattern],
-    terms: Sequence[Term],
-    whnf: Optional[Callable[[Term], Term]] = None,
-    equal: Optional[Callable[[Term, Term], bool]] = None,
-    fv_normalize: Optional[Callable[[Term, set[int]], Optional[Term]]] = None,
-    known: Optional[Callable[[Term], Term]] = None,
-) -> Optional[Substitution]:
-    """Match a pattern vector against a term vector.
+class Hooks(dict):
+    """The relation the matcher decides, as one object: by default the
+    syntactic one, and for an engine that matches modulo reduction a
+    subclass (``engine.WhnfMemo``).
 
-    The hooks make the matcher usable both as a purely syntactic relation
-    (defaults) and as the reference for an engine that matches modulo
-    reduction: ``whnf`` head-normalizes a subject before a structural
-    pattern inspects it, ``equal`` decides the repeated-variable condition
-    (on the two occurrences with their formals renamed alike, see
-    ``shared_formals``), and ``fv_normalize(t, vids)`` decides the
-    variable-occurrence check in place of ``free_vars``: it returns the
-    normal form of ``t``, which the variable is bound to, or None, as soon
-    as it finds one of the binder identities ``vids`` free there.  ``known``
-    gives the term that a named variable binds for its subject, before
-    either check sees it: an engine passes the head normal form it already
-    has, as a tree Switch stores the one it made.  With no hook the subject
-    is bound as it is.
+    - ``hooks[t]`` is the head normal form of a subject ``t``, taken before
+      a structural pattern inspects it.  Here it is ``t`` itself, through a
+      ``__missing__`` that stores nothing; a subclass may keep what it
+      computes, so a hit runs no Python code.
+    - ``known(t)`` is the term a named variable binds for its subject,
+      before either check below sees it: an engine gives the head normal
+      form it already has, as a tree Switch stores the one it made.
+    - ``equal(a, b)`` decides the repeated-variable condition, on the two
+      occurrences with their formals renamed alike (``shared_formals``).
+    - ``closed(t, vids)`` decides the variable-occurrence check: the term
+      the variable binds, or None when one of the binder identities
+      ``vids`` is free in ``t``.  An engine returns the normal form it
+      checked, as soon as it finds no such variable.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, t: Term) -> Term:
+        return t
+
+    def known(self, t: Term) -> Term:
+        return t
+
+    equal = staticmethod(alpha_eq)
+
+    def closed(self, t: Term, vids: frozenset[int]) -> Optional[Term]:
+        return None if free_vars(t) & vids else t
+
+
+SYNTACTIC = Hooks()
+
+
+def match_patterns(
+    pats: Sequence[Pattern], terms: Sequence[Term], hooks: Hooks = SYNTACTIC
+) -> Optional[Substitution]:
+    """Match a pattern vector against a term vector, under the relation
+    that ``hooks`` gives (see ``Hooks``).
 
     A subject abstraction is opened in place: its own body is matched under
     its own binder, renamed to a fresh variable only when a binder opened on
@@ -432,8 +451,6 @@ def match_patterns(
     n = len(pats)
     if n != len(terms):
         return None
-    if equal is None:
-        equal = alpha_eq
     sub: Optional[Substitution] = None
     # (pattern, subject, vids of the binders opened above it, pattern binder
     # vid -> subject binder), the next item last
@@ -451,8 +468,7 @@ def match_patterns(
         if tp is PatVar:
             if p.name is None:
                 continue
-            if known is not None:
-                t = known(t)
+            t = hooks.known(t)
             if p.args:
                 imgs = tuple(bmap[a.vid] for a in p.args)
                 # the occurrence condition can only fail when some traversed
@@ -464,11 +480,8 @@ def match_patterns(
             if restricted:
                 # keep the normal form the check passed on: the raw term
                 # may mention a binder that only reduction drops
-                if fv_normalize is not None:
-                    t = fv_normalize(t, restricted)
-                    if t is None:
-                        return None
-                elif free_vars(t) & restricted:
+                t = hooks.closed(t, restricted)
+                if t is None:
                     return None
             if sub is None:
                 sub = {}
@@ -476,13 +489,12 @@ def match_patterns(
             if prev is None:
                 sub[p.name] = Closure(t, imgs)
             elif imgs:
-                if not equal(*shared_formals(prev.body, prev.formals, t, imgs)):
+                if not hooks.equal(*shared_formals(prev.body, prev.formals, t, imgs)):
                     return None
-            elif not equal(prev.body, t):
+            elif not hooks.equal(prev.body, t):
                 return None
             continue
-        if whnf is not None:
-            t = whnf(t)
+        t = hooks[t]
         if tp is PatSymb:
             # unwind one application per argument, pushing the last first
             k = len(p.args)
@@ -672,10 +684,7 @@ def apply_subst(sub: Substitution, rule: Rule) -> Term:
 def naive_rewrite_head(
     rules: Sequence[Rule],
     args: Sequence[Term],
-    whnf: Optional[Callable[[Term], Term]] = None,
-    equal: Optional[Callable[[Term, Term], bool]] = None,
-    fv_normalize: Optional[Callable[[Term, set[int]], Optional[Term]]] = None,
-    known: Optional[Callable[[Term], Term]] = None,
+    hooks: Hooks = SYNTACTIC,
 ) -> Optional[tuple[Rule, Term]]:
     """Try each rule in order against a prefix of the arguments.
 
@@ -683,22 +692,16 @@ def naive_rewrite_head(
     when the rule takes all of them.  A try reads an argument only when its
     walk reaches it and makes no substitution before a variable binds, so
     the cost left is that each rule walks again what earlier rules walked:
-    exactly the cost the compiled engine removes.  The hooks are passed to
-    ``match_patterns`` as they are, by position.  Returns the first
-    applicable rule together with its instantiated right-hand side applied
-    to the leftover arguments.
+    exactly the cost the compiled engine removes.  Every try gets the one
+    ``hooks`` object.  Returns the first applicable rule together with its
+    instantiated right-hand side applied to the leftover arguments.
     """
     for rule in rules:
         n = len(rule.lhs_args)
         if n > len(args):
             continue
         sub = match_patterns(
-            rule.lhs_args,
-            args if n == len(args) else args[:n],
-            whnf,
-            equal,
-            fv_normalize,
-            known,
+            rule.lhs_args, args if n == len(args) else args[:n], hooks
         )
         if sub is not None:
             rhs = apply_subst(sub, rule)

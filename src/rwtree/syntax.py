@@ -104,22 +104,8 @@ def tokenize(text: str) -> list[str]:
 
 
 @dataclass(slots=True)
-class Declaration:
-    """``symbol name;``.  A ``: T`` annotation is parsed and scope-checked,
-    then dropped: the engine is untyped."""
-
-    name: str
-
-
-@dataclass(slots=True)
-class RuleBlock:
-    rules: list[Rule]
-
-
-@dataclass(slots=True)
 class Compute:
     term: Term
-    line: int = 0
 
 
 @dataclass(slots=True)
@@ -129,15 +115,14 @@ class Assert:
     line: int = 0
 
 
-Item = Union[Declaration, RuleBlock, Compute, Assert]
-
-
 @dataclass(slots=True)
 class SourceFile:
-    """The items in text order, and the rules of all rule blocks in text
-    order, collected while the blocks are read."""
+    """The directives (``compute`` and ``assert``) in text order, and the
+    rules of all rule blocks in text order.  A ``symbol`` declaration only
+    brings its name into scope: its ``: T`` annotation is parsed and
+    scope-checked, then dropped, as the engine is untyped."""
 
-    items: list[Item]
+    items: list[Union[Compute, Assert]]
     rules: list[Rule]
 
 
@@ -316,9 +301,9 @@ class _Parser:
 
     def file(self) -> SourceFile:
         toks = self.toks
-        items: list[Item] = []
+        items: list[Union[Compute, Assert]] = []
         rules: list[Rule] = []
-        append, term, line_starts = items.append, self.term, self.line_starts
+        append, term = items.append, self.term
         while True:
             start = self.pos
             text = toks[start]
@@ -329,7 +314,7 @@ class _Parser:
                 if toks[self.pos] != ";":
                     self.fail(f"expected ';', found {toks[self.pos]!r}", self.pos)
                 self.pos += 1
-                append(Compute(t, bisect_right(line_starts, start)))
+                append(Compute(t))
             elif text == "symbol":
                 name = self.ident(self.pos, "symbol name")
                 self.pos += 1
@@ -340,21 +325,18 @@ class _Parser:
                 if name in self.names:
                     self.fail(f"symbol {name!r} redeclared", start)
                 self.names[name] = symb(name)
-                append(Declaration(name))
             elif text == "rule":
-                block = [self.rule()]
+                rules.append(self.rule())
                 while toks[self.pos] == "with":
                     self.pos += 1
-                    block.append(self.rule())
+                    rules.append(self.rule())
                 self.pos = self.expect(self.pos, ";", "';'")
-                append(RuleBlock(block))
-                rules += block
             elif text == "assert":
                 lhs = term(False)
                 self.pos = self.expect(self.pos, "eqeq", "'=='")
                 rhs = term(False)
                 self.pos = self.expect(self.pos, ";", "';'")
-                append(Assert(lhs, rhs, bisect_right(line_starts, start)))
+                append(Assert(lhs, rhs, bisect_right(self.line_starts, start)))
             elif not text:
                 return SourceFile(items, rules)
             elif text in _KIND:
@@ -428,8 +410,9 @@ def parse_file(text: str) -> SourceFile:
     """Parse a source file.
 
     Raises ParseError for syntax and ScopeError for undeclared identifiers.
-    The rules are validated where they are compiled
-    (``dtree.trees_of_ruleset``).
+    The rules are validated where a context is set up: by the tree compiler
+    (``dtree.trees_of_ruleset``) under the tree engine, by
+    ``EvalContext.from_rules`` itself under naive.
     """
     return _Parser(text).file()
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Optional
 
 from rwtree import engine, patterns
-from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule, validate_rule
+from rwtree.patterns import Hooks, PatAbst, PatSymb, PatVar, Rule, validate_rule
 from rwtree.syntax import parse_file
 from rwtree.terms import (
     Abst,
@@ -305,15 +305,37 @@ def recorded_reads(read: set[int]) -> Iterator[set[int]]:
         engine.whnf, engine.equal_terms, engine.normalise = saved
 
 
+class _CountingHooks(Hooks):
+    """``hooks`` as they are, except that each ``self[t]``, which stores
+    nothing here, adds one to ``counts["naive"]``."""
+
+    def __init__(self, hooks: Hooks, counts: dict[str, int]):
+        self.hooks, self.counts = hooks, counts
+
+    def __missing__(self, t: Term) -> Term:
+        self.counts["naive"] += 1
+        return self.hooks[t]
+
+    def known(self, t: Term) -> Term:
+        return self.hooks.known(t)
+
+    def equal(self, a: Term, b: Term) -> bool:
+        return self.hooks.equal(a, b)
+
+    def closed(self, t: Term, vids: frozenset[int]) -> Optional[Term]:
+        return self.hooks.closed(t, vids)
+
+
 @contextmanager
 def counted_inspections() -> Iterator[dict[str, int]]:
     """While open, count in the dict it yields the head inspections of
     rewrite attempts, nested ones included.  Under ``"tree"``: each Switch visit in
     the trace of ``engine.eval_tree``, whether it took a case or found none.
-    Under ``"naive"``: each call of the ``whnf`` hook that
-    ``patterns.match_patterns`` receives, which the matcher makes before it
-    checks a symbol or abstraction pattern.  Both functions are replaced
-    while the context is open, so use it from one thread."""
+    Under ``"naive"``: each head normal form that ``patterns.match_patterns``
+    reads off its hooks (``hooks[t]``), which the matcher does before it
+    checks a symbol or abstraction pattern; the hooks are wrapped in
+    ``_CountingHooks``.  Both functions are replaced while the context is
+    open, so use it from one thread."""
     counts = {"tree": 0, "naive": 0}
     saved = engine.eval_tree, patterns.match_patterns
     eval_tree, match_patterns = saved
@@ -325,12 +347,8 @@ def counted_inspections() -> Iterator[dict[str, int]]:
         finally:
             counts["tree"] += sum(e[0] in ("switch", "no-case") for e in trace)
 
-    def counting_match_patterns(pats, terms, whnf, *hooks):
-        def counting_whnf(t):
-            counts["naive"] += 1
-            return whnf(t)
-
-        return match_patterns(pats, terms, counting_whnf, *hooks)
+    def counting_match_patterns(pats, terms, hooks):
+        return match_patterns(pats, terms, _CountingHooks(hooks, counts))
 
     engine.eval_tree, patterns.match_patterns = (
         counting_eval_tree,
@@ -360,8 +378,8 @@ def fired_rules() -> Iterator[list[Rule]]:
         fired.append(leaf.rule)
         return out
 
-    def recording_naive_rewrite_head(rules, args, *hooks):
-        found = naive_rewrite_head(rules, args, *hooks)
+    def recording_naive_rewrite_head(rules, args, hooks):
+        found = naive_rewrite_head(rules, args, hooks)
         if found is not None:
             fired.append(found[0])
         return found

@@ -18,7 +18,7 @@ from rwtree.dtree import (
 )
 from rwtree.matrix import ClauseMatrix, from_rules
 from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule
-from rwtree.syntax import parse_file, print_term
+from rwtree.syntax import parse_file
 from rwtree.terms import MetaApp, fresh_var, symb
 
 from genlib import FIB_RULES, RuleSampler, mixed_arity_source
@@ -56,7 +56,7 @@ def test_compile_example1_shape():
     # leaf (the golden text below, compiled here from hand-built rules)
     tree = compile_matrix(from_rules(example1_rules()))
     text, _dot = GOLDEN[("example1", "f")]
-    assert tree_text(tree, print_rhs=print_term) == text
+    assert tree_text(tree) == text
 
 
 def test_compile_example1_stores_for_rhs():
@@ -336,7 +336,7 @@ def test_a_deep_chain_is_rendered_and_measured_without_recursion():
 def test_dot_escapes_quotes_in_node_and_edge_labels():
     source = 'symbol f; symbol q";\nrule f q" --> q";\n'
     tree = trees_of_ruleset(parse_file(source).rules)["f"]
-    dot = to_dot(tree, print_rhs=print_term)
+    dot = to_dot(tree)
     assert '  n0 -> n1 [label="q\\"/0"];' in dot.splitlines()
     assert '  n1 [label="leaf q\\"", shape=ellipse];' in dot.splitlines()
 
@@ -551,11 +551,9 @@ def _golden_tree(source, head):
 def test_rendering_golden(source, head):
     tree = _golden_tree(source, head)
     text, dot = GOLDEN[(source, head)]
-    assert tree_text(tree, print_rhs=print_term) == text
+    assert tree_text(tree) == text
     # node ids are preorder; only the order of the edge lines may vary
-    assert sorted(to_dot(tree, print_rhs=print_term).splitlines()) == sorted(
-        dot.splitlines()
-    )
+    assert sorted(to_dot(tree).splitlines()) == sorted(dot.splitlines())
 
 
 def test_golden_trees_reach_every_node_kind():

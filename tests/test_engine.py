@@ -20,6 +20,7 @@ from rwtree.engine import (
 )
 from rwtree.patterns import (
     Closure,
+    Hooks,
     PatAbst,
     PatSymb,
     PatVar,
@@ -29,7 +30,7 @@ from rwtree.patterns import (
     match_patterns,
     rhs_builder,
 )
-from rwtree.syntax import Compute, Declaration, parse_file, print_term
+from rwtree.syntax import Compute, parse_file, print_term
 from rwtree.terms import (
     KIND,
     TYPE,
@@ -59,7 +60,6 @@ from genlib import (
     loop_rule,
     nat_list,
     numeral,
-    parse_term,
     preorder,
     recorded_reads,
 )
@@ -108,13 +108,8 @@ def ctx_for(text, **kw):
 
 
 def term(text, ctx_text):
-    src = parse_file(ctx_text)
-    scope = {
-        item.name: symb(item.name)
-        for item in src.items
-        if isinstance(item, Declaration)
-    }
-    return parse_term(text, scope)
+    """``text`` parsed as the term of a ``compute`` line after ``ctx_text``."""
+    return parse_file(f"{ctx_text}\ncompute {text};").items[-1].term
 
 
 # ---------------------------------------------------------------------------
@@ -825,19 +820,31 @@ def test_whnf_of_snf_is_stable(rng):
         assert alpha_eq(full, again)
 
 
+class _Oracle(Hooks):
+    """The oracle's relation: the naive context's ``whnf``, kept nowhere,
+    convertibility, and the syntactic closedness check on the strong normal
+    form; a variable binds its raw subject."""
+
+    def __init__(self, ctx, steps):
+        self.ctx, self.steps = ctx, steps
+
+    def __missing__(self, u):
+        return whnf(self.ctx, u, self.steps)
+
+    def equal(self, a, b):
+        return convertible(self.ctx, a, b, self.steps)
+
+    def closed(self, u, shut):
+        return Hooks.closed(self, snf(self.ctx, u, self.steps), shut)
+
+
 def oracle_candidates(ctx_naive, rules, head, args, steps):
     out = []
     for rule in rules:
         if rule.head != head or rule.arity > len(args):
             continue
         sub = match_patterns(
-            rule.lhs_args,
-            list(args[: rule.arity]),
-            whnf=lambda u: whnf(ctx_naive, u, steps),
-            equal=lambda a, b: convertible(ctx_naive, a, b, steps),
-            fv_normalize=lambda u, shut: (
-                None if free_vars(nf := snf(ctx_naive, u, steps)) & shut else nf
-            ),
+            rule.lhs_args, list(args[: rule.arity]), _Oracle(ctx_naive, steps)
         )
         if sub is not None:
             rhs = apply_subst(sub, rule)

@@ -8,6 +8,7 @@ from rwtree import patterns
 from rwtree.engine import EvalContext
 from rwtree.patterns import (
     Closure,
+    Hooks,
     PatAbst,
     PatSymb,
     PatVar,
@@ -218,23 +219,45 @@ def test_match_symbol_arity_must_agree():
 def test_match_uses_whnf_hook():
     # pattern (id) matches a subject that reduces to id
     subject = symb("redex")
-    sub = match_patterns(
-        (PatSymb("id", ()),),
-        (subject,),
-        whnf=lambda t: symb("id") if t is subject else t,
-    )
+    hooks = Hooks({subject: symb("id")})
+    sub = match_patterns((PatSymb("id", ()),), (subject,), hooks)
     assert sub is not None
 
 
-def _recording_hooks(calls):
-    """whnf, equal and fv_normalize hooks that append each call to
-    ``calls`` and answer as the syntactic matcher does."""
-    return dict(
-        whnf=lambda t: calls.append(("whnf", t)) or t,
-        equal=lambda a, b: calls.append(("equal", a, b)) or alpha_eq(a, b),
-        fv_normalize=lambda t, shut: calls.append(("fv", t, shut))
-        or (None if free_vars(t) & shut else t),
-    )
+class _Recording(Hooks):
+    """Hooks that append each call of ``hooks[t]`` ("whnf"), ``equal`` and
+    ``closed`` ("fv") to ``calls`` and answer as the syntactic matcher does.
+    Given a dict, they also record each call of ``known``, which gives what
+    the dict maps its subject to."""
+
+    def __init__(self, calls, given=None):
+        self.calls, self.given = calls, given
+
+    def __missing__(self, t):
+        self.calls.append(("whnf", t))
+        return t
+
+    def equal(self, a, b):
+        self.calls.append(("equal", a, b))
+        return alpha_eq(a, b)
+
+    def closed(self, t, vids):
+        self.calls.append(("fv", t, vids))
+        return Hooks.closed(self, t, vids)
+
+    def known(self, t):
+        if self.given is None:
+            return t
+        self.calls.append(("known", t))
+        return self.given.get(t, t)
+
+
+class _Given(Hooks):
+    """The syntactic relation, except that a variable binds what the dict
+    maps its subject to."""
+
+    def known(self, t):
+        return self.get(t, t)
 
 
 def test_match_calls_its_hooks_in_preorder_and_none_after_a_failure():
@@ -253,7 +276,7 @@ def test_match_calls_its_hooks_in_preorder_and_none_after_a_failure():
 
     calls = []
     second = lam(z, k)
-    sub = match_patterns(pats, (first, second, third), **_recording_hooks(calls))
+    sub = match_patterns(pats, (first, second, third), _Recording(calls))
     assert sub is not None and sub["w"].body is k
     assert calls == [
         ("whnf", first),
@@ -267,7 +290,7 @@ def test_match_calls_its_hooks_in_preorder_and_none_after_a_failure():
     calls = []
     kz = App(k, z)
     second = lam(z, kz)
-    sub = match_patterns(pats, (first, second, third), **_recording_hooks(calls))
+    sub = match_patterns(pats, (first, second, third), _Recording(calls))
     assert sub is None
     assert calls == [
         ("whnf", first),
@@ -292,9 +315,7 @@ def test_known_is_called_once_per_named_occurrence_in_preorder():
     first = build_app(symb("c"), [a, b])
     second = lam(z, k)
     calls = []
-    hooks = _recording_hooks(calls)
-    hooks["known"] = lambda t: calls.append(("known", t)) or t
-    sub = match_patterns(pats, (first, second, a), **hooks)
+    sub = match_patterns(pats, (first, second, a), _Recording(calls, {}))
     assert sub is not None
     assert calls == [
         ("whnf", first),
@@ -314,19 +335,15 @@ def test_the_closedness_check_sees_what_known_gives():
     rz, k = App(symb("r"), z), symb("k")
     pats = (PatAbst(y, pvar("w")),)
     subjects = (lam(z, rz),)
-    known = {rz: k}.get
     calls = []
-    hooks = _recording_hooks(calls)
-    sub = match_patterns(pats, subjects, hooks["whnf"], None, hooks["fv_normalize"])
+    sub = match_patterns(pats, subjects, _Recording(calls))
     assert sub is None and calls[-1] == ("fv", rz, {z.vid})
-    sub = match_patterns(
-        pats, subjects, hooks["whnf"], None, hooks["fv_normalize"], known
-    )
+    sub = match_patterns(pats, subjects, _Recording(calls, {rz: k}))
     assert sub is not None and sub["w"].body is k
     assert calls[-1] == ("fv", k, {z.vid})
-    # under alpha equality the check is free_vars, on the same term
+    # under the syntactic relation the check is free_vars, on the same term
     assert match_patterns(pats, subjects) is None
-    sub = match_patterns(pats, subjects, None, None, None, known)
+    sub = match_patterns(pats, subjects, _Given({rz: k}))
     assert sub is not None and sub["w"].body is k
 
 
@@ -334,14 +351,13 @@ def test_with_no_known_hook_the_raw_subject_is_bound():
     # whnf reduces the subject only where a structural pattern reads it: a
     # variable binds what it is given, or what known gives for it
     redex, nf = App(symb("id"), symb("a")), symb("a")
-    whnf = {redex: nf}.get
-    sub = match_patterns((pvar("x"),), (redex,), lambda t: whnf(t, t))
+    sub = match_patterns((pvar("x"),), (redex,), Hooks({redex: nf}))
     assert sub["x"].body is redex
-    sub = match_patterns((pvar("x"),), (redex,), None, None, None, whnf)
+    sub = match_patterns((pvar("x"),), (redex,), _Given({redex: nf}))
     assert sub["x"].body is nf
     rule = Rule("f", (pvar("x"),), MetaApp("x", ()))
     assert naive_rewrite_head([rule], [redex])[1] is redex
-    assert naive_rewrite_head([rule], [redex], None, None, None, whnf)[1] is nf
+    assert naive_rewrite_head([rule], [redex], _Given({redex: nf}))[1] is nf
 
 
 class _OnlyFirstReadable(Sequence):
@@ -364,7 +380,7 @@ def test_a_rule_try_reads_an_argument_only_when_it_reaches_it():
     calls = []
     subjects = _OnlyFirstReadable(b, 3)
     pats = (PatSymb("a"), pvar("x"), PatSymb("c", (pvar("y"),)))
-    assert match_patterns(pats, subjects, **_recording_hooks(calls)) is None
+    assert match_patterns(pats, subjects, _Recording(calls)) is None
     assert calls == [("whnf", b)]
     assert match_patterns(pats, subjects) is None
     # a match that binds no named variable still gives a substitution

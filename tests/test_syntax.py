@@ -13,7 +13,6 @@ from rwtree.patterns import PatAbst, PatSymb, PatVar, RuleSetError
 from rwtree.syntax import (
     Assert,
     Compute,
-    Declaration,
     ParseError,
     ScopeError,
     parse_file,
@@ -190,35 +189,37 @@ def test_scan_agrees_with_the_regex_tokenizer(text):
         (
             "symbol f; symbol a;\r\nrule f a --> a;\r\ncompute f a;\r\n"
             "assert f a == a;\r\n",
-            [3, 4],
+            ["compute", 4],
             ["f@2"],
         ),
         (
             "// header\n\nsymbol f; symbol a;\n  \t\n// rule f a --> a;\n"
             "compute\n  f a;\n\n//\nassert a\n== a;\n",
-            [6, 10],
+            ["compute", 10],
             [],
         ),
         (
             "symbol f; symbol a;\nrule f\n  a\n  --> a\nwith\n  f (f a)\n"
             "  --> a;\ncompute f a;",
-            [8],
+            ["compute"],
             ["f@2", "f@6"],
         ),
         (
             "symbol f; symbol a; symbol b;\nrule f(a)b↪a;compute f(a)b;\n"
             "assert(f a)== a;rule f(b)a --> b;",
-            [2, 3],
+            ["compute", 3],
             ["f@2", "f@3"],
         ),
-        ("symbol f; symbol a;\ncompute f a;\nrule f a --> a;", [2], ["f@3"]),
+        ("symbol f; symbol a;\ncompute f a;\nrule f a --> a;", ["compute"], ["f@3"]),
     ],
     ids=["crlf", "blank-and-comment-lines", "block-over-lines", "glued", "no-final-newline"],
 )
 def test_item_lines_and_rule_labels(src, lines, labels):
+    # the directives in text order, a compute as such and an assert as its
+    # line, and the rule labels, which carry the line of each rule
     source = parse_file(src)
-    items = [i for i in source.items if type(i) in (Compute, Assert)]
-    assert [i.line for i in items] == lines
+    items = [i.line if type(i) is Assert else "compute" for i in source.items]
+    assert items == lines
     assert [r.label for r in source.rules] == labels
 
 
@@ -319,13 +320,12 @@ assert f e e == e;//
 
 def test_parse_file_example1():
     source = parse_file(EXAMPLE1)
-    kinds = [type(i).__name__ for i in source.items]
-    assert kinds[:5] == ["Declaration"] * 5
-    assert kinds[5:] == ["RuleBlock", "Compute", "RuleBlock", "Assert"]
-    assert (source.items[6].line, source.items[8].line) == (6, 8)
+    compute, check = source.items
+    assert type(compute) is Compute and type(check) is Assert
+    assert print_term(compute.term) == "f (c (c e)) b"
+    assert check.line == 8
     rules = source.rules
     assert [r.label for r in rules] == ["f@4", "f@5", "f@7"]
-    assert rules == source.items[5].rules + source.items[7].rules
     assert rules[0].head == "f"
     assert rules[0].arity == 2
     assert isinstance(rules[0].lhs_args[0], PatSymb)
@@ -386,8 +386,10 @@ def test_parse_rejects_undeclared_symbol_in_rule():
 
 
 def test_parse_symbol_with_type_annotation():
-    src = parse_file("symbol N : TYPE; symbol s : N;")
-    assert src.items == [Declaration("N"), Declaration("s")]
+    # a declaration leaves no item, only its name in scope
+    src = parse_file("symbol N : TYPE; symbol s : N;\ncompute s N;")
+    (item,) = src.items
+    assert alpha_eq(item.term, App(symb("s"), symb("N")))
     # the annotation is dropped, but still scope-checked
     with pytest.raises(ScopeError):
         parse_file("symbol s : N;")
