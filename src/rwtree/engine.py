@@ -591,10 +591,11 @@ class WhnfMemo(Hooks):
 def rewrite_head(
     ctx: EvalContext, head: str, args: list[Term], steps: Steps
 ) -> Optional[Term]:
-    """One rewrite attempt at a symbol head: none below the smallest arity
-    of its rules, else one run of the head's tree, or under naive the first
-    rule in text order that applies; the arguments past the rule's arity
-    are reattached to its right-hand side.  ``args`` is only read.
+    """One rewrite attempt at a symbol head: under either engine none below
+    the smallest arity of its rules, decided before anything is made; else
+    one run of the head's tree, or under naive the first rule in text order
+    that applies; the arguments past the rule's arity are reattached to its
+    right-hand side.  ``args`` is only read.
 
     A failed attempt records in ``steps.hnf`` every term its matches
     head-normalised, so the rest of the evaluation starts from those normal
@@ -604,17 +605,14 @@ def rewrite_head(
     form that the memo or the record has for its subject.  The memo's
     reduced entries join the record only when no rule applies.  A failed
     closedness check records its own."""
-    if ctx.engine == TREE:
-        least = ctx.defined.get(head)
-        if least is None or len(args) < least:
-            return None
-        return eval_tree(ctx, ctx.trees[head], args, steps)
-    rules = ctx.rules_by_head.get(head)
-    if not rules:
+    least = ctx.defined.get(head)
+    if least is None or len(args) < least:
         return None
+    if ctx.engine == TREE:
+        return eval_tree(ctx, ctx.trees[head], args, steps)
     memo = WhnfMemo()  # set without an __init__, which costs a Python call
     memo.ctx, memo.steps = ctx, steps
-    found = naive_rewrite_head(rules, args, memo)
+    found = naive_rewrite_head(ctx.rules_by_head[head], args, memo)
     if found is None:
         # like a tree match, keep what was reduced; whnf_stk has recorded
         # each stuck term itself

@@ -16,6 +16,7 @@ witness, a store keyed by name whose closures carry their own formals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .terms import (
@@ -442,8 +443,10 @@ def match_patterns(
     The walk is one loop over a work list, in preorder from the left, so the
     hooks see the same terms in the same order as a recursive walk would, and
     none is called after the first failed test.  Pattern depth costs no
-    Python stack.  An argument is read only when the walk reaches it, and
-    no substitution is made before the first named variable binds.
+    Python stack.  An argument is read only when the walk reaches it, no
+    substitution is made before the first named variable binds, and
+    ``hooks[t]`` is read only where a symbol or abstraction pattern inspects
+    a head.  Each argument starts with no binder opened.
 
     Returns the substitution mapping each named pattern variable to a
     closure over its bound-variable arguments, or None on failure.
@@ -455,16 +458,32 @@ def match_patterns(
     # (pattern, subject, vids of the binders opened above it, pattern binder
     # vid -> subject binder), the next item last
     todo: list[tuple[Pattern, Term, frozenset[int], dict[int, Var]]] = []
+    # the scope of the item in hand; a binder makes a new set and map, so
+    # an empty scope is restored only after an item under a binder
+    vset, bmap = _NO_BINDERS, _NO_BINDER_MAP
     i = 0
     while True:
         if todo:
             p, t, vset, bmap = todo.pop()
         elif i < n:
-            p, t, vset, bmap = pats[i], terms[i], _NO_BINDERS, _NO_BINDER_MAP
+            p, t = pats[i], terms[i]
             i += 1
+            if vset:
+                vset, bmap = _NO_BINDERS, _NO_BINDER_MAP
         else:
             return {} if sub is None else sub
         tp = type(p)
+        if tp is PatSymb:
+            t = hooks[t]
+            # unwind one application per argument, pushing the last first
+            k = len(p.args)
+            while k and type(t) is App:
+                k -= 1
+                todo.append((p.args[k], t.arg, vset, bmap))
+                t = t.fn
+            if k or type(t) is not Symb or t.name != p.symbol:
+                return None
+            continue
         if tp is PatVar:
             if p.name is None:
                 continue
@@ -494,18 +513,8 @@ def match_patterns(
             elif not hooks.equal(prev.body, t):
                 return None
             continue
-        t = hooks[t]
-        if tp is PatSymb:
-            # unwind one application per argument, pushing the last first
-            k = len(p.args)
-            while k and type(t) is App:
-                k -= 1
-                todo.append((p.args[k], t.arg, vset, bmap))
-                t = t.fn
-            if k or type(t) is not Symb or t.name != p.symbol:
-                return None
-            continue
         # PatAbst: the domain of the subject abstraction is ignored
+        t = hooks[t]
         if type(t) is not Abst:
             return None
         var, body = t.var, t.body
@@ -547,8 +556,9 @@ def rhs_builder(rule: Rule, env: BuilderEnv) -> Builder:
     ``x`` that binder is the stored term itself.  A binder that is fresh at
     every firing is made with ``fresh_var`` before its body, which is built
     with it.  Constants, names included, reach the code as bound values,
-    never as its text; ``App``, ``subst`` and ``fresh_var`` are this
-    module's globals.  A right-hand side with no pattern variable is built
+    never as its text, so one shape's source is compiled once per process
+    (``_maker``); ``App``, ``subst`` and ``fresh_var`` are this module's
+    globals.  A right-hand side with no pattern variable is built
     as itself, unwalked.  Raises SubstitutionError on an unbound name or an
     arity mismatch.
     """
@@ -654,9 +664,17 @@ def rhs_builder(rule: Rule, env: BuilderEnv) -> Builder:
     params = ", ".join(f"c{i}" for i in range(len(values)))
     src = "".join(f"  {line}\n" for line in lines) + f"  return {vals[0]}\n"
     src = f"def make({params}):\n def build(s, b):\n{src} return build\n"
+    return _maker(src)(*values)
+
+
+@lru_cache(maxsize=1024)
+def _maker(src: str) -> Callable[..., Builder]:
+    """The ``make`` function that a builder's source defines, compiled once
+    per process for each source text: right-hand sides of one shape share
+    it, as their constants reach it only as arguments."""
     made: dict = {}
     exec(src, globals(), made)
-    return made["make"](*values)
+    return made["make"]
 
 
 def _passed_itself(a: Term, at: Optional[Position], bound) -> bool:
@@ -686,23 +704,24 @@ def naive_rewrite_head(
     args: Sequence[Term],
     hooks: Hooks = SYNTACTIC,
 ) -> Optional[tuple[Rule, Term]]:
-    """Try each rule in order against a prefix of the arguments.
+    """Try each rule in text order against a prefix of the arguments.
 
-    Each rule tried is one call of ``match_patterns``, on ``args`` itself
-    when the rule takes all of them.  A try reads an argument only when its
-    walk reaches it and makes no substitution before a variable binds, so
-    the cost left is that each rule walks again what earlier rules walked:
+    Each rule tried is one call of ``match_patterns``, through this module's
+    global, on ``args`` itself when the rule takes all of them; a rule wider
+    than the arguments is passed over with no call, by its ``arity``.  No
+    rule is skipped otherwise.  A try reads an argument only when its walk
+    reaches it and makes no substitution before a variable binds, so the
+    cost left is that each rule walks again what earlier rules walked:
     exactly the cost the compiled engine removes.  Every try gets the one
     ``hooks`` object.  Returns the first applicable rule together with its
     instantiated right-hand side applied to the leftover arguments.
     """
+    n_args = len(args)
     for rule in rules:
-        n = len(rule.lhs_args)
-        if n > len(args):
+        n = rule.arity
+        if n > n_args:
             continue
-        sub = match_patterns(
-            rule.lhs_args, args if n == len(args) else args[:n], hooks
-        )
+        sub = match_patterns(rule.lhs_args, args if n == n_args else args[:n], hooks)
         if sub is not None:
             rhs = apply_subst(sub, rule)
             return rule, build_app(rhs, args[n:])

@@ -4,7 +4,7 @@ from collections.abc import Sequence
 
 import pytest
 
-from rwtree import patterns
+from rwtree import engine, patterns
 from rwtree.engine import EvalContext
 from rwtree.patterns import (
     Closure,
@@ -388,6 +388,32 @@ def test_a_rule_try_reads_an_argument_only_when_it_reaches_it():
     assert sub == {} and sub is not match_patterns((PatSymb("a"),), (a,))
 
 
+@pytest.mark.parametrize(
+    "later", ["$x", "c $x"], ids=["variable", "under a symbol"]
+)
+def test_a_binder_opened_in_one_argument_does_not_restrict_the_next(later):
+    # (\y, _) then $x, or c $x, against (\z, k) and c z: z is free in the
+    # second argument, but no binder encloses that position, so $x binds
+    # it with no closedness check, under the syntactic relation and under
+    # hooks that record their calls
+    y, z = fresh_var("y"), fresh_var("z")
+    k, cz = symb("k"), App(symb("c"), z)
+    first = lam(z, k)
+    if later == "$x":
+        pats, bound = (PatAbst(y, PatVar(None, ())), pvar("x")), cz
+    else:
+        pats, bound = (PatAbst(y, PatVar(None, ())), PatSymb("c", (pvar("x"),))), z
+    sub = match_patterns(pats, (first, cz))
+    assert sub is not None and sub["x"] == Closure(bound, ())
+    calls = []
+    sub = match_patterns(pats, (first, cz), _Recording(calls, {}))
+    assert sub is not None and sub["x"] == Closure(bound, ())
+    expected = [("whnf", first)]
+    if later != "$x":
+        expected.append(("whnf", cz))
+    assert calls == expected + [("known", bound)]
+
+
 def test_match_does_not_recurse_on_pattern_depth():
     depth = 10_000
     assert sys.getrecursionlimit() < depth
@@ -523,6 +549,77 @@ def test_naive_prefix_match_reattaches_suffix():
     # extra argument is reattached
     hit = naive_rewrite_head(rules, [symb("id"), symb("nil"), symb("k")])
     assert alpha_eq(hit[1], App(symb("nil"), symb("k")))
+
+
+WIDTH_RULES = """symbol f; symbol a; symbol b; symbol c; symbol e;
+symbol r1; symbol r2; symbol r3; symbol r4; symbol r5;
+rule f c --> r1
+with f a b e --> r2
+with f a c --> r3
+with f a $x --> r4
+with f $x $y --> r5;
+"""
+
+
+def _counted_matcher(monkeypatch):
+    """Record each call of ``patterns.match_patterns`` through the module
+    global, as its pattern vector and its subjects."""
+    calls = []
+    match = patterns.match_patterns
+
+    def recording(pats, terms, hooks):
+        calls.append((pats, tuple(terms)))
+        return match(pats, terms, hooks)
+
+    monkeypatch.setattr(patterns, "match_patterns", recording)
+    return calls
+
+
+def test_naive_tries_each_rule_with_exactly_one_matcher_call(monkeypatch):
+    # one call per rule tried, in text order, up to and including the first
+    # that applies; the wider r2 costs none, and r5 is never reached
+    rules = parse_file(WIDTH_RULES).rules
+    r1, r2, r3, r4, r5 = rules
+    calls = _counted_matcher(monkeypatch)
+    a, b = symb("a"), symb("b")
+    hit = naive_rewrite_head(rules, [a, b])
+    assert hit is not None and hit[0] is r4
+    assert calls == [(r1.lhs_args, (a,)), (r3.lhs_args, (a, b)), (r4.lhs_args, (a, b))]
+    calls.clear()
+    hit = naive_rewrite_head(rules, [b, b])
+    assert hit is not None and hit[0] is r5
+    assert [pats for pats, _ in calls] == [r.lhs_args for r in (r1, r3, r4, r5)]
+    # with three arguments r2 is tried too, on all of them
+    calls.clear()
+    e = symb("e")
+    assert naive_rewrite_head(rules, [b, b, e])[0] is r5
+    assert [pats for pats, _ in calls] == [r.lhs_args for r in rules]
+    assert calls[1] == (r2.lhs_args, (b, b, e))
+
+
+def test_a_naive_attempt_below_the_smallest_arity_makes_nothing(monkeypatch):
+    # no matcher call and no WhnfMemo, as the tree engine runs no tree
+    source = WIDTH_RULES.replace("rule f c --> r1\nwith", "rule")
+    ctx = EvalContext.from_rules(parse_file(source).rules, engine="naive")
+    assert ctx.defined["f"] == 2
+    calls = _counted_matcher(monkeypatch)
+    memos = []
+
+    class CountedMemo(engine.WhnfMemo):
+        __slots__ = ()
+
+        def __new__(cls):
+            memos.append(None)
+            return super().__new__(cls)
+
+    monkeypatch.setattr(engine, "WhnfMemo", CountedMemo)
+    a, b = symb("a"), symb("b")
+    steps = engine.Steps(10)
+    assert engine.rewrite_head(ctx, "f", [a], steps) is None
+    assert engine.rewrite_head(ctx, "a", [a, b], steps) is None
+    assert calls == [] and memos == [] and steps.hnf == {}
+    assert alpha_eq(engine.rewrite_head(ctx, "f", [a, b], steps), symb("r4"))
+    assert len(calls) == 2 and len(memos) == 1
 
 
 # ---------------------------------------------------------------------------
