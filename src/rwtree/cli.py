@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dtree import to_dot, tree_stats, tree_text, trees_of_ruleset
+from .dtree import to_dot, tree_stats, tree_text
 from .engine import DivergenceError, EvalContext, Steps, convertible, snf, whnf
 from .patterns import RuleSetError
 from .syntax import (
@@ -99,7 +99,7 @@ def _read(path: str) -> str:
 
 def cmd_check(path: str) -> int:
     source = parse_file(_read(path))
-    trees = trees_of_ruleset(source.rules)
+    trees = EvalContext.from_rules(source.rules).trees
     print(f"{path}: ok, {len(source.rules)} rules, {len(trees)} trees")
     for head, tree in sorted(trees.items()):
         stats = tree_stats(tree)
@@ -116,10 +116,10 @@ def cmd_run(path: str, strategy: str, engine: str, max_steps: int) -> int:
     normalize = snf if strategy == "snf" else whnf
     for item in source.items:
         if isinstance(item, Compute):
-            result = normalize(ctx, item.term, Steps(max_steps))
+            result = normalize(ctx, item.term, Steps(ctx.max_steps))
             print(print_term(result))
         elif isinstance(item, Assert):
-            if not convertible(ctx, item.lhs, item.rhs, Steps(max_steps)):
+            if not convertible(ctx, item.lhs, item.rhs, Steps(ctx.max_steps)):
                 print(
                     f"assertion failed at line {item.line}: "
                     f"{print_term(item.lhs)} != {print_term(item.rhs)}",
@@ -130,7 +130,7 @@ def cmd_run(path: str, strategy: str, engine: str, max_steps: int) -> int:
 
 
 def cmd_tree(path: str, symbol: str, dot: bool) -> int:
-    trees = trees_of_ruleset(parse_file(_read(path)).rules)
+    trees = EvalContext.from_rules(parse_file(_read(path)).rules).trees
     if symbol not in trees:
         print(f"no rules for {symbol}", file=sys.stderr)
         return VALIDATION

@@ -14,19 +14,19 @@ normalisation (its ``store`` flag), so right-hand sides are built from
 normalised subterms; otherwise a Store saves it unevaluated, and a column
 is never forced only to be stored.
 
-As in Lambdapi, a head has one tree for all of its rules in text order
-(``trees_of_ruleset``): an Eos decides whether the subject is wide enough
-before a wider rule is tried, and a leaf reattaches the arguments past its
-own rule's arity.  Compilation reduces a clause matrix step by step in one
-work-list loop (``compile_matrix``), and each step decides the first head
-or check that naive meets in the first row, so the tree forces nothing that
-the declarative matcher would not.  Only the first row yields, so when
-several rules apply the tree fires the first in text order, as the
-declarative matcher does (first-match order, as in Maranget's trees).  A
-Switch takes all of its cases from one pass over the rows
-(``matrix.specialize``).  The compiler says where something is only by
-position: the matrix carries the position of each column, and each work
-item maps each saved position to its store slot and each opened
+As in Lambdapi, a head has one tree for all of its rules in text order,
+which ``engine.EvalContext.from_rules`` compiles: an Eos decides whether
+the subject is wide enough before a wider rule is tried, and a leaf
+reattaches the arguments past its own rule's arity.  Compilation reduces a
+clause matrix step by step in one work-list loop (``compile_matrix``), and
+each step decides the first head or check that naive meets in the first
+row, so the tree forces nothing that the declarative matcher would not.
+Only the first row yields, so when several rules apply the tree fires the
+first in text order, as the declarative matcher does (first-match order,
+as in Maranget's trees).  A Switch takes all of its cases from one pass
+over the rows (``matrix.specialize``).  The compiler says where something
+is only by position: the matrix carries the position of each column, and
+each work item maps each saved position to its store slot and each opened
 abstraction, named by its position, to its index among the opened binders.
 
 A tree is walked in one place: ``iter_tree`` yields every node in preorder
@@ -37,7 +37,7 @@ them recurses, and both renderings print the same text for a node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .matrix import (
     ClauseMatrix,
@@ -45,7 +45,6 @@ from .matrix import (
     ConstraintKey,
     cond_fail,
     cond_succ,
-    from_rules,
     specialize,
     swap_columns,
 )
@@ -55,7 +54,6 @@ from .patterns import (
     PatVar,
     Rule,
     encloses,
-    validate_rules,
 )
 from .syntax import print_term
 from .terms import Position
@@ -308,16 +306,6 @@ def compile_matrix(m: ClauseMatrix) -> DTree:
             setattr(into, at, node)
         todo.extend(reversed(below))
     return top[None]
-
-
-def trees_of_ruleset(rules: Sequence[Rule]) -> dict[str, DTree]:
-    """Validate the rules, raising RuleSetError, then compile one tree per
-    head from all of its rules, of every arity, in text order."""
-    validate_rules(rules)
-    by_head: dict[str, list[Rule]] = {}
-    for r in rules:
-        by_head.setdefault(r.head, []).append(r)
-    return {head: compile_matrix(from_rules(rs)) for head, rs in by_head.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence
 
+from . import matrix
 from .dtree import (
     BinCl,
     BinNl,
@@ -66,7 +67,7 @@ from .dtree import (
     Store,
     Swap,
     Switch,
-    trees_of_ruleset,
+    compile_matrix,
 )
 from .patterns import Hooks, Rule, naive_rewrite_head, rhs_builder
 from .patterns import shared_formals, validate_rules
@@ -123,10 +124,10 @@ class Steps:
 
 @dataclass(slots=True)
 class EvalContext:
-    """Immutable evaluation setup: one compiled tree per head (none under
-    the naive engine, which validates the rules and reads no tree), rules,
-    budget, equality and engine.  ``defined`` maps each head of a rule to
-    the smallest arity of its rules, the same for both engines."""
+    """Immutable evaluation setup: rules grouped by head, one compiled tree
+    per head under the tree engine (none under naive), budget, equality and
+    engine.  ``defined`` maps each head of a rule to the smallest arity of
+    its rules.  ``from_rules`` is the one place where the engine is chosen."""
 
     trees: dict[str, DTree]
     rules_by_head: dict[str, list[Rule]]
@@ -144,14 +145,18 @@ class EvalContext:
         max_steps: int = 10**8,
         equality: str = CONVERTIBLE,
     ) -> "EvalContext":
-        """Raises RuleSetError when a rule fails validation."""
+        """Validate the rules (raising RuleSetError), group them by head and,
+        under the tree engine only, compile each head's tree from them."""
+        validate_rules(rules)
         by_head: dict[str, list[Rule]] = {}
         for r in rules:
             by_head.setdefault(r.head, []).append(r)
-        if engine != TREE:
-            validate_rules(rules)
+        trees: dict[str, DTree] = {}
+        if engine == TREE:
+            for h, rs in by_head.items():
+                trees[h] = compile_matrix(matrix.from_rules(rs))
         return cls(
-            trees=trees_of_ruleset(rules) if engine == TREE else {},
+            trees=trees,
             rules_by_head=by_head,
             defined={h: min(r.arity for r in rs) for h, rs in by_head.items()},
             max_steps=max_steps,
@@ -198,26 +203,23 @@ def whnf_stk(
             del stk[base:]
             continue
         if tt is Abst:
-            steps.used += 1
-            if steps.used > steps.budget:
-                raise DivergenceError(steps.budget)
             arg = stk.pop()
             # (\s, b) s is b: a result that reuses its subject's binder
             t = t.body if arg is t.var else subst(t.body, {t.var.vid: arg})
             whole = None if len(stk) > base else t
-            continue
-        args = stk[: base - 1 : -1] if base else stk[::-1]
-        reduced = rewrite_head(ctx, t.name, args, steps)
-        if reduced is None:
-            if whole is None:
-                whole = build_app(t, args)
-            hnf[whole] = whole
-            break
+        else:
+            args = stk[: base - 1 : -1] if base else stk[::-1]
+            reduced = rewrite_head(ctx, t.name, args, steps)
+            if reduced is None:
+                if whole is None:
+                    whole = build_app(t, args)
+                hnf[whole] = whole
+                break
+            t = whole = reduced
+            del stk[base:]
         steps.used += 1
         if steps.used > steps.budget:
             raise DivergenceError(steps.budget)
-        t = whole = reduced
-        del stk[base:]
     if whole is None:
         whole = build_app(t, stk[: base - 1 : -1] if base else stk[::-1])
     return t, len(stk) - base, whole
@@ -593,9 +595,9 @@ def rewrite_head(
 ) -> Optional[Term]:
     """One rewrite attempt at a symbol head: under either engine none below
     the smallest arity of its rules, decided before anything is made; else
-    one run of the head's tree, or under naive the first rule in text order
-    that applies; the arguments past the rule's arity are reattached to its
-    right-hand side.  ``args`` is only read.
+    one run of the head's tree if ``ctx.trees`` has one, or the first rule
+    in text order that applies; the arguments past the rule's arity are
+    reattached to its right-hand side.  ``args`` is only read.
 
     A failed attempt records in ``steps.hnf`` every term its matches
     head-normalised, so the rest of the evaluation starts from those normal
@@ -608,8 +610,9 @@ def rewrite_head(
     least = ctx.defined.get(head)
     if least is None or len(args) < least:
         return None
-    if ctx.engine == TREE:
-        return eval_tree(ctx, ctx.trees[head], args, steps)
+    tree = ctx.trees.get(head)
+    if tree is not None:
+        return eval_tree(ctx, tree, args, steps)
     memo = WhnfMemo()  # set without an __init__, which costs a Python call
     memo.ctx, memo.steps = ctx, steps
     found = naive_rewrite_head(ctx.rules_by_head[head], args, memo)

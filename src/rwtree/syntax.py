@@ -410,9 +410,8 @@ def parse_file(text: str) -> SourceFile:
     """Parse a source file.
 
     Raises ParseError for syntax and ScopeError for undeclared identifiers.
-    The rules are validated where a context is set up: by the tree compiler
-    (``dtree.trees_of_ruleset``) under the tree engine, by
-    ``EvalContext.from_rules`` itself under naive.
+    The rules are validated where a context is set up, by
+    ``engine.EvalContext.from_rules``, under either engine.
     """
     return _Parser(text).file()
 

@@ -554,6 +554,12 @@ def test_a_switch_reduces_a_symbol_that_heads_a_rule(engine, case, tmp_path, cap
 @pytest.mark.parametrize(
     "source, extra, code, prefix",
     [
+        (
+            "symbol a;\ncompute a;\n",
+            ["--max-steps", "0"],
+            USAGE,
+            "usage error: --max-steps must be positive\n",
+        ),
         ("symbol a;\ncompute (a;\n", [], PARSE, "parse error: "),
         ("symbol a;\ncompute b;\n", [], VALIDATION, "scope error: "),
         ("symbol f;\nrule f $x --> $y;\n", [], VALIDATION, "validation error: "),
@@ -571,7 +577,15 @@ def test_a_switch_reduces_a_symbol_that_heads_a_rule(engine, case, tmp_path, cap
             "divergence: ",
         ),
     ],
-    ids=["parse", "scope", "validation", "validation-naive", "assertion", "divergence"],
+    ids=[
+        "usage",
+        "parse",
+        "scope",
+        "validation",
+        "validation-naive",
+        "assertion",
+        "divergence",
+    ],
 )
 def test_each_failure_exits_with_its_documented_code(
     source, extra, code, prefix, tmp_path, capsys
@@ -650,3 +664,10 @@ def test_check_names_each_field_once(tmp_path, capsys):
     assert main(["check", str(src)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "  f: depth=4 slots=1 leaf=1 store=1 swap=1 switch=1"
+
+
+def test_tree_of_a_symbol_with_no_rules_exits_3(tmp_path, capsys):
+    src = tmp_path / "fib.rw"
+    src.write_text(FIB_RULES)
+    assert main(["tree", str(src), "nosuch"]) == VALIDATION
+    assert capsys.readouterr().err == "no rules for nosuch\n"

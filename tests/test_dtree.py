@@ -14,8 +14,8 @@ from rwtree.dtree import (
     to_dot,
     tree_stats,
     tree_text,
-    trees_of_ruleset,
 )
+from rwtree.engine import EvalContext
 from rwtree.matrix import ClauseMatrix, from_rules
 from rwtree.patterns import PatAbst, PatSymb, PatVar, Rule
 from rwtree.syntax import parse_file
@@ -127,7 +127,7 @@ def test_compile_switches_on_the_column_with_most_heads_first():
     # column 3 holds two heads, but naive never reaches it when the first
     # row fails at column 1, and the second row starts at column 2; so only
     # column 1 qualifies
-    tree = trees_of_ruleset(parse_file(STATE).rules)["f"]
+    tree = EvalContext.from_rules(parse_file(STATE).rules).trees["f"]
     assert type(tree) is Switch
     assert list(tree.sym_cases) == [("a", 0)] and tree.default_case is not None
 
@@ -156,7 +156,7 @@ def test_compile_stores_a_rhs_variable_before_its_leaf():
 
 
 # ---------------------------------------------------------------------------
-# trees_of_ruleset
+# one tree per head (EvalContext.from_rules)
 
 
 def test_trees_grouped_by_head():
@@ -169,7 +169,7 @@ def test_trees_grouped_by_head():
         MetaApp("m", ()),
         "ps",
     )
-    trees = trees_of_ruleset([r1, r2])
+    trees = EvalContext.from_rules([r1, r2]).trees
     assert set(trees) == {"plus"}
     root = trees["plus"]
     assert type(root) is Switch and type(root.sym_cases[("0", 0)]) is Leaf
@@ -179,18 +179,18 @@ def test_trees_grouped_by_head():
 
 
 def test_trees_empty_ruleset():
-    assert trees_of_ruleset([]) == {}
+    assert EvalContext.from_rules([]).trees == {}
 
 
 def test_trees_example1_single_group():
-    trees = trees_of_ruleset(example1_rules())
+    trees = EvalContext.from_rules(example1_rules()).trees
     assert set(trees) == {"f"}
 
 
 def test_a_head_of_many_arities_compiles_its_rules_once():
     # 200 rules over 20 arities: one tree per arity held 32,911 nodes in
     # all, since each compiled every shorter rule again
-    trees = trees_of_ruleset(parse_file(mixed_arity_source()).rules)
+    trees = EvalContext.from_rules(parse_file(mixed_arity_source()).rules).trees
     assert list(trees) == ["f"]
     assert sum(1 for _ in iter_tree(trees["f"])) < 16_000
 
@@ -199,7 +199,7 @@ def test_a_single_arity_head_tests_no_argument_count(rng):
     sampler = RuleSampler(rng)
     for _ in range(100):
         rules = sampler.ruleset()
-        for head, tree in trees_of_ruleset(rules).items():
+        for head, tree in EvalContext.from_rules(rules).trees.items():
             if len({r.arity for r in rules if r.head == head}) == 1:
                 assert all(type(n) is not Eos for _, _, n in iter_tree(tree))
 
@@ -214,7 +214,7 @@ def test_store_indices_bounded_on_random_rulesets(rng):
     sampler = RuleSampler(rng)
     for _ in range(150):
         rules = sampler.ruleset()
-        for tree in trees_of_ruleset(rules).values():
+        for tree in EvalContext.from_rules(rules).trees.values():
             todo = [(tree, 0, 0)]
             while todo:
                 node, stores, lambdas = todo.pop()
@@ -254,8 +254,8 @@ def test_compile_deterministic_on_random_rulesets(rng):
     sampler = RuleSampler(rng)
     for _ in range(60):
         rules = sampler.ruleset()
-        a = trees_of_ruleset(rules)
-        b = trees_of_ruleset(rules)
+        a = EvalContext.from_rules(rules).trees
+        b = EvalContext.from_rules(rules).trees
         assert set(a) == set(b)
         for key in a:
             assert tree_text(a[key]) == tree_text(b[key])
@@ -268,7 +268,7 @@ def test_switch_completeness_on_random_rulesets(rng):
     sampler = RuleSampler(rng)
     for _ in range(100):
         rules = sampler.ruleset()
-        for tree in trees_of_ruleset(rules).values():
+        for tree in EvalContext.from_rules(rules).trees.values():
             for _, _, node in iter_tree(tree):
                 if type(node) is Switch:
                     keys = list(node.sym_cases)
@@ -335,7 +335,7 @@ def test_a_deep_chain_is_rendered_and_measured_without_recursion():
 
 def test_dot_escapes_quotes_in_node_and_edge_labels():
     source = 'symbol f; symbol q";\nrule f q" --> q";\n'
-    tree = trees_of_ruleset(parse_file(source).rules)["f"]
+    tree = EvalContext.from_rules(parse_file(source).rules).trees["f"]
     dot = to_dot(tree)
     assert '  n0 -> n1 [label="q\\"/0"];' in dot.splitlines()
     assert '  n1 [label="leaf q\\"", shape=ellipse];' in dot.splitlines()
@@ -544,7 +544,7 @@ GOLDEN_SOURCES = {
 
 
 def _golden_tree(source, head):
-    return trees_of_ruleset(parse_file(GOLDEN_SOURCES[source]).rules)[head]
+    return EvalContext.from_rules(parse_file(GOLDEN_SOURCES[source]).rules).trees[head]
 
 
 @pytest.mark.parametrize("source,head", sorted(GOLDEN))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwtree.dtree import Fail, Leaf, Store, Switch, iter_tree, trees_of_ruleset
+from rwtree.dtree import Fail, Leaf, Store, Switch, iter_tree
 from rwtree.engine import (
     DivergenceError,
     EvalContext,
@@ -1074,7 +1074,7 @@ def test_the_tree_inspects_no_more_heads_than_naive():
 def test_every_switch_inspects_a_head(rng):
     sampler = RuleSampler(rng)
     for _ in range(150):
-        for tree in trees_of_ruleset(sampler.ruleset()).values():
+        for tree in EvalContext.from_rules(sampler.ruleset()).trees.values():
             for _, _, node in iter_tree(tree):
                 if type(node) is Switch:
                     assert node.sym_cases or node.lam_case is not None
@@ -1189,6 +1189,23 @@ def test_a_right_hand_side_10000_deep_fires(engine):
     assert out.var is not x
 
 
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_constant_rhs_abstraction_is_reused_beside_a_fresh_one(engine):
+    # \y, y holds no pattern variable, so every firing returns the rule's
+    # own abstraction; \z, $x is built with a fresh z at each firing
+    src = "symbol f; symbol g; symbol c;\nrule f $x --> g (\\z, $x) (\\y, y);"
+    (rule,) = parse_file(src).rules
+    z = rule.rhs.fn.arg.var
+    assert rule.binders == {z.vid: None}
+    ctx = EvalContext.from_rules([rule], engine=engine)
+    firsts = []
+    for _ in range(2):
+        out = whnf(ctx, term("f c", src))
+        assert out.arg is rule.rhs.arg
+        firsts.append(out.fn.arg.var)
+    assert len({v.vid for v in firsts + [z]}) == 3
+
+
 # ---------------------------------------------------------------------------
 # head normalisation on an argument stack
 
@@ -1205,6 +1222,18 @@ def test_whnf_returns_head_normal_term_itself(engine):
         symb("0"),
     ):
         assert whnf(ctx, t, Steps(100)) is t
+
+
+@pytest.mark.parametrize("engine", ["tree", "naive"])
+def test_a_failed_attempt_after_a_beta_step_records_the_built_term(engine):
+    # the beta step leaves f a with b still on the stack, so no term spells
+    # f a b until the failed attempt builds it and records it as stuck
+    src = "symbol f; symbol a; symbol b;\nrule f b b --> a;"
+    subject = term("(\\x, f x) a b", src)
+    steps = Steps(100)
+    out = whnf(ctx_for(src, engine=engine), subject, steps)
+    assert print_term(out) == "f a b" and steps.used == 1
+    assert out is not subject and steps.hnf == {out: out}
 
 
 @pytest.mark.parametrize("engine", ["tree", "naive"])

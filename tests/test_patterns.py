@@ -105,8 +105,7 @@ def test_from_rules_keeps_violations_of_rules_sharing_a_label():
 
 
 def test_each_rule_is_validated_once(monkeypatch):
-    # parse_file only parses; trees_of_ruleset, which from_rules reaches,
-    # validates
+    # parse_file only parses; from_rules validates, under either engine
     validated = []
     real = patterns.validate_rule
     monkeypatch.setattr(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwtree import syntax
-from rwtree.dtree import trees_of_ruleset
+from rwtree.engine import EvalContext
 from rwtree.patterns import PatAbst, PatSymb, PatVar, RuleSetError
 from rwtree.syntax import (
     Assert,
@@ -265,6 +265,40 @@ def test_item_lines_and_rule_labels(src, lines, labels):
             ParseError,
             "2:11: expected ';', found ''",
         ),
+        (
+            "symbol f;\ncompute \\x f;",
+            ParseError,
+            "2:12: expected ',' or '.' after binder",
+        ),
+        ("symbol f;\ncompute _;", ParseError, "2:9: wildcard outside a rule"),
+        ("symbol f;\ncompute ;", ParseError, "2:9: expected a term"),
+        (
+            "symbol f;\n(f);",
+            ParseError,
+            "2:1: expected a declaration, rule or directive",
+        ),
+        ("symbol f;\nfoo f;", ParseError, "2:1: unknown item 'foo'"),
+        (
+            "symbol a;\nrule $x --> a;",
+            ParseError,
+            "2:6: rule left-hand side must apply a symbol",
+        ),
+        (
+            "symbol f; symbol a;\nrule f ($x a) --> a;",
+            ParseError,
+            "2:6: unsupported pattern shape",
+        ),
+        ("symbol a", ParseError, "1:9: expected ';', found ''"),
+        (
+            "symbol f; symbol a;\nrule f a a;",
+            ParseError,
+            "2:11: expected rule arrow, found ';'",
+        ),
+        (
+            "symbol f; symbol a;\nassert f a f;",
+            ParseError,
+            "2:13: expected '==', found ';'",
+        ),
     ],
     ids=[
         "missing-paren",
@@ -276,6 +310,16 @@ def test_item_lines_and_rule_labels(src, lines, labels):
         "redeclared",
         "second-rule-of-block",
         "eof-after-comment",
+        "binder-without-dot",
+        "wildcard-outside-rule",
+        "missing-term",
+        "unknown-start",
+        "unknown-item",
+        "lhs-not-applied",
+        "applied-pattern-variable",
+        "eof-after-declaration",
+        "missing-rule-arrow",
+        "missing-assert-equals",
     ],
 )
 def test_error_positions(src, error, message):
@@ -369,10 +413,10 @@ def test_parse_pattern_variable_arguments():
 
 
 def test_parse_rejects_unbound_rhs_variable():
-    # parse_file only parses; the rules are validated where they compile
+    # parse_file only parses; the rules are validated where a context is set up
     src = parse_file("symbol f;\nrule f $x --> $y;")
     with pytest.raises(RuleSetError):
-        trees_of_ruleset(src.rules)
+        EvalContext.from_rules(src.rules)
 
 
 def test_parse_rejects_bare_binder_in_pattern():
@@ -412,14 +456,14 @@ def test_wildcard_in_lhs_ok_rhs_rejected():
     assert src.rules[0].lhs_args[0].name is None
     src = parse_file("symbol f; symbol k;\nrule f $x --> _;")
     with pytest.raises(RuleSetError):
-        trees_of_ruleset(src.rules)
+        EvalContext.from_rules(src.rules)
 
 
 def test_rules_sharing_a_label_keep_every_violation():
     # both rules of the block are labelled f@2
     src = parse_file("symbol f; symbol k;\nrule f $x --> $y with f k --> $z;")
     with pytest.raises(RuleSetError) as e:
-        trees_of_ruleset(src.rules)
+        EvalContext.from_rules(src.rules)
     assert e.value.violations == {
         "f@2": ["unbound rhs variable $y", "unbound rhs variable $z"]
     }
@@ -443,6 +487,13 @@ def test_print_parenthesizes_arguments():
 def test_print_parenthesizes_products():
     s = "f (Πx : g a, x) (Πy : (Πz : a, z), y) (\\x, Πy : x, y)"
     assert print_term(parse_term(s, SCOPE)) == s
+
+
+def test_print_a_metavariable_applied_to_two_binders():
+    # a right-hand side is printed in a tree's leaf text
+    src = "symbol f;\nrule f (\\x, \\y, $u[x, y]) --> f (\\y, \\x, $u[x, y]);"
+    (rule,) = parse_file(src).rules
+    assert print_term(rule.rhs) == "f (\\y, \\x, $u[x,y])"
 
 
 def test_print_binder_collision_primed():
