@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from .dtree import to_dot, tree_stats, tree_text
-from .engine import DivergenceError, EvalContext, Steps, convertible, snf, whnf
+from .engine import MAX_STEPS, DivergenceError, EvalContext, Steps, convertible
+from .engine import snf, whnf
 from .patterns import RuleSetError
 from .syntax import (
     Assert,
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("file")
     r.add_argument("--strategy", choices=["whnf", "snf"], default="snf")
     r.add_argument("--engine", choices=["tree", "naive"], default="tree")
-    r.add_argument("--max-steps", type=int, default=10**8)
+    r.add_argument("--max-steps", type=int, default=MAX_STEPS)
 
     t = sub.add_parser("tree", help="print the one decision tree of a symbol")
     t.add_argument("file")

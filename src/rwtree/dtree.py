@@ -114,8 +114,9 @@ class BinNl(DTree):
     succ: DTree
     slots: tuple[int, int]
     fail: DTree
-    # per slot, indices into the opened binders selecting the formals; the
-    # k-th formals of the two are renamed to one variable before comparing
+    # per slot, indices into the opened binders selecting the formals; each
+    # term is abstracted over its own formals before comparing, so the k-th
+    # formals of the two are bound at one level
     formals: tuple[tuple[int, ...], tuple[int, ...]]
 
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from . import matrix
 from .dtree import (
@@ -69,8 +69,8 @@ from .dtree import (
     Switch,
     compile_matrix,
 )
-from .patterns import Hooks, Rule, naive_rewrite_head, rhs_builder
-from .patterns import shared_formals, validate_rules
+from .patterns import Hooks, Rule, abstract_formals, naive_rewrite_head
+from .patterns import rhs_builder, validate_rules
 from .terms import (
     Abst,
     App,
@@ -92,6 +92,7 @@ from .terms import (
 
 CONVERTIBLE = "convertible"
 TREE = "tree"
+MAX_STEPS = 10**8  # the default rewrite budget of one evaluation
 
 
 class DivergenceError(Exception):
@@ -124,17 +125,20 @@ class Steps:
 
 @dataclass(slots=True)
 class EvalContext:
-    """Immutable evaluation setup: rules grouped by head, one compiled tree
-    per head under the tree engine (none under naive), budget, equality and
-    engine.  ``defined`` maps each head of a rule to the smallest arity of
-    its rules.  ``from_rules`` is the one place where the engine is chosen."""
+    """Evaluation setup: rules grouped by head, one compiled tree per head
+    under the tree engine (none under naive), budget, equality and engine.
+    ``defined`` maps each head of a rule to the smallest arity of its rules.
+    ``from_rules`` is the one place where the engine is chosen, and builds
+    every context.  No field is reassigned; the one state that changes is
+    the right-hand-side builder that a Leaf or a rule gets on its first
+    firing."""
 
     trees: dict[str, DTree]
     rules_by_head: dict[str, list[Rule]]
     defined: dict[str, int]
-    max_steps: int = 10**8
-    equality: str = CONVERTIBLE
-    engine: str = TREE
+    max_steps: int
+    equality: str
+    engine: str
 
     @classmethod
     def from_rules(
@@ -142,7 +146,7 @@ class EvalContext:
         rules: Sequence[Rule],
         *,
         engine: str = TREE,
-        max_steps: int = 10**8,
+        max_steps: int = MAX_STEPS,
         equality: str = CONVERTIBLE,
     ) -> "EvalContext":
         """Validate the rules (raising RuleSetError), group them by head and,
@@ -242,7 +246,7 @@ def snf(ctx: EvalContext, t: Term, steps: Optional[Steps] = None) -> Term:
 
 
 def normalise(
-    ctx: EvalContext, t: Term, steps: Steps, restricted: Optional[set[int]]
+    ctx: EvalContext, t: Term, steps: Steps, restricted: Optional[AbstractSet[int]]
 ) -> Optional[Term]:
     """Strong normal form: weak-head normalize, then normalize the
     arguments, abstraction bodies and domains.  One loop over a work list,
@@ -311,9 +315,7 @@ def normalise(
 PRECHECK_NODES = 32
 
 
-def convertible(
-    ctx: EvalContext, t: Term, u: Term, steps: Optional[Steps] = None
-) -> bool:
+def convertible(ctx: EvalContext, t: Term, u: Term, steps: Steps) -> bool:
     """Equality modulo beta and the rule set, decided lazily as Dedukti
     does, in one loop over pairs of terms with their binder environments.
 
@@ -333,8 +335,6 @@ def convertible(
     the pre-checks visit at most a constant per decomposed pair, plus the
     pairs they pass.
     """
-    if steps is None:
-        steps = Steps(ctx.max_steps)
     defined = ctx.defined
     work: list[tuple[Term, Term, Env, Env]] = [(t, u, {}, {})]
     stk: list[Term] = []  # both sides' arguments: the left's, then the right's
@@ -388,6 +388,19 @@ def equal_terms(ctx: EvalContext, t: Term, u: Term, steps: Steps) -> bool:
     if ctx.equality == CONVERTIBLE:
         return convertible(ctx, t, u, steps)
     return alpha_eq(t, u)
+
+
+def closed_term(
+    ctx: EvalContext, t: Term, shut: AbstractSet[int], steps: Steps
+) -> Optional[Term]:
+    """The variable-occurrence check of both engines: None when one of the
+    binder identities ``shut`` is free in ``t``, else the term to bind.  In
+    convertibility mode it is ``normalise``'s check, and the term to bind is
+    the normal form it passed on: the raw term may mention a binder that
+    only reduction drops.  Otherwise it is syntactic, and ``t`` itself."""
+    if ctx.equality == CONVERTIBLE:
+        return normalise(ctx, t, steps, shut)
+    return None if free_vars(t) & shut else t
 
 
 # ---------------------------------------------------------------------------
@@ -514,30 +527,19 @@ def eval_tree(
             return rhs if k == len(args) else build_app(rhs, args[k:])
         if tn is BinNl:
             i, j = node.slots
-            a, b = store[i], store[j]
             sel_a, sel_b = node.formals
-            if sel_a:
-                a, b = shared_formals(
-                    a, [binders[k] for k in sel_a], b, [binders[k] for k in sel_b]
-                )
+            a = abstract_formals(store[i], [binders[k] for k in sel_a])
+            b = abstract_formals(store[j], [binders[k] for k in sel_b])
             ok = equal_terms(ctx, a, b, steps)
             if trace is not None:
                 trace.append(("nl", (i, j), ok))
             node = node.succ if ok else node.fail
             continue
         if tn is BinCl:
-            term = store[node.slot]
-            restricted = node.restricted
-            if len(restricted) == 1:
-                shut = {binders[restricted[0]].vid}
-            else:
-                shut = {binders[k].vid for k in restricted}
-            if ctx.equality == CONVERTIBLE:
-                # build from the normal form the check passed on: the raw
-                # term may mention a binder that only reduction drops
-                term = normalise(ctx, term, steps, shut)
-            elif free_vars(term) & shut:
-                term = None
+            shut = set()  # a loop: a set comprehension costs a frame
+            for k in node.restricted:
+                shut.add(binders[k].vid)
+            term = closed_term(ctx, store[node.slot], shut, steps)
             ok = term is not None
             if ok:
                 store[node.slot] = term
@@ -565,8 +567,7 @@ class WhnfMemo(Hooks):
     normal forms, keyed by the term itself: a missing term is normalised
     with ``whnf`` and kept.  ``known`` gives the normal form that the memo
     or ``steps.hnf`` has for a subject, else the subject; ``equal`` is
-    ``equal_terms``; ``closed`` is the closedness check of ``normalise``
-    in convertibility mode, and the syntactic one otherwise."""
+    ``equal_terms``; ``closed`` is ``closed_term``."""
 
     __slots__ = ("ctx", "steps")
 
@@ -578,9 +579,7 @@ class WhnfMemo(Hooks):
         return equal_terms(self.ctx, a, b, self.steps)
 
     def closed(self, u: Term, shut: frozenset[int]) -> Optional[Term]:
-        if self.ctx.equality == CONVERTIBLE:
-            return normalise(self.ctx, u, self.steps, shut)
-        return Hooks.closed(self, u, shut)
+        return closed_term(self.ctx, u, shut, self.steps)
 
     def known(self, u: Term) -> Term:
         nf = self.get(u)

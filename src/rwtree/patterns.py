@@ -374,18 +374,15 @@ def analyse_rhs(
     return rhs_metas, env, out
 
 
-def shared_formals(
-    t: Term, t_formals: Sequence[Var], u: Term, u_formals: Sequence[Var]
-) -> tuple[Term, Term]:
-    """``t`` and ``u`` with the k-th formal of each renamed to one shared
-    fresh variable: two occurrences of a non-linear pattern variable under
-    different binders are compared this way, so ``$v[x]`` matched against
-    ``c x`` and ``$v[y]`` against ``c y`` agree."""
-    shared = [fresh_var(v.name) for v in t_formals]
-    return (
-        subst(t, {v.vid: z for v, z in zip(t_formals, shared)}),
-        subst(u, {v.vid: z for v, z in zip(u_formals, shared)}),
-    )
+def abstract_formals(t: Term, formals: Sequence[Var]) -> Term:
+    """``\\x1, … \\xk, t`` for the formals ``x1 … xk`` of one occurrence of
+    a pattern variable.  Two occurrences of a non-linear variable are
+    compared this way: the equality binds the k-th binder of each side to
+    one level, so ``$v[x]`` matched against ``c x`` and ``$v[y]`` against
+    ``c y`` agree, with no fresh variable and no substitution."""
+    for v in reversed(formals):
+        t = Abst(v, None, t)
+    return t
 
 
 _NO_BINDERS: frozenset[int] = frozenset()
@@ -405,7 +402,8 @@ class Hooks(dict):
       before either check below sees it: an engine gives the head normal
       form it already has, as a tree Switch stores the one it made.
     - ``equal(a, b)`` decides the repeated-variable condition, on the two
-      occurrences with their formals renamed alike (``shared_formals``).
+      occurrences, each abstracted over its own formals
+      (``abstract_formals``).
     - ``closed(t, vids)`` decides the variable-occurrence check: the term
       the variable binds, or None when one of the binder identities
       ``vids`` is free in ``t``.  An engine returns the normal form it
@@ -507,10 +505,9 @@ def match_patterns(
             prev = sub.get(p.name)
             if prev is None:
                 sub[p.name] = Closure(t, imgs)
-            elif imgs:
-                if not hooks.equal(*shared_formals(prev.body, prev.formals, t, imgs)):
-                    return None
-            elif not hooks.equal(prev.body, t):
+            elif not hooks.equal(
+                abstract_formals(prev.body, prev.formals), abstract_formals(t, imgs)
+            ):
                 return None
             continue
         # PatAbst: the domain of the subject abstraction is ignored

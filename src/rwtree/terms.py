@@ -2,8 +2,9 @@
 
 Terms are immutable after construction and may be shared freely, including
 across threads.  A variable is identified by a process-global integer; the
-display name is kept only for printing.  The fresh-variable counter is the
-single piece of mutable global state (itertools.count, atomic under the GIL).
+display name is kept only for printing.  The mutable global state is the
+fresh-variable counter (itertools.count, atomic under the GIL) and the cache
+of interned symbols (``symb``), to which a name is only ever added.
 
 The traversals that routinely see very deep terms (unary numerals, long
 lists) are written iteratively so they do not depend on the interpreter

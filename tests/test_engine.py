@@ -633,11 +633,22 @@ rule g (\x, \y, $v[x,y]) (\a, \b, $v[b,a]) --> yes;
 @pytest.mark.parametrize("equality", ["convertible", "alpha"])
 @pytest.mark.parametrize("engine", ["tree", "naive"])
 def test_nonlinear_variable_with_formals_is_compared_up_to_its_binders(
-    engine, equality
+    engine, equality, monkeypatch
 ):
-    # the occurrences of $v are compared with the k-th formal of each
-    # renamed to one shared variable: in the first case both are \z, c z
+    # each occurrence of $v is compared abstracted over its own formals,
+    # which binds the k-th formal of each at one level, so no fresh
+    # variable is made and no side is walked with subst: in the first case
+    # \x, c x against \y, c y; the g rule crosses its formals
+    import rwtree.engine as eng
+    import rwtree.patterns as pat
+
     ctx = ctx_for(HO_NONLINEAR, engine=engine, equality=equality)
+    checks = counting(monkeypatch, eng, "equal_terms")
+    renames = [
+        counting(monkeypatch, module, name)
+        for module in (pat, eng)
+        for name in ("fresh_var", "subst")
+    ]
 
     def run(text):
         return print_term(snf(ctx, term(text, HO_NONLINEAR), Steps(1000)))
@@ -650,6 +661,8 @@ def test_nonlinear_variable_with_formals_is_compared_up_to_its_binders(
     # equal only once the body under the binder is reduced
     reduced = "yes" if equality == "convertible" else r"f (\x, c x) (\y, c y)"
     assert run(r"f (\x, c x) (\y, c (id y))") == reduced
+    assert len(checks) == 6  # one decided repeated variable per term
+    assert renames == [[], [], [], []]
 
 
 NONLINEAR_3 = r"""
