@@ -76,7 +76,6 @@ from .terms import (
     App,
     Env,
     MetaApp,
-    Prod,
     Sort,
     Symb,
     Term,
@@ -249,7 +248,7 @@ def normalise(
     ctx: EvalContext, t: Term, steps: Steps, restricted: Optional[AbstractSet[int]]
 ) -> Optional[Term]:
     """Strong normal form: weak-head normalize, then normalize the
-    arguments, abstraction bodies and domains.  One loop over a work list,
+    arguments and abstraction bodies.  One loop over a work list,
     onto which ``whnf_stk`` pushes the arguments, so arbitrarily deep
     results (unary numerals, long lists) are fine.
 
@@ -278,9 +277,7 @@ def normalise(
         if tx is tuple:  # (binder to build or None, the vids restricted next)
             b, restricted = x
             if b is not None:
-                body = out.pop()
-                domain = out.pop() if b.domain is not None else None
-                out.append(type(b)(b.var, domain, body))
+                out.append(Abst(b.var, None, out.pop()))
             continue
         if tx is Var or tx is Symb and x.name not in defined:
             head = x  # normal already
@@ -291,15 +288,12 @@ def normalise(
             if forced is not None and whole is not x:
                 forced[x] = whole
         th = type(head)
-        if th is Abst or th is Prod:
+        if th is Abst:
             work.append((head, restricted))
-            body = head.body if th is Abst else head.codomain
             if restricted and head.var.vid in restricted:
-                work += (body, (None, restricted - {head.var.vid}))
+                work += (head.body, (None, restricted - {head.var.vid}))
             else:
-                work.append(body)
-            if head.domain is not None:
-                work.append(head.domain)
+                work.append(head.body)
         elif th is MetaApp:
             raise TermError("rhs-only construct reached the evaluator")
         elif restricted and th is Var and head.vid in restricted:
@@ -323,7 +317,7 @@ def convertible(ctx: EvalContext, t: Term, u: Term, steps: Steps) -> bool:
     compared as it is (``alpha_walk``), and is done if that passes.  Any
     other pair is weak-head normalised, both sides onto one stack; its heads
     and argument counts are compared as ``alpha_eq`` compares those of two
-    strong normal forms, and its arguments, bodies and domains become pairs,
+    strong normal forms, and its arguments and bodies become pairs,
     the first argument next.  The first difference answers False.  As
     ``normalise`` never retries a rule at a head it found stuck, the answer
     is ``alpha_eq(snf(t), snf(u))`` whenever that finishes; but a subterm
@@ -365,14 +359,11 @@ def convertible(ctx: EvalContext, t: Term, u: Term, steps: Steps) -> bool:
         elif th is Symb:
             if ha.name != hb.name:
                 return False
-        elif th is Abst or th is Prod:
-            if (ha.domain is None) != (hb.domain is None):
-                return False
-            if ha.domain is not None:
-                work.append((ha.domain, hb.domain, envl, envr))
+        elif th is Abst:
             k = object()
-            bodies = (ha.body, hb.body) if th is Abst else (ha.codomain, hb.codomain)
-            work.append((*bodies, {**envl, ha.var.vid: k}, {**envr, hb.var.vid: k}))
+            work.append(
+                (ha.body, hb.body, {**envl, ha.var.vid: k}, {**envr, hb.var.vid: k})
+            )
         elif th is Sort:
             if ha.kind != hb.kind:
                 return False

@@ -24,7 +24,6 @@ from .terms import (
     App,
     MetaApp,
     Position,
-    Prod,
     Sort,
     Symb,
     Term,
@@ -309,10 +308,8 @@ def analyse_rhs(
         elif tt is MetaApp:
             meta_apps.append((t, chain))
             todo.extend((a, chain) for a in reversed(t.args))
-        elif tt is Abst or tt is Prod:
-            todo.append((t.body if tt is Abst else t.codomain, chain + (len(vids),)))
-            if t.domain is not None:
-                todo.append((t.domain, chain))
+        elif tt is Abst:
+            todo.append((t.body, chain + (len(vids),)))
             vids.append(t.var.vid)
     rhs_metas = tuple(m for m, _ in meta_apps)
     env = {
@@ -510,7 +507,7 @@ def match_patterns(
             ):
                 return None
             continue
-        # PatAbst: the domain of the subject abstraction is ignored
+        # PatAbst
         t = hooks[t]
         if type(t) is not Abst:
             return None
@@ -605,17 +602,16 @@ def rhs_builder(rule: Rule, env: BuilderEnv) -> Builder:
                 )
                 vals.append(emit(f"subst({read(key)}, {{{pairs}}})"))
                 continue
-            last, first = vals.pop(), vals.pop()
-            if not (first or last or info):
+            last = vals.pop()
+            first = vals.pop() if tt is App else info
+            if not (first or last):
                 vals.append(None)  # built as itself
             elif tt is App:
                 fn, arg = first or const(t.fn), last or const(t.arg)
                 vals.append(emit(f"App({fn}, {arg})"))
-            else:  # Abst or Prod, info: the binder's code, None if constant
-                body = t.body if tt is Abst else t.codomain
-                parts = (info or const(t.var), first or const(t.domain))
-                parts += (last or const(body),)
-                vals.append(emit(f"{tt.__name__}({', '.join(parts)})"))
+            else:  # Abst, first: the binder's code, None if constant
+                var, body = first or const(t.var), last or const(t.body)
+                vals.append(emit(f"Abst({var}, None, {body})"))
         elif tt is Var:
             vals.append(info[t.vid][1] if t.vid in info else None)
         elif tt is MetaApp:
@@ -640,7 +636,7 @@ def rhs_builder(rule: Rule, env: BuilderEnv) -> Builder:
             todo += ((False, a, info) for _, a in reversed(pairs))
         elif tt is App:
             todo += ((True, t, None), (False, t.arg, info), (False, t.fn, info))
-        elif tt is Abst or tt is Prod:
+        elif tt is Abst:
             var, scope = t.var, info
             if var.vid not in rule.binders:  # the rule's Var
                 code = None
@@ -654,9 +650,8 @@ def rhs_builder(rule: Rule, env: BuilderEnv) -> Builder:
                 key, selector = env[name]
                 code = read(key, selector[j])
                 scope = {**info, var.vid: (rule.env[name][1][j], code)}
-            body = t.body if tt is Abst else t.codomain
-            todo += ((True, t, code), (False, body, scope), (False, t.domain, info))
-        else:  # Symb, Sort, or an absent Abst domain
+            todo += ((True, t, code), (False, t.body, scope))
+        else:  # Symb, Sort
             vals.append(None)
     params = ", ".join(f"c{i}" for i in range(len(values)))
     src = "".join(f"  {line}\n" for line in lines) + f"  return {vals[0]}\n"

@@ -22,6 +22,9 @@ end of the line.  Application binds tighter than binders; a binder body
 extends maximally to the right.  ``TYPE``, ``KIND``, ``_`` and the keywords
 are never names.
 
+A product ``Πx : A, B`` is read as ``terms.Prod`` builds it, ``Π A (\\x, B)``;
+no source text can name the symbol ``Π``, so no rule may define or match it.
+
 The tokenizer keeps token texts only.  It cuts the comments out in one regex
 pass, pads each delimiter with spaces and splits each line at whitespace with
 ``str.split()``.  A token's line is one bisection of where each line's tokens
@@ -41,6 +44,7 @@ from typing import NoReturn, Optional, Union
 from .patterns import PatAbst, PatSymb, PatVar, Pattern, Rule
 from .terms import (
     KIND,
+    PI,
     TYPE,
     Abst,
     App,
@@ -350,7 +354,7 @@ class _Parser:
         self.pos = self.expect(self.pos, "arrow", "rule arrow")
         rhs = self.term(True)
         head, args = spine(lhs)
-        if type(head) is not Symb:
+        if type(head) is not Symb or head is PI:
             self.fail("rule left-hand side must apply a symbol", start)
         pats = self.patterns(args, start)
         line = bisect_right(self.line_starts, start)
@@ -386,7 +390,7 @@ class _Parser:
                 )
             else:
                 head, xargs = spine(x)
-                if type(head) is not Symb:
+                if type(head) is not Symb or head is PI:
                     self.fail("unsupported pattern shape", start)
                 order.append((head.name, len(xargs)))
                 todo.extend(reversed(xargs))
@@ -463,7 +467,9 @@ def print_term(t: Term) -> str:
             out.append(x.name)
         elif tx is Sort:
             out.append(x.kind)
-        elif tx is App:
+        elif tx is App and (
+            type(x.arg) is not Abst or type(x.fn) is not App or x.fn.fn is not PI
+        ):
             if ctx == _ARG:
                 work.append(")")
             work.append((x.arg, _ARG))
@@ -471,19 +477,19 @@ def print_term(t: Term) -> str:
             work.append((x.fn, _HEAD))
             if ctx == _ARG:
                 work.append("(")
-        elif tx is Abst or tx is Prod:
-            vid = x.var.vid
-            name = _pick_name(x.var, taken, reserved)
-            body = x.body if tx is Abst else x.codomain
+        elif tx is Abst or tx is App:  # an abstraction, or Π A (\x, B)
+            b = x if tx is Abst else x.arg
+            vid = b.var.vid
+            name = _pick_name(b.var, taken, reserved)
             close = ctx != _TOP
             if close:
                 work.append(")")
             work.append((None, vid, names.get(vid)))
-            work.append((body, _TOP))
+            work.append((b.body, _TOP))
             work.append((None, vid, name))
             work.append(", ")
-            if x.domain is not None:
-                work.append((x.domain, _DOMAIN))
+            if tx is App:
+                work.append((x.fn.arg, _DOMAIN))
                 work.append(" : ")
             work.append(("\\" if tx is Abst else "Π") + name)
             if close:
@@ -526,12 +532,10 @@ def _reserved_names(t: Term) -> set[str]:
         elif tx is App:
             work.append(x.arg)
             work.append(x.fn)
-        elif tx is Abst or tx is Prod:
+        elif tx is Abst:
             work.append((x.var.vid, -1))
-            work.append(x.body if tx is Abst else x.codomain)
+            work.append(x.body)
             work.append((x.var.vid, 1))
-            if x.domain is not None:
-                work.append(x.domain)
         elif tx is MetaApp:
             work.extend(x.args)
     return names

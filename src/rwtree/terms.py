@@ -10,11 +10,10 @@ The traversals that routinely see very deep terms (unary numerals, long
 lists) are written iteratively so they do not depend on the interpreter
 recursion limit.
 
-Π (``Prod``) is inert in this untyped engine: no rule matches it and no step
-reduces it, so it is an abstraction that always has a domain.  Every walk
-handles both binders in one case: it reads the body as ``body`` or
-``codomain``, treats the domain as optional and rebuilds with
-``type(x)(var, domain, body)``.
+A product ``Πx : A, B`` is encoded as in LF: ``Prod`` builds the symbol
+``PI`` applied to ``A`` and the abstraction ``\\x, B``.  So ``Abst`` is the one
+binder node, and its ``domain`` is always None.  Π is inert: no source text can
+name it (``Π`` is a delimiter), no rule matches it and no step reduces it.
 """
 from __future__ import annotations
 
@@ -83,16 +82,6 @@ class Abst(Term):
 
 
 @dataclass(eq=False, slots=True)
-class Prod(Term):
-    var: Var
-    domain: Term
-    codomain: Term
-
-    def __repr__(self):
-        return f"(PI {self.var!r}: {self.domain!r}, {self.codomain!r})"
-
-
-@dataclass(eq=False, slots=True)
 class MetaApp(Term):
     """Pattern-variable application; legal only inside rule right-hand sides.
 
@@ -125,6 +114,14 @@ def symb(name: str) -> Symb:
     if s is None:
         s = _symb_cache[name] = Symb(name)
     return s
+
+
+PI = symb("Π")
+
+
+def Prod(var: Var, domain: Term, codomain: Term) -> Term:
+    """The product ``Πvar : domain, codomain``, as ``Π domain (\\var, codomain)``."""
+    return App(App(PI, domain), Abst(var, None, codomain))
 
 
 def spine(t: Term) -> tuple[Term, list[Term]]:
@@ -160,11 +157,8 @@ def free_vars(t: Term) -> set[int]:
         elif tx is App:
             todo.append((x.fn, bound))
             todo.append((x.arg, bound))
-        elif tx is Abst or tx is Prod:
-            if x.domain is not None:
-                todo.append((x.domain, bound))
-            body = x.body if tx is Abst else x.codomain
-            todo.append((body, bound | {x.var.vid}))
+        elif tx is Abst:
+            todo.append((x.body, bound | {x.var.vid}))
         elif tx is MetaApp:
             raise RhsOnlyError("rhs-only construct: pattern variable in term")
         # Symb and Sort contribute nothing
@@ -172,8 +166,8 @@ def free_vars(t: Term) -> set[int]:
 
 
 # the jobs of ``subst``'s work list: substitute in a term; rename or keep an
-# abstraction's binder once its domain is done, then do its body; rebuild an
-# application or an abstraction from the results of its parts
+# abstraction's binder, then do its body; rebuild an application or an
+# abstraction from the results of its parts
 _VISIT, _OPEN, _APP, _BIND = range(4)
 
 
@@ -201,13 +195,11 @@ def subst(t: Term, bindings: dict[int, Term]) -> Term:
                 done.append(m.get(x.vid, x))
             elif tx is App:
                 todo += ((_APP, x, None), (_VISIT, x.arg, m), (_VISIT, x.fn, m))
-            elif tx is Abst or tx is Prod:
+            elif tx is Abst:
                 inner = m
                 if x.var.vid in m:
                     inner = {k: u for k, u in m.items() if k != x.var.vid}
                 todo.append((_OPEN, x, inner))
-                if x.domain is not None:
-                    todo.append((_VISIT, x.domain, m))
             elif tx is MetaApp:
                 raise RhsOnlyError("rhs-only construct: pattern variable in term")
             else:  # Symb, Sort
@@ -220,23 +212,17 @@ def subst(t: Term, bindings: dict[int, Term]) -> Term:
                 var = fresh_var(var.name)
                 m = {**m, x.var.vid: var}
             todo.append((_BIND, x, var))
-            body = x.body if type(x) is Abst else x.codomain
             if m:
-                todo.append((_VISIT, body, m))
+                todo.append((_VISIT, x.body, m))
             else:
-                done.append(body)
+                done.append(x.body)
         elif job == _APP:
             a2 = done.pop()
             f2 = done.pop()
             done.append(x if f2 is x.fn and a2 is x.arg else App(f2, a2))
         else:  # _BIND, with the binder in m
             b2 = done.pop()
-            d2 = done.pop() if x.domain is not None else None
-            body = x.body if type(x) is Abst else x.codomain
-            if m is x.var and d2 is x.domain and b2 is body:
-                done.append(x)
-            else:
-                done.append(type(x)(m, d2, b2))
+            done.append(x if m is x.var and b2 is x.body else Abst(m, None, b2))
     return done[0]
 
 
@@ -244,8 +230,7 @@ def alpha_eq(t: Term, u: Term) -> bool:
     """Equality modulo renaming of bound variables.
 
     Pattern-variable applications compare by name and pointwise
-    alpha-equivalent arguments.  Abstraction domains compare when both are
-    present; a term with a domain never equals one without.
+    alpha-equivalent arguments.
     """
     return alpha_walk(t, u, {}, {}, None) is None
 
@@ -291,15 +276,11 @@ def alpha_walk(
                 dr = envr.get(b.vid)
                 if dl is not dr or dl is None and a.vid != b.vid:
                     return n
-            elif ta is Abst or ta is Prod:
-                if (a.domain is None) != (b.domain is None):
-                    return n
-                if a.domain is not None:
-                    todo.append((a.domain, b.domain, envl, envr))
+            elif ta is Abst:
                 k = object()
                 envl = {**envl, a.var.vid: k}
                 envr = {**envr, b.var.vid: k}
-                a, b = (a.body, b.body) if ta is Abst else (a.codomain, b.codomain)
+                a, b = a.body, b.body
                 continue
             elif ta is Sort:
                 if a.kind != b.kind:

@@ -19,7 +19,6 @@ from rwtree.terms import (
     Abst,
     App,
     MetaApp,
-    Prod,
     Term,
     Var,
     build_app,
@@ -82,8 +81,7 @@ def numeral(k: int) -> Term:
 
 
 def preorder(t: Term) -> list[Term]:
-    """Every node of ``t`` in preorder; a binder's domain, when it has one,
-    comes before its body."""
+    """Every node of ``t`` in preorder."""
     out, todo = [], [t]
     while todo:
         x = todo.pop()
@@ -91,10 +89,8 @@ def preorder(t: Term) -> list[Term]:
         tx = type(x)
         if tx is App:
             todo += (x.arg, x.fn)
-        elif tx is Abst or tx is Prod:
-            todo.append(x.body if tx is Abst else x.codomain)
-            if x.domain is not None:
-                todo.append(x.domain)
+        elif tx is Abst:
+            todo.append(x.body)
         elif tx is MetaApp:
             todo.extend(reversed(x.args))
     return out

@@ -37,7 +37,6 @@ from rwtree.terms import (
     Abst,
     App,
     MetaApp,
-    Prod,
     Sort,
     Symb,
     Term,
@@ -1582,7 +1581,7 @@ def test_the_record_keys_each_term_by_identity():
     classes = [
         c for c in vars(terms).values() if isinstance(c, type) and issubclass(c, Term)
     ]
-    assert {Sort, Var, Symb, App, Abst, Prod, MetaApp} < set(classes)
+    assert {Sort, Var, Symb, App, Abst, MetaApp} < set(classes)
     for cls in classes:
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
     for engine in ("tree", "naive"):

@@ -20,6 +20,7 @@ from rwtree.syntax import (
     tokenize,
 )
 from rwtree.terms import (
+    PI,
     Abst,
     App,
     MetaApp,
@@ -62,7 +63,8 @@ def test_parse_unicode_lambda_and_dot():
 
 def test_parse_sorts_and_products():
     t = parse_term("Πx : f, g", SCOPE)
-    assert isinstance(t, Prod)
+    # the symbol Π applied to the domain and an abstraction over the codomain
+    assert alpha_eq(t, App(App(PI, symb("f")), Abst(fresh_var("x"), None, symb("g"))))
     assert isinstance(parse_term("TYPE", SCOPE), Sort)
     assert isinstance(parse_term("KIND", SCOPE), Sort)
 
@@ -288,6 +290,17 @@ def test_item_lines_and_rule_labels(src, lines, labels):
             ParseError,
             "2:6: unsupported pattern shape",
         ),
+        # a product is the symbol Π applied, which no rule may match or define
+        (
+            "symbol f; symbol a;\nrule f (Πx : a, a) --> a;",
+            ParseError,
+            "2:6: unsupported pattern shape",
+        ),
+        (
+            "symbol a;\nrule Πx : a, a --> a;",
+            ParseError,
+            "2:6: rule left-hand side must apply a symbol",
+        ),
         ("symbol a", ParseError, "1:9: expected ';', found ''"),
         (
             "symbol f; symbol a;\nrule f a a;",
@@ -317,6 +330,8 @@ def test_item_lines_and_rule_labels(src, lines, labels):
         "unknown-item",
         "lhs-not-applied",
         "applied-pattern-variable",
+        "product-pattern",
+        "product-lhs",
         "eof-after-declaration",
         "missing-rule-arrow",
         "missing-assert-equals",
@@ -573,7 +588,7 @@ def test_print_many_nested_binders_in_linear_time():
 def printable_terms(draw, depth=3, scope=()):
     options = ["symb"]
     if depth > 0:
-        options += ["app", "abst", "meta_free"]
+        options += ["app", "abst", "prod", "meta_free"]
     if scope:
         options += ["var", "var"]
     kind = draw(st.sampled_from(options))
@@ -586,6 +601,11 @@ def printable_terms(draw, depth=3, scope=()):
             draw(printable_terms(depth=depth - 1, scope=scope)),
             draw(printable_terms(depth=depth - 1, scope=scope)),
         )
+    if kind == "prod":
+        v = fresh_var(draw(st.sampled_from(["x", "y"])))
+        domain = draw(printable_terms(depth=depth - 1, scope=scope))
+        body = draw(printable_terms(depth=depth - 1, scope=scope + (v,)))
+        return Prod(v, domain, body)
     if kind == "meta_free":
         v = fresh_var(draw(st.sampled_from(["u", "v"])))
         return Abst(v, None, draw(printable_terms(depth=depth - 1, scope=scope + (v,))))

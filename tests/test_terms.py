@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwtree.terms import (
+    PI,
     Abst,
     App,
     MetaApp,
@@ -80,9 +81,10 @@ def test_subst_renames_a_product_binder_that_would_capture():
     # (Πy : x, x)[x := y]: the domain is outside the binder's scope
     x, y = fresh_var("x"), fresh_var("y")
     r = subst(Prod(y, x, x), {x.vid: y})
-    assert isinstance(r, Prod)
-    assert r.var.vid != y.vid  # fresh binder
-    assert r.domain is y and r.codomain is y
+    # still a product Π domain (\y', codomain)
+    assert r.fn.fn is PI and isinstance(r.arg, Abst)
+    assert r.arg.var.vid != y.vid  # fresh binder
+    assert r.fn.arg is y and r.arg.body is y
 
 
 def test_subst_duplicates_argument():
